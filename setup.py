@@ -37,8 +37,9 @@ try:
         language_level=3,
     )
 except ImportError:
-    print("warning: Cython not available; installing pure-Python kernels only",
-          file=sys.stderr)
-    extensions = []
+    # the generated C ships with the source, so no Cython is needed to build
+    print("warning: Cython not available; compiling the shipped "
+          "src/symbreak/_kernels.c", file=sys.stderr)
+    extensions = [Extension("symbreak._kernels", ["src/symbreak/_kernels.c"])]
 
 setup(ext_modules=extensions, cmdclass={"build_ext": optional_build_ext})

@@ -19,7 +19,7 @@ from .perms import (AutGroup, CycleDecomposition, Permutation,
 from .indices import (Coloring, IndexReport, PhiPair, PhiTable,
                       are_equivalent, distinguishing_number,
                       distinguishing_threshold, graph_indices,
-                      is_distinguishing, is_steady, nu, phi, phi_brute,
+                      is_distinguishing, is_steady, phi, phi_brute,
                       phi_table, rooted_indices)
 from .products import (ProductLayout, all_automorphisms_natural, corona,
                        lexicographic, rooted_product_smooth, vertex_sum,
@@ -33,5 +33,7 @@ from .formulas import (binomial, corona_preconditions, d_corona,
                        stirling2, theta_corona, theta_lexicographic,
                        theta_rooted, theta_union, theta_vsum_2connected,
                        theta_vsum_cycles)
+
+nu = nu_repeated
 
 __version__ = "0.1.0"

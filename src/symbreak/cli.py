@@ -330,6 +330,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BUDGET_FLAGS = (("max_vertices", "--max-vertices"), ("max_aut", "--max-aut"),
+                 ("max_colorings", "--max-colorings"))
+
+
+def _check_budget_flags(args) -> None:
+    for dest, flag in _BUDGET_FLAGS:
+        value = getattr(args, dest)
+        if value is not None and value < 1:
+            raise InvalidInputError(f"{flag} must be positive, got {value}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -340,6 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage/help itself
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_budget_flags(args)
         with limits.scoped(args.max_vertices, args.max_aut,
                            args.max_colorings):
             return args.func(args, argv)

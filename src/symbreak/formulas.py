@@ -36,24 +36,13 @@ from .indices import (
     is_steady,
     phi,
     rooted_indices,
+    stirling2,
 )
 from .perms import automorphism_group
 
 
 def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into exactly k nonempty blocks."""
-    if n < 0 or k < 0:
-        raise InvalidInputError("stirling2 arguments must be nonnegative")
-    if k > n:
-        return 0
-    row = [1] + [0] * k
-    for _ in range(n):
-        row = [0] + [row[j - 1] + j * row[j] for j in range(1, k + 1)]
-    return row[k]
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +81,8 @@ def phi_complete_closed(n: int, k: int) -> int:
 def nu_repeated(g: Graph) -> int:
     """Smallest order of a repeated component-isomorphism class, or g.n if
     every class is a singleton.  Components must all be asymmetric."""
+    if g.n == 0:
+        raise InvalidInputError("nu of the empty graph is undefined")
     parts = connected_components(g)
     subs = [induced_subgraph(g, c) for c in parts.components]
     for comp in subs:

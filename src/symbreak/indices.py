@@ -21,10 +21,20 @@ non-identity automorphism:
 
   Phi_k * |Aut| = sum_j A_j * k(k-1)...(k-j+1),     varphi_k * |Aut| = A_k * k!
 
+An automorphism preserves a partition iff every one of its cycles lies in a
+single block, that is, iff its cycle partition refines the partition.  So a
+partition is preserved by no non-identity element iff it is refined by none
+of the refinement-minimal non-identity cycle partitions, and the searches
+behind D, theta and phi_table run against one representative of each
+(AutGroup.minimal_cycles: 28 transpositions instead of 40,319 elements for
+K8).  The searches close a subtree once no element is live, which with the
+smaller set happens no later, so A_j is unchanged and only node counts fall.
+
 phi_table computes A_j by search only below theta and switches to the exact
 factorial/Stirling form at and above it (where every surjective coloring is
-distinguishing); phi_brute stays on the search route for any k and serves as
-the independent oracle in the verification harness.
+distinguishing); phi_brute stays on the search route for any k and passes
+every non-identity element, on purpose: it shares neither shortcut and
+serves as the independent oracle in the verification harness.
 """
 
 from __future__ import annotations
@@ -34,9 +44,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import kernels, limits
-from .errors import InvalidInputError, PreconditionError
-from .graphs import (Graph, RootedGraph, connected_components, delete_vertex,
-                     induced_subgraph)
+from .errors import InvalidInputError
+from .graphs import Graph, RootedGraph, delete_vertex
 from .perms import AutGroup, automorphism_group, stabilizer
 
 
@@ -104,9 +113,9 @@ def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
         group = automorphism_group(g)
     if group.is_trivial():
         return 1
-    nonid = group.nonidentity_images()
+    minimal = group.minimal_cycles.images
     for k in range(2, g.n + 1):
-        if _exists_partition(g.n, nonid, k):
+        if _exists_partition(g.n, minimal, k):
             return k
     # n distinct colors always distinguish a simple graph's automorphisms
     raise AssertionError("no distinguishing coloring up to n colors")
@@ -115,33 +124,21 @@ def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
 def distinguishing_threshold(g: Graph, group: AutGroup | None = None) -> int:
     """Least k such that every k-coloring is distinguishing."""
     if group is not None:
-        if group.is_trivial():
-            return 1
-        best = 0
-        for p in group.elements:
-            if p.is_identity():
-                continue
-            cc = p.cycle_decomposition().cycle_count
-            if cc > best:
-                best = cc
-        return best + 1
+        return group.minimal_cycles.max_cycle_count + 1
     order, max_cycles, _ = kernels.search_automorphisms(
         g.n, g.adjacency(), limits.aut_cap(), collect=False)
     return 1 if order == 1 else max_cycles + 1
 
 
-def _stirling2(n: int, k: int) -> int:
-    # local DP; the formulas module exposes the public, separately tested one
-    if k < 0 or k > n:
+def stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-set into exactly k nonempty blocks."""
+    if n < 0 or k < 0:
+        raise InvalidInputError("stirling2 arguments must be nonnegative")
+    if k > n:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
     row = [1] + [0] * k
-    for i in range(1, n + 1):
-        new = [0] * (k + 1)
-        for j in range(1, min(i, k) + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
+    for _ in range(n):
+        row = [0] + [row[j - 1] + j * row[j] for j in range(1, k + 1)]
     return row[k]
 
 
@@ -217,7 +214,7 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
     enum_limit = min(k_max, theta - 1, n)
     A = None
     if enum_limit >= 1:
-        A = _partition_counts(n, group.nonidentity_images(), enum_limit)
+        A = _partition_counts(n, group.minimal_cycles.images, enum_limit)
 
     varphi = [0] * (k_max + 1)
     for k in range(1, k_max + 1):
@@ -226,7 +223,7 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
         elif k < theta:
             varphi[k] = _exact_div(A[k] * math.factorial(k), order, "varphi")
         else:
-            varphi[k] = _exact_div(math.factorial(k) * _stirling2(n, k),
+            varphi[k] = _exact_div(math.factorial(k) * stirling2(n, k),
                                    order, "varphi")
     rows = []
     d = 0
@@ -275,7 +272,7 @@ def graph_indices(g: Graph, phi_max: int | None = None,
     table = phi_table(g, phi_max, group) if phi_max else None
     return IndexReport(
         n=g.n, m=g.m, aut_order=group.order,
-        d=distinguishing_number(g, group),
+        d=table.d if table else distinguishing_number(g, group),
         theta=distinguishing_threshold(g, group),
         phi=table,
         steady=tuple(u for u in range(g.n) if is_steady(g, u))
@@ -291,14 +288,14 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
     table = phi_table(g, phi_max, stab) if phi_max else None
     return IndexReport(
         n=g.n, m=g.m, aut_order=stab.order,
-        d=distinguishing_number(g, stab),
+        d=table.d if table else distinguishing_number(g, stab),
         theta=distinguishing_threshold(g, stab),
         phi=table,
         root=h.root,
     )
 
 
-# -- steadiness and nu ------------------------------------------------------------
+# -- steadiness ------------------------------------------------------------------
 
 def is_steady(g: Graph, u: int) -> bool:
     """True iff every automorphism of G - u maps the old neighborhood of u
@@ -312,20 +309,3 @@ def is_steady(g: Graph, u: int) -> bool:
             return False
     return True
 
-
-def nu(g: Graph) -> int:
-    """Order of the smallest repeated component class, n when all classes are
-    singletons.  Requires every component to be asymmetric."""
-    if g.n == 0:
-        raise InvalidInputError("nu of the empty graph is undefined")
-    parts = connected_components(g)
-    sizes = []
-    for cls in parts.classes:
-        comp = parts.components[cls[0]]
-        sub = induced_subgraph(g, comp)
-        if not automorphism_group(sub).is_trivial():
-            raise PreconditionError(
-                f"component {comp} is not asymmetric")
-        if len(cls) >= 2:
-            sizes.append(len(comp))
-    return min(sizes) if sizes else g.n

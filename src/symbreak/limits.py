@@ -8,10 +8,13 @@ Three knobs, all process-wide:
                  group elements have been found
   max_colorings  node budget for the distinguishing-coloring search
 
-Defaults can be overridden at import time through SYMBREAK_MAX_VERTICES,
-SYMBREAK_MAX_AUT and SYMBREAK_MAX_COLORINGS, and at runtime via configure()
-(the CLI maps --max-aut/--max-colorings onto it) or the scoped() context
-manager, which tests use to provoke budget errors cheaply.
+Defaults can be overridden through SYMBREAK_MAX_VERTICES, SYMBREAK_MAX_AUT
+and SYMBREAK_MAX_COLORINGS, read on first use rather than at import, so a
+bad value surfaces as an InvalidInputError naming the variable (exit 2 on
+the command line) instead of breaking the import; and at runtime via
+configure() (the CLI maps --max-aut/--max-colorings onto it) or the scoped()
+context manager, which tests use to provoke budget errors cheaply.  Every
+budget must be a positive integer.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+from .errors import InvalidInputError
 
 DEFAULT_MAX_VERTICES = 64
 DEFAULT_MAX_AUT = 10_000_000
@@ -32,10 +37,15 @@ def _env_int(name: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise InvalidInputError(
+            f"{name} must be an integer, got {raw!r}") from None
+    _check_positive(name, value)
     return value
+
+
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise InvalidInputError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -45,41 +55,45 @@ class Limits:
     max_colorings: int = DEFAULT_MAX_COLORINGS
 
 
-_active = Limits(
-    max_vertices=_env_int("SYMBREAK_MAX_VERTICES", DEFAULT_MAX_VERTICES),
-    max_aut=_env_int("SYMBREAK_MAX_AUT", DEFAULT_MAX_AUT),
-    max_colorings=_env_int("SYMBREAK_MAX_COLORINGS", DEFAULT_MAX_COLORINGS),
-)
+_active: Limits | None = None
+
+
+def _limits() -> Limits:
+    """The process-wide budgets, read from the environment on first use."""
+    global _active
+    if _active is None:
+        _active = Limits(
+            max_vertices=_env_int("SYMBREAK_MAX_VERTICES",
+                                  DEFAULT_MAX_VERTICES),
+            max_aut=_env_int("SYMBREAK_MAX_AUT", DEFAULT_MAX_AUT),
+            max_colorings=_env_int("SYMBREAK_MAX_COLORINGS",
+                                   DEFAULT_MAX_COLORINGS),
+        )
+    return _active
 
 
 def vertex_cap() -> int:
-    return _active.max_vertices
+    return _limits().max_vertices
 
 
 def aut_cap() -> int:
-    return _active.max_aut
+    return _limits().max_aut
 
 
 def coloring_cap() -> int:
-    return _active.max_colorings
+    return _limits().max_colorings
 
 
 def configure(max_vertices: int | None = None,
               max_aut: int | None = None,
               max_colorings: int | None = None) -> None:
     """Override one or more budgets for the rest of the process."""
-    if max_vertices is not None:
-        if max_vertices < 1:
-            raise ValueError("max_vertices must be positive")
-        _active.max_vertices = max_vertices
-    if max_aut is not None:
-        if max_aut < 1:
-            raise ValueError("max_aut must be positive")
-        _active.max_aut = max_aut
-    if max_colorings is not None:
-        if max_colorings < 1:
-            raise ValueError("max_colorings must be positive")
-        _active.max_colorings = max_colorings
+    active = _limits()
+    for name, value in (("max_vertices", max_vertices), ("max_aut", max_aut),
+                        ("max_colorings", max_colorings)):
+        if value is not None:
+            _check_positive(name, value)
+            setattr(active, name, value)
 
 
 @contextmanager
@@ -87,11 +101,12 @@ def scoped(max_vertices: int | None = None,
            max_aut: int | None = None,
            max_colorings: int | None = None):
     """Temporarily override budgets; restores the previous values on exit."""
-    saved = Limits(_active.max_vertices, _active.max_aut, _active.max_colorings)
+    active = _limits()
+    saved = Limits(active.max_vertices, active.max_aut, active.max_colorings)
     try:
         configure(max_vertices, max_aut, max_colorings)
         yield
     finally:
-        _active.max_vertices = saved.max_vertices
-        _active.max_aut = saved.max_aut
-        _active.max_colorings = saved.max_colorings
+        active.max_vertices = saved.max_vertices
+        active.max_aut = saved.max_aut
+        active.max_colorings = saved.max_colorings

@@ -12,7 +12,10 @@ non-fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import isqrt
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import kernels, limits
 from .errors import BudgetExceededError, InvalidInputError
@@ -112,12 +115,34 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
     return CycleDecomposition(p.n, tuple(cycles), tuple(fixed))
 
 
+class MinimalCycles(NamedTuple):
+    """One image per refinement-minimal non-identity cycle partition."""
+
+    images: tuple[tuple[int, ...], ...]
+    max_cycle_count: int
+
+
 @dataclass(frozen=True)
 class AutGroup:
-    """A full automorphism group as a sorted element tuple, identity first."""
+    """A full automorphism group as a sorted element tuple, identity first.
+
+    minimal_cycles, computed once per instance, holds one representative
+    image for each cycle partition of a non-identity element that no other
+    such partition strictly refines, sorted, plus the largest cycle count
+    (fixed points included) among them: 0 and no images for the trivial
+    group.  An element preserves a coloring iff its cycle partition refines
+    the color partition, so these few images decide distinguishability
+    exactly as the whole group does; and since a finer partition has more
+    cycles, max_cycle_count is also the largest over all non-identity
+    elements.
+    """
 
     n: int
     elements: tuple[Permutation, ...]
+
+    @cached_property
+    def minimal_cycles(self) -> MinimalCycles:
+        return _minimal_cycle_partitions(self.elements)
 
     @property
     def order(self) -> int:
@@ -208,11 +233,63 @@ def orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
 def max_nonidentity_cycle_count(group: AutGroup) -> int:
     """Largest cycle count (fixed points included) over non-identity
     elements; 0 for the trivial group."""
-    best = 0
-    for p in group.elements:
-        if p.is_identity():
+    return group.minimal_cycles.max_cycle_count
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _prime_cycle_labels(image) -> tuple[tuple[int, ...], int] | None:
+    """(smallest vertex of each vertex's cycle, cycle count) when every
+    non-trivial cycle of image has one common prime length; None otherwise,
+    the identity included."""
+    labels = [-1] * len(image)
+    length = cycles = 0
+    for v in range(len(image)):
+        if labels[v] >= 0:
             continue
-        cc = cycle_decomposition(p).cycle_count
-        if cc > best:
-            best = cc
-    return best
+        cycles += 1
+        labels[v] = v
+        size = 1
+        w = image[v]
+        while w != v:
+            labels[w] = v
+            size += 1
+            w = image[w]
+        if size > 1 and size != length:
+            if length or not _is_prime(size):
+                return None
+            length = size
+    return (tuple(labels), cycles) if length else None
+
+
+def _minimal_cycle_partitions(elements) -> MinimalCycles:
+    """Keep the cycle partitions that no other non-identity one refines.
+
+    Every non-identity element has a power of prime order, whose cycle
+    partition refines its own, so only prime-order elements are candidates.
+    They are taken finest first (most cycles): a partition can only be
+    strictly refined by one with more cycles, and refinement is transitive,
+    so testing each candidate against the partitions already kept suffices.
+    A kept element refines a candidate iff it maps every vertex into the
+    vertex's own candidate block.
+    """
+    candidates: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    for p in elements:
+        found = _prime_cycle_labels(p.image)
+        if found is not None and found[0] not in candidates:
+            candidates[found[0]] = (found[1], p.image)
+    kept = []
+    # per kept element: read labels at its moved vertices, and at their images
+    tests = []
+    for labels, (cycles, image) in sorted(candidates.items(),
+                                          key=lambda item: -item[1][0]):
+        if any(src(labels) == dst(labels) for src, dst in tests):
+            continue
+        moved = [v for v in range(len(image)) if image[v] != v]
+        tests.append((itemgetter(*moved),
+                      itemgetter(*(image[v] for v in moved))))
+        kept.append((cycles, image))
+    return MinimalCycles(tuple(sorted(image for _, image in kept)),
+                         kept[0][0] if kept else 0)

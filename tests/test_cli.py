@@ -242,6 +242,14 @@ class TestExitCodes:
         code, _, _ = run_cli("analyze", "builtin:petersen", "--max-vertices", "5")
         assert code == 3
 
+    @pytest.mark.parametrize("flag,value", [("--max-aut", "0"),
+                                            ("--max-colorings", "-1"),
+                                            ("--max-vertices", "0")])
+    def test_nonpositive_budget_flag_exits_2(self, run_cli, flag, value):
+        code, out, err = run_cli("analyze", "builtin:petersen", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"symbreak: {flag} must be positive, got {value}\n"
+
 
 class TestEnvelope:
     def test_digest_stable_across_runs(self, run_cli):
@@ -258,7 +266,33 @@ class TestEnvelope:
         assert json.loads(out1)["digest"] != json.loads(out2)["digest"]
 
 
+def _cli_in_fresh_process(env_name: str, env_value: str, *argv: str):
+    env = dict(os.environ, **{env_name: env_value})
+    return subprocess.run([sys.executable, "-m", "symbreak.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEnvOverrides:
+    def test_non_integer_env_budget_exits_2(self):
+        proc = _cli_in_fresh_process("SYMBREAK_MAX_AUT", "lots",
+                                     "analyze", "builtin:petersen")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("symbreak: SYMBREAK_MAX_AUT must be an "
+                               "integer, got 'lots'\n")
+
+    def test_nonpositive_env_budget_exits_2(self):
+        proc = _cli_in_fresh_process("SYMBREAK_MAX_COLORINGS", "0",
+                                     "analyze", "builtin:petersen")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("symbreak: SYMBREAK_MAX_COLORINGS must be "
+                               "positive, got 0\n")
+
+    def test_bad_env_budget_does_not_break_import(self):
+        env = dict(os.environ, SYMBREAK_MAX_VERTICES="-5")
+        proc = subprocess.run([sys.executable, "-c", "import symbreak.cli"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == ""
+
     def test_env_budget_applies_in_fresh_process(self):
         env = dict(os.environ, SYMBREAK_MAX_AUT="10")
         proc = subprocess.run(

@@ -23,7 +23,8 @@ from symbreak.formulas import (RadicalRow, VertexSumBound, aut_order_corona,
                                theta_union, theta_vsum_2connected,
                                theta_vsum_cycles)
 from symbreak.graphs import (RootedGraph, asymmetric6, build_graph, complete,
-                             cycle, disjoint_union, path, star)
+                             cycle, disjoint_union, empty_graph, path,
+                             star)
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               phi_brute)
 from symbreak.perms import automorphism_group
@@ -45,6 +46,12 @@ class TestCombinatorics:
         for (n, k), v in known.items():
             assert stirling2(n, k) == v
         assert stirling2(4, 0) == 0 and stirling2(4, 5) == 0
+
+    def test_stirling_rejects_negative_arguments(self):
+        with pytest.raises(InvalidInputError):
+            stirling2(-1, 0)
+        with pytest.raises(InvalidInputError):
+            stirling2(3, -1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 10))
@@ -110,6 +117,12 @@ class TestThetaUnion:
         assert nu_repeated(g) == 6
         lone, _ = disjoint_union([asymmetric6(), complete(1)])
         assert nu_repeated(lone) == 7  # no repeats: falls back to |G|
+
+    def test_nu_repeated_is_the_public_nu(self):
+        import symbreak
+        assert symbreak.nu is nu_repeated
+        with pytest.raises(InvalidInputError):
+            nu_repeated(empty_graph(0))
 
 
 class TestVertexSumBound:

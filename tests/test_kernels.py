@@ -68,6 +68,20 @@ def test_partition_count_parity(g):
 
 
 @needs_compiled
+@pytest.mark.parametrize("g", SAMPLE + [complete(7), lexicographic(cycle(4),
+                                                                 path(2))[0]],
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_minimal_cycles_parity(g):
+    kept = automorphism_group(g).minimal_cycles.images
+    for k in range(1, g.n + 1):
+        a = compiled.count_distinguishing_partitions(g.n, kept, k, 10**7)
+        b = pure.count_distinguishing_partitions(g.n, kept, k, 10**7)
+        assert list(a) == list(b)
+        assert (compiled.exists_distinguishing_partition(g.n, kept, k, 10**7)
+                == pure.exists_distinguishing_partition(g.n, kept, k, 10**7))
+
+
+@needs_compiled
 def test_block_preservation_parity():
     for g, h in [(path(2), complete(2)), (cycle(4), complete(1)),
                  (path(3), path(3))]:
