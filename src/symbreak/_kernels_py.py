@@ -2,22 +2,46 @@
 
 Reference implementation of the four routines the whole library leans on:
 
-  search_automorphisms             backtracking enumeration of Aut(G)
-  all_automorphisms_preserve_blocks   same search, streaming a block check
+  search_automorphisms             Aut(G) from a stabilizer chain
+  all_automorphisms_preserve_blocks   backtracking search, streaming a block
+                                   check
   count_distinguishing_partitions  count set partitions no automorphism fixes
   exists_distinguishing_partition  early-exit variant of the count
 
+All automorphism searches share one search tree: vertices are mapped in a
+static order (_search_order), and a vertex's candidates are the vertices of
+its refined color class, not yet used, with the right adjacency to every
+vertex mapped before it.  Every leaf is an automorphism.
+
+search_automorphisms walks only part of that tree.  It builds the
+pointwise stabilizer chain along the search order (Sims 1970; Seress,
+Permutation Group Algorithms, 2003) with one first-leaf search per
+candidate image off the identity path, so |Aut| is known, and checked
+against the budget, before any element is built; the elements are then
+products of transversal elements.  Each first-leaf search stays inside a
+distinct subtree that the plain DFS enumerates in full, so the chain never
+visits more nodes than the DFS.
+
 A compiled twin lives in _kernels.pyx; symbreak.kernels picks whichever is
-available.  Both must behave identically bit for bit; tests compare them.
+available.  Its search_automorphisms is still the plain DFS over every
+leaf.  Both return identical results bit for bit, the sorted element list
+included, and raise on the same caps; tests compare them.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
-BudgetExceededError; nothing is ever silently truncated.
+BudgetExceededError; nothing is ever silently truncated.  No search keeps a
+reference cycle alive after it returns or raises: recursive closures drop
+their reference to themselves on the way out.
 """
 
 from __future__ import annotations
 
+from operator import eq, itemgetter
+
 from .errors import BudgetExceededError
+
+# most products the streaming search multiplies out at once
+_STREAM_BLOCK = 256
 
 
 def _refine_colors(n: int, adj) -> list[int]:
@@ -61,15 +85,11 @@ def _search_order(n: int, adj, colors) -> list[int]:
     return order
 
 
-def _cycle_stats(image) -> tuple[int, bool]:
-    """(number of cycles counting fixed points, is this the identity)."""
-    n = len(image)
+def _cycle_count(image) -> int:
+    """Number of cycles, fixed points included."""
     seen = 0
     cycles = 0
-    identity = True
-    for v in range(n):
-        if image[v] != v:
-            identity = False
+    for v in range(len(image)):
         if seen >> v & 1:
             continue
         cycles += 1
@@ -77,7 +97,146 @@ def _cycle_stats(image) -> tuple[int, bool]:
         while not seen >> w & 1:
             seen |= 1 << w
             w = image[w]
-    return cycles, identity
+    return cycles
+
+
+def _extend(n: int, adj, order, cls, image, used: int, depth: int):
+    """First leaf below one node of the search tree.
+
+    image is fixed on order[:depth] and used is the set of its images.
+    Candidates are tried in increasing vertex order, as in the DFS.  Returns
+    the first completion to an automorphism as an image tuple, or None when
+    there is none.
+    """
+    if depth == n:
+        return tuple(image)
+    v = order[depth]
+    cand = cls[v] & ~used
+    av = adj[v]
+    for i in range(depth):
+        u = order[i]
+        cand &= adj[image[u]] if av >> u & 1 else ~adj[image[u]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        image[v] = low.bit_length() - 1
+        leaf = _extend(n, adj, order, cls, image, used | low, depth + 1)
+        if leaf is not None:
+            return leaf
+    return None
+
+
+def _stabilizer_chain(n: int, adj, order_cap: int):
+    """Transversals of the pointwise stabilizer chain along the search order.
+
+    G_i is the subgroup fixing order[:i] pointwise, so G_0 = Aut(G) and
+    G_n = 1.  Levels are walked from i = n-1 down to 0.  At level i every
+    candidate image w != order[i] of order[i], with order[:i] fixed, gets one
+    first-leaf search; the leaf found, if any, is the representative of the
+    coset of G_{i+1} sending order[i] to w.  The transversal T_i (identity
+    first) then gives |G_i| = |T_i| * |G_{i+1}| exactly, and the cap is
+    checked after every representative, before any element is built.
+
+    Each (i, w) search runs inside the subtree that the plain DFS enters
+    when it leaves the identity path at depth i for w, and these subtrees
+    are pairwise distinct, so the chain visits no more nodes than the DFS.
+
+    Returns (|Aut|, nontrivial transversals in level order 0..n-1).
+    """
+    if order_cap < 1:
+        raise BudgetExceededError(
+            f"automorphism search exceeded cap {order_cap}")
+    colors = _refine_colors(n, adj)
+    class_mask: dict[int, int] = {}
+    for v in range(n):
+        class_mask[colors[v]] = class_mask.get(colors[v], 0) | (1 << v)
+    cls = [class_mask[c] for c in colors]
+    order = _search_order(n, adj, colors)
+    ident = tuple(range(n))
+    image = list(ident)
+    prefix = [0] * (n + 1)
+    for i, v in enumerate(order):
+        prefix[i + 1] = prefix[i] | 1 << v
+    size = 1
+    chain = []
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        cand = cls[v] & ~prefix[i + 1]
+        av = adj[v]
+        for u in order[:i]:
+            cand &= adj[u] if av >> u & 1 else ~adj[u]
+        reps = [ident]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[v] = low.bit_length() - 1
+            leaf = _extend(n, adj, order, cls, image, prefix[i] | low, i + 1)
+            if leaf is None:
+                continue
+            reps.append(leaf)
+            if len(reps) * size > order_cap:
+                raise BudgetExceededError(
+                    f"automorphism search exceeded cap {order_cap}")
+        image[v] = v
+        if len(reps) > 1:
+            size *= len(reps)
+            chain.append(reps)
+    chain.reverse()
+    return size, chain
+
+
+def _max_cycles(n: int, elements, best: int = 0) -> int:
+    """Largest of best and the cycle counts of the non-identity elements.
+
+    An element with f fixed points has at most f + (n - f) // 2 cycles, so
+    the exact count is taken only where that bound beats the best so far,
+    and the scan stops at n - 1, the most any non-identity element has.
+    """
+    ident = range(n)
+    for e in elements:
+        if best == n - 1:
+            break
+        fixed = sum(map(eq, e, ident))
+        if fixed == n or fixed + (n - fixed) // 2 <= best:
+            continue
+        cycles = _cycle_count(e)
+        if cycles > best:
+            best = cycles
+    return best
+
+
+def _product_blocks(n: int, chain, block_size: int):
+    """Yield every product t_0 * t_1 * ... (right factor applied first),
+    one factor from each transversal of chain, in lists.
+
+    The deepest transversals whose product has at most block_size elements
+    are multiplied out once, level by level: itemgetter(*e)(t) is t * e.
+    The levels above are walked depth-first, and each path prefix p meets
+    the whole block as p * s = itemgetter(*s)(p).  Only the block, one
+    yielded list and the path are alive at a time.
+    """
+    split, size = len(chain), 1
+    while split and size * len(chain[split - 1]) <= block_size:
+        split -= 1
+        size *= len(chain[split])
+    block = [tuple(range(n))]
+    for reps in reversed(chain[split:]):
+        getters = [itemgetter(*e) for e in block]
+        block = [get(t) for t in reps for get in getters]
+    if not split:
+        yield block
+        return
+    levels = [[itemgetter(*t) for t in reps] for reps in chain[:split]]
+    yield from _walk_products(levels, 0, tuple(range(n)),
+                              [itemgetter(*s) for s in block])
+
+
+def _walk_products(levels, depth: int, prefix, block):
+    if depth == len(levels):
+        yield [get(prefix) for get in block]
+        return
+    for get in levels[depth]:
+        yield from _walk_products(levels, depth + 1, get(prefix), block)
 
 
 def search_automorphisms(n: int, adj, order_cap: int, collect: bool = True):
@@ -88,51 +247,29 @@ def search_automorphisms(n: int, adj, order_cap: int, collect: bool = True):
     trivial group, and elements is a lexicographically sorted list of image
     tuples, or None when collect is false.  Raises BudgetExceededError once
     more than order_cap automorphisms exist.
+
+    The order comes from the stabilizer chain alone, so an over-cap group
+    fails before a single element is built.  Every element factors uniquely
+    as t_0 * t_1 * ... * t_{n-1} (apply the right factor first) with t_i in
+    the level-i transversal.  With collect the products are built level by
+    level, deepest first; without it the upper levels of the same product
+    tree are walked depth-first, so memory stays within _STREAM_BLOCK
+    products whatever |Aut| is.
     """
     if n == 0:
         return 1, 0, ([()] if collect else None)
-    colors = _refine_colors(n, adj)
-    class_mask: dict[int, int] = {}
-    for v in range(n):
-        class_mask[colors[v]] = class_mask.get(colors[v], 0) | (1 << v)
-    order = _search_order(n, adj, colors)
-
-    image = [-1] * n
-    state = {"used": 0, "count": 0, "max_cycles": 0}
-    elements: list[tuple[int, ...]] | None = [] if collect else None
-
-    def rec(depth: int) -> None:
-        if depth == n:
-            state["count"] += 1
-            if state["count"] > order_cap:
-                raise BudgetExceededError(
-                    f"automorphism search exceeded cap {order_cap}")
-            cycles, identity = _cycle_stats(image)
-            if not identity and cycles > state["max_cycles"]:
-                state["max_cycles"] = cycles
-            if elements is not None:
-                elements.append(tuple(image))
-            return
-        v = order[depth]
-        cand = class_mask[colors[v]] & ~state["used"]
-        av = adj[v]
-        for i in range(depth):
-            u = order[i]
-            cand &= adj[image[u]] if av >> u & 1 else ~adj[image[u]]
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            image[v] = w
-            state["used"] |= low
-            rec(depth + 1)
-            state["used"] &= ~low
-        image[v] = -1
-
-    rec(0)
-    if elements is not None:
-        elements.sort()
-    return state["count"], state["max_cycles"], elements
+    order, chain = _stabilizer_chain(n, adj, order_cap)
+    if not collect:
+        best = 0
+        for block in _product_blocks(n, chain, _STREAM_BLOCK):
+            best = _max_cycles(n, block, best)
+            if best == n - 1:
+                break
+        return order, best, None
+    elements = [e for block in _product_blocks(n, chain, order)
+                for e in block]
+    elements.sort()
+    return order, _max_cycles(n, elements), elements
 
 
 class _BlockSplit(Exception):
@@ -194,6 +331,8 @@ def all_automorphisms_preserve_blocks(n: int, adj, blocks, order_cap: int) -> bo
         rec(0)
     except _BlockSplit:
         return False
+    finally:
+        rec = None  # break the closure's reference to itself
     return True
 
 
@@ -283,7 +422,10 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
             # not distinguishing, contributes nothing
         color[v] = -1
 
-    rec(0, 0, list(range(len(imgs))))
+    try:
+        rec(0, 0, list(range(len(imgs))))
+    finally:
+        rec = None  # break the closure's reference to itself
     return A
 
 
@@ -328,4 +470,7 @@ def exists_distinguishing_partition(n: int, elements, max_blocks: int,
         color[v] = -1
         return False
 
-    return rec(0, 0, list(range(len(imgs))))
+    try:
+        return rec(0, 0, list(range(len(imgs))))
+    finally:
+        rec = None  # break the closure's reference to itself

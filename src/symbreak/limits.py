@@ -4,8 +4,8 @@ Three knobs, all process-wide:
 
   max_vertices   hard cap on graph size accepted by constructors (default 64,
                  which also matches the one-word bitset layout of the kernels)
-  max_aut        automorphism-search budget: abort once more than this many
-                 group elements have been found
+  max_aut        automorphism-search budget: abort once the group is known
+                 to have more than this many elements
   max_colorings  node budget for the distinguishing-coloring search
 
 Defaults can be overridden through SYMBREAK_MAX_VERTICES, SYMBREAK_MAX_AUT

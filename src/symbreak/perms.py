@@ -6,7 +6,11 @@ compose(p, q)(v) = p(q(v)).
 Automorphism groups are plain element lists (desk scale keeps them small
 enough); elements are sorted lexicographically by image tuple, which puts
 the identity first since any other automorphism must exceed it at its first
-non-fixed point.
+non-fixed point.  The list comes from kernels.search_automorphisms.  The
+pure kernel learns |Aut| from a stabilizer chain before it builds any
+element, so a group over the automorphism budget fails in about the time
+the chain takes, not the time of the budget's worth of elements; the
+compiled kernel still enumerates up to the cap.
 """
 
 from __future__ import annotations

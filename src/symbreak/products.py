@@ -151,8 +151,8 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductLayout]:
     n = g.n * h.n
     cap = limits.vertex_cap()
     if n > cap:
-        raise InvalidInputError(f"lexicographic product has {n} vertices, "
-                                f"cap is {cap}")
+        raise BudgetExceededError(f"lexicographic product has {n} vertices, "
+                                  f"cap is {cap}")
     edges: list[tuple[int, int]] = []
     for x, xp in g.edges():
         for y in range(h.n):

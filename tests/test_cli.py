@@ -242,6 +242,18 @@ class TestExitCodes:
         code, _, _ = run_cli("analyze", "builtin:petersen", "--max-vertices", "5")
         assert code == 3
 
+    @pytest.mark.parametrize("factors", [
+        ("vsum", "builtin:complete:4@0", "builtin:complete:4@0",
+         "builtin:complete:4@0"),
+        ("rooted", "builtin:path:3", "builtin:complete:3@0"),
+        ("corona", "builtin:path:3", "builtin:complete:2"),
+        ("lex", "builtin:path:3", "builtin:path:3"),
+    ], ids=lambda f: f[0])
+    def test_product_vertex_budget_exit_3(self, run_cli, factors):
+        code, out, err = run_cli("product", *factors, "--max-vertices", "8")
+        assert code == 3 and out == ""
+        assert err.startswith("symbreak: ") and "cap is 8" in err
+
     @pytest.mark.parametrize("flag,value", [("--max-aut", "0"),
                                             ("--max-colorings", "-1"),
                                             ("--max-vertices", "0")])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -139,3 +141,80 @@ def test_pure_backend_full_pipeline():
     expected = (f"{r.d} {r.theta} {r.aut_order} "
                 f"{[(row.k, row.phi, row.varphi) for row in r.phi.rows]}")
     assert out.stdout.strip() == expected
+
+
+def _c6_elements():
+    return [p.image for p in automorphism_group(cycle(6)).elements
+            if not p.is_identity()]
+
+
+K6 = complete(6).adjacency()
+
+# (pure kernel call, whether it spends its budget)
+PURE_CALLS = {
+    "search": (lambda: pure.search_automorphisms(6, K6, 10**7, True), False),
+    "search-budget": (lambda: pure.search_automorphisms(6, K6, 100, True),
+                      True),
+    "search-stream": (lambda: pure.search_automorphisms(6, K6, 10**7, False),
+                      False),
+    "blocks": (lambda: pure.all_automorphisms_preserve_blocks(
+        6, K6, [0, 0, 1, 1, 2, 2], 10**7), False),
+    "blocks-budget": (lambda: pure.all_automorphisms_preserve_blocks(
+        6, K6, [0] * 6, 100), True),
+    "count": (lambda: pure.count_distinguishing_partitions(
+        6, _c6_elements(), 3, 10**7), False),
+    "count-budget": (lambda: pure.count_distinguishing_partitions(
+        6, _c6_elements(), 3, 10), True),
+    "exists": (lambda: pure.exists_distinguishing_partition(
+        6, _c6_elements(), 3, 10**7), False),
+    "exists-budget": (lambda: pure.exists_distinguishing_partition(
+        6, _c6_elements(), 6, 2), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURE_CALLS))
+def test_pure_kernels_leave_no_reference_cycles(name):
+    call, spends_budget = PURE_CALLS[name]
+    automorphism_group(cycle(6))  # warm the group cache outside the window
+    gc.collect()
+    gc.disable()
+    try:
+        raised = False
+        try:
+            call()
+        except BudgetExceededError:
+            raised = True
+        assert raised == spends_budget
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _peak_traced_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pure_budget_exit_builds_no_elements():
+    adj = complete(30).adjacency()
+
+    def call():
+        with pytest.raises(BudgetExceededError,
+                           match="exceeded cap 100000$"):
+            pure.search_automorphisms(30, adj, 100_000, True)
+
+    assert _peak_traced_bytes(call) < 1 << 20
+
+
+def test_pure_stream_stores_no_group():
+    adj = complete(8).adjacency()
+
+    def call():
+        assert pure.search_automorphisms(8, adj, 10**7, False) == (
+            40320, 7, None)
+
+    assert _peak_traced_bytes(call) < 1 << 20
