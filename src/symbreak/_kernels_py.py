@@ -22,10 +22,18 @@ products of transversal elements.  Each first-leaf search stays inside a
 distinct subtree that the plain DFS enumerates in full, so the chain never
 visits more nodes than the DFS.
 
+count_distinguishing_partitions is memoized on the state that fixes a
+subtree's completions (see its docstring), so it visits a subset of the
+nodes the plain search visits, usually a small one.
+exists_distinguishing_partition stays the plain search.
+
 A compiled twin lives in _kernels.pyx; symbreak.kernels picks whichever is
 available.  Its search_automorphisms is still the plain DFS over every
-leaf.  Both return identical results bit for bit, the sorted element list
-included, and raise on the same caps; tests compare them.
+leaf, and its count the plain search over every node.  Both return
+identical results bit for bit, the sorted element list included, and raise
+on the same automorphism cap; tests compare them.  The coloring budget
+counts visited nodes, so a count the pure kernel completes may still
+exceed the same budget compiled.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -36,12 +44,15 @@ their reference to themselves on the way out.
 
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 
 from .errors import BudgetExceededError
 
 # most products the streaming search multiplies out at once
 _STREAM_BLOCK = 256
+# most machine words the partition count's memo holds (about 32 MB on a
+# 64-bit build); past it the count searches on without storing
+_MEMO_WORDS = 1 << 22
 
 
 def _refine_colors(n: int, adj) -> list[int]:
@@ -367,17 +378,68 @@ def _prepare_elements(n: int, elements):
     return imgs, invs
 
 
+def _kill_table(n: int, elements):
+    """Which elements each vertex's block choice can break, as bitmasks.
+
+    Bit i stands for elements[i].  kill[v] holds (w, keep) for w < v, where
+    ~keep is the set of elements e with e(v) = w or e(w) = v: each of them
+    survives the choice of a block for v only if w is in that block.
+    reach[v] holds (u, reads) for u < v, where reads is the union of those
+    sets over every pair (x, u) with x >= v: the elements that still read
+    the block of u once v - 1 is placed.
+    """
+    size = (len(elements) + 7) >> 3
+    bufs: dict[int, bytearray] = {}  # v * n + w -> bits
+    for i, e in enumerate(elements):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for x, y in enumerate(e):
+            if x != y:
+                pair = x * n + y if y < x else y * n + x
+                buf = bufs.get(pair)
+                if buf is None:
+                    buf = bufs[pair] = bytearray(size)
+                buf[byte] |= bit
+    masks = [[] for _ in range(n)]
+    for pair, buf in bufs.items():
+        v, w = divmod(pair, n)
+        masks[v].append((w, int.from_bytes(buf, "little")))
+    reach = [[] for _ in range(n)]
+    later: dict[int, int] = {}
+    for v in range(n - 1, 0, -1):
+        for w, mask in masks[v]:
+            later[w] = later.get(w, 0) | mask
+        reach[v] = [(u, reads) for u, reads in later.items() if u < v]
+    return [[(w, ~mask) for w, mask in row] for row in masks], reach
+
+
 def count_distinguishing_partitions(n: int, elements, max_blocks: int,
                                     node_budget: int) -> list[int]:
     """A[j] for j = 0..max_blocks: set partitions of {0..n-1} into exactly j
     blocks that no given element preserves.
 
-    elements must be the non-identity automorphisms.  Partitions are walked
-    as canonical block assignments (vertex 0 opens block 0, a new block's id
-    is always the smallest unused); the live set of not-yet-violated elements
-    shrinks monotonically along each branch, and once it empties the whole
-    subtree is closed with the extension table instead of being visited.
-    Each vertex-to-block assignment counts against node_budget.
+    elements must be non-identity automorphisms.  Partitions are walked as
+    canonical block assignments: vertex 0 opens block 0, and a new block's
+    id is always the smallest unused.  The live set of not-yet-violated
+    elements, a bitmask, shrinks along each branch; once it empties, the
+    whole subtree is closed with the extension table instead of being
+    visited.
+
+    The search is memoized.  Below vertex v, with b blocks open and live
+    set L, which completions break every live element, and how many blocks
+    they end with, depends on the blocks placed so far only through b and
+    through which frontier vertices share a block.  The frontier is the
+    vertices u < v whose block some element of L still reads at a vertex
+    >= v (_kill_table's reach).  Renaming the blocks permutes completions
+    and keeps their block counts, so the key is (v, b, L, the frontier's
+    block ids renamed by first occurrence), and a key seen before reuses
+    its completion vector: A is exactly what the plain search gives.
+
+    The memo holds at most about _MEMO_WORDS machine words; once full, the
+    search goes on without storing, which stays exact.  Each
+    vertex-to-block assignment visited counts against node_budget, all of
+    a vertex's choices at once as the search enters it.  A memo hit visits
+    nothing, so the nodes counted are a subset of the plain search's, and
+    every count the plain search completes completes here.
     """
     A = [0] * (max_blocks + 1)
     if n == 0:
@@ -390,40 +452,49 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
         for j in range(1, kmax + 1):
             A[j] = E[n][0][j]
         return A
-    imgs, invs = _prepare_elements(n, elements)
-    color = [-1] * n
-    state = {"nodes": 0}
+    kill, reach = _kill_table(n, elements)
+    color = [0] * n
+    memo: dict[tuple, list[int]] = {}
+    # words per entry: dict slot, key and frontier tuples, the value list
+    # and its integers, and the live mask at about 48 elements a word
+    room = _MEMO_WORDS // (24 + n + 4 * kmax + len(elements) // 48)
+    nodes = 0
 
-    def rec(v: int, b: int, live: list[int]) -> None:
-        top = min(b + 1, kmax)
+    def rec(v: int, b: int, live: int) -> list[int]:
+        nonlocal nodes, room
+        front = [color[u] for u, reads in reach[v] if reads & live]
+        key = (v, b, live, tuple(map(front.index, front)))
+        done = memo.get(key)
+        if done is not None:
+            return done
+        top = b + 1 if b < kmax else kmax
+        nodes += top  # the loop below visits every one of them
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"coloring search exceeded budget {node_budget}")
+        out = [0] * (kmax + 1)
+        rest = E[n - v - 1]
+        row = kill[v]
         for c in range(top):
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
-                raise BudgetExceededError(
-                    f"coloring search exceeded budget {node_budget}")
-            color[v] = c
-            nlive = []
-            for e in live:
-                w = imgs[e][v]
-                if w < v and color[w] != c:
-                    continue
-                u = invs[e][v]
-                if u < v and color[u] != c:
-                    continue
-                nlive.append(e)
+            nlive = live
+            for w, keep in row:
+                if color[w] != c:
+                    nlive &= keep
             nb = b + 1 if c == b else b
             if not nlive:
-                closing = E[n - v - 1][nb]
-                for j in range(nb, kmax + 1):
-                    A[j] += closing[j]
+                out = list(map(add, out, rest[nb]))
             elif v + 1 < n:
-                rec(v + 1, nb, nlive)
+                color[v] = c
+                out = list(map(add, out, rec(v + 1, nb, nlive)))
             # a full assignment with live elements is preserved by them:
             # not distinguishing, contributes nothing
-        color[v] = -1
+        if room:
+            room -= 1
+            memo[key] = out
+        return out
 
     try:
-        rec(0, 0, list(range(len(imgs))))
+        A[:kmax + 1] = rec(0, 0, (1 << len(elements)) - 1)
     finally:
         rec = None  # break the closure's reference to itself
     return A

@@ -29,12 +29,18 @@ behind D, theta and phi_table run against one representative of each
 (AutGroup.minimal_cycles: 28 transpositions instead of 40,319 elements for
 K8).  The searches close a subtree once no element is live, which with the
 smaller set happens no later, so A_j is unchanged and only node counts fall.
+The pure kernel's count is also memoized on the state that fixes a
+subtree's completions, so it visits each distinct subproblem once rather
+than every partial coloring; the existence search behind D stays a plain
+search.
 
 phi_table computes A_j by search only below theta and switches to the exact
 factorial/Stirling form at and above it (where every surjective coloring is
 distinguishing); phi_brute stays on the search route for any k and passes
 every non-identity element, on purpose: it shares neither shortcut and
-serves as the independent oracle in the verification harness.
+serves as the oracle for both in the verification harness.  The count
+itself is checked against a plain enumeration of set partitions in
+tests/test_partition_oracle.py.
 """
 
 from __future__ import annotations

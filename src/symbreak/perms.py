@@ -34,6 +34,14 @@ class Permutation:
         if sorted(self.image) != list(range(len(self.image))):
             raise InvalidInputError("image is not a permutation of 0..n-1")
 
+    @classmethod
+    def _unchecked(cls, image: tuple[int, ...]) -> "Permutation":
+        """A Permutation of an image known to be a permutation, such as a
+        kernel's automorphism, without the check that sorts it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "image", image)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.image)
@@ -172,7 +180,7 @@ def enumerate_automorphisms(g: Graph, max_order: int | None = None) -> AutGroup:
     cap = limits.aut_cap() if max_order is None else max_order
     _, _, elements = kernels.search_automorphisms(g.n, g.adjacency(), cap,
                                                   collect=True)
-    return AutGroup(g.n, tuple(Permutation(e) for e in elements))
+    return AutGroup(g.n, tuple(map(Permutation._unchecked, elements)))
 
 
 @lru_cache(maxsize=4096)

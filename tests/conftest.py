@@ -9,7 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from symbreak import cli, corpus
-from symbreak.graphs import Graph, build_graph
+from symbreak.graphs import Graph, RootedGraph, build_graph
+from symbreak.products import vertex_sum
 
 
 def _run_cli(*argv: str) -> tuple[int, str, str]:
@@ -39,3 +40,8 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < 0.5]
     return build_graph(n, edges)
+
+
+def vsum(base: Graph, copies: int) -> Graph:
+    """copies of base glued at vertex 0 (the benchmark's vertex-sum shapes)."""
+    return vertex_sum([RootedGraph(base, 0)] * copies)[0]

@@ -16,9 +16,9 @@ import pytest
 
 from symbreak import _kernels_py as pure
 from symbreak.errors import BudgetExceededError
-from symbreak.graphs import (RootedGraph, complete, complete_bipartite, cycle,
-                             petersen)
-from symbreak.products import vertex_sum
+from symbreak.graphs import complete, complete_bipartite, cycle, petersen
+
+from conftest import vsum
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
@@ -81,17 +81,13 @@ def test_corpus_matches_vf2(kernel, connected7):
         _assert_matches_oracle(kernel, g)
 
 
-def _vsum(base, copies: int):
-    return vertex_sum([RootedGraph(base, 0)] * copies)[0]
-
-
 # the symmetric benchmark shapes; K8 and Kneser(7,2) take seconds in VF2
 SHAPES = {
-    "K4x3": lambda: _vsum(complete(4), 3),
-    "K3x4": lambda: _vsum(complete(3), 4),
-    "K3x5": lambda: _vsum(complete(3), 5),
-    "K5x2": lambda: _vsum(complete(5), 2),
-    "C4x4": lambda: _vsum(cycle(4), 4),
+    "K4x3": lambda: vsum(complete(4), 3),
+    "K3x4": lambda: vsum(complete(3), 4),
+    "K3x5": lambda: vsum(complete(3), 5),
+    "K5x2": lambda: vsum(complete(5), 2),
+    "C4x4": lambda: vsum(cycle(4), 4),
     "K4,4": lambda: complete_bipartite(4, 4),
     "K7": lambda: complete(7),
     "petersen": petersen,

@@ -14,9 +14,11 @@ from symbreak import _kernels_py as pure
 from symbreak import kernels
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
-                             cycle, path, petersen, star)
+                             cycle, kneser, path, petersen, star)
 from symbreak.perms import automorphism_group
 from symbreak.products import lexicographic
+
+from conftest import vsum
 
 try:
     from symbreak import _kernels as compiled
@@ -165,6 +167,9 @@ PURE_CALLS = {
         6, _c6_elements(), 3, 10**7), False),
     "count-budget": (lambda: pure.count_distinguishing_partitions(
         6, _c6_elements(), 3, 10), True),
+    # 131 nodes suffice only with memo hits: the plain search needs 158
+    "count-memo": (lambda: pure.count_distinguishing_partitions(
+        6, _c6_elements(), 3, 131), False),
     "exists": (lambda: pure.exists_distinguishing_partition(
         6, _c6_elements(), 3, 10**7), False),
     "exists-budget": (lambda: pure.exists_distinguishing_partition(
@@ -218,3 +223,52 @@ def test_pure_stream_stores_no_group():
             40320, 7, None)
 
     assert _peak_traced_bytes(call) < 1 << 20
+
+
+def _minimal(g):
+    return automorphism_group(g).minimal_cycles.images
+
+
+def test_count_memo_skips_nodes(monkeypatch):
+    c6 = _c6_elements()
+    assert pure.count_distinguishing_partitions(6, c6, 3, 131) == [0, 0, 6, 68]
+    c4x4 = _minimal(vsum(cycle(4), 4))
+    assert pure.count_distinguishing_partitions(13, c4x4, 3, 30_000) == [
+        0, 0, 0, 24192]
+    # without the memo the same budgets run out
+    monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
+    with pytest.raises(BudgetExceededError,
+                       match="^coloring search exceeded budget 131$"):
+        pure.count_distinguishing_partitions(6, c6, 3, 131)
+    with pytest.raises(BudgetExceededError):
+        pure.count_distinguishing_partitions(13, c4x4, 3, 30_000)
+
+
+@pytest.mark.parametrize("g,k", [(vsum(cycle(4), 4), 3),
+                                 (vsum(complete(3), 5), 4)],
+                         ids=["C4x4", "K3x5"])
+def test_count_is_exact_whatever_the_memo_holds(monkeypatch, g, k):
+    elements = _minimal(g)
+    full = pure.count_distinguishing_partitions(g.n, elements, k, 10**7)
+    assert sum(full) > 0
+    # a full memo searches on without storing; 0 stores nothing at all
+    for words in (2_000, 0):
+        monkeypatch.setattr(pure, "_MEMO_WORDS", words)
+        assert pure.count_distinguishing_partitions(
+            g.n, elements, k, 10**7) == full
+
+
+def test_count_memo_memory_is_capped(monkeypatch):
+    elements = _minimal(kneser(7, 2))
+
+    def call():
+        with pytest.raises(BudgetExceededError):
+            pure.count_distinguishing_partitions(21, elements, 3, 5_000)
+
+    full = _peak_traced_bytes(call)
+    monkeypatch.setattr(pure, "_MEMO_WORDS", 1 << 12)
+    capped = _peak_traced_bytes(call)
+    # 4096 words of memo plus the kill table; uncapped, this search
+    # stores several times that before its budget runs out
+    assert capped < 384 << 10
+    assert full > 2 * capped

@@ -12,13 +12,14 @@ import random
 import pytest
 
 from symbreak import kernels
-from symbreak.graphs import (RootedGraph, asymmetric6, complete,
-                             complete_bipartite, cycle, petersen)
+from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
+                             cycle, petersen)
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               phi_brute, phi_table)
 from symbreak.perms import (AutGroup, automorphism_group, cycle_decomposition,
                             enumerate_automorphisms, identity)
-from symbreak.products import vertex_sum
+
+from conftest import vsum
 
 BUDGET = 10**7
 
@@ -65,10 +66,6 @@ def _assert_same_answers(g, k_max: int) -> None:
     assert distinguishing_threshold(g, group) == _elementwise_theta(group)
 
 
-def _vsum(base, copies: int):
-    return vertex_sum([RootedGraph(base, 0)] * copies)[0]
-
-
 def test_corpus_counts_d_and_theta_match_full_group(connected7):
     assert len(connected7) == 996
     for g in connected7:
@@ -76,9 +73,9 @@ def test_corpus_counts_d_and_theta_match_full_group(connected7):
 
 
 SYMMETRIC = {
-    "K4x3": lambda: _vsum(complete(4), 3),
-    "K3x4": lambda: _vsum(complete(3), 4),
-    "K5x2": lambda: _vsum(complete(5), 2),
+    "K4x3": lambda: vsum(complete(4), 3),
+    "K3x4": lambda: vsum(complete(3), 4),
+    "K5x2": lambda: vsum(complete(5), 2),
     "K4,4": lambda: complete_bipartite(4, 4),
     "K7": lambda: complete(7),
     "petersen": petersen,
@@ -140,7 +137,7 @@ class TestReduction:
                 assert not any(_refines(q, p) for q in kept if q != p)
 
     def test_every_element_is_refined_by_a_kept_partition(self):
-        for g in (petersen(), cycle(12), _vsum(complete(3), 4)):
+        for g in (petersen(), cycle(12), vsum(complete(3), 4)):
             group = automorphism_group(g)
             kept = group.minimal_cycles.images
             for p in group.elements:

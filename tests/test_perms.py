@@ -99,6 +99,18 @@ class TestAutomorphismGroups:
             for q in group.elements:
                 assert compose(p, q) in elems
 
+    @pytest.mark.parametrize("g,order", KNOWN_ORDERS,
+                             ids=lambda x: str(x) if isinstance(x, int) else None)
+    def test_kernel_elements_match_validated_ones(self, g, order):
+        # enumerate_automorphisms skips the permutation check on kernel
+        # output; its elements must behave as checked ones do
+        elements = enumerate_automorphisms(g).elements
+        checked = tuple(Permutation(p.image) for p in elements)
+        assert elements == checked
+        assert list(map(hash, elements)) == list(map(hash, checked))
+        assert set(elements) == set(checked)
+        assert all(type(p) is Permutation for p in elements)
+
     def test_cache_returns_same_object(self):
         a = automorphism_group(cycle(7))
         b = automorphism_group(cycle(7))
