@@ -1,8 +1,9 @@
 """Pure-Python search kernels.
 
-Reference implementation of the four routines the whole library leans on:
+Reference implementation of the routines the whole library leans on:
 
   search_automorphisms             Aut(G) from a stabilizer chain
+  automorphism_generators          |Aut(G)| and the chain's strong generators
   all_automorphisms_preserve_blocks   backtracking search, streaming a block
                                    check
   count_distinguishing_partitions  count set partitions no automorphism fixes
@@ -29,7 +30,8 @@ exists_distinguishing_partition stays the plain search.
 
 A compiled twin lives in _kernels.pyx; symbreak.kernels picks whichever is
 available.  Its search_automorphisms is still the plain DFS over every
-leaf, and its count the plain search over every node.  Both return
+leaf, and its count the plain search over every node.  It has no chain,
+so automorphism_generators exists here only.  The twins return
 identical results bit for bit, the sorted element list included, and raise
 on the same automorphism cap; tests compare them.  The coloring budget
 counts visited nodes, so a count the pure kernel completes may still
@@ -44,6 +46,7 @@ their reference to themselves on the way out.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, eq, itemgetter
 
 from .errors import BudgetExceededError
@@ -79,20 +82,25 @@ def _refine_colors(n: int, adj) -> list[int]:
 
 def _search_order(n: int, adj, colors) -> list[int]:
     """Static vertex order: rare color classes first, staying adjacent to the
-    already-ordered prefix so each new vertex is tightly constrained."""
-    size = {c: 0 for c in colors}
+    already-ordered prefix so each new vertex is tightly constrained.
+
+    Each step takes the first vertex, by (class size, vertex), among the
+    unplaced neighbors of the prefix, or among all unplaced vertices when
+    the prefix has none.
+    """
+    size: dict[int, int] = {}
     for c in colors:
-        size[c] += 1
+        size[c] = size.get(c, 0) + 1
+    ranked = sorted(range(n), key=lambda v: (size[colors[v]], v))
     order: list[int] = []
     placed = 0
-    while len(order) < n:
-        adj_mask = 0
-        for v in order:
-            adj_mask |= adj[v]
-        best = min((v for v in range(n) if not placed >> v & 1),
-                   key=lambda v: (not adj_mask >> v & 1, size[colors[v]], v))
+    adj_mask = 0  # neighbors of the ordered prefix
+    for _ in range(n):
+        pool = adj_mask & ~placed or ~placed
+        best = next(v for v in ranked if pool >> v & 1)
         order.append(best)
         placed |= 1 << best
+        adj_mask |= adj[best]
     return order
 
 
@@ -194,6 +202,20 @@ def _stabilizer_chain(n: int, adj, order_cap: int):
             chain.append(reps)
     chain.reverse()
     return size, chain
+
+
+def automorphism_generators(n: int, adj, order_cap: int):
+    """(|Aut|, strong generators) of the graph given as neighbor bitmasks.
+
+    The generators are the non-identity transversal elements of the
+    stabilizer chain, as image tuples; every automorphism is a product of
+    transversal elements, so they generate Aut(G).  The whole chain is
+    built first, so BudgetExceededError is raised exactly when |Aut| >
+    order_cap, as search_automorphisms raises it, and no element beyond the
+    transversals is ever built.
+    """
+    order, chain = _stabilizer_chain(n, adj, order_cap)
+    return order, [t for reps in chain for t in reps[1:]]
 
 
 def _max_cycles(n: int, elements, best: int = 0) -> int:
@@ -347,10 +369,15 @@ def all_automorphisms_preserve_blocks(n: int, adj, blocks, order_cap: int) -> bo
     return True
 
 
+@lru_cache(maxsize=32)
 def _extension_table(n: int, kmax: int) -> list[list[list[int]]]:
     """E[r][b][j]: ways to assign r further vertices to blocks, starting from
     b open blocks and ending with exactly j, never exceeding kmax blocks.
-    Exact integers; these overflow 64 bits well inside the vertex cap."""
+    Exact integers; these overflow 64 bits well inside the vertex cap.
+
+    Memoized, so every count on the same (n, kmax) shares one table: callers,
+    the compiled twin's included, must only read it.
+    """
     E = [[[0] * (kmax + 1) for _ in range(kmax + 2)] for _ in range(n + 1)]
     for b in range(kmax + 1):
         E[0][b][b] = 1

@@ -41,6 +41,14 @@ every non-identity element, on purpose: it shares neither shortcut and
 serves as the oracle for both in the verification harness.  The count
 itself is checked against a plain enumeration of set partitions in
 tests/test_partition_oracle.py.
+
+A vertex u is steady when every automorphism of G - u maps N(u) onto
+itself.  is_steady tests only the generators of Aut(G - u) (see its
+docstring), and graph_indices asks it once per orbit of Aut(G), about the
+smallest vertex: steadiness is an orbit invariant, since an automorphism
+taking u to u' restricts to an isomorphism G - u -> G - u' that carries
+N(u) onto N(u').  So is |Aut(G - u)|, which keeps the budget decision the
+same as asking about every vertex.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import NamedTuple
 from . import kernels, limits
 from .errors import InvalidInputError
 from .graphs import Graph, RootedGraph, delete_vertex
-from .perms import AutGroup, automorphism_group, stabilizer
+from .perms import AutGroup, automorphism_group, orbits, stabilizer
 
 
 @dataclass(frozen=True)
@@ -281,8 +289,7 @@ def graph_indices(g: Graph, phi_max: int | None = None,
         d=table.d if table else distinguishing_number(g, group),
         theta=distinguishing_threshold(g, group),
         phi=table,
-        steady=tuple(u for u in range(g.n) if is_steady(g, u))
-        if steady else None,
+        steady=_steady_vertices(g, group) if steady else None,
     )
 
 
@@ -305,13 +312,31 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
 
 def is_steady(g: Graph, u: int) -> bool:
     """True iff every automorphism of G - u maps the old neighborhood of u
-    onto itself (equivalently: deleting u loses no symmetry)."""
+    onto itself (equivalently: deleting u loses no symmetry).
+
+    A group maps a set onto itself iff each of its generators does, so
+    only the strong generators of the stabilizer chain of Aut(G - u) are
+    tested, with N(u) as a bitmask; no other element is built.  The chain
+    is built in full before any generator is tested, so the call raises
+    BudgetExceededError exactly when |Aut(G - u)| exceeds the automorphism
+    budget, whatever the answer would have been.
+    """
     if not 0 <= u < g.n:
         raise InvalidInputError(f"vertex {u} out of range")
     h, shift = delete_vertex(g, u, return_map=True)
-    nbrs = frozenset(shift[v] for v in g.neighbors(u))
-    for p in automorphism_group(h).elements:
-        if frozenset(p.image[x] for x in nbrs) != nbrs:
-            return False
-    return True
+    nbrs = [shift[v] for v in g.neighbors(u)]
+    mask = sum(1 << v for v in nbrs)
+    _, generators = kernels.automorphism_generators(
+        h.n, h.adjacency(), limits.aut_cap())
+    return all(sum(1 << t[v] for v in nbrs) == mask for t in generators)
+
+
+def _steady_vertices(g: Graph, group: AutGroup) -> tuple[int, ...]:
+    """The steady vertices of g, with one is_steady call per orbit of its
+    automorphism group (see the module docstring)."""
+    steady: list[int] = []
+    for ob in orbits(group):
+        if is_steady(g, ob[0]):
+            steady.extend(ob)
+    return tuple(sorted(steady))
 

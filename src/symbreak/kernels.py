@@ -4,6 +4,8 @@ Prefers the compiled extension, falls back to the pure-Python twin when the
 extension is missing or SYMBREAK_PURE=1 is set.  The compiled kernels only
 handle graphs that fit one machine word (n <= 64); larger inputs, possible
 when the vertex cap is raised, route to the pure implementation per call.
+automorphism_generators reads the stabilizer chain, which only the pure
+kernel builds, so it is pure on every backend.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ def _pick(n: int):
 
 def search_automorphisms(n, adj, order_cap, collect=True):
     return _pick(n).search_automorphisms(n, adj, order_cap, collect)
+
+
+def automorphism_generators(n, adj, order_cap):
+    return _pure.automorphism_generators(n, adj, order_cap)
 
 
 def all_automorphisms_preserve_blocks(n, adj, blocks, order_cap):

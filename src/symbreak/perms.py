@@ -154,7 +154,7 @@ class AutGroup:
 
     @cached_property
     def minimal_cycles(self) -> MinimalCycles:
-        return _minimal_cycle_partitions(self.elements)
+        return _minimal_cycle_partitions(self.n, self.elements)
 
     @property
     def order(self) -> int:
@@ -248,14 +248,15 @@ def max_nonidentity_cycle_count(group: AutGroup) -> int:
     return group.minimal_cycles.max_cycle_count
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+def _primes_upto(n: int) -> frozenset[int]:
+    return frozenset(p for p in range(2, n + 1)
+                     if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
-def _prime_cycle_labels(image) -> tuple[tuple[int, ...], int] | None:
+def _prime_cycle_labels(image, primes) -> tuple[tuple[int, ...], int] | None:
     """(smallest vertex of each vertex's cycle, cycle count) when every
-    non-trivial cycle of image has one common prime length; None otherwise,
-    the identity included."""
+    non-trivial cycle of image has one common length in primes; None
+    otherwise, the identity included."""
     labels = [-1] * len(image)
     length = cycles = 0
     for v in range(len(image)):
@@ -270,13 +271,13 @@ def _prime_cycle_labels(image) -> tuple[tuple[int, ...], int] | None:
             size += 1
             w = image[w]
         if size > 1 and size != length:
-            if length or not _is_prime(size):
+            if length or size not in primes:
                 return None
             length = size
     return (tuple(labels), cycles) if length else None
 
 
-def _minimal_cycle_partitions(elements) -> MinimalCycles:
+def _minimal_cycle_partitions(n: int, elements) -> MinimalCycles:
     """Keep the cycle partitions that no other non-identity one refines.
 
     Every non-identity element has a power of prime order, whose cycle
@@ -288,8 +289,9 @@ def _minimal_cycle_partitions(elements) -> MinimalCycles:
     vertex's own candidate block.
     """
     candidates: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    primes = _primes_upto(n)
     for p in elements:
-        found = _prime_cycle_labels(p.image)
+        found = _prime_cycle_labels(p.image, primes)
         if found is not None and found[0] not in candidates:
             candidates[found[0]] = (found[1], p.image)
     kept = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import os
 import subprocess
@@ -14,7 +15,8 @@ from symbreak import _kernels_py as pure
 from symbreak import kernels
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
-                             cycle, kneser, path, petersen, star)
+                             cycle, delete_vertex, kneser, path, petersen,
+                             star)
 from symbreak.perms import automorphism_group
 from symbreak.products import lexicographic
 
@@ -98,6 +100,74 @@ def test_block_preservation_parity():
         assert a == b
 
 
+def _closure(n, generators):
+    """Every product of the generators, by breadth-first search."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [img for e in frontier for t in generators
+                    for img in [tuple(t[v] for v in e)] if img not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("kernel", [
+    pure, pytest.param(compiled, marks=needs_compiled)],
+    ids=["pure", "compiled"])
+@pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
+def test_generators_give_the_search_order(kernel, g):
+    order, generators = kernels.automorphism_generators(g.n, _adj(g), 10**7)
+    found, _, elements = kernel.search_automorphisms(g.n, _adj(g), 10**7,
+                                                     True)
+    assert order == found
+    assert _closure(g.n, generators) == set(elements)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^automorphism search exceeded cap {order - 1}$"):
+        kernels.automorphism_generators(g.n, _adj(g), order - 1)
+
+
+def _search_order_reference(n, adj, colors):
+    """The search order as first written: the prefix's neighborhood is
+    ORed together again at every step."""
+    size = {c: 0 for c in colors}
+    for c in colors:
+        size[c] += 1
+    order = []
+    placed = 0
+    while len(order) < n:
+        adj_mask = 0
+        for v in order:
+            adj_mask |= adj[v]
+        best = min((v for v in range(n) if not placed >> v & 1),
+                   key=lambda v: (not adj_mask >> v & 1, size[colors[v]], v))
+        order.append(best)
+        placed |= 1 << best
+    return order
+
+
+def test_search_order_matches_reference(connected7):
+    for g in connected7:
+        for h in [g] + [delete_vertex(g, u) for u in range(g.n)]:
+            adj = h.adjacency()
+            colors = pure._refine_colors(h.n, adj)
+            assert (pure._search_order(h.n, adj, colors)
+                    == _search_order_reference(h.n, adj, colors))
+
+
+@pytest.mark.parametrize("kernel", [
+    pure, pytest.param(compiled, marks=needs_compiled)],
+    ids=["pure", "compiled"])
+def test_count_leaves_the_shared_extension_table_unchanged(kernel):
+    elements = _minimal(petersen())
+    table = pure._extension_table(10, 4)
+    before = copy.deepcopy(table)
+    assert sum(kernel.count_distinguishing_partitions(10, elements, 4,
+                                                      10**7)) > 0
+    assert sum(kernel.count_distinguishing_partitions(10, (), 4, 10**7)) > 0
+    assert pure._extension_table(10, 4) is table
+    assert table == before
+
+
 def test_budget_raises():
     g = complete(6)
     with pytest.raises(BudgetExceededError):
@@ -159,6 +229,9 @@ PURE_CALLS = {
                       True),
     "search-stream": (lambda: pure.search_automorphisms(6, K6, 10**7, False),
                       False),
+    "generators": (lambda: pure.automorphism_generators(6, K6, 10**7), False),
+    "generators-budget": (lambda: pure.automorphism_generators(6, K6, 100),
+                          True),
     "blocks": (lambda: pure.all_automorphisms_preserve_blocks(
         6, K6, [0, 0, 1, 1, 2, 2], 10**7), False),
     "blocks-budget": (lambda: pure.all_automorphisms_preserve_blocks(
