@@ -4,38 +4,38 @@ Reference implementation of the routines the whole library leans on:
 
   search_automorphisms             Aut(G) from a stabilizer chain
   automorphism_generators          |Aut(G)| and the chain's strong generators
-  all_automorphisms_preserve_blocks   backtracking search, streaming a block
-                                   check
+  all_automorphisms_preserve_blocks   whether the chain's generators map
+                                   every block onto a block
+  isomorphic                       (rooted) isomorphism of two graphs
   count_distinguishing_partitions  count set partitions no automorphism fixes
   exists_distinguishing_partition  early-exit variant of the count
 
-All automorphism searches share one search tree: vertices are mapped in a
-static order (_search_order), and a vertex's candidates are the vertices of
-its refined color class, not yet used, with the right adjacency to every
-vertex mapped before it.  Every leaf is an automorphism.
+There is one backtracking search, _extend: the first leaf below a node of
+the tree that maps one graph into another.  Vertices are mapped in a
+static order (_search_order); a vertex's candidates are the unused target
+vertices of its refined color, with the right adjacency to every vertex
+mapped before it, so every leaf is an isomorphism.  isomorphic refines
+the disjoint union of its two graphs, so colors compare, and runs it once.
 
-search_automorphisms walks only part of that tree.  It builds the
-pointwise stabilizer chain along the search order (Sims 1970; Seress,
-Permutation Group Algorithms, 2003) with one first-leaf search per
-candidate image off the identity path, so |Aut| is known, and checked
-against the budget, before any element is built; the elements are then
-products of transversal elements.  Each first-leaf search stays inside a
-distinct subtree that the plain DFS enumerates in full, so the chain never
-visits more nodes than the DFS.
+The automorphism searches map a graph into itself along the pointwise
+stabilizer chain (Sims 1970; Seress, Permutation Group Algorithms, 2003):
+one first-leaf search per candidate image off the identity path, so |Aut|
+is known, and checked against the budget, before any element is built.
+search_automorphisms builds the elements as products of transversal
+elements; automorphism_generators and all_automorphisms_preserve_blocks
+read only the transversals, which generate Aut(G).  Each first-leaf search stays inside a distinct subtree that a
+DFS over every leaf enumerates in full, so the chain never visits more.
 
 count_distinguishing_partitions is memoized on the state that fixes a
 subtree's completions (see its docstring), so it visits a subset of the
 nodes the plain search visits, usually a small one.
 exists_distinguishing_partition stays the plain search.
 
-A compiled twin lives in _kernels.pyx; symbreak.kernels picks whichever is
-available.  Its search_automorphisms is still the plain DFS over every
-leaf, and its count the plain search over every node.  It has no chain,
-so automorphism_generators exists here only.  The twins return
-identical results bit for bit, the sorted element list included, and raise
-on the same automorphism cap; tests compare them.  The coloring budget
-counts visited nodes, so a count the pure kernel completes may still
-exceed the same budget compiled.
+A compiled twin of the two partition searches lives in _kernels.pyx
+(next to an automorphism DFS that nothing calls any more);
+symbreak.kernels picks it when built and routes every other search here.
+Its count is the plain search, so it gives the same A but may exceed a
+coloring budget that the pure count meets; tests compare them.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -46,6 +46,7 @@ their reference to themselves on the way out.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import add, eq, itemgetter
 
@@ -119,12 +120,13 @@ def _cycle_count(image) -> int:
     return cycles
 
 
-def _extend(n: int, adj, order, cls, image, used: int, depth: int):
-    """First leaf below one node of the search tree.
+def _extend(n: int, adj, dst, order, cls, image, used: int, depth: int):
+    """First leaf below one node of the search tree mapping graph adj into
+    graph dst; automorphism searches pass adj as dst.
 
     image is fixed on order[:depth] and used is the set of its images.
     Candidates are tried in increasing vertex order, as in the DFS.  Returns
-    the first completion to an automorphism as an image tuple, or None when
+    the first completion to an isomorphism as an image tuple, or None when
     there is none.
     """
     if depth == n:
@@ -134,15 +136,23 @@ def _extend(n: int, adj, order, cls, image, used: int, depth: int):
     av = adj[v]
     for i in range(depth):
         u = order[i]
-        cand &= adj[image[u]] if av >> u & 1 else ~adj[image[u]]
+        cand &= dst[image[u]] if av >> u & 1 else ~dst[image[u]]
     while cand:
         low = cand & -cand
         cand ^= low
         image[v] = low.bit_length() - 1
-        leaf = _extend(n, adj, order, cls, image, used | low, depth + 1)
+        leaf = _extend(n, adj, dst, order, cls, image, used | low, depth + 1)
         if leaf is not None:
             return leaf
     return None
+
+
+def _class_masks(colors) -> dict[int, int]:
+    """Color -> bitmask of the vertices with that color."""
+    masks: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        masks[c] = masks.get(c, 0) | (1 << v)
+    return masks
 
 
 def _stabilizer_chain(n: int, adj, order_cap: int):
@@ -166,9 +176,7 @@ def _stabilizer_chain(n: int, adj, order_cap: int):
         raise BudgetExceededError(
             f"automorphism search exceeded cap {order_cap}")
     colors = _refine_colors(n, adj)
-    class_mask: dict[int, int] = {}
-    for v in range(n):
-        class_mask[colors[v]] = class_mask.get(colors[v], 0) | (1 << v)
+    class_mask = _class_masks(colors)
     cls = [class_mask[c] for c in colors]
     order = _search_order(n, adj, colors)
     ident = tuple(range(n))
@@ -189,7 +197,8 @@ def _stabilizer_chain(n: int, adj, order_cap: int):
             low = cand & -cand
             cand ^= low
             image[v] = low.bit_length() - 1
-            leaf = _extend(n, adj, order, cls, image, prefix[i] | low, i + 1)
+            leaf = _extend(n, adj, adj, order, cls, image, prefix[i] | low,
+                           i + 1)
             if leaf is None:
                 continue
             reps.append(leaf)
@@ -305,67 +314,41 @@ def search_automorphisms(n: int, adj, order_cap: int, collect: bool = True):
     return order, _max_cycles(n, elements), elements
 
 
-class _BlockSplit(Exception):
-    pass
+def isomorphic(n: int, adj, dst, pin) -> bool:
+    """True iff graph adj maps onto graph dst, both on n vertices, sending
+    u to w when pin = (u, w) is given.  Colors come from refining the two
+    graphs' disjoint union, so they mean the same in both."""
+    colors = _refine_colors(2 * n, list(adj) + [m << n for m in dst])
+    if sorted(colors[:n]) != sorted(colors[n:]):
+        return False
+    class_mask = _class_masks(colors[n:])
+    cls = [class_mask[c] for c in colors[:n]]
+    own = colors[:n]
+    if pin is not None:
+        u, w = pin
+        cls[u] &= 1 << w
+        own[u] = -1
+    order = _search_order(n, adj, own)
+    return _extend(n, adj, dst, order, cls, [0] * n, 0, 0) is not None
 
 
 def all_automorphisms_preserve_blocks(n: int, adj, blocks, order_cap: int) -> bool:
     """True iff every automorphism maps each block (given as a block id per
-    vertex) onto some block.  Streams the search, storing nothing, and exits
-    on the first splitting element."""
+    vertex) onto some block.  A group does iff its generators do, and a
+    permutation does iff v's block determines the block of v's image.  The
+    chain is built without the cap, so a splitting generator answers False
+    whatever |Aut| is; otherwise |Aut| > order_cap raises."""
     if n == 0:
         return True
-    block_masks: dict[int, int] = {}
-    for v in range(n):
-        block_masks[blocks[v]] = block_masks.get(blocks[v], 0) | (1 << v)
-    mask_set = frozenset(block_masks.values())
-    colors = _refine_colors(n, adj)
-    class_mask: dict[int, int] = {}
-    for v in range(n):
-        class_mask[colors[v]] = class_mask.get(colors[v], 0) | (1 << v)
-    order = _search_order(n, adj, colors)
-
-    image = [-1] * n
-    state = {"used": 0, "count": 0}
-
-    def rec(depth: int) -> None:
-        if depth == n:
-            state["count"] += 1
-            if state["count"] > order_cap:
-                raise BudgetExceededError(
-                    f"automorphism search exceeded cap {order_cap}")
-            for bm in mask_set:
-                img_mask = 0
-                m = bm
-                while m:
-                    low = m & -m
-                    img_mask |= 1 << image[low.bit_length() - 1]
-                    m ^= low
-                if img_mask not in mask_set:
-                    raise _BlockSplit
-            return
-        v = order[depth]
-        cand = class_mask[colors[v]] & ~state["used"]
-        av = adj[v]
-        for i in range(depth):
-            u = order[i]
-            cand &= adj[image[u]] if av >> u & 1 else ~adj[image[u]]
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            image[v] = w
-            state["used"] |= low
-            rec(depth + 1)
-            state["used"] &= ~low
-        image[v] = -1
-
-    try:
-        rec(0)
-    except _BlockSplit:
-        return False
-    finally:
-        rec = None  # break the closure's reference to itself
+    order, generators = automorphism_generators(n, adj, math.inf)
+    for t in generators:
+        image: dict[int, int] = {}
+        for v in range(n):
+            if image.setdefault(blocks[v], blocks[t[v]]) != blocks[t[v]]:
+                return False
+    if order > order_cap:
+        raise BudgetExceededError(
+            f"automorphism search exceeded cap {order_cap}")
     return True
 
 

@@ -8,11 +8,12 @@ family constructors; both enforce the cap from symbreak.limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from . import limits
+from . import kernels, limits
 from .errors import BudgetExceededError, InvalidInputError
 
 
@@ -112,13 +113,18 @@ class RootedGraph:
         return self.graph.n
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph; duplicate edges collapse, loops are rejected."""
-    if n < 0:
-        raise InvalidInputError(f"vertex count must be nonnegative, got {n}")
+def _check_vertex_cap(n: int) -> None:
     cap = limits.vertex_cap()
     if n > cap:
         raise BudgetExceededError(f"graph has {n} vertices, cap is {cap}")
+
+
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a simple graph; duplicate edges collapse, loops are rejected.
+    The vertex cap is checked before any edge is read."""
+    if n < 0:
+        raise InvalidInputError(f"vertex count must be nonnegative, got {n}")
+    _check_vertex_cap(n)
     adj = [0] * n
     for e in edges:
         try:
@@ -145,13 +151,13 @@ def empty_graph(n: int) -> Graph:
 def path(n: int) -> Graph:
     if n < 1:
         raise InvalidInputError("path needs at least one vertex")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidInputError("cycle needs at least three vertices")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
@@ -163,14 +169,15 @@ def complete(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise InvalidInputError("both parts must be nonempty")
-    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return build_graph(a + b,
+                       ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def star(k: int) -> Graph:
     """K_{1,k}: center 0, leaves 1..k."""
     if k < 1:
         raise InvalidInputError("star needs at least one leaf")
-    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+    return build_graph(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def kneser(n: int, k: int) -> Graph:
@@ -178,6 +185,7 @@ def kneser(n: int, k: int) -> Graph:
     adjacent when disjoint."""
     if not 0 < k <= n:
         raise InvalidInputError(f"kneser({n}, {k}) parameters out of range")
+    _check_vertex_cap(math.comb(n, k))
     subsets = [frozenset(c) for c in combinations(range(n), k)]
     edges = [(i, j) for i, j in combinations(range(len(subsets)), 2)
              if not subsets[i] & subsets[j]]
@@ -287,20 +295,26 @@ class ComponentPartition:
         return len(self.components)
 
 
+def _component(g: Graph, start: int) -> int:
+    """Bitmask of the vertices reachable from start, by breadth-first search."""
+    frontier = 1 << start
+    comp = 0
+    while frontier:
+        comp |= frontier
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= g._adj[v]
+        frontier = nxt & ~comp
+    return comp
+
+
 def connected_components(g: Graph) -> ComponentPartition:
     seen = 0
     comps: list[tuple[int, ...]] = []
     for start in range(g.n):
         if seen >> start & 1:
             continue
-        frontier = 1 << start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g._adj[v]
-            frontier = nxt & ~comp
+        comp = _component(g, start)
         seen |= comp
         comps.append(tuple(_bits(comp)))
 
@@ -322,9 +336,7 @@ def connected_components(g: Graph) -> ComponentPartition:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(connected_components(g).components) == 1
+    return g.n == 0 or _component(g, 0) == (1 << g.n) - 1
 
 
 def is_2connected(g: Graph) -> bool:
@@ -336,101 +348,16 @@ def is_2connected(g: Graph) -> bool:
 
 # -- isomorphism --------------------------------------------------------------
 
-def _refine(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Joint degree refinement; returns comparable color vectors for both
-    graphs, or None when the color histograms already separate them."""
-    cg = list(g.degrees())
-    ch = list(h.degrees())
-    for _ in range(g.n):
-        if sorted(cg) != sorted(ch):
-            return None
-        table: dict[tuple, int] = {}
-
-        def recolor(graph: Graph, colors: list[int]) -> list[int]:
-            out = []
-            for v in range(graph.n):
-                sig = (colors[v], tuple(sorted(colors[w]
-                                               for w in graph.neighbors(v))))
-                out.append(table.setdefault(sig, len(table)))
-            return out
-
-        ng, nh = recolor(g, cg), recolor(h, ch)
-        if len(set(ng)) == len(set(cg)):
-            cg, ch = ng, nh
-            break
-        cg, ch = ng, nh
-    if sorted(cg) != sorted(ch):
-        return None
-    return tuple(cg), tuple(ch)
-
-
 def is_isomorphic(g: Graph, h: Graph,
                   pin: tuple[int, int] | None = None) -> bool:
-    """Exact isomorphism test by backtracking over refinement classes.
+    """Exact isomorphism test: one search of the kernel's backtracking
+    tree over the jointly refined colors of g and h.
 
     pin=(u, v) additionally requires the map to send g's vertex u to h's
     vertex v (rooted isomorphism).
     """
     if g.n != h.n or g.m != h.m:
         return False
-    if g.n == 0:
-        return True
-    refined = _refine(g, h)
-    if refined is None:
-        return False
-    cg, ch = refined
-    if pin is not None:
-        pu, pv = pin
-        if not (0 <= pu < g.n and 0 <= pv < h.n):
-            raise InvalidInputError("pin out of range")
-        if cg[pu] != ch[pv]:
-            return False
-
-    class_mask: dict[int, int] = {}
-    for v in range(h.n):
-        class_mask[ch[v]] = class_mask.get(ch[v], 0) | (1 << v)
-
-    # map rare classes first, then stay adjacent to mapped vertices
-    order: list[int] = []
-    placed = 0
-    class_size = {c: sum(1 for x in cg if x == c) for c in set(cg)}
-    if pin is not None:
-        order.append(pin[0])
-        placed |= 1 << pin[0]
-    while len(order) < g.n:
-        adj_mask = 0
-        for v in order:
-            adj_mask |= g._adj[v]
-        pool = [v for v in range(g.n) if not placed >> v & 1]
-        pool.sort(key=lambda v: (not adj_mask >> v & 1, class_size[cg[v]], v))
-        v = pool[0]
-        order.append(v)
-        placed |= 1 << v
-
-    image = [-1] * g.n
-    used = 0
-
-    def extend(depth: int) -> bool:
-        nonlocal used
-        if depth == g.n:
-            return True
-        v = order[depth]
-        cand = class_mask[cg[v]] & ~used
-        for i in range(depth):
-            u = order[i]
-            if g._adj[v] >> u & 1:
-                cand &= h._adj[image[u]]
-            else:
-                cand &= ~h._adj[image[u]]
-        if pin is not None and v == pin[0]:
-            cand &= 1 << pin[1]
-        for w in _bits(cand):
-            image[v] = w
-            used |= 1 << w
-            if extend(depth + 1):
-                return True
-            used &= ~(1 << w)
-        image[v] = -1
-        return False
-
-    return extend(0)
+    if pin is not None and not (0 <= pin[0] < g.n and 0 <= pin[1] < h.n):
+        raise InvalidInputError("pin out of range")
+    return kernels.isomorphic(g.n, g._adj, h._adj, pin)

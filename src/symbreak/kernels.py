@@ -1,11 +1,12 @@
 """Kernel dispatch.
 
-Prefers the compiled extension, falls back to the pure-Python twin when the
-extension is missing or SYMBREAK_PURE=1 is set.  The compiled kernels only
+The automorphism and isomorphism searches read the stabilizer chain or
+its one extension primitive, which only the pure kernel has, so they are
+pure on every backend.  The two partition searches prefer the compiled
+extension and fall back to the pure-Python twin when the extension is
+missing or SYMBREAK_PURE=1 is set.  The compiled partition searches only
 handle graphs that fit one machine word (n <= 64); larger inputs, possible
 when the vertex cap is raised, route to the pure implementation per call.
-automorphism_generators reads the stabilizer chain, which only the pure
-kernel builds, so it is pure on every backend.
 """
 
 from __future__ import annotations
@@ -34,19 +35,24 @@ def _pick(n: int):
 
 
 def search_automorphisms(n, adj, order_cap, collect=True):
-    return _pick(n).search_automorphisms(n, adj, order_cap, collect)
+    return _pure.search_automorphisms(n, adj, order_cap, collect)
 
 
 def automorphism_generators(n, adj, order_cap):
     return _pure.automorphism_generators(n, adj, order_cap)
 
 
+def isomorphic(n, adj, dst, pin):
+    return _pure.isomorphic(n, adj, dst, pin)
+
+
 def all_automorphisms_preserve_blocks(n, adj, blocks, order_cap):
-    # one block id per vertex; coerce so bad shapes fail here, not in C
+    # one integer block id per vertex; bad shapes fail here, before the
+    # chain is built
     blocks = [int(b) for b in blocks]
     if len(blocks) != n:
         raise ValueError("need one block id per vertex")
-    return _pick(n).all_automorphisms_preserve_blocks(n, adj, blocks, order_cap)
+    return _pure.all_automorphisms_preserve_blocks(n, adj, blocks, order_cap)
 
 
 def count_distinguishing_partitions(n, elements, max_blocks, node_budget):

@@ -173,7 +173,10 @@ def fibers(g: Graph, h: Graph) -> tuple[tuple[int, ...], ...]:
 
 def all_automorphisms_natural(g: Graph, h: Graph) -> bool:
     """True iff every automorphism of the lexicographic product maps each
-    fiber onto a fiber.  Streams the group; exits on the first splitter."""
+    fiber onto a fiber.  Decided from the generators of the product's
+    stabilizer chain: False as soon as one splits a fiber, whatever the
+    group's order; otherwise True, unless |Aut| exceeds the automorphism
+    cap, which raises BudgetExceededError."""
     product, _ = lexicographic(g, h)
     blocks = [v // h.n for v in range(product.n)]
     return kernels.all_automorphisms_preserve_blocks(

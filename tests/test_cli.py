@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -241,6 +242,19 @@ class TestExitCodes:
     def test_vertex_budget_exit_3(self, run_cli):
         code, _, _ = run_cli("analyze", "builtin:petersen", "--max-vertices", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("spec,n", [("builtin:kneser:24:12", 2704156),
+                                        ("builtin:path:2000000", 2000000)])
+    def test_family_over_vertex_cap_builds_nothing(self, run_cli, spec, n):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli("analyze", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == f"symbreak: graph has {n} vertices, cap is 64\n"
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("factors", [
         ("vsum", "builtin:complete:4@0", "builtin:complete:4@0",

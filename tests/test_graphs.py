@@ -157,6 +157,12 @@ class TestSurgery:
         # fewer than three vertices never counts as 2-connected
         assert not is_2connected(complete(2))
 
+    def test_isomorphic_components_are_not_connected(self):
+        g, _ = disjoint_union([cycle(4), cycle(4)])
+        assert not is_connected(g)
+        assert is_connected(empty_graph(0))
+        assert not is_connected(empty_graph(2))
+
 
 class TestIsomorphism:
     def test_positive(self):
@@ -172,6 +178,13 @@ class TestIsomorphism:
         # P3 end can map to either end but never to the middle
         assert is_isomorphic(path(3), path(3), pin=(0, 2))
         assert not is_isomorphic(path(3), path(3), pin=(0, 1))
+
+    @pytest.mark.parametrize("pin", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+    def test_pin_out_of_range_rejected(self, pin):
+        # checked before any search, whether or not the graphs are isomorphic
+        for h in (path(4), star(3)):
+            with pytest.raises(InvalidInputError, match="^pin out of range$"):
+                is_isomorphic(path(4), h, pin=pin)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.randoms(use_true_random=False))

@@ -221,6 +221,8 @@ def _c6_elements():
 
 
 K6 = complete(6).adjacency()
+C6 = cycle(6).adjacency()
+C6_RELABELLED = cycle(6).relabel([3, 5, 1, 0, 2, 4]).adjacency()
 
 # (pure kernel call, whether it spends its budget)
 PURE_CALLS = {
@@ -236,6 +238,7 @@ PURE_CALLS = {
         6, K6, [0, 0, 1, 1, 2, 2], 10**7), False),
     "blocks-budget": (lambda: pure.all_automorphisms_preserve_blocks(
         6, K6, [0] * 6, 100), True),
+    "iso": (lambda: pure.isomorphic(6, C6, C6_RELABELLED, (0, 3)), False),
     "count": (lambda: pure.count_distinguishing_partitions(
         6, _c6_elements(), 3, 10**7), False),
     "count-budget": (lambda: pure.count_distinguishing_partitions(
@@ -284,6 +287,17 @@ def test_pure_budget_exit_builds_no_elements():
         with pytest.raises(BudgetExceededError,
                            match="exceeded cap 100000$"):
             pure.search_automorphisms(30, adj, 100_000, True)
+
+    assert _peak_traced_bytes(call) < 1 << 20
+
+
+def test_automorphism_search_is_the_chain_on_every_backend():
+    adj = complete(30).adjacency()
+
+    def call():
+        with pytest.raises(BudgetExceededError,
+                           match="exceeded cap 100000$"):
+            kernels.search_automorphisms(30, adj, 100_000, True)
 
     assert _peak_traced_bytes(call) < 1 << 20
 
