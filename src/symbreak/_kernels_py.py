@@ -26,10 +26,13 @@ elements; automorphism_generators and all_automorphisms_preserve_blocks
 read only the transversals, which generate Aut(G).  Each first-leaf search stays inside a distinct subtree that a
 DFS over every leaf enumerates in full, so the chain never visits more.
 
+The two partition searches share one element encoding, _kill_table, and
+keep the live elements as an int bitmask.
 count_distinguishing_partitions is memoized on the state that fixes a
 subtree's completions (see its docstring), so it visits a subset of the
 nodes the plain search visits, usually a small one.
-exists_distinguishing_partition stays the plain search.
+exists_distinguishing_partition has no memo, so it spends the coloring
+budget node for node as the compiled twin does.
 
 A compiled twin of the two partition searches lives in _kernels.pyx
 (next to an automorphism DFS that nothing calls any more);
@@ -377,17 +380,6 @@ def _extension_table(n: int, kmax: int) -> list[list[list[int]]]:
     return E
 
 
-def _prepare_elements(n: int, elements):
-    imgs = [list(e) for e in elements]
-    invs = []
-    for e in imgs:
-        inv = [0] * n
-        for v in range(n):
-            inv[e[v]] = v
-        invs.append(inv)
-    return imgs, invs
-
-
 def _kill_table(n: int, elements):
     """Which elements each vertex's block choice can break, as bitmasks.
 
@@ -513,7 +505,11 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
 def exists_distinguishing_partition(n: int, elements, max_blocks: int,
                                     node_budget: int) -> bool:
     """True iff some set partition into at most max_blocks nonempty blocks is
-    preserved by none of the given elements."""
+    preserved by none of the given elements.
+
+    The count's walk without its memo, stopping at the first such
+    partition; each block tried for a vertex counts against node_budget.
+    """
     if n == 0:
         return False
     kmax = min(max_blocks, n)
@@ -521,37 +517,31 @@ def exists_distinguishing_partition(n: int, elements, max_blocks: int,
         return False
     if not elements:
         return True
-    imgs, invs = _prepare_elements(n, elements)
-    color = [-1] * n
-    state = {"nodes": 0}
+    kill, _ = _kill_table(n, elements)
+    color = [0] * n
+    nodes = 0
 
-    def rec(v: int, b: int, live: list[int]) -> bool:
-        top = min(b + 1, kmax)
-        for c in range(top):
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
+    def rec(v: int, b: int, live: int) -> bool:
+        nonlocal nodes
+        row = kill[v]
+        for c in range(b + 1 if b < kmax else kmax):
+            nodes += 1
+            if nodes > node_budget:
                 raise BudgetExceededError(
                     f"coloring search exceeded budget {node_budget}")
-            color[v] = c
-            nlive = []
-            for e in live:
-                w = imgs[e][v]
-                if w < v and color[w] != c:
-                    continue
-                u = invs[e][v]
-                if u < v and color[u] != c:
-                    continue
-                nlive.append(e)
+            nlive = live
+            for w, keep in row:
+                if color[w] != c:
+                    nlive &= keep
             if not nlive:
-                color[v] = -1
                 return True
-            if v + 1 < n and rec(v + 1, b + 1 if c == b else b, nlive):
-                color[v] = -1
-                return True
-        color[v] = -1
+            if v + 1 < n:
+                color[v] = c
+                if rec(v + 1, b + 1 if c == b else b, nlive):
+                    return True
         return False
 
     try:
-        return rec(0, 0, list(range(len(imgs))))
+        return rec(0, 0, (1 << len(elements)) - 1)
     finally:
         rec = None  # break the closure's reference to itself

@@ -331,12 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _BUDGET_FLAGS = (("max_vertices", "--max-vertices"), ("max_aut", "--max-aut"),
-                 ("max_colorings", "--max-colorings"))
+                 ("max_colorings", "--max-colorings"),
+                 ("phi_max", "--phi-max"))
 
 
 def _check_budget_flags(args) -> None:
     for dest, flag in _BUDGET_FLAGS:
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)
         if value is not None and value < 1:
             raise InvalidInputError(f"{flag} must be positive, got {value}")
 

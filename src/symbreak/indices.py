@@ -29,10 +29,10 @@ behind D, theta and phi_table run against one representative of each
 (AutGroup.minimal_cycles: 28 transpositions instead of 40,319 elements for
 K8).  The searches close a subtree once no element is live, which with the
 smaller set happens no later, so A_j is unchanged and only node counts fall.
-The pure kernel's count is also memoized on the state that fixes a
-subtree's completions, so it visits each distinct subproblem once rather
-than every partial coloring; the existence search behind D stays a plain
-search.
+The pure kernel's two searches share one element encoding, its kill table.
+Its count is also memoized on the state that fixes a subtree's completions,
+so it visits each distinct subproblem once; the existence search behind D
+has no memo and stops at the first distinguishing partition.
 
 phi_table computes A_j by search only below theta and switches to the exact
 factorial/Stirling form at and above it (where every surjective coloring is

@@ -4,9 +4,11 @@ The automorphism and isomorphism searches read the stabilizer chain or
 its one extension primitive, which only the pure kernel has, so they are
 pure on every backend.  The two partition searches prefer the compiled
 extension and fall back to the pure-Python twin when the extension is
-missing or SYMBREAK_PURE=1 is set.  The compiled partition searches only
-handle graphs that fit one machine word (n <= 64); larger inputs, possible
-when the vertex cap is raised, route to the pure implementation per call.
+missing or SYMBREAK_PURE=1 is set.  The pure twin runs both over one kill
+table, with a memo on the count only.  The compiled partition searches
+only handle graphs that fit one machine word (n <= 64); larger inputs,
+possible when the vertex cap is raised, route to the pure implementation
+per call.
 """
 
 from __future__ import annotations

@@ -268,11 +268,22 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("symbreak: ") and "cap is 8" in err
 
-    @pytest.mark.parametrize("flag,value", [("--max-aut", "0"),
-                                            ("--max-colorings", "-1"),
-                                            ("--max-vertices", "0")])
-    def test_nonpositive_budget_flag_exits_2(self, run_cli, flag, value):
-        code, out, err = run_cli("analyze", "builtin:petersen", flag, value)
+    @pytest.mark.parametrize("flag,value,command", [
+        pytest.param(flag, value, ("analyze", "builtin:petersen"),
+                     id=f"{flag}-{value}")
+        for flag, value in [("--max-aut", "0"), ("--max-colorings", "-1"),
+                            ("--max-vertices", "0"), ("--phi-max", "0"),
+                            ("--phi-max", "-1")]
+    ] + [
+        pytest.param("--phi-max", "0", ("product", "lex", "builtin:path:2",
+                                        "builtin:path:2", "--emit", "json"),
+                     id="product--phi-max-0"),
+        pytest.param("--phi-max", "0", ("table", "path", "2..3"),
+                     id="table--phi-max-0"),
+    ])
+    def test_nonpositive_budget_flag_exits_2(self, run_cli, flag, value,
+                                             command):
+        code, out, err = run_cli(*command, flag, value)
         assert code == 2 and out == ""
         assert err == f"symbreak: {flag} must be positive, got {value}\n"
 

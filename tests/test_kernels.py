@@ -17,7 +17,7 @@ from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
                              cycle, delete_vertex, kneser, path, petersen,
                              star)
-from symbreak.perms import automorphism_group
+from symbreak.perms import automorphism_group, enumerate_automorphisms
 from symbreak.products import lexicographic
 
 from conftest import vsum
@@ -152,6 +152,79 @@ def test_search_order_matches_reference(connected7):
             colors = pure._refine_colors(h.n, adj)
             assert (pure._search_order(h.n, adj, colors)
                     == _search_order_reference(h.n, adj, colors))
+
+
+def _exists_reference(n, elements, kmax):
+    """The existence search as first written, over image and inverse lists,
+    filtering a list of element ids at every node; returns (answer, nodes),
+    one node per child, counted before the child is tried."""
+    invs = []
+    for e in elements:
+        inv = [0] * n
+        for v in range(n):
+            inv[e[v]] = v
+        invs.append(inv)
+    color = [-1] * n
+    nodes = 0
+
+    def rec(v, b, live):
+        nonlocal nodes
+        for c in range(min(b + 1, kmax)):
+            nodes += 1
+            color[v] = c
+            nlive = [e for e in live
+                     if not (elements[e][v] < v
+                             and color[elements[e][v]] != c)
+                     and not (invs[e][v] < v and color[invs[e][v]] != c)]
+            if not nlive or (v + 1 < n
+                             and rec(v + 1, b + 1 if c == b else b, nlive)):
+                return True
+        return False
+
+    return rec(0, 0, list(range(len(elements)))), nodes
+
+
+def _exists_rungs(connected7):
+    """(n, elements, k, reference answer, reference nodes) for every rung
+    k = 2..D of the corpus groups: minimal cycle partitions for every
+    nontrivial group, every non-identity element for the groups of order
+    at most 240."""
+    rungs = []
+    for g in connected7:
+        group = enumerate_automorphisms(g)
+        if group.is_trivial():
+            continue
+        sets = [group.minimal_cycles.images]
+        if group.order <= 240:
+            sets.append(group.nonidentity_images())
+        for elements in sets:
+            for k in range(2, g.n + 1):
+                found, nodes = _exists_reference(g.n, elements, k)
+                rungs.append((g.n, elements, k, found, nodes))
+                if found:
+                    break
+    return rungs
+
+
+def _assert_exists_budget_boundary(kernel, rungs):
+    for n, elements, k, found, nodes in rungs:
+        assert kernel.exists_distinguishing_partition(
+            n, elements, k, nodes) is found
+        with pytest.raises(BudgetExceededError,
+                           match=f"^coloring search exceeded budget "
+                                 f"{nodes - 1}$"):
+            kernel.exists_distinguishing_partition(n, elements, k, nodes - 1)
+
+
+def test_exists_visits_the_reference_nodes(connected7):
+    rungs = _exists_rungs(connected7)
+    assert sum(found for *_, found, _ in rungs) > 1000
+    _assert_exists_budget_boundary(pure, rungs)
+
+
+@needs_compiled
+def test_compiled_exists_visits_the_reference_nodes(connected7):
+    _assert_exists_budget_boundary(compiled, _exists_rungs(connected7))
 
 
 @pytest.mark.parametrize("kernel", [

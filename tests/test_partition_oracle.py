@@ -1,11 +1,12 @@
-"""The partition count against an oracle that shares none of its code.
+"""The partition count and the existence search behind D against an
+oracle that shares none of their code.
 
 The oracle lists every set partition of {0..n-1} with its own generator
 and counts, per block count j, those that no given element preserves.  An
 element preserves a partition iff each of its cycles lies inside one block,
 that is iff every vertex and its image share a block.  There is no
 canonical walk, no live set, no extension table and no memo, so agreement
-checks the kernel's search, its closures and its memo keys at once.
+checks the kernels' walk, the count's closures and its memo keys at once.
 """
 
 from __future__ import annotations
@@ -51,8 +52,15 @@ def _oracle(n: int, elements, k: int) -> list[int]:
 
 
 def _assert_matches_oracle(n: int, elements, k: int) -> None:
+    """The count up to k blocks, and the existence search for every
+    palette 1..k: a partition into at most j blocks exists iff the oracle
+    counts one with 1..j blocks, that is any(_oracle(n, elements, j)[1:])."""
+    counts = _oracle(n, elements, k)
     assert (kernels.count_distinguishing_partitions(n, elements, k, BUDGET)
-            == _oracle(n, elements, k))
+            == counts)
+    assert ([kernels.exists_distinguishing_partition(n, elements, j, BUDGET)
+             for j in range(1, k + 1)]
+            == [any(counts[1:j + 1]) for j in range(1, k + 1)])
 
 
 def test_generator_lists_bell_many_partitions():
