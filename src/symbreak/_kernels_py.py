@@ -1,9 +1,9 @@
 """Pure-Python search kernels.
 
-Reference implementation of the routines the whole library leans on:
+Reference implementation of the searches the whole library leans on:
 
-  search_automorphisms             Aut(G) from a stabilizer chain
-  automorphism_generators          |Aut(G)| and the chain's strong generators
+  search_automorphisms             |Aut(G)|, or of a vertex stabilizer, and
+                                   the transversals of its stabilizer chain
   all_automorphisms_preserve_blocks   whether the chain's generators map
                                    every block onto a block
   isomorphic                       (rooted) isomorphism of two graphs
@@ -17,14 +17,14 @@ vertices of its refined color, with the right adjacency to every vertex
 mapped before it, so every leaf is an isomorphism.  isomorphic refines
 the disjoint union of its two graphs, so colors compare, and runs it once.
 
-The automorphism searches map a graph into itself along the pointwise
+The automorphism search maps a graph into itself along the pointwise
 stabilizer chain (Sims 1970; Seress, Permutation Group Algorithms, 2003):
 one first-leaf search per candidate image off the identity path, so |Aut|
-is known, and checked against the budget, before any element is built.
-search_automorphisms builds the elements as products of transversal
-elements; automorphism_generators and all_automorphisms_preserve_blocks
-read only the transversals, which generate Aut(G).  Each first-leaf search stays inside a distinct subtree that a
-DFS over every leaf enumerates in full, so the chain never visits more.
+is known, and checked against the budget, without building any element
+beyond the transversals.  Each first-leaf search stays inside a distinct
+subtree that a DFS over every leaf enumerates in full, so the chain never
+visits more.  Group elements, as products of transversal elements, are
+built by symbreak.perms, and only where a caller asks for them.
 
 The two partition searches share one element encoding, _kill_table, and
 keep the live elements as an int bitmask.
@@ -51,12 +51,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add, eq, itemgetter
+from operator import add
 
 from .errors import BudgetExceededError
 
-# most products the streaming search multiplies out at once
-_STREAM_BLOCK = 256
 # most machine words the partition count's memo holds (about 32 MB on a
 # 64-bit build); past it the count searches on without storing
 _MEMO_WORDS = 1 << 22
@@ -108,21 +106,6 @@ def _search_order(n: int, adj, colors) -> list[int]:
     return order
 
 
-def _cycle_count(image) -> int:
-    """Number of cycles, fixed points included."""
-    seen = 0
-    cycles = 0
-    for v in range(len(image)):
-        if seen >> v & 1:
-            continue
-        cycles += 1
-        w = v
-        while not seen >> w & 1:
-            seen |= 1 << w
-            w = image[w]
-    return cycles
-
-
 def _extend(n: int, adj, dst, order, cls, image, used: int, depth: int):
     """First leaf below one node of the search tree mapping graph adj into
     graph dst; automorphism searches pass adj as dst.
@@ -158,27 +141,35 @@ def _class_masks(colors) -> dict[int, int]:
     return masks
 
 
-def _stabilizer_chain(n: int, adj, order_cap: int):
-    """Transversals of the pointwise stabilizer chain along the search order.
+def search_automorphisms(n: int, adj, order_cap: int, pin=None):
+    """(|Aut|, chain) for the graph given as neighbor bitmasks, or for the
+    stabilizer of vertex pin when it is given.
 
-    G_i is the subgroup fixing order[:i] pointwise, so G_0 = Aut(G) and
-    G_n = 1.  Levels are walked from i = n-1 down to 0.  At level i every
-    candidate image w != order[i] of order[i], with order[:i] fixed, gets one
-    first-leaf search; the leaf found, if any, is the representative of the
-    coset of G_{i+1} sending order[i] to w.  The transversal T_i (identity
-    first) then gives |G_i| = |T_i| * |G_{i+1}| exactly, and the cap is
-    checked after every representative, before any element is built.
+    chain holds the nontrivial transversals of the pointwise stabilizer
+    chain along the search order, in level order, each a tuple of image
+    tuples with the identity first.  G_i is the subgroup fixing order[:i]
+    pointwise, so G_0 = Aut(G) and G_n = 1.  Levels are walked from i = n-1
+    down to 0.  At level i every candidate image w != order[i] of order[i],
+    with order[:i] fixed, gets one first-leaf search; the leaf found, if
+    any, is the representative of the coset of G_{i+1} sending order[i] to
+    w.  The transversal T_i then gives |G_i| = |T_i| * |G_{i+1}| exactly,
+    and the cap is checked after every representative: BudgetExceededError
+    is raised exactly when the order exceeds order_cap.
 
     Each (i, w) search runs inside the subtree that the plain DFS enters
     when it leaves the identity path at depth i for w, and these subtrees
     are pairwise distinct, so the chain visits no more nodes than the DFS.
-
-    Returns (|Aut|, nontrivial transversals in level order 0..n-1).
+    A pinned vertex gets a color class of its own, so no leaf moves it.
+    Every automorphism factors uniquely as t_0 * t_1 * ... (right factor
+    applied first) with t_i in the i-th transversal, so the non-identity
+    transversal elements generate the group.
     """
     if order_cap < 1:
         raise BudgetExceededError(
             f"automorphism search exceeded cap {order_cap}")
     colors = _refine_colors(n, adj)
+    if pin is not None:
+        colors[pin] = -1
     class_mask = _class_masks(colors)
     cls = [class_mask[c] for c in colors]
     order = _search_order(n, adj, colors)
@@ -211,110 +202,8 @@ def _stabilizer_chain(n: int, adj, order_cap: int):
         image[v] = v
         if len(reps) > 1:
             size *= len(reps)
-            chain.append(reps)
-    chain.reverse()
-    return size, chain
-
-
-def automorphism_generators(n: int, adj, order_cap: int):
-    """(|Aut|, strong generators) of the graph given as neighbor bitmasks.
-
-    The generators are the non-identity transversal elements of the
-    stabilizer chain, as image tuples; every automorphism is a product of
-    transversal elements, so they generate Aut(G).  The whole chain is
-    built first, so BudgetExceededError is raised exactly when |Aut| >
-    order_cap, as search_automorphisms raises it, and no element beyond the
-    transversals is ever built.
-    """
-    order, chain = _stabilizer_chain(n, adj, order_cap)
-    return order, [t for reps in chain for t in reps[1:]]
-
-
-def _max_cycles(n: int, elements, best: int = 0) -> int:
-    """Largest of best and the cycle counts of the non-identity elements.
-
-    An element with f fixed points has at most f + (n - f) // 2 cycles, so
-    the exact count is taken only where that bound beats the best so far,
-    and the scan stops at n - 1, the most any non-identity element has.
-    """
-    ident = range(n)
-    for e in elements:
-        if best == n - 1:
-            break
-        fixed = sum(map(eq, e, ident))
-        if fixed == n or fixed + (n - fixed) // 2 <= best:
-            continue
-        cycles = _cycle_count(e)
-        if cycles > best:
-            best = cycles
-    return best
-
-
-def _product_blocks(n: int, chain, block_size: int):
-    """Yield every product t_0 * t_1 * ... (right factor applied first),
-    one factor from each transversal of chain, in lists.
-
-    The deepest transversals whose product has at most block_size elements
-    are multiplied out once, level by level: itemgetter(*e)(t) is t * e.
-    The levels above are walked depth-first, and each path prefix p meets
-    the whole block as p * s = itemgetter(*s)(p).  Only the block, one
-    yielded list and the path are alive at a time.
-    """
-    split, size = len(chain), 1
-    while split and size * len(chain[split - 1]) <= block_size:
-        split -= 1
-        size *= len(chain[split])
-    block = [tuple(range(n))]
-    for reps in reversed(chain[split:]):
-        getters = [itemgetter(*e) for e in block]
-        block = [get(t) for t in reps for get in getters]
-    if not split:
-        yield block
-        return
-    levels = [[itemgetter(*t) for t in reps] for reps in chain[:split]]
-    yield from _walk_products(levels, 0, tuple(range(n)),
-                              [itemgetter(*s) for s in block])
-
-
-def _walk_products(levels, depth: int, prefix, block):
-    if depth == len(levels):
-        yield [get(prefix) for get in block]
-        return
-    for get in levels[depth]:
-        yield from _walk_products(levels, depth + 1, get(prefix), block)
-
-
-def search_automorphisms(n: int, adj, order_cap: int, collect: bool = True):
-    """Enumerate Aut(G) for the graph given as neighbor bitmasks.
-
-    Returns (order, max_cycles, elements) where max_cycles is the largest
-    cycle count (fixed points included) over non-identity elements, 0 for a
-    trivial group, and elements is a lexicographically sorted list of image
-    tuples, or None when collect is false.  Raises BudgetExceededError once
-    more than order_cap automorphisms exist.
-
-    The order comes from the stabilizer chain alone, so an over-cap group
-    fails before a single element is built.  Every element factors uniquely
-    as t_0 * t_1 * ... * t_{n-1} (apply the right factor first) with t_i in
-    the level-i transversal.  With collect the products are built level by
-    level, deepest first; without it the upper levels of the same product
-    tree are walked depth-first, so memory stays within _STREAM_BLOCK
-    products whatever |Aut| is.
-    """
-    if n == 0:
-        return 1, 0, ([()] if collect else None)
-    order, chain = _stabilizer_chain(n, adj, order_cap)
-    if not collect:
-        best = 0
-        for block in _product_blocks(n, chain, _STREAM_BLOCK):
-            best = _max_cycles(n, block, best)
-            if best == n - 1:
-                break
-        return order, best, None
-    elements = [e for block in _product_blocks(n, chain, order)
-                for e in block]
-    elements.sort()
-    return order, _max_cycles(n, elements), elements
+            chain.append(tuple(reps))
+    return size, tuple(reversed(chain))
 
 
 def isomorphic(n: int, adj, dst, pin) -> bool:
@@ -343,12 +232,13 @@ def all_automorphisms_preserve_blocks(n: int, adj, blocks, order_cap: int) -> bo
     whatever |Aut| is; otherwise |Aut| > order_cap raises."""
     if n == 0:
         return True
-    order, generators = automorphism_generators(n, adj, math.inf)
-    for t in generators:
-        image: dict[int, int] = {}
-        for v in range(n):
-            if image.setdefault(blocks[v], blocks[t[v]]) != blocks[t[v]]:
-                return False
+    order, chain = search_automorphisms(n, adj, math.inf)
+    for reps in chain:
+        for t in reps[1:]:
+            image: dict[int, int] = {}
+            for v in range(n):
+                if image.setdefault(blocks[v], blocks[t[v]]) != blocks[t[v]]:
+                    return False
     if order > order_cap:
         raise BudgetExceededError(
             f"automorphism search exceeded cap {order_cap}")

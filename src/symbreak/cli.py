@@ -203,15 +203,10 @@ def _cmd_verify(args, command) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise InvalidInputError(f"bad range {text!r}") from None
+def _parse_range(text: str) -> range:
+    lo, dots, hi = text.partition("..")
     try:
-        return [int(text)]
+        return range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise InvalidInputError(f"bad range {text!r}") from None
 

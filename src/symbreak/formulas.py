@@ -38,7 +38,7 @@ from .indices import (
     rooted_indices,
     stirling2,
 )
-from .perms import automorphism_group
+from .perms import automorphism_group, stabilizer
 
 
 def binomial(n: int, k: int) -> int:
@@ -339,7 +339,7 @@ def theta_vsum_cycles(n: int, t: int) -> int:
 def aut_order_rooted(g: Graph, h: RootedGraph) -> int:
     """|Aut(G)| * |Stab(root)|^|G| for the smooth rooted product."""
     base = automorphism_group(g).order
-    stab = rooted_indices(h).aut_order
+    stab = stabilizer(automorphism_group(h.graph), h.root).order
     return base * stab ** g.n
 
 
@@ -382,7 +382,8 @@ def theta_rooted_preconditions(g: Graph, h: RootedGraph) -> list[str]:
     the base is rigid too; a rigid root under a symmetric base leaves the
     product's largest automorphism unaccounted for."""
     out = rooted_preconditions(g, h)
-    stab_trivial = rooted_indices(h).aut_order == 1
+    stab_trivial = stabilizer(automorphism_group(h.graph),
+                              h.root).is_trivial()
     if stab_trivial and automorphism_group(g).order != 1:
         out.append("root stabilizer is trivial but the base graph is not "
                    "rigid")

@@ -8,7 +8,8 @@ This module computes:
                             coloring
   distinguishing_threshold  theta: least k such that *every* k-coloring is
                             distinguishing, computed as 1 + the largest
-                            nonidentity cycle count (fixed points included)
+                            nonidentity cycle count (fixed points included),
+                            AutGroup.max_cycles
   phi / phi_table           Phi_k and varphi_k: numbers of non-equivalent
                             distinguishing colorings with at most / exactly k
                             colors, where colorings are equivalent when one is
@@ -25,10 +26,12 @@ An automorphism preserves a partition iff every one of its cycles lies in a
 single block, that is, iff its cycle partition refines the partition.  So a
 partition is preserved by no non-identity element iff it is refined by none
 of the refinement-minimal non-identity cycle partitions, and the searches
-behind D, theta and phi_table run against one representative of each
+behind D and phi_table run against one representative of each
 (AutGroup.minimal_cycles: 28 transpositions instead of 40,319 elements for
 K8).  The searches close a subtree once no element is live, which with the
 smaller set happens no later, so A_j is unchanged and only node counts fall.
+That set and theta are both read from the group's stabilizer chain by
+streaming its products, so these routes build no element list.
 The pure kernel's two searches share one element encoding, its kill table.
 Its count is also memoized on the state that fixes a subtree's completions,
 so it visits each distinct subproblem once; the existence search behind D
@@ -38,9 +41,10 @@ phi_table computes A_j by search only below theta and switches to the exact
 factorial/Stirling form at and above it (where every surjective coloring is
 distinguishing); phi_brute stays on the search route for any k and passes
 every non-identity element, on purpose: it shares neither shortcut and
-serves as the oracle for both in the verification harness.  The count
-itself is checked against a plain enumeration of set partitions in
-tests/test_partition_oracle.py.
+serves as the oracle for both in the verification harness.  It is, with
+is_distinguishing and are_equivalent, one of the readers that have the
+group build its element list.  The count itself is checked against a plain
+enumeration of set partitions in tests/test_partition_oracle.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
 itself.  is_steady tests only the generators of Aut(G - u) (see its
@@ -127,7 +131,7 @@ def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
         group = automorphism_group(g)
     if group.is_trivial():
         return 1
-    minimal = group.minimal_cycles.images
+    minimal = group.minimal_cycles
     for k in range(2, g.n + 1):
         if _exists_partition(g.n, minimal, k):
             return k
@@ -137,11 +141,9 @@ def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
 
 def distinguishing_threshold(g: Graph, group: AutGroup | None = None) -> int:
     """Least k such that every k-coloring is distinguishing."""
-    if group is not None:
-        return group.minimal_cycles.max_cycle_count + 1
-    order, max_cycles, _ = kernels.search_automorphisms(
-        g.n, g.adjacency(), limits.aut_cap(), collect=False)
-    return 1 if order == 1 else max_cycles + 1
+    if group is None:
+        group = automorphism_group(g)
+    return group.max_cycles + 1
 
 
 def stirling2(n: int, k: int) -> int:
@@ -228,7 +230,7 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
     enum_limit = min(k_max, theta - 1, n)
     A = None
     if enum_limit >= 1:
-        A = _partition_counts(n, group.minimal_cycles.images, enum_limit)
+        A = _partition_counts(n, group.minimal_cycles, enum_limit)
 
     varphi = [0] * (k_max + 1)
     for k in range(1, k_max + 1):
@@ -295,7 +297,8 @@ def graph_indices(g: Graph, phi_max: int | None = None,
 
 def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
     """Indices of (H, v): same definitions with Aut(H) replaced by the
-    stabilizer of the root; colorings still cover every vertex of H."""
+    stabilizer of the root, whose chain is searched with the root pinned;
+    colorings still cover every vertex of H."""
     stab = stabilizer(automorphism_group(h.graph), h.root)
     g = h.graph
     table = phi_table(g, phi_max, stab) if phi_max else None
@@ -326,9 +329,10 @@ def is_steady(g: Graph, u: int) -> bool:
     h, shift = delete_vertex(g, u, return_map=True)
     nbrs = [shift[v] for v in g.neighbors(u)]
     mask = sum(1 << v for v in nbrs)
-    _, generators = kernels.automorphism_generators(
-        h.n, h.adjacency(), limits.aut_cap())
-    return all(sum(1 << t[v] for v in nbrs) == mask for t in generators)
+    _, chain = kernels.search_automorphisms(h.n, h.adjacency(),
+                                            limits.aut_cap())
+    return all(sum(1 << t[v] for v in nbrs) == mask
+               for reps in chain for t in reps[1:])
 
 
 def _steady_vertices(g: Graph, group: AutGroup) -> tuple[int, ...]:

@@ -1,14 +1,16 @@
 """Kernel dispatch.
 
-The automorphism and isomorphism searches read the stabilizer chain or
-its one extension primitive, which only the pure kernel has, so they are
-pure on every backend.  The two partition searches prefer the compiled
-extension and fall back to the pure-Python twin when the extension is
-missing or SYMBREAK_PURE=1 is set.  The pure twin runs both over one kill
-table, with a memo on the count only.  The compiled partition searches
-only handle graphs that fit one machine word (n <= 64); larger inputs,
-possible when the vertex cap is raised, route to the pure implementation
-per call.
+The automorphism and isomorphism searches run the one extension primitive
+of the pure kernel, which has no compiled twin, so they are pure on every
+backend.  search_automorphisms returns the order and the stabilizer
+chain's transversals, of Aut(G) or of one vertex's stabilizer; group
+elements are built from them by symbreak.perms, on request only.  The two
+partition searches prefer the compiled extension and fall back to the
+pure-Python twin when the extension is missing or SYMBREAK_PURE=1 is set.
+The pure twin runs both over one kill table, with a memo on the count
+only.  The compiled partition searches only handle graphs that fit one
+machine word (n <= 64); larger inputs, possible when the vertex cap is
+raised, route to the pure implementation per call.
 """
 
 from __future__ import annotations
@@ -36,12 +38,8 @@ def _pick(n: int):
     return _impl if n <= _COMPILED_MAX_N else _pure
 
 
-def search_automorphisms(n, adj, order_cap, collect=True):
-    return _pure.search_automorphisms(n, adj, order_cap, collect)
-
-
-def automorphism_generators(n, adj, order_cap):
-    return _pure.automorphism_generators(n, adj, order_cap)
+def search_automorphisms(n, adj, order_cap, pin=None):
+    return _pure.search_automorphisms(n, adj, order_cap, pin)
 
 
 def isomorphic(n, adj, dst, pin):

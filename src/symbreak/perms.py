@@ -3,14 +3,24 @@
 Composition convention: compose(p, q) applies q first, so
 compose(p, q)(v) = p(q(v)).
 
-Automorphism groups are plain element lists (desk scale keeps them small
-enough); elements are sorted lexicographically by image tuple, which puts
-the identity first since any other automorphism must exceed it at its first
-non-fixed point.  The list comes from kernels.search_automorphisms.  The
-pure kernel learns |Aut| from a stabilizer chain before it builds any
-element, so a group over the automorphism budget fails in about the time
-the chain takes, not the time of the budget's worth of elements; the
-compiled kernel still enumerates up to the cap.
+An automorphism group is its stabilizer chain: the order and the
+nontrivial transversals that kernels.search_automorphisms returns.  The
+order is known, and checked against the automorphism budget, before any
+element beyond the transversals exists, so a group over the budget fails in
+about the time the chain takes.  Every answer the indices need is read from
+the chain without an element list:
+
+  order, is_trivial   the chain's order
+  orbits              union-find over the transversal elements, which
+                      generate the group
+  stabilizer          the chain of the same graph with the vertex pinned
+  minimal_cycles      one scan of the group's products, streamed from the
+                      chain in blocks of at most _STREAM_BLOCK
+  max_cycles          the same stream, stopped early at n - 1 cycles
+
+Sorted Permutation elements, identity first, are built only where a caller
+reads elements, iterates the group or asks for nonidentity_images: the
+brute-force oracles, which must not share the chain's shortcuts.
 """
 
 from __future__ import annotations
@@ -18,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
-from operator import itemgetter
-from typing import NamedTuple
+from operator import eq, itemgetter
 
 from . import kernels, limits
 from .errors import BudgetExceededError, InvalidInputError
 from .graphs import Graph
+
+# most products a group's streamed scans multiply out at once
+_STREAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -127,60 +139,70 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
     return CycleDecomposition(p.n, tuple(cycles), tuple(fixed))
 
 
-class MinimalCycles(NamedTuple):
-    """One image per refinement-minimal non-identity cycle partition."""
-
-    images: tuple[tuple[int, ...], ...]
-    max_cycle_count: int
-
-
 @dataclass(frozen=True)
 class AutGroup:
-    """A full automorphism group as a sorted element tuple, identity first.
-
-    minimal_cycles, computed once per instance, holds one representative
-    image for each cycle partition of a non-identity element that no other
-    such partition strictly refines, sorted, plus the largest cycle count
-    (fixed points included) among them: 0 and no images for the trivial
-    group.  An element preserves a coloring iff its cycle partition refines
-    the color partition, so these few images decide distinguishability
-    exactly as the whole group does; and since a finer partition has more
-    cycles, max_cycle_count is also the largest over all non-identity
-    elements.
-    """
+    """The automorphism group of the graph with neighbor bitmasks adj, as
+    its order and the nontrivial transversals of a stabilizer chain (see
+    kernels.search_automorphisms).  The properties below are computed once
+    per instance."""
 
     n: int
-    elements: tuple[Permutation, ...]
-
-    @cached_property
-    def minimal_cycles(self) -> MinimalCycles:
-        return _minimal_cycle_partitions(self.n, self.elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    adj: tuple[int, ...]
+    order: int
+    chain: tuple[tuple[tuple[int, ...], ...], ...]
 
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return self.order == 1
+
+    def _products(self):
+        return _product_blocks(self.n, self.chain, _STREAM_BLOCK)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted by image tuple, so the identity is first."""
+        images = sorted(e for block in self._products() for e in block)
+        return tuple(map(Permutation._unchecked, images))
 
     def nonidentity_images(self) -> tuple[tuple[int, ...], ...]:
         """Image tuples of all non-identity elements (kernel input format)."""
-        return tuple(p.image for p in self.elements if not p.is_identity())
+        return tuple(p.image for p in self.elements[1:])
 
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def minimal_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """One image for each cycle partition of a non-identity element that
+        no other such partition strictly refines, sorted; the
+        lexicographically least element with that partition represents it.
+
+        An element preserves a coloring iff its cycle partition refines the
+        color partition, so these few images decide distinguishability
+        exactly as the whole group does.  Empty for the trivial group.
+        """
+        return _minimal_cycle_partitions(self.n, self._products())
+
+    @cached_property
+    def max_cycles(self) -> int:
+        """Largest cycle count, fixed points included, over the non-identity
+        elements; 0 for the trivial group."""
+        best = 0
+        for block in self._products():
+            best = _max_cycles(self.n, block, best)
+            if best == self.n - 1:
+                break
+        return best
+
 
 def enumerate_automorphisms(g: Graph, max_order: int | None = None) -> AutGroup:
-    """All automorphisms of g, lexicographically sorted.
+    """The automorphism group of g, as a stabilizer chain.
 
     Raises BudgetExceededError when the group has more than max_order
     elements (default: the process-wide automorphism budget).
     """
     cap = limits.aut_cap() if max_order is None else max_order
-    _, _, elements = kernels.search_automorphisms(g.n, g.adjacency(), cap,
-                                                  collect=True)
-    return AutGroup(g.n, tuple(map(Permutation._unchecked, elements)))
+    adj = g.adjacency()
+    return AutGroup(g.n, adj, *kernels.search_automorphisms(g.n, adj, cap))
 
 
 @lru_cache(maxsize=4096)
@@ -216,36 +238,39 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
 
 
 def stabilizer(group: AutGroup, u: int) -> AutGroup:
-    """Subgroup of elements fixing vertex u (element order is inherited)."""
+    """Subgroup of elements fixing vertex u: the chain of the same graph
+    searched again with u pinned.  Its order is at most the group's, so the
+    group's order is its cap and the search never raises."""
     if not 0 <= u < group.n:
         raise InvalidInputError(f"vertex {u} out of range")
-    return AutGroup(group.n,
-                    tuple(p for p in group.elements if p.image[u] == u))
-
-
-def orbit(group: AutGroup, u: int) -> tuple[int, ...]:
-    if not 0 <= u < group.n:
-        raise InvalidInputError(f"vertex {u} out of range")
-    return tuple(sorted({p.image[u] for p in group.elements}))
+    return AutGroup(group.n, group.adj, *kernels.search_automorphisms(
+        group.n, group.adj, group.order, pin=u))
 
 
 def orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:
-    """Vertex orbits, each sorted, ordered by smallest member."""
-    seen: set[int] = set()
-    out = []
+    """Vertex orbits, each sorted, ordered by smallest member.
+
+    Two vertices share an orbit iff a chain of generator images joins them;
+    union-find over the transversal elements, every root the smallest
+    vertex of its set.
+    """
+    root = list(range(group.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for reps in group.chain:
+        for t in reps[1:]:
+            for v, w in enumerate(t):
+                a, b = find(v), find(w)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    out: dict[int, list[int]] = {}
     for v in range(group.n):
-        if v in seen:
-            continue
-        ob = orbit(group, v)
-        seen.update(ob)
-        out.append(ob)
-    return tuple(out)
-
-
-def max_nonidentity_cycle_count(group: AutGroup) -> int:
-    """Largest cycle count (fixed points included) over non-identity
-    elements; 0 for the trivial group."""
-    return group.minimal_cycles.max_cycle_count
+        out.setdefault(find(v), []).append(v)
+    return tuple(map(tuple, out.values()))
 
 
 def _primes_upto(n: int) -> frozenset[int]:
@@ -277,8 +302,10 @@ def _prime_cycle_labels(image, primes) -> tuple[tuple[int, ...], int] | None:
     return (tuple(labels), cycles) if length else None
 
 
-def _minimal_cycle_partitions(n: int, elements) -> MinimalCycles:
-    """Keep the cycle partitions that no other non-identity one refines.
+def _minimal_cycle_partitions(n: int, blocks) -> tuple[tuple[int, ...], ...]:
+    """Keep the cycle partitions that no other non-identity one refines,
+    each represented by its lexicographically least element, from the
+    group's elements given in blocks.
 
     Every non-identity element has a power of prime order, whose cycle
     partition refines its own, so only prime-order elements are candidates.
@@ -290,20 +317,91 @@ def _minimal_cycle_partitions(n: int, elements) -> MinimalCycles:
     """
     candidates: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     primes = _primes_upto(n)
-    for p in elements:
-        found = _prime_cycle_labels(p.image, primes)
-        if found is not None and found[0] not in candidates:
-            candidates[found[0]] = (found[1], p.image)
+    for block in blocks:
+        for image in block:
+            found = _prime_cycle_labels(image, primes)
+            if found is not None:
+                held = candidates.get(found[0])
+                if held is None or image < held[1]:
+                    candidates[found[0]] = (found[1], image)
     kept = []
     # per kept element: read labels at its moved vertices, and at their images
     tests = []
-    for labels, (cycles, image) in sorted(candidates.items(),
-                                          key=lambda item: -item[1][0]):
+    for labels, (_, image) in sorted(candidates.items(),
+                                     key=lambda item: -item[1][0]):
         if any(src(labels) == dst(labels) for src, dst in tests):
             continue
         moved = [v for v in range(len(image)) if image[v] != v]
         tests.append((itemgetter(*moved),
                       itemgetter(*(image[v] for v in moved))))
-        kept.append((cycles, image))
-    return MinimalCycles(tuple(sorted(image for _, image in kept)),
-                         kept[0][0] if kept else 0)
+        kept.append(image)
+    return tuple(sorted(kept))
+
+
+def _cycle_count(image) -> int:
+    """Number of cycles, fixed points included."""
+    seen = 0
+    cycles = 0
+    for v in range(len(image)):
+        if seen >> v & 1:
+            continue
+        cycles += 1
+        w = v
+        while not seen >> w & 1:
+            seen |= 1 << w
+            w = image[w]
+    return cycles
+
+
+def _max_cycles(n: int, elements, best: int = 0) -> int:
+    """Largest of best and the cycle counts of the non-identity elements.
+
+    An element with f fixed points has at most f + (n - f) // 2 cycles, so
+    the exact count is taken only where that bound beats the best so far,
+    and the scan stops at n - 1, the most any non-identity element has.
+    """
+    ident = range(n)
+    for e in elements:
+        if best == n - 1:
+            break
+        fixed = sum(map(eq, e, ident))
+        if fixed == n or fixed + (n - fixed) // 2 <= best:
+            continue
+        cycles = _cycle_count(e)
+        if cycles > best:
+            best = cycles
+    return best
+
+
+def _product_blocks(n: int, chain, block_size: int):
+    """Yield every product t_0 * t_1 * ... (right factor applied first),
+    one factor from each transversal of chain, in lists.
+
+    The deepest transversals whose product has at most block_size elements
+    are multiplied out once, level by level: itemgetter(*e)(t) is t * e.
+    The levels above are walked depth-first, and each path prefix p meets
+    the whole block as p * s = itemgetter(*s)(p).  Only the block, one
+    yielded list and the path are alive at a time.
+    """
+    split, size = len(chain), 1
+    while split and size * len(chain[split - 1]) <= block_size:
+        split -= 1
+        size *= len(chain[split])
+    block = [tuple(range(n))]
+    for reps in reversed(chain[split:]):
+        getters = [itemgetter(*e) for e in block]
+        block = [get(t) for t in reps for get in getters]
+    if not split:
+        yield block
+        return
+    levels = [[itemgetter(*t) for t in reps] for reps in chain[:split]]
+    yield from _walk_products(levels, 0, tuple(range(n)),
+                              [itemgetter(*s) for s in block])
+
+
+def _walk_products(levels, depth: int, prefix, block):
+    if depth == len(levels):
+        yield [get(prefix) for get in block]
+        return
+    for get in levels[depth]:
+        yield from _walk_products(levels, depth + 1, get(prefix), block)

@@ -19,11 +19,15 @@ rows of ``cor3.8``/``cor3.9`` put the algebraic rearrangement in
 ``predicted`` and the direct scan of the defining minimum in ``brute_force``;
 their known disagreements are findings, reported and never patched.
 
-Brute-force routes materialize automorphism groups only below a ceiling
-(min of the process budget and 200000 elements); larger groups are streamed
-where possible and otherwise become budget notes or skips.  Instances whose
-preconditions already failed run their informational brute force under a
-tighter scratch budget so a hopeless instance cannot stall the run.
+Brute-force routes take automorphism groups only below a ceiling (min of
+the process budget and _MATERIALIZE_CAP elements); larger groups become
+budget notes or skips.  Most routes read the group's stabilizer chain and
+never build its elements.  The element list is built only by the oracles
+that need it, and the ceiling bounds it: the group-order rules eq3 and
+thm4.2 count it on purpose, phi_brute and the thm3.5 restriction check
+scan it.  Instances whose preconditions already failed run their
+informational brute force under a tighter scratch budget so a hopeless
+instance cannot stall the run.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .indices import (distinguishing_number, distinguishing_threshold,
                       is_steady, phi_brute, rooted_indices)
 from .perms import automorphism_group, orbits
 
+# a budget on group order, kept although most routes store no list: the
+# budget notes it produces embed the number, and the anchor digest covers
+# them
 _MATERIALIZE_CAP = 200_000
 _SCRATCH_CAP = 1_000_000
 
@@ -100,7 +107,8 @@ def _verdict(rule: str, instance: str, predicted_fn, brute_fn,
 
 
 def _brute_group(g: Graph):
-    """Materialized automorphism group, bounded by the memory ceiling."""
+    """Automorphism group under the materialization ceiling, so that its
+    element list, where a caller builds it, stays bounded."""
     with limits.scoped(max_aut=min(limits.aut_cap(), _MATERIALIZE_CAP)):
         return automorphism_group(g)
 
@@ -319,7 +327,7 @@ def _rule_eq3(grid: dict) -> list[TheoremVerdict]:
         out.append(_verdict(
             "eq3", f"corona({_g6(g)},{_g6(h)})",
             lambda g=g, h=h: formulas.aut_order_corona(g, h),
-            lambda p=product: _brute_group(p).order,
+            lambda p=product: len(_brute_group(p).elements),
             unmet=formulas.corona_preconditions(g, h)))
     return out
 
@@ -511,7 +519,7 @@ def _rule_thm42(grid: dict) -> list[TheoremVerdict]:
         out.append(_verdict(
             "thm4.2", f"rooted({_g6(g)},{_g6(h.graph)}@{h.root})",
             lambda g=g, h=h: formulas.aut_order_rooted(g, h),
-            lambda p=product: _brute_group(p).order,
+            lambda p=product: len(_brute_group(p).elements),
             unmet=formulas.rooted_preconditions(g, h)))
     return out
 

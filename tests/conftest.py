@@ -9,7 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from symbreak import cli, corpus
-from symbreak.graphs import Graph, RootedGraph, build_graph
+from symbreak.graphs import (Graph, RootedGraph, build_graph, complete,
+                             complete_bipartite, cycle, kneser, petersen)
 from symbreak.products import vertex_sum
 
 
@@ -45,3 +46,19 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 def vsum(base: Graph, copies: int) -> Graph:
     """copies of base glued at vertex 0 (the benchmark's vertex-sum shapes)."""
     return vertex_sum([RootedGraph(base, 0)] * copies)[0]
+
+
+# the benchmark's 11 symmetric shapes, by name
+SYMMETRIC_SHAPES = {
+    "K4x3": lambda: vsum(complete(4), 3),
+    "K3x4": lambda: vsum(complete(3), 4),
+    "K3x5": lambda: vsum(complete(3), 5),
+    "K5x2": lambda: vsum(complete(5), 2),
+    "C4x4": lambda: vsum(cycle(4), 4),
+    "K4,4": lambda: complete_bipartite(4, 4),
+    "K7": lambda: complete(7),
+    "K8": lambda: complete(8),
+    "petersen": petersen,
+    "C12": lambda: cycle(12),
+    "kneser_7_2": lambda: kneser(7, 2),
+}

@@ -2,10 +2,12 @@
 
 VF2 shares no code with the kernels (no refinement, no search order, no
 stabilizer chain), so agreement on the order, the sorted element list and
-the largest non-identity cycle count is evidence for both collect modes.
-The streamed mode returns only the order and the cycle count, which a
-wrongly composed stream can still get right, so the pure kernel's stream
-is also checked element by element.
+the largest non-identity cycle count is evidence for the chain and for the
+group answers read from it.  The pure kernel returns the chain, and the
+group built on it gives the elements and, by a streamed scan, the largest
+cycle count, which a wrongly composed stream can still get right, so the
+stream is also checked element by element.  The compiled twin still
+enumerates, with or without collecting the elements.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import pytest
 
 from symbreak import _kernels_py as pure
 from symbreak.errors import BudgetExceededError
-from symbreak.graphs import complete, complete_bipartite, cycle, petersen
+from symbreak.perms import AutGroup, _product_blocks
 
-from conftest import vsum
+from conftest import SYMMETRIC_SHAPES
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
@@ -56,21 +58,29 @@ def _vf2(g) -> tuple[int, int, list[tuple[int, ...]]]:
 def _assert_matches_oracle(kernel, g) -> None:
     order, max_cycles, elements = _vf2(g)
     adj = g.adjacency()
-    assert kernel.search_automorphisms(g.n, adj, 10**7, True) == (
-        order, max_cycles, elements)
-    assert kernel.search_automorphisms(g.n, adj, 10**7, False) == (
-        order, max_cycles, None)
     if kernel is pure:
-        # the stream behind collect=False, walked through every level
-        _, chain = pure._stabilizer_chain(g.n, adj, 10**7)
-        streamed = [e for block in pure._product_blocks(g.n, chain, 1)
+        found, chain = pure.search_automorphisms(g.n, adj, 10**7)
+        assert found == order
+        group = AutGroup(g.n, adj, found, chain)
+        assert [p.image for p in group.elements] == elements
+        assert group.max_cycles == max_cycles
+        # the stream behind max_cycles and minimal_cycles, walked through
+        # every level
+        streamed = [e for block in _product_blocks(g.n, chain, 1)
                     for e in block]
         assert sorted(streamed) == elements
-    # exact cap boundary, in both modes
-    for collect in (True, False):
-        assert kernel.search_automorphisms(g.n, adj, order, collect)[0] == order
+        modes = [()]
+    else:
+        assert kernel.search_automorphisms(g.n, adj, 10**7, True) == (
+            order, max_cycles, elements)
+        assert kernel.search_automorphisms(g.n, adj, 10**7, False) == (
+            order, max_cycles, None)
+        modes = [(True,), (False,)]
+    # exact cap boundary, in every mode
+    for mode in modes:
+        assert kernel.search_automorphisms(g.n, adj, order, *mode)[0] == order
         with pytest.raises(BudgetExceededError) as info:
-            kernel.search_automorphisms(g.n, adj, order - 1, collect)
+            kernel.search_automorphisms(g.n, adj, order - 1, *mode)
         assert str(info.value) == f"automorphism search exceeded cap {order - 1}"
 
 
@@ -82,17 +92,8 @@ def test_corpus_matches_vf2(kernel, connected7):
 
 
 # the symmetric benchmark shapes; K8 and Kneser(7,2) take seconds in VF2
-SHAPES = {
-    "K4x3": lambda: vsum(complete(4), 3),
-    "K3x4": lambda: vsum(complete(3), 4),
-    "K3x5": lambda: vsum(complete(3), 5),
-    "K5x2": lambda: vsum(complete(5), 2),
-    "C4x4": lambda: vsum(cycle(4), 4),
-    "K4,4": lambda: complete_bipartite(4, 4),
-    "K7": lambda: complete(7),
-    "petersen": petersen,
-    "C12": lambda: cycle(12),
-}
+SHAPES = {name: make for name, make in SYMMETRIC_SHAPES.items()
+          if name not in ("K8", "kneser_7_2")}
 
 
 @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from symbreak import graph6, graphs
+from symbreak import graph6, graphs, perms
 
 
 class TestAnalyze:
@@ -21,6 +21,22 @@ class TestAnalyze:
         assert (g["n"], g["m"]) == (10, 15)
         assert (g["autOrder"], g["d"], g["theta"]) == (120, 3, 8)
         assert doc["summary"]["graphs"] == 1
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("builtin:complete:8", "--phi-max", "8", "--steady"),
+         (40320, 8, 8)),
+        (("builtin:kneser:7:2",), (5040, 2, 17)),
+    ], ids=["K8", "kneser_7_2"])
+    def test_analyze_builds_no_group_elements(self, run_cli, monkeypatch,
+                                              argv, expected):
+        def refuse(group):
+            raise AssertionError("group elements built")
+
+        monkeypatch.setattr(perms.AutGroup, "elements", property(refuse))
+        code, out, err = run_cli("analyze", *argv)
+        assert (code, err) == (0, "")
+        g = json.loads(out)["graphs"][0]
+        assert (g["autOrder"], g["d"], g["theta"]) == expected
 
     def test_g6_token_input(self, run_cli):
         code, out, _ = run_cli("analyze", "g6:Cl")
@@ -254,6 +270,17 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 3 and out == ""
         assert err == f"symbreak: graph has {n} vertices, cap is 64\n"
+        assert peak < 1 << 20
+
+    def test_table_range_over_vertex_cap_builds_no_list(self, run_cli):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli("table", "path", "1..3000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == "symbreak: graph has 65 vertices, cap is 64\n"
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("factors", [

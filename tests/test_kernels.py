@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
                              cycle, delete_vertex, kneser, path, petersen,
                              star)
-from symbreak.perms import automorphism_group, enumerate_automorphisms
+from symbreak.perms import (AutGroup, automorphism_group,
+                            enumerate_automorphisms, orbits)
 from symbreak.products import lexicographic
 
 from conftest import vsum
@@ -46,18 +48,18 @@ def test_backend_reports_a_name():
 @pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
 def test_search_parity(g):
     a = compiled.search_automorphisms(g.n, _adj(g), 10**7, True)
-    b = pure.search_automorphisms(g.n, _adj(g), 10**7, True)
-    assert a[0] == b[0] and a[1] == b[1]
-    assert sorted(a[2]) == sorted(b[2])
+    group = enumerate_automorphisms(g)
+    assert a[0] == group.order and a[1] == group.max_cycles
+    assert sorted(a[2]) == [p.image for p in group.elements]
 
 
 @needs_compiled
 @pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
 def test_search_streaming_parity(g):
     a = compiled.search_automorphisms(g.n, _adj(g), 10**7, False)
-    b = pure.search_automorphisms(g.n, _adj(g), 10**7, False)
-    assert a[:2] == b[:2]
-    assert a[2] is None and b[2] is None
+    group = enumerate_automorphisms(g)
+    assert a[:2] == (group.order, group.max_cycles)
+    assert a[2] is None
 
 
 @needs_compiled
@@ -78,7 +80,7 @@ def test_partition_count_parity(g):
                                                                  path(2))[0]],
                          ids=lambda g: f"n{g.n}m{g.m}")
 def test_minimal_cycles_parity(g):
-    kept = automorphism_group(g).minimal_cycles.images
+    kept = automorphism_group(g).minimal_cycles
     for k in range(1, g.n + 1):
         a = compiled.count_distinguishing_partitions(g.n, kept, k, 10**7)
         b = pure.count_distinguishing_partitions(g.n, kept, k, 10**7)
@@ -116,14 +118,19 @@ def _closure(n, generators):
     ids=["pure", "compiled"])
 @pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
 def test_generators_give_the_search_order(kernel, g):
-    order, generators = kernels.automorphism_generators(g.n, _adj(g), 10**7)
-    found, _, elements = kernel.search_automorphisms(g.n, _adj(g), 10**7,
-                                                     True)
+    order, chain = kernels.search_automorphisms(g.n, _adj(g), 10**7)
+    generators = [t for reps in chain for t in reps[1:]]
+    if kernel is pure:
+        elements = [p.image for p in enumerate_automorphisms(g)]
+        found = len(elements)
+    else:
+        found, _, elements = kernel.search_automorphisms(g.n, _adj(g), 10**7,
+                                                         True)
     assert order == found
     assert _closure(g.n, generators) == set(elements)
     with pytest.raises(BudgetExceededError,
                        match=f"^automorphism search exceeded cap {order - 1}$"):
-        kernels.automorphism_generators(g.n, _adj(g), order - 1)
+        kernels.search_automorphisms(g.n, _adj(g), order - 1)
 
 
 def _search_order_reference(n, adj, colors):
@@ -194,7 +201,7 @@ def _exists_rungs(connected7):
         group = enumerate_automorphisms(g)
         if group.is_trivial():
             continue
-        sets = [group.minimal_cycles.images]
+        sets = [group.minimal_cycles]
         if group.order <= 240:
             sets.append(group.nonidentity_images())
         for elements in sets:
@@ -244,7 +251,7 @@ def test_count_leaves_the_shared_extension_table_unchanged(kernel):
 def test_budget_raises():
     g = complete(6)
     with pytest.raises(BudgetExceededError):
-        kernels.search_automorphisms(g.n, _adj(g), 100, True)
+        kernels.search_automorphisms(g.n, _adj(g), 100)
     elems = [p.image for p in automorphism_group(cycle(6)).elements
              if not p.is_identity()]
     with pytest.raises(BudgetExceededError):
@@ -297,16 +304,25 @@ K6 = complete(6).adjacency()
 C6 = cycle(6).adjacency()
 C6_RELABELLED = cycle(6).relabel([3, 5, 1, 0, 2, 4]).adjacency()
 
+
+def _fresh_k6():
+    return AutGroup(6, K6, *pure.search_automorphisms(6, K6, 10**7))
+
+
 # (pure kernel call, whether it spends its budget)
 PURE_CALLS = {
-    "search": (lambda: pure.search_automorphisms(6, K6, 10**7, True), False),
-    "search-budget": (lambda: pure.search_automorphisms(6, K6, 100, True),
-                      True),
-    "search-stream": (lambda: pure.search_automorphisms(6, K6, 10**7, False),
+    "search": (lambda: pure.search_automorphisms(6, K6, 10**7), False),
+    "search-budget": (lambda: pure.search_automorphisms(6, K6, 100), True),
+    "search-pinned": (lambda: pure.search_automorphisms(6, K6, 10**7, 0),
                       False),
-    "generators": (lambda: pure.automorphism_generators(6, K6, 10**7), False),
-    "generators-budget": (lambda: pure.automorphism_generators(6, K6, 100),
-                          True),
+    "search-pinned-budget": (lambda: pure.search_automorphisms(6, K6, 100, 0),
+                             True),
+    # what a group reads from the chain's products, early exit included,
+    # each on a fresh group
+    "search-stream": (lambda: (_fresh_k6().max_cycles,
+                               _fresh_k6().minimal_cycles,
+                               _fresh_k6().elements,
+                               orbits(_fresh_k6())), False),
     "blocks": (lambda: pure.all_automorphisms_preserve_blocks(
         6, K6, [0, 0, 1, 1, 2, 2], 10**7), False),
     "blocks-budget": (lambda: pure.all_automorphisms_preserve_blocks(
@@ -359,7 +375,7 @@ def test_pure_budget_exit_builds_no_elements():
     def call():
         with pytest.raises(BudgetExceededError,
                            match="exceeded cap 100000$"):
-            pure.search_automorphisms(30, adj, 100_000, True)
+            pure.search_automorphisms(30, adj, 100_000)
 
     assert _peak_traced_bytes(call) < 1 << 20
 
@@ -370,7 +386,7 @@ def test_automorphism_search_is_the_chain_on_every_backend():
     def call():
         with pytest.raises(BudgetExceededError,
                            match="exceeded cap 100000$"):
-            kernels.search_automorphisms(30, adj, 100_000, True)
+            kernels.search_automorphisms(30, adj, 100_000)
 
     assert _peak_traced_bytes(call) < 1 << 20
 
@@ -379,14 +395,34 @@ def test_pure_stream_stores_no_group():
     adj = complete(8).adjacency()
 
     def call():
-        assert pure.search_automorphisms(8, adj, 10**7, False) == (
-            40320, 7, None)
+        group = AutGroup(8, adj, *pure.search_automorphisms(8, adj, 10**7))
+        assert (group.order, group.max_cycles) == (40320, 7)
 
     assert _peak_traced_bytes(call) < 1 << 20
 
 
+def test_max_cycles_stops_at_n_minus_1():
+    # 12! products would take hours; the first block holds a transposition
+    adj = complete(12).adjacency()
+    group = AutGroup(12, adj, *pure.search_automorphisms(12, adj, math.inf))
+    assert group.order == math.factorial(12)
+    assert group.max_cycles == 11
+
+
+def test_chain_answers_of_k9_store_no_group():
+    def call():
+        # automorphism_group without its cache, so the group is fresh
+        group = enumerate_automorphisms(complete(9))
+        assert len(group.minimal_cycles) == 36
+        assert group.max_cycles == 8
+        assert orbits(group) == (tuple(range(9)),)
+        assert "elements" not in vars(group)
+
+    assert _peak_traced_bytes(call) < 5 << 20
+
+
 def _minimal(g):
-    return automorphism_group(g).minimal_cycles.images
+    return automorphism_group(g).minimal_cycles
 
 
 def test_count_memo_skips_nodes(monkeypatch):

@@ -12,14 +12,13 @@ import random
 import pytest
 
 from symbreak import kernels
-from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
-                             cycle, petersen)
+from symbreak.graphs import asymmetric6, complete, cycle, petersen
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               phi_brute, phi_table)
 from symbreak.perms import (AutGroup, automorphism_group, cycle_decomposition,
                             enumerate_automorphisms, identity)
 
-from conftest import vsum
+from conftest import SYMMETRIC_SHAPES, vsum
 
 BUDGET = 10**7
 
@@ -58,7 +57,7 @@ def _elementwise_d(group: AutGroup) -> int:
 
 def _assert_same_answers(g, k_max: int) -> None:
     group = enumerate_automorphisms(g)
-    kept = group.minimal_cycles.images
+    kept = group.minimal_cycles
     assert (kernels.count_distinguishing_partitions(g.n, kept, k_max, BUDGET)
             == kernels.count_distinguishing_partitions(
                 g.n, group.nonidentity_images(), k_max, BUDGET))
@@ -72,15 +71,9 @@ def test_corpus_counts_d_and_theta_match_full_group(connected7):
         _assert_same_answers(g, min(g.n, 4))
 
 
-SYMMETRIC = {
-    "K4x3": lambda: vsum(complete(4), 3),
-    "K3x4": lambda: vsum(complete(3), 4),
-    "K5x2": lambda: vsum(complete(5), 2),
-    "K4,4": lambda: complete_bipartite(4, 4),
-    "K7": lambda: complete(7),
-    "petersen": petersen,
-    "C12": lambda: cycle(12),
-}
+SYMMETRIC = {name: SYMMETRIC_SHAPES[name]
+             for name in ("K4x3", "K3x4", "K5x2", "K4,4", "K7", "petersen",
+                          "C12")}
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
@@ -106,32 +99,35 @@ def test_only_phi_brute_passes_every_element(monkeypatch):
     group = enumerate_automorphisms(petersen())
     phi_brute(petersen(), 3, group)
     phi_table(petersen(), 3, group)
-    assert seen == [group.order - 1, len(group.minimal_cycles.images)]
+    assert seen == [group.order - 1, len(group.minimal_cycles)]
     assert seen == [119, 25]
 
 
 class TestReduction:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_complete_graph_keeps_the_transpositions(self, n):
-        kept = automorphism_group(complete(n)).minimal_cycles
-        assert len(kept.images) == n * (n - 1) // 2
-        for image in kept.images:
+        group = automorphism_group(complete(n))
+        kept = group.minimal_cycles
+        assert len(kept) == n * (n - 1) // 2
+        for image in kept:
             assert sum(image[v] != v for v in range(n)) == 2
-        assert kept.max_cycle_count == n - 1
+        assert group.max_cycles == n - 1
 
     @pytest.mark.parametrize("make", [
-        lambda: AutGroup(3, (identity(3),)),
+        lambda: AutGroup(3, (0, 0, 0), 1, ()),
         lambda: automorphism_group(asymmetric6()),
     ], ids=["identity", "asymmetric6"])
     def test_trivial_group_keeps_nothing(self, make):
         group = make()
         assert group.is_trivial()
-        assert group.minimal_cycles == ((), 0)
+        assert group.elements == (identity(group.n),)
+        assert group.minimal_cycles == ()
+        assert group.max_cycles == 0
 
     def test_no_kept_partition_refines_another(self, connected7):
         graphs = list(connected7) + [f() for f in SYMMETRIC.values()]
         for g in graphs:
-            kept = automorphism_group(g).minimal_cycles.images
+            kept = automorphism_group(g).minimal_cycles
             assert len({_labels(p) for p in kept}) == len(kept)
             for p in kept:
                 assert not any(_refines(q, p) for q in kept if q != p)
@@ -139,7 +135,7 @@ class TestReduction:
     def test_every_element_is_refined_by_a_kept_partition(self):
         for g in (petersen(), cycle(12), vsum(complete(3), 4)):
             group = automorphism_group(g)
-            kept = group.minimal_cycles.images
+            kept = group.minimal_cycles
             for p in group.elements:
                 if not p.is_identity():
                     assert any(_refines(q, p.image) for q in kept)
@@ -147,9 +143,35 @@ class TestReduction:
     def test_max_cycle_count_matches_elementwise(self, connected7):
         for g in connected7:
             group = automorphism_group(g)
-            assert (group.minimal_cycles.max_cycle_count + 1
-                    == _elementwise_theta(group))
+            assert group.max_cycles + 1 == _elementwise_theta(group)
 
     def test_computed_once_per_group(self):
         group = automorphism_group(petersen())
         assert group.minimal_cycles is group.minimal_cycles
+
+
+def _scanned_minimal_cycles(group: AutGroup) -> tuple[tuple[int, ...], ...]:
+    """The minimal cycle partitions from the sorted element list: the first
+    element of each partition whose non-trivial cycles share one prime
+    length, less those that another such partition strictly refines."""
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in group.elements[1:]:
+        lengths = {len(c) for c in cycle_decomposition(p).cycles}
+        if len(lengths) == 1 and all(min(lengths) % d
+                                     for d in range(2, min(lengths))):
+            first.setdefault(_labels(p.image), p.image)
+    return tuple(sorted(
+        r for r in first.values()
+        if not any(q != r and _refines(q, r) for q in first.values())))
+
+
+def test_streamed_partitions_match_the_element_scan(connected7):
+    for g in connected7:
+        group = enumerate_automorphisms(g)
+        assert group.minimal_cycles == _scanned_minimal_cycles(group)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
+def test_streamed_partitions_match_the_element_scan_on_symmetric_shapes(name):
+    group = enumerate_automorphisms(SYMMETRIC_SHAPES[name]())
+    assert group.minimal_cycles == _scanned_minimal_cycles(group)

@@ -13,11 +13,10 @@ from symbreak.graphs import (asymmetric6, build_graph, complete,
                              complete_bipartite, cycle, path, petersen, star)
 from symbreak.perms import (Permutation, automorphism_group, compose,
                             cycle_decomposition, enumerate_automorphisms,
-                            identity, inverse, is_automorphism,
-                            max_nonidentity_cycle_count, orbit, orbits,
+                            identity, inverse, is_automorphism, orbits,
                             stabilizer)
 
-from conftest import random_graph
+from conftest import SYMMETRIC_SHAPES, random_graph
 
 
 class TestPermutation:
@@ -102,8 +101,8 @@ class TestAutomorphismGroups:
     @pytest.mark.parametrize("g,order", KNOWN_ORDERS,
                              ids=lambda x: str(x) if isinstance(x, int) else None)
     def test_kernel_elements_match_validated_ones(self, g, order):
-        # enumerate_automorphisms skips the permutation check on kernel
-        # output; its elements must behave as checked ones do
+        # AutGroup.elements skips the permutation check on the chain's
+        # products; they must behave as checked ones do
         elements = enumerate_automorphisms(g).elements
         checked = tuple(Permutation(p.image) for p in elements)
         assert elements == checked
@@ -124,19 +123,18 @@ class TestAutomorphismGroups:
         group = automorphism_group(star(3))
         stab = stabilizer(group, 1)
         assert stab.order == 2  # the other two leaves still swap
-        assert set(orbit(group, 1)) == {1, 2, 3}
-        assert orbit(group, 0) == (0,)
         orbs = orbits(group)
+        assert orbs == ((0,), (1, 2, 3))
         assert sorted(len(o) for o in orbs) == [1, 3]
         # orbit-stabilizer identity
-        assert stab.order * len(orbit(group, 1)) == group.order
+        assert stab.order * len(orbs[1]) == group.order
 
     def test_max_nonidentity_cycle_count(self):
         # C4 reflection through two opposite vertices: 2 fixed + 1 swap
-        assert max_nonidentity_cycle_count(automorphism_group(cycle(4))) == 3
-        assert max_nonidentity_cycle_count(automorphism_group(complete(3))) == 2
+        assert automorphism_group(cycle(4)).max_cycles == 3
+        assert automorphism_group(complete(3)).max_cycles == 2
         # trivial group: no non-identity elements, count 0
-        assert max_nonidentity_cycle_count(automorphism_group(asymmetric6())) == 0
+        assert automorphism_group(asymmetric6()).max_cycles == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
@@ -146,3 +144,28 @@ class TestAutomorphismGroups:
         assert math.factorial(n) % group.order == 0
         ident = sum(1 for p in group.elements if p.is_identity())
         assert ident == 1
+
+
+def _assert_chain_answers_match_the_elements(g) -> None:
+    """The pinned chain against the element filter, and the generator
+    orbits against a scan of every element's images."""
+    group = enumerate_automorphisms(g)
+    images = [p.image for p in group.elements]
+    for u in range(g.n):
+        stab = stabilizer(group, u)
+        fixing = [e for e in images if e[u] == u]
+        assert stab.order == len(fixing)
+        assert [p.image for p in stab.elements] == fixing
+    scanned = {tuple(sorted({e[v] for e in images})) for v in range(g.n)}
+    assert orbits(group) == tuple(sorted(scanned))
+
+
+def test_chain_answers_match_the_elements_on_the_corpus(connected7):
+    assert len(connected7) == 996
+    for g in connected7:
+        _assert_chain_answers_match_the_elements(g)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
+def test_chain_answers_match_the_elements_on_symmetric_shapes(name):
+    _assert_chain_answers_match_the_elements(SYMMETRIC_SHAPES[name]())
