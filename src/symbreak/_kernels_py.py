@@ -27,7 +27,9 @@ visits more.  Group elements, as products of transversal elements, are
 built by symbreak.perms, and only where a caller asks for them.
 
 The two partition searches share one element encoding, _kill_table, and
-keep the live elements as an int bitmask.
+keep the live elements as an int bitmask.  The last few tables are kept,
+so consecutive searches on the same elements, such as the rungs of a D
+ladder, build one.
 count_distinguishing_partitions is memoized on the state that fixes a
 subtree's completions (see its docstring), so it visits a subset of the
 nodes the plain search visits, usually a small one.
@@ -270,7 +272,8 @@ def _extension_table(n: int, kmax: int) -> list[list[list[int]]]:
     return E
 
 
-def _kill_table(n: int, elements):
+@lru_cache(maxsize=4)
+def _kill_table(n: int, elements: tuple):
     """Which elements each vertex's block choice can break, as bitmasks.
 
     Bit i stands for elements[i].  kill[v] holds (w, keep) for w < v, where
@@ -279,6 +282,9 @@ def _kill_table(n: int, elements):
     reach[v] holds (u, reads) for u < v, where reads is the union of those
     sets over every pair (x, u) with x >= v: the elements that still read
     the block of u once v - 1 is placed.
+
+    Memoized, so the rungs of one D ladder, and a count followed by D on
+    the same elements, share one table: callers must only read it.
     """
     size = (len(elements) + 7) >> 3
     bufs: dict[int, bytearray] = {}  # v * n + w -> bits
@@ -344,7 +350,7 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
         for j in range(1, kmax + 1):
             A[j] = E[n][0][j]
         return A
-    kill, reach = _kill_table(n, elements)
+    kill, reach = _kill_table(n, tuple(elements))
     color = [0] * n
     memo: dict[tuple, list[int]] = {}
     # words per entry: dict slot, key and frontier tuples, the value list
@@ -407,7 +413,7 @@ def exists_distinguishing_partition(n: int, elements, max_blocks: int,
         return False
     if not elements:
         return True
-    kill, _ = _kill_table(n, elements)
+    kill, _ = _kill_table(n, tuple(elements))
     color = [0] * n
     nodes = 0
 

@@ -35,7 +35,13 @@ streaming its products, so these routes build no element list.
 The pure kernel's two searches share one element encoding, its kill table.
 Its count is also memoized on the state that fixes a subtree's completions,
 so it visits each distinct subproblem once; the existence search behind D
-has no memo and stops at the first distinguishing partition.
+has no memo and stops at the first distinguishing partition.  Answers are
+reused across calls: symbreak.kernels memoizes both searches per process on
+their inputs, the budget included, and the pure kernel keeps its last few
+kill tables, so the rungs of one D ladder, and a phi table followed by D on
+the same elements, build one table.  The root stabilizer of a rooted graph
+is cached too (perms.stabilizer), so rooted_indices asked at k = 1, 2, ...
+reads one pinned chain and its cached minimal cycles.
 
 phi_table computes A_j by search only below theta and switches to the exact
 factorial/Stirling form at and above it (where every surjective coloring is

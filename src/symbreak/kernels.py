@@ -11,11 +11,21 @@ The pure twin runs both over one kill table, with a memo on the count
 only.  The compiled partition searches only handle graphs that fit one
 machine word (n <= 64); larger inputs, possible when the vertex cap is
 raised, route to the pure implementation per call.
+
+Both partition searches are memoized here, on either backend, in bounded
+per-process caches keyed on every input: (n, tuple(elements), max_blocks,
+node_budget).  Product graphs whose groups act alike pass the same
+elements, so the key hits across graphs, as well as on the rule sweeps that
+ask the same copy factor again.  The answer is a pure function of the key;
+the budget is part of it, so a smaller budget still raises where it did,
+and a raised error is never stored.  The count returns a fresh list on
+every call.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from . import _kernels_py as _pure
 
@@ -55,11 +65,21 @@ def all_automorphisms_preserve_blocks(n, adj, blocks, order_cap):
     return _pure.all_automorphisms_preserve_blocks(n, adj, blocks, order_cap)
 
 
-def count_distinguishing_partitions(n, elements, max_blocks, node_budget):
-    return _pick(n).count_distinguishing_partitions(n, elements, max_blocks,
+@lru_cache(maxsize=256)
+def _count(n, elements, max_blocks, node_budget):
+    return tuple(_pick(n).count_distinguishing_partitions(
+        n, elements, max_blocks, node_budget))
+
+
+@lru_cache(maxsize=256)
+def _exists(n, elements, max_blocks, node_budget):
+    return _pick(n).exists_distinguishing_partition(n, elements, max_blocks,
                                                     node_budget)
+
+
+def count_distinguishing_partitions(n, elements, max_blocks, node_budget):
+    return list(_count(n, tuple(elements), max_blocks, node_budget))
 
 
 def exists_distinguishing_partition(n, elements, max_blocks, node_budget):
-    return _pick(n).exists_distinguishing_partition(n, elements, max_blocks,
-                                                    node_budget)
+    return _exists(n, tuple(elements), max_blocks, node_budget)

@@ -13,7 +13,9 @@ the chain without an element list:
   order, is_trivial   the chain's order
   orbits              union-find over the transversal elements, which
                       generate the group
-  stabilizer          the chain of the same graph with the vertex pinned
+  stabilizer          the chain of the same graph with the vertex pinned,
+                      cached per (graph, order, vertex) like the groups
+                      themselves, so one rooted graph has one pinned chain
   minimal_cycles      one scan of the group's products, streamed from the
                       chain in blocks of at most _STREAM_BLOCK
   max_cycles          the same stream, stopped early at n - 1 cycles
@@ -240,11 +242,19 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
 def stabilizer(group: AutGroup, u: int) -> AutGroup:
     """Subgroup of elements fixing vertex u: the chain of the same graph
     searched again with u pinned.  Its order is at most the group's, so the
-    group's order is its cap and the search never raises."""
+    group's order is its cap and the search never raises.  Cached like
+    _cached_group, so every question about one rooted graph reads one
+    pinned chain and what that chain has computed."""
     if not 0 <= u < group.n:
         raise InvalidInputError(f"vertex {u} out of range")
-    return AutGroup(group.n, group.adj, *kernels.search_automorphisms(
-        group.n, group.adj, group.order, pin=u))
+    return _cached_stabilizer(group.n, group.adj, group.order, u)
+
+
+@lru_cache(maxsize=4096)
+def _cached_stabilizer(n: int, adj: tuple[int, ...], order: int,
+                       u: int) -> AutGroup:
+    return AutGroup(n, adj, *kernels.search_automorphisms(n, adj, order,
+                                                          pin=u))
 
 
 def orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:

@@ -25,15 +25,20 @@ budget notes or skips.  Most routes read the group's stabilizer chain and
 never build its elements.  The element list is built only by the oracles
 that need it, and the ceiling bounds it: the group-order rules eq3 and
 thm4.2 count it on purpose, phi_brute and the thm3.5 restriction check
-scan it.  Instances whose preconditions already failed run their
-informational brute force under a tighter scratch budget so a hopeless
-instance cannot stall the run.
+scan it.  The restriction check lists a graph's distinguishing partitions
+once, by testing every set partition against every element, and reuses the
+list for each vertex the rule asks about; it shares no code with
+is_steady, the minimal cycles or the kill table.  Instances whose
+preconditions already failed run their informational brute force under a
+tighter scratch budget so a hopeless instance cannot stall the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import corpus, formulas, limits, products
@@ -43,7 +48,7 @@ from .graphs import (Graph, RootedGraph, build_graph, complete, cycle,
                      disjoint_union, delete_vertex, path, star)
 from .indices import (distinguishing_number, distinguishing_threshold,
                       is_steady, phi_brute, rooted_indices)
-from .perms import automorphism_group, orbits
+from .perms import AutGroup, automorphism_group, orbits
 
 # a budget on group order, kept although most routes store no list: the
 # budget notes it produces embed the number, and the anchor digest covers
@@ -219,21 +224,30 @@ def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1) if n > 1 else iter([(0,)])
 
 
-def _preserves(labels: Sequence[int], image: Sequence[int]) -> bool:
-    return all(labels[image[v]] == labels[v] for v in range(len(labels)))
+@lru_cache(maxsize=1)
+def _distinguishing_partitions(group: AutGroup) -> tuple[tuple[int, ...], ...]:
+    """The set partitions of the group's vertices that no non-identity
+    element preserves, scanned element by element.  A labelling is
+    preserved by an image iff reading it through the image gives it back."""
+    getters = [itemgetter(*img) for img in group.nonidentity_images()]
+    return tuple(part for part in _set_partitions(group.n)
+                 if not any(get(part) == part for get in getters))
 
 
 def _restriction_property(g: Graph, u: int) -> bool:
     """Does every distinguishing coloring of g restrict to a distinguishing
     coloring of g - u?  Checked over color partitions, which decide
-    distinguishability."""
-    nonid = automorphism_group(g).nonidentity_images()
+    distinguishability.  The rule asks about every vertex of one graph in
+    turn, so g's distinguishing partitions are listed once per graph."""
+    parts = _distinguishing_partitions(automorphism_group(g))
     dnonid = automorphism_group(delete_vertex(g, u)).nonidentity_images()
-    for part in _set_partitions(g.n):
-        if any(_preserves(part, img) for img in nonid):
-            continue
-        rest = tuple(part[v] for v in range(g.n) if v != u)
-        if any(_preserves(rest, img) for img in dnonid):
+    if not dnonid:  # nothing to break, and g - u may have no vertex
+        return True
+    getters = [itemgetter(*img) for img in dnonid]
+    drop = itemgetter(*(v for v in range(g.n) if v != u))
+    for part in parts:
+        rest = drop(part)
+        if any(get(rest) == rest for get in getters):
             return False
     return True
 

@@ -13,11 +13,12 @@ import tracemalloc
 import pytest
 
 from symbreak import _kernels_py as pure
-from symbreak import kernels
+from symbreak import kernels, limits, perms, verify
 from symbreak.errors import BudgetExceededError
-from symbreak.graphs import (asymmetric6, complete, complete_bipartite,
-                             cycle, delete_vertex, kneser, path, petersen,
-                             star)
+from symbreak.graphs import (RootedGraph, asymmetric6, complete,
+                             complete_bipartite, cycle, delete_vertex, kneser,
+                             path, petersen, star)
+from symbreak.indices import distinguishing_number, phi_brute, rooted_indices
 from symbreak.perms import (AutGroup, automorphism_group,
                             enumerate_automorphisms, orbits)
 from symbreak.products import lexicographic
@@ -468,3 +469,90 @@ def test_count_memo_memory_is_capped(monkeypatch):
     # stores several times that before its budget runs out
     assert capped < 384 << 10
     assert full > 2 * capped
+
+
+# -- per-process memos ---------------------------------------------------------
+
+def test_memo_never_stores_a_spent_budget():
+    kernels._count.cache_clear()
+    kernels._exists.cache_clear()
+    c6 = _c6_elements()
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError,
+                           match="^coloring search exceeded budget 10$"):
+            kernels.count_distinguishing_partitions(6, c6, 3, 10)
+        with pytest.raises(BudgetExceededError,
+                           match="^coloring search exceeded budget 2$"):
+            kernels.exists_distinguishing_partition(6, c6, 6, 2)
+    assert kernels._count.cache_info().currsize == 0
+    assert kernels._exists.cache_info().currsize == 0
+    # the same searches answer at a larger budget
+    assert kernels.count_distinguishing_partitions(6, c6, 3, 10**7) == [
+        0, 0, 6, 68]
+    assert kernels.exists_distinguishing_partition(6, c6, 6, 10**7)
+
+
+def test_memo_keeps_the_budget_in_its_key():
+    g = cycle(6)
+    group = automorphism_group(g)
+    assert phi_brute(g, 3, group) == phi_brute(g, 3, group)
+    with limits.scoped(max_colorings=10):
+        with pytest.raises(BudgetExceededError,
+                           match="^coloring search exceeded budget 10$"):
+            phi_brute(g, 3, group)
+
+
+def test_memo_answers_a_fresh_list():
+    c6 = _c6_elements()
+    first = kernels.count_distinguishing_partitions(6, c6, 3, 10**7)
+    first[2] = -1
+    first.append(5)
+    assert kernels.count_distinguishing_partitions(6, c6, 3, 10**7) == [
+        0, 0, 6, 68]
+
+
+def test_memo_key_reads_elements_as_a_tuple():
+    kernels._count.cache_clear()
+    kernels._exists.cache_clear()
+    c6 = _c6_elements()
+    assert isinstance(c6, list)
+    for search in (kernels.count_distinguishing_partitions,
+                   kernels.exists_distinguishing_partition):
+        assert search(6, c6, 3, 10**7) == search(6, tuple(c6), 3, 10**7)
+    for memo in (kernels._count, kernels._exists):
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def test_cache_clear_empties_every_memo():
+    g = cycle(6)
+    group = automorphism_group(g)
+    rooted_indices(RootedGraph(g, 0), phi_max=3)
+    distinguishing_number(g, group)
+    pure.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
+    verify._restriction_property(g, 0)
+    memos = (kernels._count, kernels._exists, pure._kill_table,
+             perms._cached_stabilizer, verify._distinguishing_partitions)
+    assert all(memo.cache_info().currsize for memo in memos)
+    # every lru_cache callable in the package's module namespaces, as a
+    # caller that wants a process's fresh state would find them
+    for name, module in list(sys.modules.items()):
+        if module is None or name.split(".")[0] != "symbreak":
+            continue
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_d_ladder_builds_one_kill_table(monkeypatch):
+    monkeypatch.setattr(kernels, "_impl", pure)
+    g = complete(8)
+    group = automorphism_group(g)
+    assert len(group.minimal_cycles) == 28
+    kernels._exists.cache_clear()
+    pure._kill_table.cache_clear()
+    assert distinguishing_number(g, group) == 8
+    # rungs k = 2..8 all read the table built on the first
+    info = pure._kill_table.cache_info()
+    assert (info.misses, info.hits) == (1, 6)

@@ -1,10 +1,12 @@
 """Tests for the closed-form verification harness."""
 
 import dataclasses
+from collections import Counter
+from typing import Sequence
 
 import pytest
 
-from symbreak import graphs, limits, verify
+from symbreak import corpus, graphs, kernels, limits, perms, verify
 from symbreak.errors import InvalidInputError
 
 
@@ -160,3 +162,47 @@ class TestOracleHelpers:
     )
     def test_partition_restriction_oracle(self, g, u, expect):
         assert verify._restriction_property(g, u) is expect
+
+    def test_restriction_oracle_matches_the_per_partition_scan(self):
+        seen = Counter()
+        for g in corpus.connected_graphs(6):
+            for u in range(g.n):
+                got = verify._restriction_property(g, u)
+                assert got is _old_restriction_property(g, u), (g, u)
+                seen[got] += 1
+        assert seen[True] > 100 and seen[False] > 100
+
+
+# the thm3.5 oracle as it read before it listed each graph's distinguishing
+# partitions once: one scan of every set partition per (graph, vertex)
+def _preserves(labels: Sequence[int], image: Sequence[int]) -> bool:
+    return all(labels[image[v]] == labels[v] for v in range(len(labels)))
+
+
+def _old_restriction_property(g, u) -> bool:
+    nonid = perms.automorphism_group(g).nonidentity_images()
+    dnonid = perms.automorphism_group(
+        graphs.delete_vertex(g, u)).nonidentity_images()
+    for part in verify._set_partitions(g.n):
+        if any(_preserves(part, img) for img in nonid):
+            continue
+        rest = tuple(part[v] for v in range(g.n) if v != u)
+        if any(_preserves(rest, img) for img in dnonid):
+            return False
+    return True
+
+
+def test_thm43_pins_each_rooted_copy_once(monkeypatch, run_cli):
+    perms._cached_stabilizer.cache_clear()
+    pinned = Counter()
+    search = kernels.search_automorphisms
+
+    def spy(n, adj, order_cap, pin=None):
+        if pin is not None:
+            pinned[n, tuple(adj), pin] += 1
+        return search(n, adj, order_cap, pin)
+
+    monkeypatch.setattr(kernels, "search_automorphisms", spy)
+    code, _, _ = run_cli("verify", "thm4.3", "--grid", "max=10")
+    assert code == 0
+    assert pinned and max(pinned.values()) == 1
