@@ -1,9 +1,10 @@
 """Build hook for the optional compiled kernel.
 
-The package works without the extension (a pure-Python twin of every kernel
-ships in symbreak._kernels_py); building it just makes the brute-force
-search routines much faster.  Any failure here degrades to the fallback
-instead of failing the install.
+The extension symbreak._kernels is one hand-written C file, the walk of
+the two partition searches (see symbreak.kernels).  The package works
+without it, on the pure-Python kernels in symbreak._kernels_py; building it
+makes the searches behind D and the Phi/phi counts faster.  Any failure
+here degrades to the pure kernels instead of failing the install.
 """
 
 import sys
@@ -29,17 +30,5 @@ class optional_build_ext(build_ext):
                   "falling back to the pure-Python kernels", file=sys.stderr)
 
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("symbreak._kernels", ["src/symbreak/_kernels.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    # the generated C ships with the source, so no Cython is needed to build
-    print("warning: Cython not available; compiling the shipped "
-          "src/symbreak/_kernels.c", file=sys.stderr)
-    extensions = [Extension("symbreak._kernels", ["src/symbreak/_kernels.c"])]
-
-setup(ext_modules=extensions, cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[Extension("symbreak._kernels", ["src/symbreak/_kernels.c"])],
+      cmdclass={"build_ext": optional_build_ext})

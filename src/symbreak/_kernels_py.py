@@ -34,13 +34,14 @@ count_distinguishing_partitions is memoized on the state that fixes a
 subtree's completions (see its docstring), so it visits a subset of the
 nodes the plain search visits, usually a small one.
 exists_distinguishing_partition has no memo, so it spends the coloring
-budget node for node as the compiled twin does.
+budget node for node as the compiled walk does.
 
-A compiled twin of the two partition searches lives in _kernels.pyx
-(next to an automorphism DFS that nothing calls any more);
-symbreak.kernels picks it when built and routes every other search here.
-Its count is the plain search, so it gives the same A but may exceed a
-coloring budget that the pure count meets; tests compare them.
+The optional extension symbreak._kernels, one hand-written C file, walks
+the same partition tree without a memo; symbreak.kernels runs both
+partition searches on it when it is built and routes every other search
+here.  Its count is the plain search, so it gives the same A but may
+exceed a coloring budget that the pure count meets; tests hold both to a
+plain reference walk, node for node.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -254,7 +255,7 @@ def _extension_table(n: int, kmax: int) -> list[list[list[int]]]:
     Exact integers; these overflow 64 bits well inside the vertex cap.
 
     Memoized, so every count on the same (n, kmax) shares one table: callers,
-    the compiled twin's included, must only read it.
+    the compiled count in symbreak.kernels included, must only read it.
     """
     E = [[[0] * (kmax + 1) for _ in range(kmax + 2)] for _ in range(n + 1)]
     for b in range(kmax + 1):

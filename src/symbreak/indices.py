@@ -31,7 +31,8 @@ behind D and phi_table run against one representative of each
 K8).  The searches close a subtree once no element is live, which with the
 smaller set happens no later, so A_j is unchanged and only node counts fall.
 That set and theta are both read from the group's stabilizer chain by
-streaming its products, so these routes build no element list.
+one stream of its products, so these routes build no element list: the
+scan that finds the set also records the largest cycle count.
 The pure kernel's two searches share one element encoding, its kill table.
 Its count is also memoized on the state that fixes a subtree's completions,
 so it visits each distinct subproblem once; the existence search behind D
@@ -232,11 +233,14 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
     if group is None:
         group = automorphism_group(g)
     n, order = g.n, group.order
+    # the scan behind minimal_cycles records max_cycles, so theta streams
+    # the group no second time; a nontrivial group needs both
+    minimal = group.minimal_cycles
     theta = distinguishing_threshold(g, group)
     enum_limit = min(k_max, theta - 1, n)
     A = None
     if enum_limit >= 1:
-        A = _partition_counts(n, group.minimal_cycles, enum_limit)
+        A = _partition_counts(n, minimal, enum_limit)
 
     varphi = [0] * (k_max + 1)
     for k in range(1, k_max + 1):

@@ -18,7 +18,8 @@ the chain without an element list:
                       themselves, so one rooted graph has one pinned chain
   minimal_cycles      one scan of the group's products, streamed from the
                       chain in blocks of at most _STREAM_BLOCK
-  max_cycles          the same stream, stopped early at n - 1 cycles
+  max_cycles          recorded by that scan when it has run; otherwise the
+                      same stream, stopped early at n - 1 cycles
 
 Sorted Permutation elements, identity first, are built only where a caller
 reads elements, iterates the group or asks for nonidentity_images: the
@@ -181,13 +182,19 @@ class AutGroup:
         An element preserves a coloring iff its cycle partition refines the
         color partition, so these few images decide distinguishability
         exactly as the whole group does.  Empty for the trivial group.
+
+        The scan also records max_cycles, unless it is already known.
         """
-        return _minimal_cycle_partitions(self.n, self._products())
+        kept, most = _minimal_cycle_partitions(self.n, self._products())
+        vars(self).setdefault("max_cycles", most)
+        return kept
 
     @cached_property
     def max_cycles(self) -> int:
         """Largest cycle count, fixed points included, over the non-identity
-        elements; 0 for the trivial group."""
+        elements; 0 for the trivial group.  Read minimal_cycles first where
+        both are needed: its scan records this value, and this stream is
+        then never walked."""
         best = 0
         for block in self._products():
             best = _max_cycles(self.n, block, best)
@@ -312,10 +319,12 @@ def _prime_cycle_labels(image, primes) -> tuple[tuple[int, ...], int] | None:
     return (tuple(labels), cycles) if length else None
 
 
-def _minimal_cycle_partitions(n: int, blocks) -> tuple[tuple[int, ...], ...]:
+def _minimal_cycle_partitions(n: int, blocks
+                              ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Keep the cycle partitions that no other non-identity one refines,
     each represented by its lexicographically least element, from the
-    group's elements given in blocks.
+    group's elements given in blocks; returns them, sorted, and the most
+    cycles any non-identity element has (0 when there is none).
 
     Every non-identity element has a power of prime order, whose cycle
     partition refines its own, so only prime-order elements are candidates.
@@ -323,7 +332,8 @@ def _minimal_cycle_partitions(n: int, blocks) -> tuple[tuple[int, ...], ...]:
     strictly refined by one with more cycles, and refinement is transitive,
     so testing each candidate against the partitions already kept suffices.
     A kept element refines a candidate iff it maps every vertex into the
-    vertex's own candidate block.
+    vertex's own candidate block.  The same power argument makes the most
+    cycles of a candidate the most of any non-identity element.
     """
     candidates: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     primes = _primes_upto(n)
@@ -345,7 +355,8 @@ def _minimal_cycle_partitions(n: int, blocks) -> tuple[tuple[int, ...], ...]:
         tests.append((itemgetter(*moved),
                       itemgetter(*(image[v] for v in moved))))
         kept.append(image)
-    return tuple(sorted(kept))
+    most = max((cycles for cycles, _ in candidates.values()), default=0)
+    return tuple(sorted(kept)), most
 
 
 def _cycle_count(image) -> int:

@@ -6,8 +6,8 @@ the largest non-identity cycle count is evidence for the chain and for the
 group answers read from it.  The pure kernel returns the chain, and the
 group built on it gives the elements and, by a streamed scan, the largest
 cycle count, which a wrongly composed stream can still get right, so the
-stream is also checked element by element.  The compiled twin still
-enumerates, with or without collecting the elements.
+stream is also checked element by element.  The automorphism search is
+pure on every backend, so the pure kernel is the one checked.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from conftest import SYMMETRIC_SHAPES
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
-try:
-    from symbreak import _kernels as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [pure] + ([compiled] if compiled is not None else [])
+BACKENDS = [pure]
 
 
 def _vf2(g) -> tuple[int, int, list[tuple[int, ...]]]:
@@ -58,30 +53,21 @@ def _vf2(g) -> tuple[int, int, list[tuple[int, ...]]]:
 def _assert_matches_oracle(kernel, g) -> None:
     order, max_cycles, elements = _vf2(g)
     adj = g.adjacency()
-    if kernel is pure:
-        found, chain = pure.search_automorphisms(g.n, adj, 10**7)
-        assert found == order
-        group = AutGroup(g.n, adj, found, chain)
-        assert [p.image for p in group.elements] == elements
-        assert group.max_cycles == max_cycles
-        # the stream behind max_cycles and minimal_cycles, walked through
-        # every level
-        streamed = [e for block in _product_blocks(g.n, chain, 1)
-                    for e in block]
-        assert sorted(streamed) == elements
-        modes = [()]
-    else:
-        assert kernel.search_automorphisms(g.n, adj, 10**7, True) == (
-            order, max_cycles, elements)
-        assert kernel.search_automorphisms(g.n, adj, 10**7, False) == (
-            order, max_cycles, None)
-        modes = [(True,), (False,)]
-    # exact cap boundary, in every mode
-    for mode in modes:
-        assert kernel.search_automorphisms(g.n, adj, order, *mode)[0] == order
-        with pytest.raises(BudgetExceededError) as info:
-            kernel.search_automorphisms(g.n, adj, order - 1, *mode)
-        assert str(info.value) == f"automorphism search exceeded cap {order - 1}"
+    found, chain = kernel.search_automorphisms(g.n, adj, 10**7)
+    assert found == order
+    group = AutGroup(g.n, adj, found, chain)
+    assert [p.image for p in group.elements] == elements
+    assert group.max_cycles == max_cycles
+    # the stream behind max_cycles and minimal_cycles, walked through
+    # every level
+    streamed = [e for block in _product_blocks(g.n, chain, 1)
+                for e in block]
+    assert sorted(streamed) == elements
+    # exact cap boundary
+    assert kernel.search_automorphisms(g.n, adj, order)[0] == order
+    with pytest.raises(BudgetExceededError) as info:
+        kernel.search_automorphisms(g.n, adj, order - 1)
+    assert str(info.value) == f"automorphism search exceeded cap {order - 1}"
 
 
 @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from symbreak import graph6, graphs, perms
+from symbreak import graph6, graphs, kernels, perms
 
 
 class TestAnalyze:
@@ -37,6 +37,21 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         g = json.loads(out)["graphs"][0]
         assert (g["autOrder"], g["d"], g["theta"]) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("builtin:kneser:7:2",), ("builtin:petersen", "--phi-max", "3"),
+    ], ids=["kneser_7_2", "petersen"])
+    def test_analyze_streams_the_group_once(self, run_cli, monkeypatch,
+                                            argv):
+        # theta reads the largest cycle count that the minimal-cycle scan
+        # recorded, so no second stream of the group's products runs
+        calls = []
+        monkeypatch.setattr(perms, "_max_cycles",
+                            lambda *args: calls.append(args))
+        perms._cached_group.cache_clear()
+        code, _, err = run_cli("analyze", *argv)
+        assert (code, err) == (0, "")
+        assert calls == []
 
     def test_g6_token_input(self, run_cli):
         code, out, _ = run_cli("analyze", "g6:Cl")
@@ -254,6 +269,23 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["graphs"][0]["d"] == 2
         assert doc["graphs"][1]["skipped"] is not None
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("argv", [("--phi-max", "3"), ()],
+                             ids=["count", "exists"])
+    def test_coloring_budget_past_64_bits(self, run_cli, monkeypatch, backend,
+                                          argv):
+        if backend == "pure":
+            monkeypatch.setattr(kernels, "_walk", None)
+        elif kernels.backend_name() != "compiled":
+            pytest.skip("compiled extension not built")
+        kernels._count.cache_clear()
+        kernels._exists.cache_clear()
+        code, out, err = run_cli("analyze", "builtin:petersen", *argv,
+                                 "--max-colorings", str(10**20))
+        assert (code, err) == (0, "")
+        _, default, _ = run_cli("analyze", "builtin:petersen", *argv)
+        assert json.loads(out)["graphs"] == json.loads(default)["graphs"]
 
     def test_vertex_budget_exit_3(self, run_cli):
         code, _, _ = run_cli("analyze", "builtin:petersen", "--max-vertices", "5")

@@ -1,4 +1,9 @@
-"""Compiled/pure kernel parity and backend selection."""
+"""Compiled/pure kernel parity and backend selection.
+
+The compiled route of the two partition searches is the C walk together
+with the sums symbreak.kernels does around it, _walk_count and
+_walk_exists; it runs where the extension is built and selected.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,10 +32,9 @@ from symbreak.products import lexicographic
 
 from conftest import vsum
 
-try:
-    from symbreak import _kernels as compiled
-except ImportError:
-    compiled = None
+compiled = (SimpleNamespace(count_distinguishing_partitions=kernels._walk_count,
+                            exists_distinguishing_partition=kernels._walk_exists)
+            if kernels.backend_name() == "compiled" else None)
 
 needs_compiled = pytest.mark.skipif(compiled is None,
                                     reason="compiled extension not built")
@@ -43,24 +49,6 @@ def _adj(g):
 
 def test_backend_reports_a_name():
     assert kernels.backend_name() in ("compiled", "pure")
-
-
-@needs_compiled
-@pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
-def test_search_parity(g):
-    a = compiled.search_automorphisms(g.n, _adj(g), 10**7, True)
-    group = enumerate_automorphisms(g)
-    assert a[0] == group.order and a[1] == group.max_cycles
-    assert sorted(a[2]) == [p.image for p in group.elements]
-
-
-@needs_compiled
-@pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
-def test_search_streaming_parity(g):
-    a = compiled.search_automorphisms(g.n, _adj(g), 10**7, False)
-    group = enumerate_automorphisms(g)
-    assert a[:2] == (group.order, group.max_cycles)
-    assert a[2] is None
 
 
 @needs_compiled
@@ -90,19 +78,6 @@ def test_minimal_cycles_parity(g):
                 == pure.exists_distinguishing_partition(g.n, kept, k, 10**7))
 
 
-@needs_compiled
-def test_block_preservation_parity():
-    for g, h in [(path(2), complete(2)), (cycle(4), complete(1)),
-                 (path(3), path(3))]:
-        product, _ = lexicographic(g, h)
-        blocks = [v // h.n for v in range(product.n)]
-        a = compiled.all_automorphisms_preserve_blocks(
-            product.n, _adj(product), blocks, 10**7)
-        b = pure.all_automorphisms_preserve_blocks(
-            product.n, _adj(product), blocks, 10**7)
-        assert a == b
-
-
 def _closure(n, generators):
     """Every product of the generators, by breadth-first search."""
     seen = {tuple(range(n))}
@@ -114,20 +89,14 @@ def _closure(n, generators):
     return seen
 
 
-@pytest.mark.parametrize("kernel", [
-    pure, pytest.param(compiled, marks=needs_compiled)],
-    ids=["pure", "compiled"])
+# the automorphism search is pure on every backend
+@pytest.mark.parametrize("kernel", [pure], ids=["pure"])
 @pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
 def test_generators_give_the_search_order(kernel, g):
-    order, chain = kernels.search_automorphisms(g.n, _adj(g), 10**7)
+    order, chain = kernel.search_automorphisms(g.n, _adj(g), 10**7)
     generators = [t for reps in chain for t in reps[1:]]
-    if kernel is pure:
-        elements = [p.image for p in enumerate_automorphisms(g)]
-        found = len(elements)
-    else:
-        found, _, elements = kernel.search_automorphisms(g.n, _adj(g), 10**7,
-                                                         True)
-    assert order == found
+    elements = [p.image for p in enumerate_automorphisms(g)]
+    assert order == len(elements)
     assert _closure(g.n, generators) == set(elements)
     with pytest.raises(BudgetExceededError,
                        match=f"^automorphism search exceeded cap {order - 1}$"):
@@ -233,6 +202,84 @@ def test_exists_visits_the_reference_nodes(connected7):
 @needs_compiled
 def test_compiled_exists_visits_the_reference_nodes(connected7):
     _assert_exists_budget_boundary(compiled, _exists_rungs(connected7))
+
+
+@needs_compiled
+@pytest.mark.parametrize("n,flat,kmax", [
+    (2, [0, 0], 1), (2, [1, 2], 1), (2, [-1, 0], 1), (3, [0, 1], 1),
+    (2, [1, 0], 3), (2, [1, 0], 0), (0, [], 1),
+], ids=["repeat", "high", "negative", "short", "kmax-over-n", "kmax-0",
+        "n-0"])
+def test_walk_rejects_malformed_input(n, flat, kmax):
+    with pytest.raises(ValueError):
+        kernels._walk(n, array("i", flat), kmax, 10, True)
+
+
+@pytest.mark.parametrize("kernel", [
+    pure, pytest.param(compiled, marks=needs_compiled)],
+    ids=["pure", "compiled"])
+def test_exists_budget_boundary_past_64_vertices(kernel):
+    with limits.scoped(max_vertices=66):
+        g = path(66)
+    elements = enumerate_automorphisms(g).minimal_cycles
+    found, nodes = _exists_reference(66, elements, 2)
+    assert (found, nodes) == (True, 67)
+    _assert_exists_budget_boundary(kernel, [(66, elements, 2, found, nodes)])
+
+
+def _count_reference(n, elements, kmax):
+    """The plain count: the walk of _exists_reference taken to the end.  A
+    node that leaves no element live adds every completion of its
+    partition to A, one by one; a full assignment with a live element adds
+    nothing.  Returns (A, nodes), nodes counted as there."""
+    invs = [[e.index(v) for v in range(n)] for e in elements]
+    color = [-1] * n
+    A = [0] * (kmax + 1)
+    nodes = 0
+
+    def close(v, b):
+        if v == n:
+            A[b] += 1
+            return
+        for c in range(min(b + 1, kmax)):
+            close(v + 1, b + 1 if c == b else b)
+
+    def rec(v, b, live):
+        nonlocal nodes
+        for c in range(min(b + 1, kmax)):
+            nodes += 1
+            color[v] = c
+            nlive = [e for e in live
+                     if not (elements[e][v] < v
+                             and color[elements[e][v]] != c)
+                     and not (invs[e][v] < v and color[invs[e][v]] != c)]
+            nb = b + 1 if c == b else b
+            if not nlive:
+                close(v + 1, nb)
+            elif v + 1 < n:
+                rec(v + 1, nb, nlive)
+
+    rec(0, 0, list(range(len(elements))))
+    return A, nodes
+
+
+# the pure count without its memo is the plain count
+@pytest.mark.parametrize("kernel", [
+    "pure-plain", pytest.param("compiled", marks=needs_compiled)])
+def test_count_visits_the_reference_nodes(monkeypatch, connected7, kernel):
+    if kernel == "compiled":
+        count = compiled.count_distinguishing_partitions
+    else:
+        monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
+        count = pure.count_distinguishing_partitions
+    rungs = _exists_rungs(connected7)
+    for n, elements, k, _, _ in rungs:
+        A, nodes = _count_reference(n, elements, k)
+        assert count(n, elements, k, nodes) == A
+        with pytest.raises(BudgetExceededError,
+                           match=f"^coloring search exceeded budget "
+                                 f"{nodes - 1}$"):
+            count(n, elements, k, nodes - 1)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -546,7 +593,7 @@ def test_cache_clear_empties_every_memo():
 
 
 def test_d_ladder_builds_one_kill_table(monkeypatch):
-    monkeypatch.setattr(kernels, "_impl", pure)
+    monkeypatch.setattr(kernels, "_walk", None)
     g = complete(8)
     group = automorphism_group(g)
     assert len(group.minimal_cycles) == 28

@@ -145,6 +145,14 @@ class TestReduction:
             group = automorphism_group(g)
             assert group.max_cycles + 1 == _elementwise_theta(group)
 
+    def test_scan_records_max_cycles(self, connected7):
+        graphs = list(connected7) + [f() for f in SYMMETRIC_SHAPES.values()]
+        for g in graphs:
+            scanned = enumerate_automorphisms(g)
+            scanned.minimal_cycles
+            assert "max_cycles" in vars(scanned)
+            assert scanned.max_cycles == enumerate_automorphisms(g).max_cycles
+
     def test_computed_once_per_group(self):
         group = automorphism_group(petersen())
         assert group.minimal_cycles is group.minimal_cycles
