@@ -2,13 +2,16 @@
 
 Reference implementation of the searches the whole library leans on:
 
-  search_automorphisms             |Aut(G)|, or of a vertex stabilizer, and
-                                   the transversals of its stabilizer chain
+  search_automorphisms             |Aut(G)|, or of the automorphisms that
+                                   keep an initial vertex coloring, and the
+                                   transversals of its stabilizer chain
   all_automorphisms_preserve_blocks   whether the chain's generators map
                                    every block onto a block
   isomorphic                       (rooted) isomorphism of two graphs
   count_distinguishing_partitions  count set partitions no automorphism fixes
   exists_distinguishing_partition  early-exit variant of the count
+  count_distinguishing_labellings  the count with one palette per vertex
+                                   class, for the twin quotient
 
 There is one backtracking search, _extend: the first leaf below a node of
 the tree that maps one graph into another.  Vertices are mapped in a
@@ -25,16 +28,23 @@ beyond the transversals.  Each first-leaf search stays inside a distinct
 subtree that a DFS over every leaf enumerates in full, so the chain never
 visits more.  Group elements, as products of transversal elements, are
 built by symbreak.perms, and only where a caller asks for them.
+Refinement starts from an optional initial coloring, the search's one
+option: a vertex stabilizer gives the pinned vertex a class of its own,
+and the twin quotient colors each vertex by its weight.
 
-The two partition searches share one element encoding, _kill_table, and
-keep the live elements as an int bitmask.  The last few tables are kept,
-so consecutive searches on the same elements, such as the rungs of a D
-ladder, build one.
+The three partition searches share one element encoding, _kill_table,
+and keep the live elements as an int bitmask.  The last few tables are
+kept, so consecutive searches on the same elements, such as the rungs of a
+D ladder, build one.
 count_distinguishing_partitions is memoized on the state that fixes a
 subtree's completions (see its docstring), so it visits a subset of the
 nodes the plain search visits, usually a small one.
 exists_distinguishing_partition has no memo, so it spends the coloring
 budget node for node as the compiled walk does.
+count_distinguishing_labellings keeps one set of blocks per vertex class
+and weighs each new block by the labels its class has left; it has the
+count's memo, and with first it stops at the first labelling.  It runs
+here on every backend.
 
 The optional extension symbreak._kernels, one hand-written C file, walks
 the same partition tree without a memo; symbreak.kernels runs both
@@ -63,10 +73,16 @@ from .errors import BudgetExceededError
 _MEMO_WORDS = 1 << 22
 
 
-def _refine_colors(n: int, adj) -> list[int]:
-    """Iterated neighbor-degree refinement; stable colors are preserved by
-    every automorphism, so search candidates never leave their color class."""
+def _refine_colors(n: int, adj, start=None) -> list[int]:
+    """Iterated neighbor-degree refinement, from the degrees or from the
+    (color, degree) pairs of an initial coloring start; stable colors are
+    preserved by every automorphism that preserves start, so search
+    candidates never leave their color class."""
     colors = [adj[v].bit_count() for v in range(n)]
+    if start is not None:
+        ids: dict[tuple, int] = {}
+        colors = [ids.setdefault((c, d), len(ids))
+                  for c, d in zip(start, colors)]
     while True:
         table: dict[tuple, int] = {}
         new = []
@@ -144,9 +160,10 @@ def _class_masks(colors) -> dict[int, int]:
     return masks
 
 
-def search_automorphisms(n: int, adj, order_cap: int, pin=None):
-    """(|Aut|, chain) for the graph given as neighbor bitmasks, or for the
-    stabilizer of vertex pin when it is given.
+def search_automorphisms(n: int, adj, order_cap: int, colors=None):
+    """(|Aut|, chain) for the graph given as neighbor bitmasks, or for its
+    automorphisms that preserve the vertex coloring colors (one hashable
+    value per vertex) when it is given.
 
     chain holds the nontrivial transversals of the pointwise stabilizer
     chain along the search order, in level order, each a tuple of image
@@ -162,7 +179,10 @@ def search_automorphisms(n: int, adj, order_cap: int, pin=None):
     Each (i, w) search runs inside the subtree that the plain DFS enters
     when it leaves the identity path at depth i for w, and these subtrees
     are pairwise distinct, so the chain visits no more nodes than the DFS.
-    A pinned vertex gets a color class of its own, so no leaf moves it.
+    Refinement starts from colors, so no leaf maps a vertex to one of
+    another color: a vertex stabilizer is the coloring that gives the
+    vertex a class of its own, and a weighted quotient's group the one
+    that colors each vertex by its weight.
     Every automorphism factors uniquely as t_0 * t_1 * ... (right factor
     applied first) with t_i in the i-th transversal, so the non-identity
     transversal elements generate the group.
@@ -170,9 +190,7 @@ def search_automorphisms(n: int, adj, order_cap: int, pin=None):
     if order_cap < 1:
         raise BudgetExceededError(
             f"automorphism search exceeded cap {order_cap}")
-    colors = _refine_colors(n, adj)
-    if pin is not None:
-        colors[pin] = -1
+    colors = _refine_colors(n, adj, colors)
     class_mask = _class_masks(colors)
     cls = [class_mask[c] for c in colors]
     order = _search_order(n, adj, colors)
@@ -440,5 +458,86 @@ def exists_distinguishing_partition(n: int, elements, max_blocks: int,
 
     try:
         return rec(0, 0, (1 << len(elements)) - 1)
+    finally:
+        rec = None  # break the closure's reference to itself
+
+
+def count_distinguishing_labellings(n: int, elements, classes, palettes,
+                                    node_budget: int,
+                                    first: bool = False) -> int:
+    """Labellings of {0..n-1} that no given element preserves: vertex v
+    takes one of palettes[classes[v]] labels, and the given elements, all
+    non-identity, map every vertex into its own class.  With first, the
+    walk stops at the first such labelling and returns 1, or 0 when there
+    is none.
+
+    An element preserves a labelling iff it preserves the partition into
+    equal labels, and no element joins two classes, so the walk is the
+    count's walk with one set of blocks per class: labels of two classes
+    are never compared.  Opening the j-th block of class w multiplies the
+    count by palettes[w] - j, the labels still unused in w, and a class
+    opens no more blocks than it has labels.  Once no element is live, the
+    vertices u > v are labelled freely, in prod palettes[classes[u]] ways.
+
+    Memoized on the count's key without its block count (see
+    count_distinguishing_partitions).  A subtree's value is the number of
+    labellings of vertices v..n-1 that break every live element, and labels
+    are interchangeable, so it depends on the labels placed so far only
+    through which frontier vertices share one: blocks no live element reads
+    are labels like any unused one.  The frontier's block ids are compared
+    across classes too, which only splits keys.  Each block tried for a
+    vertex counts against node_budget, as it is tried.
+    """
+    free = [1] * (n + 1)  # free[v]: labellings of vertices v..n-1
+    for v in range(n - 1, -1, -1):
+        free[v] = free[v + 1] * palettes[classes[v]]
+    if not elements or not free[0]:
+        return min(free[0], 1) if first else free[0]
+    kill, reach = _kill_table(n, tuple(elements))
+    color = [0] * n
+    opened = [0] * len(palettes)
+    memo: dict[tuple, int] = {}
+    room = _MEMO_WORDS // (24 + n + len(elements) // 48)
+    nodes = 0
+
+    def rec(v: int, live: int) -> int:
+        nonlocal nodes, room
+        front = [color[u] for u, reads in reach[v] if reads & live]
+        key = (v, live, tuple(map(front.index, front)))
+        done = memo.get(key)
+        if done is not None:
+            return done
+        w = classes[v]
+        b, labels = opened[w], palettes[w]
+        total = 0
+        row = kill[v]
+        for c in range(b + 1 if b < labels else labels):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"coloring search exceeded budget {node_budget}")
+            nlive = live
+            for u, keep in row:
+                if color[u] != c:
+                    nlive &= keep
+            if not nlive:
+                ways = free[v + 1]
+            elif v + 1 < n:
+                color[v] = c
+                opened[w] += c == b
+                ways = rec(v + 1, nlive)
+                opened[w] -= c == b
+            else:
+                continue  # a full labelling with live elements: preserved
+            total += ways * (labels - b if c == b else 1)
+            if first and total:
+                return 1
+        if room:
+            room -= 1
+            memo[key] = total
+        return total
+
+    try:
+        return rec(0, (1 << len(elements)) - 1)
     finally:
         rec = None  # break the closure's reference to itself

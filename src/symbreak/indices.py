@@ -53,6 +53,23 @@ is_distinguishing and are_equivalent, one of the readers that have the
 group build its element list.  The count itself is checked against a plain
 enumeration of set partitions in tests/test_partition_oracle.py.
 
+graph_indices, behind analyze, table and product, takes a twin route on
+graphs with twins (twin_quotient).  Twin classes are blocks of Aut(G), so
+Aut(G) = prod Sym(T_x) x| Aut_w(G'), where G' has one vertex per class,
+weighted (kind, t_x), and Aut_w(G') keeps every weight.  A coloring is
+distinguishing iff it is injective on every class and the labelling that
+gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
+class x takes one of C(k, t_x) labels (Hemminger's X-join with
+H = K_t or its complement), and N_k = |Aut_w(G')| * Phi_k comes from one
+weighted walk over G' (kernels.count_distinguishing_labellings), which
+stops at the first labelling for D.  Then varphi_k = sum_i (-1)^(k-i)
+C(k, i) Phi_i, and theta = n with no scan: a transposition of two twins
+has n - 1 cycles, and no non-identity permutation has more.  G's own chain
+is still built first, for the automorphism budget, |Aut| and the steady
+orbits.  Every other caller, verify and the formulas included, and every
+graph without twins, stays on the direct route, which is the twin route's
+oracle in tests/test_twins.py.
+
 A vertex u is steady when every automorphism of G - u maps N(u) onto
 itself.  is_steady tests only the generators of Aut(G - u) (see its
 docstring), and graph_indices asks it once per orbit of Aut(G), about the
@@ -294,13 +311,21 @@ class IndexReport:
 
 def graph_indices(g: Graph, phi_max: int | None = None,
                   steady: bool = False) -> IndexReport:
+    """Indices of g: through its twin quotient when g has twins (see the
+    module docstring), directly otherwise.  G's own chain is built first
+    either way, so the automorphism budget, |Aut| and the orbits behind
+    steady are the direct route's."""
     group = automorphism_group(g)
-    table = phi_table(g, phi_max, group) if phi_max else None
+    twins = twin_quotient(g)
+    if twins is None:
+        table = phi_table(g, phi_max, group) if phi_max else None
+        d = table.d if table else distinguishing_number(g, group)
+        theta = distinguishing_threshold(g, group)
+    else:
+        d, table = _twin_indices(g, group, twins, phi_max)
+        theta = g.n
     return IndexReport(
-        n=g.n, m=g.m, aut_order=group.order,
-        d=table.d if table else distinguishing_number(g, group),
-        theta=distinguishing_threshold(g, group),
-        phi=table,
+        n=g.n, m=g.m, aut_order=group.order, d=d, theta=theta, phi=table,
         steady=_steady_vertices(g, group) if steady else None,
     )
 
@@ -319,6 +344,94 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
         phi=table,
         root=h.root,
     )
+
+
+# -- the twin route --------------------------------------------------------------
+
+class TwinQuotient(NamedTuple):
+    """G' of a graph G with twins: one vertex per twin class."""
+
+    classes: tuple[tuple[int, ...], ...]  # members, by least member
+    weights: tuple[tuple[int, int], ...]  # (1 for true twins else 0, size)
+    adj: tuple[int, ...]                  # neighbor bitmasks of G'
+
+    def group(self, order_cap: int) -> AutGroup:
+        """Aut_w(G'): the automorphisms of G' that keep every weight."""
+        n = len(self.classes)
+        return AutGroup(n, self.adj, *kernels.search_automorphisms(
+            n, self.adj, order_cap, self.weights))
+
+
+def twin_quotient(g: Graph) -> TwinQuotient | None:
+    """The twin quotient of g, or None when g has no twins.
+
+    u and v are false twins when N(u) = N(v) and true twins when
+    N[u] = N[v].  Both are equivalence relations, and no vertex has twins
+    of both kinds: a false twin v and a true twin w of u would give
+    w in N(u) = N(v) and v in N[w] = N[u], so v would be adjacent to u.
+    A vertex without twins is a class of weight (0, 1).
+    """
+    adj = g.adjacency()
+    false_twins: dict[int, list[int]] = {}
+    true_twins: dict[int, list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        false_twins.setdefault(nbrs, []).append(v)
+        true_twins.setdefault(nbrs | 1 << v, []).append(v)
+    if len(false_twins) == len(true_twins) == g.n:
+        return None
+    of = [-1] * g.n
+    classes, weights = [], []
+    for v in range(g.n):
+        if of[v] < 0:
+            members = false_twins[adj[v]]
+            kind = 0
+            if len(members) == 1:
+                members = true_twins[adj[v] | 1 << v]
+                kind = int(len(members) > 1)
+            for u in members:
+                of[u] = len(classes)
+            classes.append(tuple(members))
+            weights.append((kind, len(members)))
+    qadj = []
+    for x, members in enumerate(classes):
+        mask = 0
+        for u in g.neighbors(members[0]):
+            mask |= 1 << of[u]
+        qadj.append(mask & ~(1 << x))
+    return TwinQuotient(tuple(classes), tuple(weights), tuple(qadj))
+
+
+def _twin_indices(g: Graph, group: AutGroup, twins: TwinQuotient,
+                  phi_max: int | None) -> tuple[int, PhiTable | None]:
+    """(D, the phi table up to phi_max or None) of g with twins."""
+    quotient = twins.group(group.order)
+    minimal = quotient.minimal_cycles
+    kinds = sorted(set(twins.weights))
+    classes = [kinds.index(w) for w in twins.weights]
+
+    def labellings(k: int, first: bool = False) -> int:
+        # N_k = |Aut_w(G')| * Phi_k(G): class x takes a t_x-set of colors
+        return kernels.count_distinguishing_labellings(
+            len(classes), minimal, classes,
+            [math.comb(k, t) for _, t in kinds], limits.coloring_cap(),
+            first)
+
+    # below the largest class size, that class has no label
+    low = max(t for _, t in kinds)
+    if not phi_max:
+        return next(k for k in range(low, g.n + 1)
+                    if labellings(k, True)), None
+    phis = [0] + [_exact_div(labellings(k), quotient.order, "Phi")
+                  for k in range(1, phi_max + 1)]
+    rows = tuple(
+        PhiRow(k, phis[k], sum((-1) ** (k - i) * math.comb(k, i) * phis[i]
+                               for i in range(1, k + 1)))
+        for k in range(1, phi_max + 1))
+    d = next((k for k in range(1, phi_max + 1) if phis[k]), None)
+    if d is None:
+        d = next(k for k in range(max(low, phi_max + 1), g.n + 1)
+                 if labellings(k, True))
+    return d, PhiTable(g.n, group.order, d, g.n, rows)
 
 
 # -- steadiness ------------------------------------------------------------------

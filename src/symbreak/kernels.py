@@ -3,8 +3,12 @@
 The automorphism and isomorphism searches run the one extension primitive
 of the pure kernel, so they are pure on every backend.
 search_automorphisms returns the order and the stabilizer chain's
-transversals, of Aut(G) or of one vertex's stabilizer; group elements are
-built from them by symbreak.perms, on request only.
+transversals, of Aut(G) or of the automorphisms that keep an initial
+vertex coloring (one vertex's stabilizer, a weighted quotient's group);
+group elements are built from them by symbreak.perms, on request only.
+count_distinguishing_labellings, the walk of the twin route, is pure on
+every backend too.  It has no memo: one graph never asks the same input
+twice.
 
 The two partition searches run on the compiled walk when the extension
 symbreak._kernels is built and SYMBREAK_PURE=1 is not set, and on the
@@ -54,8 +58,8 @@ def backend_name() -> str:
     return "pure" if _walk is None else "compiled"
 
 
-def search_automorphisms(n, adj, order_cap, pin=None):
-    return _pure.search_automorphisms(n, adj, order_cap, pin)
+def search_automorphisms(n, adj, order_cap, colors=None):
+    return _pure.search_automorphisms(n, adj, order_cap, colors)
 
 
 def isomorphic(n, adj, dst, pin):
@@ -133,3 +137,9 @@ def count_distinguishing_partitions(n, elements, max_blocks, node_budget):
 
 def exists_distinguishing_partition(n, elements, max_blocks, node_budget):
     return _exists(n, tuple(elements), max_blocks, node_budget)
+
+
+def count_distinguishing_labellings(n, elements, classes, palettes,
+                                    node_budget, first=False):
+    return _pure.count_distinguishing_labellings(n, elements, classes,
+                                                 palettes, node_budget, first)

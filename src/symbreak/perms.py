@@ -248,8 +248,9 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
 
 def stabilizer(group: AutGroup, u: int) -> AutGroup:
     """Subgroup of elements fixing vertex u: the chain of the same graph
-    searched again with u pinned.  Its order is at most the group's, so the
-    group's order is its cap and the search never raises.  Cached like
+    searched again with u pinned, that is, with a coloring that gives u a
+    class of its own.  Its order is at most the group's, so the group's
+    order is its cap and the search never raises.  Cached like
     _cached_group, so every question about one rooted graph reads one
     pinned chain and what that chain has computed."""
     if not 0 <= u < group.n:
@@ -260,8 +261,9 @@ def stabilizer(group: AutGroup, u: int) -> AutGroup:
 @lru_cache(maxsize=4096)
 def _cached_stabilizer(n: int, adj: tuple[int, ...], order: int,
                        u: int) -> AutGroup:
+    pinned = tuple(v == u for v in range(n))
     return AutGroup(n, adj, *kernels.search_automorphisms(n, adj, order,
-                                                          pin=u))
+                                                          pinned))
 
 
 def orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:

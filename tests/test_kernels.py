@@ -357,14 +357,16 @@ def _fresh_k6():
     return AutGroup(6, K6, *pure.search_automorphisms(6, K6, 10**7))
 
 
+PIN_0 = (1, 0, 0, 0, 0, 0)  # vertex 0 in a class of its own
+
 # (pure kernel call, whether it spends its budget)
 PURE_CALLS = {
     "search": (lambda: pure.search_automorphisms(6, K6, 10**7), False),
     "search-budget": (lambda: pure.search_automorphisms(6, K6, 100), True),
-    "search-pinned": (lambda: pure.search_automorphisms(6, K6, 10**7, 0),
-                      False),
-    "search-pinned-budget": (lambda: pure.search_automorphisms(6, K6, 100, 0),
-                             True),
+    "search-pinned": (lambda: pure.search_automorphisms(6, K6, 10**7,
+                                                        PIN_0), False),
+    "search-pinned-budget": (lambda: pure.search_automorphisms(6, K6, 100,
+                                                               PIN_0), True),
     # what a group reads from the chain's products, early exit included,
     # each on a fresh group
     "search-stream": (lambda: (_fresh_k6().max_cycles,
@@ -387,6 +389,10 @@ PURE_CALLS = {
         6, _c6_elements(), 3, 10**7), False),
     "exists-budget": (lambda: pure.exists_distinguishing_partition(
         6, _c6_elements(), 6, 2), True),
+    "labellings": (lambda: pure.count_distinguishing_labellings(
+        6, _c6_elements(), (0,) * 6, (3,), 10**7), False),
+    "labellings-budget": (lambda: pure.count_distinguishing_labellings(
+        6, _c6_elements(), (0,) * 6, (3,), 2), True),
 }
 
 

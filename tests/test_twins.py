@@ -1,0 +1,229 @@
+"""The twin route of graph_indices against the direct functions.
+
+graph_indices collapses every twin class of a graph to one weighted vertex
+and counts labellings of the quotient; distinguishing_number,
+distinguishing_threshold, phi_table and phi_brute stay on the direct route
+and serve as its oracles here.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from itertools import product as iproduct
+
+import pytest
+
+from symbreak import _kernels_py as pure
+from symbreak import graph6, kernels, perms
+from symbreak.errors import BudgetExceededError
+from symbreak.graphs import (build_graph, complete, complete_bipartite, cycle,
+                             path, petersen, star)
+from symbreak.indices import (distinguishing_number, distinguishing_threshold,
+                              graph_indices, phi_brute, phi_table,
+                              twin_quotient)
+from symbreak.perms import automorphism_group, orbits
+
+from conftest import SYMMETRIC_SHAPES, vsum
+
+K44_PENDANT = build_graph(9, [(u, 4 + v) for u in range(4) for v in range(4)]
+                          + [(0, 8)])
+
+
+@pytest.fixture
+def memoized_oracle(monkeypatch):
+    """The direct route on the pure count: the compiled count is the plain
+    walk, and spends the default coloring budget on vsum_C4x4's rows."""
+    monkeypatch.setattr(kernels, "_walk", None)
+
+
+def _assert_matches_direct(g):
+    group = automorphism_group(g)
+    k_max = min(g.n, 6)
+    report = graph_indices(g, phi_max=k_max)
+    assert report.aut_order == group.order
+    assert report.d == distinguishing_number(g, group)
+    assert report.theta == distinguishing_threshold(g, group)
+    assert report.phi == phi_table(g, k_max, group)
+    assert graph_indices(g).d == report.d
+    twins = twin_quotient(g)
+    if twins is not None:
+        sizes = math.prod(math.factorial(t) for _, t in twins.weights)
+        assert sizes * twins.group(group.order).order == group.order
+
+
+def test_corpus_matches_the_direct_route(connected7):
+    assert len(connected7) == 996
+    with_twins = 0
+    for g in connected7:
+        _assert_matches_direct(g)
+        with_twins += twin_quotient(g) is not None
+    assert with_twins == 665
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
+def test_symmetric_shapes_match_the_direct_route(name, memoized_oracle):
+    g = SYMMETRIC_SHAPES[name]()
+    if twin_quotient(g) is not None:
+        _assert_matches_direct(g)
+        return
+    # no twins: graph_indices is the direct route; Kneser(7,2)'s phi rows
+    # would spend the coloring budget, so only D, theta and |Aut| here
+    group = automorphism_group(g)
+    report = graph_indices(g)
+    assert (report.aut_order, report.d, report.theta) == (
+        group.order, distinguishing_number(g, group),
+        distinguishing_threshold(g, group))
+
+
+@pytest.mark.parametrize("g,quotient_order", [
+    (vsum(cycle(4), 4), 24), (K44_PENDANT, 1), (complete_bipartite(4, 4), 2),
+], ids=["vsum_C4x4", "K4,4+pendant", "K4,4"])
+def test_rows_match_phi_brute(g, quotient_order, memoized_oracle):
+    twins = twin_quotient(g)
+    assert twins.group(automorphism_group(g).order).order == quotient_order
+    assert len(twins.classes) > 1
+    rows = graph_indices(g, phi_max=5).phi.rows
+    for row in rows:
+        assert (row.phi, row.varphi) == phi_brute(g, row.k)
+
+
+@pytest.mark.parametrize("g,quotient", [
+    (complete(4), (((0, 1, 2, 3),), ((1, 4),), (0,))),
+    (star(3), (((0,), (1, 2, 3)), ((0, 1), (0, 3)), (0b10, 0b01))),
+    # two true-twin classes, no loops
+    (vsum(complete(3), 2), (((0,), (1, 2), (3, 4)), ((0, 1), (1, 2), (1, 2)),
+                            (0b110, 0b001, 0b001))),
+    # 0 and {1,2,3} both see {4..7}
+    (K44_PENDANT, (((0,), (1, 2, 3), (4, 5, 6, 7), (8,)),
+                   ((0, 1), (0, 3), (0, 4), (0, 1)),
+                   (0b1100, 0b0100, 0b0011, 0b0001))),
+    (path(4), None),
+    (petersen(), None),
+], ids=["K4", "star3", "vsum_K3x2", "K4,4+pendant", "P4", "petersen"])
+def test_twin_quotient(g, quotient):
+    assert twin_quotient(g) == quotient
+
+
+def _labellings_brute(n, elements, classes, palettes):
+    count = 0
+    for labels in iproduct(*(range(palettes[c]) for c in classes)):
+        if not any(all(labels[e[v]] == labels[v] for v in range(n))
+                   for e in elements):
+            count += 1
+    return count
+
+
+def test_labelling_walk_against_enumeration(connected6):
+    # classes are unions of orbits, so every element keeps them
+    rng = random.Random(5)
+    checked = 0
+    for g in connected6:
+        group = automorphism_group(g)
+        if group.is_trivial():
+            continue
+        merged = [rng.randrange(3) for _ in orbits(group)]
+        classes = [0] * g.n
+        for ob, c in zip(orbits(group), merged):
+            for v in ob:
+                classes[v] = sorted(set(merged)).index(c)
+        for _ in range(3):
+            palettes = [rng.randint(1, 4) for _ in set(merged)]
+            if math.prod(palettes[c] for c in classes) > 5000:
+                continue
+            want = _labellings_brute(g.n, group.nonidentity_images(),
+                                     classes, palettes)
+            got = pure.count_distinguishing_labellings(
+                g.n, group.minimal_cycles, classes, palettes, 10**7)
+            assert got == want
+            assert pure.count_distinguishing_labellings(
+                g.n, group.minimal_cycles, classes, palettes, 10**7,
+                True) == min(want, 1)
+            checked += 1
+    assert checked > 300
+
+
+def test_labelling_walk_on_any_elements():
+    # the walk needs no group: random class-keeping permutations, where
+    # two live elements can tie one later vertex to two frontier vertices
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        classes = [rng.randrange(2) for _ in range(n)]
+        elements = set()
+        for _ in range(rng.randint(1, 4)):
+            image = list(range(n))
+            for c in (0, 1):
+                members = [v for v in range(n) if classes[v] == c]
+                shuffled = rng.sample(members, len(members))
+                for v, w in zip(members, shuffled):
+                    image[v] = w
+            if image != list(range(n)):
+                elements.add(tuple(image))
+        palettes = [rng.randint(1, 3), rng.randint(1, 3)]
+        want = _labellings_brute(n, elements, classes, palettes)
+        assert pure.count_distinguishing_labellings(
+            n, sorted(elements), classes, palettes, 10**7) == want
+    assert pure.count_distinguishing_labellings(
+        4, [(2, 1, 0, 3), (0, 2, 1, 3)], (0,) * 4, (2,), 10**7) == 4
+
+
+def test_labelling_walk_is_the_weighted_partition_count(connected7):
+    # one class of palette k: N_k = sum_j A_j * k(k-1)...(k-j+1)
+    for g in connected7[::7]:
+        elements = automorphism_group(g).minimal_cycles
+        for k in range(1, 5):
+            A = pure.count_distinguishing_partitions(g.n, elements, k, 10**7)
+            assert pure.count_distinguishing_labellings(
+                g.n, elements, (0,) * g.n, (k,), 10**7) == sum(
+                    a * math.perm(k, j) for j, a in enumerate(A))
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_labelling_walk_budget(first):
+    elements = automorphism_group(cycle(6)).minimal_cycles
+    with pytest.raises(BudgetExceededError,
+                       match="^coloring search exceeded budget 3$"):
+        pure.count_distinguishing_labellings(6, elements, (0,) * 6, (3,), 3,
+                                             first)
+
+
+def test_analyze_scans_no_full_group(run_cli, monkeypatch):
+    scanned, counted = [], []
+    scan = perms._minimal_cycle_partitions
+    count = kernels.count_distinguishing_partitions
+
+    def scan_spy(n, blocks):
+        scanned.append(n)
+        return scan(n, blocks)
+
+    def count_spy(n, *args):
+        counted.append(n)
+        return count(n, *args)
+
+    monkeypatch.setattr(perms, "_minimal_cycle_partitions", scan_spy)
+    monkeypatch.setattr(kernels, "count_distinguishing_partitions", count_spy)
+    perms._cached_group.cache_clear()
+    for argv, n in ((("builtin:complete:10",), 10),
+                    (("builtin:complete:8", "--phi-max", "8", "--steady"), 8),
+                    (("builtin:complete_bipartite:4:4", "--phi-max", "5"), 8)):
+        code, _, err = run_cli("analyze", *argv)
+        assert (code, err) == (0, "")
+        assert n not in scanned and n not in counted
+    # the spies see the direct route
+    code, _, _ = run_cli("analyze", "builtin:petersen", "--phi-max", "3")
+    assert code == 0 and 10 in scanned and 10 in counted
+
+
+@pytest.mark.parametrize("spec", [
+    "builtin:complete_bipartite:4:4",
+    "g6:" + graph6.emit_graph6(vsum(cycle(4), 4)),
+], ids=["K4,4", "vsum_C4x4"])
+@pytest.mark.parametrize("argv", [(), ("--phi-max", "3")],
+                         ids=["d", "phi"])
+def test_twin_route_spends_the_coloring_budget(run_cli, spec, argv):
+    code, out, err = run_cli("analyze", spec, *argv, "--max-colorings", "1")
+    assert (code, err) == (3, "")
+    record = json.loads(out)["graphs"][0]
+    assert record["skipped"] == "coloring search exceeded budget 1"

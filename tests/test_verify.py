@@ -197,10 +197,10 @@ def test_thm43_pins_each_rooted_copy_once(monkeypatch, run_cli):
     pinned = Counter()
     search = kernels.search_automorphisms
 
-    def spy(n, adj, order_cap, pin=None):
-        if pin is not None:
-            pinned[n, tuple(adj), pin] += 1
-        return search(n, adj, order_cap, pin)
+    def spy(n, adj, order_cap, colors=None):
+        if colors is not None:
+            pinned[n, tuple(adj), colors] += 1
+        return search(n, adj, order_cap, colors)
 
     monkeypatch.setattr(kernels, "search_automorphisms", spy)
     code, _, _ = run_cli("verify", "thm4.3", "--grid", "max=10")
