@@ -17,7 +17,9 @@ the chain without an element list:
                       cached per (graph, order, vertex) like the groups
                       themselves, so one rooted graph has one pinned chain
   minimal_cycles      one scan of the group's products, streamed from the
-                      chain in blocks of at most _STREAM_BLOCK
+                      chain in blocks of at most _STREAM_BLOCK; each
+                      candidate is tested only against the kept elements
+                      whose first moved vertex it moves
   max_cycles          recorded by that scan when it has run; otherwise the
                       same stream, stopped early at n - 1 cycles
 
@@ -336,6 +338,15 @@ def _minimal_cycle_partitions(n: int, blocks
     A kept element refines a candidate iff it maps every vertex into the
     vertex's own candidate block.  The same power argument makes the most
     cycles of a candidate the most of any non-identity element.
+
+    The kept elements are indexed by their first moved vertex a, with its
+    image b.  A kept element can refine a candidate only if a and b share a
+    candidate block, and as a != b that block is a non-trivial cycle, so a
+    is moved by the candidate.  A candidate therefore runs the full test
+    only on the buckets of its own moved vertices, and only where
+    labels[a] == labels[b]; every test skipped would have failed, so the
+    same elements are kept as when each candidate is tested against every
+    kept element.
     """
     candidates: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     primes = _primes_upto(n)
@@ -347,15 +358,17 @@ def _minimal_cycle_partitions(n: int, blocks
                 if held is None or image < held[1]:
                     candidates[found[0]] = (found[1], image)
     kept = []
-    # per kept element: read labels at its moved vertices, and at their images
-    tests = []
+    # kept elements by first moved vertex a: (image of a, getters reading
+    # labels at the element's moved vertices and at their images)
+    index: list[list] = [[] for _ in range(n)]
     for labels, (_, image) in sorted(candidates.items(),
                                      key=lambda item: -item[1][0]):
-        if any(src(labels) == dst(labels) for src, dst in tests):
+        moved = [v for v in range(n) if image[v] != v]
+        if any(labels[b] == labels[a] and src(labels) == dst(labels)
+               for a in moved for b, src, dst in index[a]):
             continue
-        moved = [v for v in range(len(image)) if image[v] != v]
-        tests.append((itemgetter(*moved),
-                      itemgetter(*(image[v] for v in moved))))
+        index[moved[0]].append((image[moved[0]], itemgetter(*moved),
+                                itemgetter(*(image[v] for v in moved))))
         kept.append(image)
     most = max((cycles for cycles, _ in candidates.values()), default=0)
     return tuple(sorted(kept)), most

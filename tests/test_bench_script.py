@@ -1,0 +1,63 @@
+"""scripts/bench.py's summary: quartiles per side and the gain rule."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", _PATH)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+BETTER = {"items_per_s": "higher", "op_p50_ms": "lower"}
+
+
+def _runs(parent: list[float], change: list[float]) -> list[dict]:
+    out = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, value in zip(bench.SIDES, values):
+            out.append({"workload": "w", "pair": pair, "side": side,
+                        "failed": 0,
+                        "metrics": {"items_per_s": value,
+                                    "op_p50_ms": 1000 / value}})
+    return out
+
+
+def test_quartiles_of_one_and_of_many():
+    assert bench.quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+    assert bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {
+        "q1": 2.0, "median": 3.0, "q3": 4.0}
+
+
+def test_gain_rule_follows_each_metrics_direction():
+    parent = [100.0 + i for i in range(10)]
+    change = [120.0 + i for i in range(10)]
+    change[3] = 90.0          # one lost pair of ten still meets 9/10
+    rows = bench.summarize(_runs(parent, change), BETTER)["w"]
+    assert rows["pairs"] == 10
+    for name in BETTER:
+        assert rows[name]["change_wins"] == 9
+        assert rows[name]["gain_rule_holds"]
+    assert rows["items_per_s"]["change_over_parent"] == pytest.approx(
+        rows["items_per_s"]["change"]["median"] / 104.5)
+
+
+def test_gain_rule_needs_nine_tenths_and_a_gap_beyond_the_spread():
+    parent = [100.0 + i for i in range(10)]
+    two_lost = [120.0 + i for i in range(10)]
+    two_lost[3] = two_lost[4] = 90.0
+    assert not bench.summarize(_runs(parent, two_lost),
+                               BETTER)["w"]["items_per_s"]["gain_rule_holds"]
+    # wins every pair, but by less than the parent's interquartile range
+    narrow = [p + 1 for p in parent]
+    rows = bench.summarize(_runs(parent, narrow), BETTER)["w"]
+    assert rows["items_per_s"]["change_wins"] == 10
+    assert not rows["items_per_s"]["gain_rule_holds"]
+
+
+def test_unfinished_pair_is_left_out():
+    runs = _runs([100.0, 101.0], [120.0, 121.0])[:-1]
+    assert bench.summarize(runs, BETTER)["w"]["pairs"] == 1

@@ -11,12 +11,14 @@ import random
 
 import pytest
 
-from symbreak import kernels
-from symbreak.graphs import asymmetric6, complete, cycle, petersen
+from symbreak import kernels, perms, verify
+from symbreak.graphs import (asymmetric6, complete, cycle, is_isomorphic,
+                             kneser, petersen, star)
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               phi_brute, phi_table)
 from symbreak.perms import (AutGroup, automorphism_group, cycle_decomposition,
                             enumerate_automorphisms, identity)
+from symbreak.products import corona, lexicographic, rooted_product_smooth
 
 from conftest import SYMMETRIC_SHAPES, vsum
 
@@ -179,7 +181,74 @@ def test_streamed_partitions_match_the_element_scan(connected7):
         assert group.minimal_cycles == _scanned_minimal_cycles(group)
 
 
-@pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
+def _relabelled_kneser_7_2(seed: int):
+    g = kneser(7, 2)
+    image = list(range(g.n))
+    random.Random(seed).shuffle(image)
+    return g.relabel(image)
+
+
+def _lex_c4_k3():
+    g, h = next((g, h) for g, h in verify._pairs_lex({})
+                if is_isomorphic(g, cycle(4)) and is_isomorphic(h, complete(3)))
+    return lexicographic(g, h)[0]
+
+
+def _corona_k3_k3():
+    g, h = next((g, h) for g, h in verify._pairs_corona({})
+                if is_isomorphic(g, complete(3))
+                and is_isomorphic(h, complete(3)))
+    return corona(g, h)[0]
+
+
+def _rooted_k3_star3():
+    g, h = next((g, h) for g, h in verify._pairs_rooted({})
+                if is_isomorphic(g, complete(3))
+                and is_isomorphic(h.graph, star(3), pin=(h.root, 0)))
+    return rooted_product_smooth(g, h)[0]
+
+
+# the symmetric shapes and more: the scan's index over kept elements is
+# keyed by vertex id, so relabellings fill different buckets; the products
+# are instances of verify's default grids
+ORACLE_SHAPES = {
+    **SYMMETRIC_SHAPES,
+    "kneser_7_2_seed1": lambda: _relabelled_kneser_7_2(1),
+    "kneser_7_2_seed2": lambda: _relabelled_kneser_7_2(2),
+    "kneser_6_2": lambda: kneser(6, 2),
+    "lex_C4_K3": _lex_c4_k3,
+    "corona_K3_K3": _corona_k3_k3,
+    "rooted_K3_star3": _rooted_k3_star3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
 def test_streamed_partitions_match_the_element_scan_on_symmetric_shapes(name):
-    group = enumerate_automorphisms(SYMMETRIC_SHAPES[name]())
+    group = enumerate_automorphisms(ORACLE_SHAPES[name]())
     assert group.minimal_cycles == _scanned_minimal_cycles(group)
+    assert group.max_cycles + 1 == _elementwise_theta(group)
+
+
+def test_kneser_7_2_runs_few_refinement_tests(monkeypatch):
+    """The scan reads labels through two getters per full refinement test,
+    so counting getter calls counts the tests."""
+    group = enumerate_automorphisms(kneser(7, 2))
+    blocks = [list(block) for block in group._products()]
+    calls = 0
+    make = perms.itemgetter
+
+    def counting(*items):
+        get = make(*items)
+
+        def spy(labels):
+            nonlocal calls
+            calls += 1
+            return get(labels)
+        return spy
+
+    monkeypatch.setattr(perms, "itemgetter", counting)
+    kept, most = perms._minimal_cycle_partitions(group.n, blocks)
+    monkeypatch.undo()
+    assert (kept, most) == (group.minimal_cycles, group.max_cycles)
+    # a test against every kept element made about 89,000
+    assert 0 < calls // 2 <= 10_000
