@@ -9,9 +9,9 @@ Reference implementation of the searches the whole library leans on:
                                    every block onto a block
   isomorphic                       (rooted) isomorphism of two graphs
   count_distinguishing_partitions  count set partitions no automorphism fixes
-  exists_distinguishing_partition  early-exit variant of the count
   count_distinguishing_labellings  the count with one palette per vertex
-                                   class, for the twin quotient
+                                   class, for the twin quotient; with
+                                   first, the existence search behind D
 
 There is one backtracking search, _extend: the first leaf below a node of
 the tree that maps one graph into another.  Vertices are mapped in a
@@ -32,26 +32,19 @@ Refinement starts from an optional initial coloring, the search's one
 option: a vertex stabilizer gives the pinned vertex a class of its own,
 and the twin quotient colors each vertex by its weight.
 
-The three partition searches share one element encoding, _kill_table,
+The two partition searches share one element encoding, _kill_table,
 and keep the live elements as an int bitmask.  The last few tables are
 kept, so consecutive searches on the same elements, such as the rungs of a
-D ladder, build one.
-count_distinguishing_partitions is memoized on the state that fixes a
-subtree's completions (see its docstring), so it visits a subset of the
-nodes the plain search visits, usually a small one.
-exists_distinguishing_partition has no memo, so it spends the coloring
-budget node for node as the compiled walk does.
+D ladder, build one.  Both are memoized on the state that fixes a
+subtree's completions (see their docstrings), so each visits a subset of
+the nodes the plain walk visits, usually a small one; tests hold both,
+with the memo off, to a plain reference walk, node for node.
 count_distinguishing_labellings keeps one set of blocks per vertex class
-and weighs each new block by the labels its class has left; it has the
-count's memo, and with first it stops at the first labelling.  It runs
-here on every backend.
-
-The optional extension symbreak._kernels, one hand-written C file, walks
-the same partition tree without a memo; symbreak.kernels runs both
-partition searches on it when it is built and routes every other search
-here.  Its count is the plain search, so it gives the same A but may
-exceed a coloring budget that the pure count meets; tests hold both to a
-plain reference walk, node for node.
+and weighs each new block by the labels its class has left, and with
+first it stops at the first labelling.  With one class and a palette of k
+labels it is the existence search behind D (symbreak.kernels): it tries
+the blocks the plain existence walk tries, and in that mode its memo holds
+only subtrees with no completion.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -272,8 +265,8 @@ def _extension_table(n: int, kmax: int) -> list[list[list[int]]]:
     b open blocks and ending with exactly j, never exceeding kmax blocks.
     Exact integers; these overflow 64 bits well inside the vertex cap.
 
-    Memoized, so every count on the same (n, kmax) shares one table: callers,
-    the compiled count in symbreak.kernels included, must only read it.
+    Memoized, so every count on the same (n, kmax) shares one table:
+    callers must only read it.
     """
     E = [[[0] * (kmax + 1) for _ in range(kmax + 2)] for _ in range(n + 1)]
     for b in range(kmax + 1):
@@ -417,51 +410,6 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
     return A
 
 
-def exists_distinguishing_partition(n: int, elements, max_blocks: int,
-                                    node_budget: int) -> bool:
-    """True iff some set partition into at most max_blocks nonempty blocks is
-    preserved by none of the given elements.
-
-    The count's walk without its memo, stopping at the first such
-    partition; each block tried for a vertex counts against node_budget.
-    """
-    if n == 0:
-        return False
-    kmax = min(max_blocks, n)
-    if kmax == 0:
-        return False
-    if not elements:
-        return True
-    kill, _ = _kill_table(n, tuple(elements))
-    color = [0] * n
-    nodes = 0
-
-    def rec(v: int, b: int, live: int) -> bool:
-        nonlocal nodes
-        row = kill[v]
-        for c in range(b + 1 if b < kmax else kmax):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"coloring search exceeded budget {node_budget}")
-            nlive = live
-            for w, keep in row:
-                if color[w] != c:
-                    nlive &= keep
-            if not nlive:
-                return True
-            if v + 1 < n:
-                color[v] = c
-                if rec(v + 1, b + 1 if c == b else b, nlive):
-                    return True
-        return False
-
-    try:
-        return rec(0, 0, (1 << len(elements)) - 1)
-    finally:
-        rec = None  # break the closure's reference to itself
-
-
 def count_distinguishing_labellings(n: int, elements, classes, palettes,
                                     node_budget: int,
                                     first: bool = False) -> int:
@@ -486,7 +434,10 @@ def count_distinguishing_labellings(n: int, elements, classes, palettes,
     through which frontier vertices share one: blocks no live element reads
     are labels like any unused one.  The frontier's block ids are compared
     across classes too, which only splits keys.  Each block tried for a
-    vertex counts against node_budget, as it is tried.
+    vertex counts against node_budget, as it is tried.  With first, a
+    subtree that finishes has no labelling, so the memo holds only zeros:
+    a hit skips a subtree the plain walk searches in vain, and the walk
+    never charges more nodes than the plain walk.
     """
     free = [1] * (n + 1)  # free[v]: labellings of vertices v..n-1
     for v in range(n - 1, -1, -1):

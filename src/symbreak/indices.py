@@ -33,14 +33,17 @@ smaller set happens no later, so A_j is unchanged and only node counts fall.
 That set and theta are both read from the group's stabilizer chain by
 one stream of its products, so these routes build no element list: the
 scan that finds the set also records the largest cycle count.
-The pure kernel's two searches share one element encoding, its kill table.
-Its count is also memoized on the state that fixes a subtree's completions,
-so it visits each distinct subproblem once; the existence search behind D
-has no memo and stops at the first distinguishing partition.  Answers are
-reused across calls: symbreak.kernels memoizes both searches per process on
-their inputs, the budget included, and the pure kernel keeps its last few
-kill tables, so the rungs of one D ladder, and a phi table followed by D on
-the same elements, build one table.  The root stabilizer of a rooted graph
+The kernel's two partition searches share one element encoding, its kill
+table, and both are memoized on the state that fixes a subtree's
+completions.  The count visits each distinct subproblem once.  The
+existence search behind D is the twin route's labelling walk with one
+class and k labels; it stops at the first distinguishing partition, and its
+memo keeps only subtrees with none, so it charges no more nodes than the
+plain existence walk.  Answers are reused across calls: symbreak.kernels
+memoizes both searches per process on their inputs, the budget included,
+and the kernel keeps its last few kill tables, so the rungs of one D
+ladder, and a phi table followed by D on the same elements, build one
+table.  The root stabilizer of a rooted graph
 is cached too (perms.stabilizer), so rooted_indices asked at k = 1, 2, ...
 reads one pinned chain and its cached minimal cycles.
 

@@ -6,8 +6,7 @@ the largest non-identity cycle count is evidence for the chain and for the
 group answers read from it.  The pure kernel returns the chain, and the
 group built on it gives the elements and, by a streamed scan, the largest
 cycle count, which a wrongly composed stream can still get right, so the
-stream is also checked element by element.  The automorphism search is
-pure on every backend, so the pure kernel is the one checked.
+stream is also checked element by element.
 """
 
 from __future__ import annotations

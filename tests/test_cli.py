@@ -270,15 +270,9 @@ class TestExitCodes:
         assert doc["graphs"][0]["d"] == 2
         assert doc["graphs"][1]["skipped"] is not None
 
-    @pytest.mark.parametrize("backend", ["pure", "compiled"])
     @pytest.mark.parametrize("argv", [("--phi-max", "3"), ()],
                              ids=["count", "exists"])
-    def test_coloring_budget_past_64_bits(self, run_cli, monkeypatch, backend,
-                                          argv):
-        if backend == "pure":
-            monkeypatch.setattr(kernels, "_walk", None)
-        elif kernels.backend_name() != "compiled":
-            pytest.skip("compiled extension not built")
+    def test_coloring_budget_past_64_bits(self, run_cli, argv):
         kernels._count.cache_clear()
         kernels._exists.cache_clear()
         code, out, err = run_cli("analyze", "builtin:petersen", *argv,

@@ -1,43 +1,29 @@
-"""Compiled/pure kernel parity and backend selection.
-
-The compiled route of the two partition searches is the C walk together
-with the sums symbreak.kernels does around it, _walk_count and
-_walk_exists; it runs where the extension is built and selected.
-"""
+"""The search kernels against plain reference walks, and their memos."""
 
 from __future__ import annotations
 
 import copy
 import gc
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
-from array import array
-from types import SimpleNamespace
 
 import pytest
 
 from symbreak import _kernels_py as pure
-from symbreak import kernels, limits, perms, verify
+from symbreak import graph6, kernels, limits, perms, verify
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (RootedGraph, asymmetric6, complete,
                              complete_bipartite, cycle, delete_vertex, kneser,
                              path, petersen, star)
-from symbreak.indices import distinguishing_number, phi_brute, rooted_indices
+from symbreak.indices import (distinguishing_number, graph_indices, phi_brute,
+                              rooted_indices)
 from symbreak.perms import (AutGroup, automorphism_group,
                             enumerate_automorphisms, orbits)
 from symbreak.products import lexicographic
 
 from conftest import vsum
-
-compiled = (SimpleNamespace(count_distinguishing_partitions=kernels._walk_count,
-                            exists_distinguishing_partition=kernels._walk_exists)
-            if kernels.backend_name() == "compiled" else None)
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled extension not built")
 
 SAMPLE = [path(5), cycle(6), complete(5), star(4), petersen(),
           asymmetric6(), complete_bipartite(2, 3)]
@@ -48,34 +34,7 @@ def _adj(g):
 
 
 def test_backend_reports_a_name():
-    assert kernels.backend_name() in ("compiled", "pure")
-
-
-@needs_compiled
-@pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
-def test_partition_count_parity(g):
-    elems = [p.image for p in automorphism_group(g).elements
-             if not p.is_identity()]
-    for k in (1, 2, 3):
-        a = compiled.count_distinguishing_partitions(g.n, elems, k, 10**7)
-        b = pure.count_distinguishing_partitions(g.n, elems, k, 10**7)
-        assert list(a) == list(b)
-        assert (compiled.exists_distinguishing_partition(g.n, elems, k, 10**7)
-                == pure.exists_distinguishing_partition(g.n, elems, k, 10**7))
-
-
-@needs_compiled
-@pytest.mark.parametrize("g", SAMPLE + [complete(7), lexicographic(cycle(4),
-                                                                 path(2))[0]],
-                         ids=lambda g: f"n{g.n}m{g.m}")
-def test_minimal_cycles_parity(g):
-    kept = automorphism_group(g).minimal_cycles
-    for k in range(1, g.n + 1):
-        a = compiled.count_distinguishing_partitions(g.n, kept, k, 10**7)
-        b = pure.count_distinguishing_partitions(g.n, kept, k, 10**7)
-        assert list(a) == list(b)
-        assert (compiled.exists_distinguishing_partition(g.n, kept, k, 10**7)
-                == pure.exists_distinguishing_partition(g.n, kept, k, 10**7))
+    assert kernels.backend_name() == "pure"
 
 
 def _closure(n, generators):
@@ -89,7 +48,6 @@ def _closure(n, generators):
     return seen
 
 
-# the automorphism search is pure on every backend
 @pytest.mark.parametrize("kernel", [pure], ids=["pure"])
 @pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
 def test_generators_give_the_search_order(kernel, g):
@@ -184,6 +142,7 @@ def _exists_rungs(connected7):
 
 
 def _assert_exists_budget_boundary(kernel, rungs):
+    kernels._exists.cache_clear()
     for n, elements, k, found, nodes in rungs:
         assert kernel.exists_distinguishing_partition(
             n, elements, k, nodes) is found
@@ -193,38 +152,48 @@ def _assert_exists_budget_boundary(kernel, rungs):
             kernel.exists_distinguishing_partition(n, elements, k, nodes - 1)
 
 
-def test_exists_visits_the_reference_nodes(connected7):
+# without its memo the existence search is the plain existence walk
+def test_exists_visits_the_reference_nodes(monkeypatch, connected7):
+    monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
     rungs = _exists_rungs(connected7)
     assert sum(found for *_, found, _ in rungs) > 1000
-    _assert_exists_budget_boundary(pure, rungs)
+    _assert_exists_budget_boundary(kernels, rungs)
 
 
-@needs_compiled
-def test_compiled_exists_visits_the_reference_nodes(connected7):
-    _assert_exists_budget_boundary(compiled, _exists_rungs(connected7))
+def test_exists_memo_never_charges_more_nodes(connected7):
+    kernels._exists.cache_clear()
+    below = 0
+    for n, elements, k, found, nodes in _exists_rungs(connected7):
+        assert kernels.exists_distinguishing_partition(
+            n, elements, k, nodes) is found
+        try:
+            assert kernels.exists_distinguishing_partition(
+                n, elements, k, nodes - 1) is found
+            below += 1
+        except BudgetExceededError:
+            pass
+    # dead subtrees met again are skipped, on most rungs
+    assert below >= 1000
 
 
-@needs_compiled
-@pytest.mark.parametrize("n,flat,kmax", [
-    (2, [0, 0], 1), (2, [1, 2], 1), (2, [-1, 0], 1), (3, [0, 1], 1),
-    (2, [1, 0], 3), (2, [1, 0], 0), (0, [], 1),
-], ids=["repeat", "high", "negative", "short", "kmax-over-n", "kmax-0",
-        "n-0"])
-def test_walk_rejects_malformed_input(n, flat, kmax):
-    with pytest.raises(ValueError):
-        kernels._walk(n, array("i", flat), kmax, 10, True)
-
-
-@pytest.mark.parametrize("kernel", [
-    pure, pytest.param(compiled, marks=needs_compiled)],
-    ids=["pure", "compiled"])
-def test_exists_budget_boundary_past_64_vertices(kernel):
+@pytest.mark.parametrize("kernel", [kernels], ids=["pure"])
+def test_exists_budget_boundary_past_64_vertices(monkeypatch, kernel):
+    monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
     with limits.scoped(max_vertices=66):
         g = path(66)
     elements = enumerate_automorphisms(g).minimal_cycles
     found, nodes = _exists_reference(66, elements, 2)
     assert (found, nodes) == (True, 67)
     _assert_exists_budget_boundary(kernel, [(66, elements, 2, found, nodes)])
+
+
+def test_exists_answers_a_non_natural_lex_product():
+    # rungs k = 2..5 must each be shown empty; within 10^6 nodes only the
+    # memo of dead subtrees does that
+    g, _ = lexicographic(graph6.parse_graph6("En}?"),
+                         graph6.parse_graph6("A_"))
+    with limits.scoped(max_colorings=10**6):
+        assert distinguishing_number(g) == 6 == graph_indices(g).d
 
 
 def _count_reference(n, elements, kmax):
@@ -264,27 +233,21 @@ def _count_reference(n, elements, kmax):
 
 
 # the pure count without its memo is the plain count
-@pytest.mark.parametrize("kernel", [
-    "pure-plain", pytest.param("compiled", marks=needs_compiled)])
-def test_count_visits_the_reference_nodes(monkeypatch, connected7, kernel):
-    if kernel == "compiled":
-        count = compiled.count_distinguishing_partitions
-    else:
-        monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
-        count = pure.count_distinguishing_partitions
+@pytest.mark.parametrize("memo_words", [0], ids=["pure-plain"])
+def test_count_visits_the_reference_nodes(monkeypatch, connected7,
+                                          memo_words):
+    monkeypatch.setattr(pure, "_MEMO_WORDS", memo_words)
     rungs = _exists_rungs(connected7)
     for n, elements, k, _, _ in rungs:
         A, nodes = _count_reference(n, elements, k)
-        assert count(n, elements, k, nodes) == A
+        assert pure.count_distinguishing_partitions(n, elements, k, nodes) == A
         with pytest.raises(BudgetExceededError,
                            match=f"^coloring search exceeded budget "
                                  f"{nodes - 1}$"):
-            count(n, elements, k, nodes - 1)
+            pure.count_distinguishing_partitions(n, elements, k, nodes - 1)
 
 
-@pytest.mark.parametrize("kernel", [
-    pure, pytest.param(compiled, marks=needs_compiled)],
-    ids=["pure", "compiled"])
+@pytest.mark.parametrize("kernel", [pure], ids=["pure"])
 def test_count_leaves_the_shared_extension_table_unchanged(kernel):
     elements = _minimal(petersen())
     table = pure._extension_table(10, 4)
@@ -306,37 +269,17 @@ def test_budget_raises():
         kernels.count_distinguishing_partitions(6, elems, 6, 10)
 
 
-def test_pure_env_var_selects_fallback():
-    code = ("import symbreak.kernels as k; "
-            "print(k.backend_name())")
-    env = dict(os.environ, SYMBREAK_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
-
-
-@needs_compiled
-def test_default_prefers_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "SYMBREAK_PURE"}
-    code = ("import symbreak.kernels as k; "
-            "print(k.backend_name())")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "compiled"
-
-
 def test_pure_backend_full_pipeline():
-    """Indices computed under the fallback match the active backend."""
+    """Indices computed in a fresh interpreter, with its own hash seed and
+    empty memos, match this process's."""
     code = (
         "from symbreak.indices import graph_indices\n"
         "from symbreak.graphs import petersen\n"
         "r = graph_indices(petersen(), phi_max=3)\n"
         "print(r.d, r.theta, r.aut_order,\n"
         "      [(row.k, row.phi, row.varphi) for row in r.phi.rows])\n")
-    env = dict(os.environ, SYMBREAK_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True)
-    from symbreak.indices import graph_indices
     r = graph_indices(petersen(), phi_max=3)
     expected = (f"{r.d} {r.theta} {r.aut_order} "
                 f"{[(row.k, row.phi, row.varphi) for row in r.phi.rows]}")
@@ -355,6 +298,12 @@ C6_RELABELLED = cycle(6).relabel([3, 5, 1, 0, 2, 4]).adjacency()
 
 def _fresh_k6():
     return AutGroup(6, K6, *pure.search_automorphisms(6, K6, 10**7))
+
+
+def _fresh_exists(*args):
+    """The existence search itself, not its per-process memo."""
+    kernels._exists.cache_clear()
+    return kernels.exists_distinguishing_partition(*args)
 
 
 PIN_0 = (1, 0, 0, 0, 0, 0)  # vertex 0 in a class of its own
@@ -385,10 +334,8 @@ PURE_CALLS = {
     # 131 nodes suffice only with memo hits: the plain search needs 158
     "count-memo": (lambda: pure.count_distinguishing_partitions(
         6, _c6_elements(), 3, 131), False),
-    "exists": (lambda: pure.exists_distinguishing_partition(
-        6, _c6_elements(), 3, 10**7), False),
-    "exists-budget": (lambda: pure.exists_distinguishing_partition(
-        6, _c6_elements(), 6, 2), True),
+    "exists": (lambda: _fresh_exists(6, _c6_elements(), 3, 10**7), False),
+    "exists-budget": (lambda: _fresh_exists(6, _c6_elements(), 6, 2), True),
     "labellings": (lambda: pure.count_distinguishing_labellings(
         6, _c6_elements(), (0,) * 6, (3,), 10**7), False),
     "labellings-budget": (lambda: pure.count_distinguishing_labellings(
@@ -582,7 +529,7 @@ def test_cache_clear_empties_every_memo():
     group = automorphism_group(g)
     rooted_indices(RootedGraph(g, 0), phi_max=3)
     distinguishing_number(g, group)
-    pure.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
+    kernels.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
     verify._restriction_property(g, 0)
     memos = (kernels._count, kernels._exists, pure._kill_table,
              perms._cached_stabilizer, verify._distinguishing_partitions)
@@ -598,8 +545,7 @@ def test_cache_clear_empties_every_memo():
     assert not any(memo.cache_info().currsize for memo in memos)
 
 
-def test_d_ladder_builds_one_kill_table(monkeypatch):
-    monkeypatch.setattr(kernels, "_walk", None)
+def test_d_ladder_builds_one_kill_table():
     g = complete(8)
     group = automorphism_group(g)
     assert len(group.minimal_cycles) == 28

@@ -31,13 +31,6 @@ K44_PENDANT = build_graph(9, [(u, 4 + v) for u in range(4) for v in range(4)]
                           + [(0, 8)])
 
 
-@pytest.fixture
-def memoized_oracle(monkeypatch):
-    """The direct route on the pure count: the compiled count is the plain
-    walk, and spends the default coloring budget on vsum_C4x4's rows."""
-    monkeypatch.setattr(kernels, "_walk", None)
-
-
 def _assert_matches_direct(g):
     group = automorphism_group(g)
     k_max = min(g.n, 6)
@@ -63,7 +56,7 @@ def test_corpus_matches_the_direct_route(connected7):
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
-def test_symmetric_shapes_match_the_direct_route(name, memoized_oracle):
+def test_symmetric_shapes_match_the_direct_route(name):
     g = SYMMETRIC_SHAPES[name]()
     if twin_quotient(g) is not None:
         _assert_matches_direct(g)
@@ -80,7 +73,7 @@ def test_symmetric_shapes_match_the_direct_route(name, memoized_oracle):
 @pytest.mark.parametrize("g,quotient_order", [
     (vsum(cycle(4), 4), 24), (K44_PENDANT, 1), (complete_bipartite(4, 4), 2),
 ], ids=["vsum_C4x4", "K4,4+pendant", "K4,4"])
-def test_rows_match_phi_brute(g, quotient_order, memoized_oracle):
+def test_rows_match_phi_brute(g, quotient_order):
     twins = twin_quotient(g)
     assert twins.group(automorphism_group(g).order).order == quotient_order
     assert len(twins.classes) > 1
