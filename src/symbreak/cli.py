@@ -204,11 +204,16 @@ def _cmd_verify(args, command) -> int:
 
 
 def _parse_range(text: str) -> range:
+    """'a..b' inclusive, or a single integer; an upper end below the lower
+    end is bad input, not an empty table."""
     lo, dots, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi if dots else lo) + 1)
+        out = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise InvalidInputError(f"bad range {text!r}") from None
+    if not out:
+        raise InvalidInputError(f"bad range {text!r}")
+    return out
 
 
 def _cmd_table(args, command) -> int:

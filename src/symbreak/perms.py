@@ -25,7 +25,12 @@ the chain without an element list:
 
 Sorted Permutation elements, identity first, are built only where a caller
 reads elements, iterates the group or asks for nonidentity_images: the
-brute-force oracles, which must not share the chain's shortcuts.
+brute-force oracles that test elements one at a time and must not share the
+chain's shortcuts, namely indices.phi_brute, indices.is_distinguishing,
+indices.are_equivalent and the thm3.5 restriction check in verify.  A caller
+that only needs the number of elements reads order: the products that
+_product_blocks yields, one per choice of one element from each
+transversal, are distinct, so there are exactly order of them.
 """
 
 from __future__ import annotations

@@ -19,18 +19,21 @@ rows of ``cor3.8``/``cor3.9`` put the algebraic rearrangement in
 ``predicted`` and the direct scan of the defining minimum in ``brute_force``;
 their known disagreements are findings, reported and never patched.
 
-Brute-force routes take automorphism groups only below a ceiling (min of
-the process budget and _MATERIALIZE_CAP elements); larger groups become
-budget notes or skips.  Most routes read the group's stabilizer chain and
-never build its elements.  The element list is built only by the oracles
-that need it, and the ceiling bounds it: the group-order rules eq3 and
-thm4.2 count it on purpose, phi_brute and the thm3.5 restriction check
-scan it.  The restriction check lists a graph's distinguishing partitions
-once, by testing every set partition against every element, and reuses the
-list for each vertex the rule asks about; it shares no code with
-is_steady, the minimal cycles or the kill table.  Instances whose
-preconditions already failed run their informational brute force under a
-tighter scratch budget so a hopeless instance cannot stall the run.
+Brute-force routes on products take automorphism groups only below a
+ceiling (min of the process budget and _MATERIALIZE_CAP elements); larger
+groups become budget notes or skips.  These routes read the group's
+stabilizer chain and never build its elements.  The group-order rules eq3
+and thm4.2 read the order of the chain that the search builds on the
+product graph itself, so they share no route with the factor formulas they
+check.  The element list is built only by the oracles that read elements
+one at a time, phi_brute and the thm3.5 restriction check, on the small
+graphs of their own grids.  The restriction check lists a graph's
+distinguishing partitions once, by testing every set partition against
+every element, and reuses the list for each vertex the rule asks about; it
+shares no code with is_steady, the minimal cycles or the kill table.
+Instances whose preconditions already failed run their informational brute
+force under a tighter scratch budget so a hopeless instance cannot stall
+the run.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from .indices import (distinguishing_number, distinguishing_threshold,
                       is_steady, phi_brute, rooted_indices)
 from .perms import AutGroup, automorphism_group, orbits
 
-# a budget on group order, kept although most routes store no list: the
-# budget notes it produces embed the number, and the anchor digest covers
-# them
+# a ceiling on group order for the brute-force routes on products; none of
+# them builds an element list, but the budget notes it produces embed the
+# number, and the anchor digest covers them
 _MATERIALIZE_CAP = 200_000
 _SCRATCH_CAP = 1_000_000
 
@@ -112,8 +115,8 @@ def _verdict(rule: str, instance: str, predicted_fn, brute_fn,
 
 
 def _brute_group(g: Graph):
-    """Automorphism group under the materialization ceiling, so that its
-    element list, where a caller builds it, stays bounded."""
+    """Automorphism group of a product under the _MATERIALIZE_CAP ceiling.
+    Callers read its order or its chain, never its elements."""
     with limits.scoped(max_aut=min(limits.aut_cap(), _MATERIALIZE_CAP)):
         return automorphism_group(g)
 
@@ -130,8 +133,8 @@ def parse_grid(spec: str | None) -> dict:
     """Parse 'K3,t=2..5' style grid overrides.
 
     Comma-separated tokens; 'key=value' sets a key, a bare token sets the
-    family.  Values: 'a..b' is an inclusive integer range, digits an
-    integer, anything else a string.
+    family.  Values: 'a..b' is an inclusive integer range with b >= a,
+    digits an integer, anything else a string.
     """
     grid: dict = {}
     if not spec:
@@ -147,9 +150,12 @@ def parse_grid(spec: str | None) -> dict:
             if ".." in value:
                 lo, _, hi = value.partition("..")
                 try:
-                    grid[key] = list(range(int(lo), int(hi) + 1))
+                    values = list(range(int(lo), int(hi) + 1))
                 except ValueError:
+                    values = []
+                if not values:
                     raise InvalidInputError(f"bad range {value!r} in grid")
+                grid[key] = values
             elif value.lstrip("-").isdigit():
                 grid[key] = int(value)
             else:
@@ -341,7 +347,7 @@ def _rule_eq3(grid: dict) -> list[TheoremVerdict]:
         out.append(_verdict(
             "eq3", f"corona({_g6(g)},{_g6(h)})",
             lambda g=g, h=h: formulas.aut_order_corona(g, h),
-            lambda p=product: len(_brute_group(p).elements),
+            lambda p=product: _brute_group(p).order,
             unmet=formulas.corona_preconditions(g, h)))
     return out
 
@@ -533,7 +539,7 @@ def _rule_thm42(grid: dict) -> list[TheoremVerdict]:
         out.append(_verdict(
             "thm4.2", f"rooted({_g6(g)},{_g6(h.graph)}@{h.root})",
             lambda g=g, h=h: formulas.aut_order_rooted(g, h),
-            lambda p=product: len(_brute_group(p).elements),
+            lambda p=product: _brute_group(p).order,
             unmet=formulas.rooted_preconditions(g, h)))
     return out
 

@@ -7,6 +7,12 @@ group answers read from it.  The pure kernel returns the chain, and the
 group built on it gives the elements and, by a streamed scan, the largest
 cycle count, which a wrongly composed stream can still get right, so the
 stream is also checked element by element.
+
+The group-order rules of ``verify`` (thm4.2, eq3) take the brute-force
+|Aut| of each product as the chain's order, so the products of their
+default grids are checked too: by VF2's count where the group is small,
+and otherwise by streaming the chain's products, which must be order
+distinct automorphisms.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ import random
 import pytest
 
 from symbreak import _kernels_py as pure
+from symbreak import products, verify
 from symbreak.errors import BudgetExceededError
-from symbreak.perms import AutGroup, _product_blocks
+from symbreak.perms import (AutGroup, Permutation, _product_blocks,
+                            is_automorphism)
 
 from conftest import SYMMETRIC_SHAPES
 
@@ -27,13 +35,17 @@ from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 BACKENDS = [pure]
 
 
-def _vf2(g) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(order, max_cycles, sorted elements) from VF2 self-isomorphisms."""
+def _vf2_maps(g):
+    """VF2's self-isomorphisms of g, as vertex dicts."""
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
-    elements = sorted(tuple(m[v] for v in range(g.n))
-                      for m in GraphMatcher(G, G).isomorphisms_iter())
+    return GraphMatcher(G, G).isomorphisms_iter()
+
+
+def _vf2(g) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(order, max_cycles, sorted elements) from VF2 self-isomorphisms."""
+    elements = sorted(tuple(m[v] for v in range(g.n)) for m in _vf2_maps(g))
     max_cycles = 0
     for e in elements:
         if list(e) == list(range(g.n)):
@@ -88,3 +100,23 @@ def test_symmetric_shapes_match_vf2_under_relabelling(kernel, name):
     image = list(range(g.n))
     random.Random(name).shuffle(image)
     _assert_matches_oracle(kernel, g.relabel(image))
+
+
+def test_group_order_rule_products_match_their_counts():
+    grid_products = (
+        [products.rooted_product_smooth(g, h)[0]
+         for g, h in verify._pairs_rooted({})]
+        + [products.corona(g, h)[0] for g, h in verify._pairs_corona({})])
+    assert len(grid_products) == 993
+    by_vf2 = 0
+    for p in grid_products:
+        group = verify._brute_group(p)
+        if group.order <= 100:
+            assert sum(1 for _ in _vf2_maps(p)) == group.order
+            by_vf2 += 1
+            continue
+        images = [e for block in _product_blocks(p.n, group.chain, 256)
+                  for e in block]
+        assert len(set(images)) == len(images) == group.order
+        assert all(is_automorphism(p, Permutation(e)) for e in images)
+    assert by_vf2 == 927

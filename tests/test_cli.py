@@ -168,6 +168,11 @@ class TestVerify:
         assert code == 2
         assert "unknown rule" in err
 
+    def test_reversed_grid_range_exits_2(self, run_cli):
+        code, out, err = run_cli("verify", "thm3.7", "--grid", "t=5..2")
+        assert (code, out) == (2, "")
+        assert "bad range '5..2' in grid" in err
+
     def test_expected_disagreement_still_exits_0(self, run_cli):
         code, out, _ = run_cli("verify", "cor3.8", "--grid", "family=K4,t=2..3")
         assert code == 0
@@ -197,6 +202,16 @@ class TestTable:
     def test_bad_range_exits_2(self, run_cli):
         code, _, _ = run_cli("table", "path", "5..x")
         assert code == 2
+
+    def test_reversed_range_exits_2(self, run_cli):
+        code, out, err = run_cli("table", "path", "5..3")
+        assert (code, out) == (2, "")
+        assert "bad range '5..3'" in err
+
+    def test_one_value_range(self, run_cli):
+        code, out, _ = run_cli("table", "path", "3..3", "--phi-max", "1")
+        assert code == 0
+        assert [g["name"] for g in json.loads(out)["graphs"]] == ["path:3"]
 
     def test_unknown_family_exits_2(self, run_cli):
         code, _, err = run_cli("table", "moebius", "3..5")

@@ -1,6 +1,7 @@
 """Tests for the closed-form verification harness."""
 
 import dataclasses
+import json
 from collections import Counter
 from typing import Sequence
 
@@ -8,6 +9,8 @@ import pytest
 
 from symbreak import corpus, graphs, kernels, limits, perms, verify
 from symbreak.errors import InvalidInputError
+
+from test_anchor import ANCHOR
 
 
 class TestParseGrid:
@@ -29,12 +32,13 @@ class TestParseGrid:
         assert verify.parse_grid("") == {}
         assert verify.parse_grid(None) == {}
 
-    def test_descending_range_is_empty(self):
-        assert verify.parse_grid("t=5..2")["t"] == []
+    def test_one_value_range(self):
+        assert verify.parse_grid("t=3..3")["t"] == [3]
 
-    @pytest.mark.parametrize("bad", ["t=a..b", "k=1..2..3", "n=..4"])
+    @pytest.mark.parametrize("bad", ["t=a..b", "k=1..2..3", "n=..4",
+                                     "t=5..2"])
     def test_malformed_range_rejected(self, bad):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="bad range"):
             verify.parse_grid(bad)
 
 
@@ -206,3 +210,20 @@ def test_thm43_pins_each_rooted_copy_once(monkeypatch, run_cli):
     code, _, _ = run_cli("verify", "thm4.3", "--grid", "max=10")
     assert code == 0
     assert pinned and max(pinned.values()) == 1
+
+
+@pytest.mark.parametrize("rule", ["thm4.2", "eq3"])
+def test_group_order_rules_build_no_elements(monkeypatch, run_cli, rule):
+    """The brute side of the |Aut| rules is the chain's order; no element
+    list is built, and the verdicts keep their anchor."""
+    def refuse(group):
+        raise AssertionError("element list built")
+
+    monkeypatch.setattr(perms.AutGroup, "elements", property(refuse))
+    code, out, err = run_cli("verify", rule)
+    assert (code, err) == (0, "")
+    grid, digest, count = ANCHOR[rule]
+    assert grid is None
+    report = json.loads(out)
+    assert report["summary"]["verdicts"] == count
+    assert report["digest"] == digest
