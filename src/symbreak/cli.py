@@ -18,6 +18,12 @@ batch commands (analyze/table with several graphs) a graph that blows
 the budget becomes a skip record in the report and the exit code is 3;
 `verify` instead folds budget hits into its verdict records and exits 0
 whenever the harness itself ran to completion.
+
+The argument parser is built once, when this module is imported; `main`
+only parses with it, so it may be called any number of times in one
+process and each call sees only its own arguments.  A process that calls
+`main` once, such as the `symbreak` script, pays the same build at import
+instead, so its latency is unchanged.
 """
 
 from __future__ import annotations
@@ -314,6 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tabulate indices across a one-parameter family")
     p.add_argument("family", help="family name, e.g. path, cycle, complete")
     p.add_argument("range", help="parameter range, e.g. 2..8")
+    # argparse reads a token that starts with "-" as an option unless it
+    # matches this pattern (a negative number by default), so "-2..-1"
+    # would be reported as a missing range instead of reaching
+    # _parse_range; widen the pattern to ranges for this subcommand.
+    p._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$|^-\d*\.\d+$")
     p.add_argument("--phi-max", type=int, default=4, metavar="K",
                    help="coloring-count table size (default 4)")
     p.add_argument("--steady", action="store_true",
@@ -329,6 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
     return parser
 
+
+_PARSER = _build_parser()
 
 _BUDGET_FLAGS = (("max_vertices", "--max-vertices"), ("max_aut", "--max-aut"),
                  ("max_colorings", "--max-colorings"),
@@ -346,9 +359,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage/help itself
         return 0 if exc.code in (0, None) else 2
     try:

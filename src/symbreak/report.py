@@ -110,10 +110,11 @@ class ReportEnvelope:
             "summary": self.summary(),
         }
 
-    def digest(self) -> str:
-        canon = json.dumps(self.body(), sort_keys=True,
-                           separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(canon.encode()).hexdigest()
+
+def body_digest(body: dict) -> str:
+    """The ``digest`` field: SHA-256 of an envelope's canonical body."""
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _phi_payload(report: IndexReport):
@@ -155,8 +156,8 @@ def skip_record(doc: GraphDocument, reason: str) -> GraphRecord:
 def emit_report(envelope: ReportEnvelope, fmt: str = "json") -> str:
     if fmt == "json":
         payload = envelope.body()
+        payload["digest"] = body_digest(payload)
         payload["generated"] = envelope.generated
-        payload["digest"] = envelope.digest()
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         return _emit_csv(envelope)

@@ -186,9 +186,10 @@ def _cap(grid: dict, default: int = 12) -> int:
 
 def _pairs_rooted(grid: dict) -> list[tuple[Graph, RootedGraph]]:
     cap = _cap(grid)
+    pool = corpus.connected_graphs(6)
     out = []
     for g in corpus.connected_graphs(6, min_n=2):
-        for hb in corpus.connected_graphs(6):
+        for hb in pool:
             if g.n * hb.n > cap:
                 continue
             for ob in orbits(automorphism_group(hb)):
@@ -198,18 +199,17 @@ def _pairs_rooted(grid: dict) -> list[tuple[Graph, RootedGraph]]:
 
 def _pairs_corona(grid: dict) -> list[tuple[Graph, Graph]]:
     cap = _cap(grid)
+    pool = corpus.connected_graphs(6)
     return [(g, h)
             for g in corpus.connected_graphs(6, min_n=2)
-            for h in corpus.connected_graphs(6)
+            for h in pool
             if g.n * (h.n + 1) <= cap]
 
 
 def _pairs_lex(grid: dict) -> list[tuple[Graph, Graph]]:
     cap = _cap(grid)
-    return [(g, h)
-            for g in corpus.connected_graphs(6)
-            for h in corpus.connected_graphs(6)
-            if g.n * h.n <= cap]
+    pool = corpus.connected_graphs(6)
+    return [(g, h) for g in pool for h in pool if g.n * h.n <= cap]
 
 
 def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:

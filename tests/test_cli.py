@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from symbreak import graph6, graphs, kernels, perms
+from symbreak import graph6, graphs, kernels, limits, perms
 
 
 class TestAnalyze:
@@ -213,6 +214,16 @@ class TestTable:
         assert code == 0
         assert [g["name"] for g in json.loads(out)["graphs"]] == ["path:3"]
 
+    # The table subcommand widens argparse's private negative-number
+    # pattern so that a range starting with "-" is read as the range
+    # positional; an argparse that stops consulting it fails here.
+    @pytest.mark.parametrize("args", [("-2..-1",), ("-3..4",), ("-2",),
+                                      ("--phi-max", "2", "-2..-1")])
+    def test_negative_range_reaches_the_range_check(self, run_cli, args):
+        code, out, err = run_cli("table", "path", *args)
+        assert (code, out) == (2, "")
+        assert err == "symbreak: path needs at least one vertex\n"
+
     def test_unknown_family_exits_2(self, run_cli):
         code, _, err = run_cli("table", "moebius", "3..5")
         assert code == 2
@@ -356,6 +367,59 @@ class TestExitCodes:
         assert err == f"symbreak: {flag} must be positive, got {value}\n"
 
 
+def _no_parsers(*args, **kwargs):
+    raise AssertionError("main built an ArgumentParser")
+
+
+class TestParserBuiltOnce:
+    """The parser is a module constant: main() only parses with it, and
+    calls in one process do not leak arguments into each other."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("analyze", "builtin:petersen"), 0),
+        (("table", "path", "2..3", "--phi-max", "1"), 0),
+        (("product", "corona", "builtin:path:2", "builtin:complete:1"), 0),
+        (("verify", "thm3.7", "--grid", "K3,t=2..3"), 0),
+        (("convert", "g6:Cl", "-", "--to", "edgelist"), 0),
+        (("analyze",), 2),
+        (("table", "--help"), 0),
+    ], ids=["analyze", "table", "product", "verify", "convert",
+            "usage-error", "help"])
+    def test_main_builds_no_parser(self, run_cli, monkeypatch, argv,
+                                   expected):
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", _no_parsers)
+        assert run_cli(*argv)[0] == expected
+
+    def test_budget_flag_does_not_outlive_its_call(self, run_cli):
+        cap = limits.aut_cap()
+        code, out, _ = run_cli("analyze", "builtin:petersen", "--max-aut",
+                               "100")
+        assert code == 3 and json.loads(out)["graphs"][0]["skipped"]
+        assert limits.aut_cap() == cap
+        code, out, _ = run_cli("analyze", "builtin:petersen")
+        assert code == 0
+        assert json.loads(out)["graphs"][0]["autOrder"] == 120
+
+    def test_format_flag_does_not_outlive_its_call(self, run_cli):
+        code, out, _ = run_cli("analyze", "builtin:cycle:5", "--format",
+                               "csv")
+        assert code == 0 and out.startswith("name,")
+        code, out, _ = run_cli("analyze", "builtin:cycle:5")
+        assert code == 0 and json.loads(out)["graphs"][0]["n"] == 5
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, run_cli):
+        argv = ("analyze", "builtin:cycle:5", "--phi-max", "3", "--steady")
+        code, alone, _ = run_cli(*argv)
+        assert code == 0
+        code, out, err = run_cli("analyze", "--phi-max", "x")
+        assert (code, out) == (2, "") and "usage:" in err
+        code, after, _ = run_cli(*argv)
+        assert code == 0
+        alone, after = json.loads(alone), json.loads(after)
+        del alone["generated"], after["generated"]
+        assert after == alone
+
+
 class TestEnvelope:
     def test_digest_stable_across_runs(self, run_cli):
         _, out1, _ = run_cli("analyze", "builtin:cycle:5")
@@ -391,6 +455,12 @@ class TestEnvOverrides:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("symbreak: SYMBREAK_MAX_COLORINGS must be "
                                "positive, got 0\n")
+
+    def test_version_in_fresh_process(self):
+        # the parser is built at import, so this also covers its build
+        proc = _cli_in_fresh_process("SYMBREAK_MAX_AUT", "10", "--version")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("symbreak ")
 
     def test_bad_env_budget_does_not_break_import(self):
         env = dict(os.environ, SYMBREAK_MAX_VERTICES="-5")

@@ -10,7 +10,8 @@ from symbreak.errors import InvalidInputError
 from symbreak.graphs import cycle, path
 from symbreak.indices import graph_indices
 from symbreak.report import (GraphDocument, GraphRecord, ReportEnvelope,
-                             emit_report, graph_record, skip_record)
+                             body_digest, emit_report, graph_record,
+                             skip_record)
 from symbreak.verify import TheoremVerdict
 
 
@@ -61,14 +62,14 @@ class TestEnvelope:
                            generated="2026-01-01T00:00:00+00:00")
         b = ReportEnvelope("0.1.0", "cmd", (_record(),),
                            generated="2027-06-30T23:59:59+00:00")
-        assert a.digest() == b.digest()
-        assert a.digest().startswith("sha256:")
+        assert body_digest(a.body()) == body_digest(b.body())
+        assert body_digest(a.body()).startswith("sha256:")
 
     def test_digest_sees_content(self):
         a = ReportEnvelope("0.1.0", "cmd", (_record(),))
         b = ReportEnvelope("0.1.0", "cmd",
                            (graph_record(_doc(), graph_indices(cycle(4))),))
-        assert a.digest() != b.digest()
+        assert body_digest(a.body()) != body_digest(b.body())
 
 
 class TestJson:
@@ -79,6 +80,7 @@ class TestJson:
         doc = json.loads(emit_report(env, "json"))
         assert set(doc) == {"tool", "version", "command", "graphs",
                             "verdicts", "summary", "generated", "digest"}
+        assert doc["digest"] == body_digest(env.body())
         g = doc["graphs"][0]
         assert set(g) == {"name", "source", "graph6", "n", "m", "autOrder",
                           "d", "theta", "root", "phi", "steady", "skipped"}
