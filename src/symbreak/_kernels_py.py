@@ -179,12 +179,16 @@ def search_automorphisms(n: int, adj, order_cap: int, colors=None):
     Every automorphism factors uniquely as t_0 * t_1 * ... (right factor
     applied first) with t_i in the i-th transversal, so the non-identity
     transversal elements generate the group.
+    When refinement leaves every vertex a class of its own, the search
+    returns (1, ()) at once: no level would have a candidate.
     """
     if order_cap < 1:
         raise BudgetExceededError(
             f"automorphism search exceeded cap {order_cap}")
     colors = _refine_colors(n, adj, colors)
     class_mask = _class_masks(colors)
+    if len(class_mask) == n:
+        return 1, ()
     cls = [class_mask[c] for c in colors]
     order = _search_order(n, adj, colors)
     ident = tuple(range(n))

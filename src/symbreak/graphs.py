@@ -229,16 +229,10 @@ def family(kind: str, *params: int) -> Graph:
 
 # -- vertex deletion, unions, components -------------------------------------
 
-def delete_vertex(g: Graph, u: int, return_map: bool = False):
-    """Delete u; remaining vertices shift down to stay contiguous.
-
-    With return_map=True also returns a length-n tuple sending each old id to
-    its new id (None at u).
-    """
+def delete_vertex(g: Graph, u: int) -> Graph:
+    """Delete u; remaining vertices shift down to stay contiguous."""
     if not 0 <= u < g.n:
         raise InvalidInputError(f"vertex {u} out of range")
-    shift = tuple(None if v == u else (v if v < u else v - 1)
-                  for v in range(g.n))
     low = (1 << u) - 1
     adj = []
     for v in range(g.n):
@@ -246,8 +240,7 @@ def delete_vertex(g: Graph, u: int, return_map: bool = False):
             continue
         mask = g._adj[v]
         adj.append((mask & low) | ((mask >> (u + 1)) << u))
-    h = Graph(g.n - 1, tuple(adj))
-    return (h, shift) if return_map else h
+    return Graph(g.n - 1, tuple(adj))
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

@@ -74,12 +74,21 @@ graph without twins, stays on the direct route, which is the twin route's
 oracle in tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
-itself.  is_steady tests only the generators of Aut(G - u) (see its
-docstring), and graph_indices asks it once per orbit of Aut(G), about the
-smallest vertex: steadiness is an orbit invariant, since an automorphism
-taking u to u' restricts to an isomorphism G - u -> G - u' that carries
-N(u) onto N(u').  So is |Aut(G - u)|, which keeps the budget decision the
-same as asking about every vertex.
+itself.  is_steady first looks for a twin witness: two vertices of G - u
+with the same open neighborhood, or the same closed one, one in N(u) and
+one outside it.  Swapping two twins is an automorphism of G - u, and this
+one moves N(u), so u is not steady.  The witness is taken only when
+(n - 1)! <= the automorphism budget, where no group on the n - 1 vertices
+of G - u exceeds the budget and the search it skips could not raise; so
+is_steady still raises exactly when |Aut(G - u)| exceeds the budget.
+Without a witness it searches Aut(G - u) and tests only the generators
+(see its docstring), and the search returns at once when refinement
+already tells every vertex apart (McKay 1981).  graph_indices asks
+is_steady once per orbit of Aut(G), about the smallest vertex: steadiness
+is an orbit invariant, since an automorphism taking u to u' restricts to
+an isomorphism G - u -> G - u' that carries N(u) onto N(u').  So is
+|Aut(G - u)|, which keeps the budget decision the same as asking about
+every vertex.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ from typing import NamedTuple
 
 from . import kernels, limits
 from .errors import InvalidInputError
-from .graphs import Graph, RootedGraph, delete_vertex
+from .graphs import Graph, RootedGraph
 from .perms import AutGroup, automorphism_group, orbits, stabilizer
 
 
@@ -443,20 +452,40 @@ def is_steady(g: Graph, u: int) -> bool:
     """True iff every automorphism of G - u maps the old neighborhood of u
     onto itself (equivalently: deleting u loses no symmetry).
 
-    A group maps a set onto itself iff each of its generators does, so
-    only the strong generators of the stabilizer chain of Aut(G - u) are
-    tested, with N(u) as a bitmask; no other element is built.  The chain
-    is built in full before any generator is tested, so the call raises
-    BudgetExceededError exactly when |Aut(G - u)| exceeds the automorphism
-    budget, whatever the answer would have been.
+    G - u is read from g's bitmasks, with the vertices above u shifted down
+    one.  When (n - 1)! <= the automorphism budget, no group on G - u can
+    exceed the budget, and a twin witness answers False with no search:
+    two vertices of G - u with the same open neighborhood, or the same
+    closed one, are twins, so swapping them is an automorphism of G - u,
+    and when one lies in N(u) and the other does not, it moves N(u).
+    Otherwise the stabilizer chain of Aut(G - u) is searched, and since a
+    group maps a set onto itself iff each of its generators does, only its
+    strong generators are tested, with N(u) as a bitmask; no other element
+    is built.  The chain is built in full before any generator is tested,
+    so the call raises BudgetExceededError exactly when |Aut(G - u)|
+    exceeds the automorphism budget, whatever the answer would have been;
+    the twin witness is taken only where the search could not raise.
     """
     if not 0 <= u < g.n:
         raise InvalidInputError(f"vertex {u} out of range")
-    h, shift = delete_vertex(g, u, return_map=True)
-    nbrs = [shift[v] for v in g.neighbors(u)]
-    mask = sum(1 << v for v in nbrs)
-    _, chain = kernels.search_automorphisms(h.n, h.adjacency(),
-                                            limits.aut_cap())
+    adj = g.adjacency()
+    low = (1 << u) - 1
+    rest = [m & low | m >> (u + 1) << u for m in adj]
+    mask = rest.pop(u)
+    cap = limits.aut_cap()
+    if math.factorial(len(rest)) <= cap:
+        # open and closed masks share one dict: N(a) = N[b] would put a in
+        # N(b), hence in N(a).  sides: 1 outside N(u), 2 inside, 3 both
+        seen: dict[int, int] = {}
+        for v, m in enumerate(rest):
+            side = 1 + (mask >> v & 1)
+            for key in (m, m | 1 << v):
+                sides = seen.get(key, 0) | side
+                if sides == 3:
+                    return False
+                seen[key] = sides
+    nbrs = [v - (v > u) for v in g.neighbors(u)]
+    _, chain = kernels.search_automorphisms(len(rest), rest, cap)
     return all(sum(1 << t[v] for v in nbrs) == mask
                for reps in chain for t in reps[1:])
 

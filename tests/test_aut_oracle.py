@@ -24,6 +24,7 @@ import pytest
 from symbreak import _kernels_py as pure
 from symbreak import products, verify
 from symbreak.errors import BudgetExceededError
+from symbreak.graphs import build_graph, path
 from symbreak.perms import (AutGroup, Permutation, _product_blocks,
                             is_automorphism)
 
@@ -100,6 +101,40 @@ def test_symmetric_shapes_match_vf2_under_relabelling(kernel, name):
     image = list(range(g.n))
     random.Random(name).shuffle(image)
     _assert_matches_oracle(kernel, g.relabel(image))
+
+
+def _counting_search_order(monkeypatch) -> list:
+    """Patch the pure kernel's _search_order to log its calls; the level
+    loop runs only after it."""
+    calls = []
+    order = pure._search_order
+    monkeypatch.setattr(pure, "_search_order",
+                        lambda *args: calls.append(args) or order(*args))
+    return calls
+
+
+def test_discrete_refinement_returns_before_the_level_loop(monkeypatch):
+    calls = _counting_search_order(monkeypatch)
+    # degrees 1, 3, 3, 2, 2, 1, and refinement tells every vertex apart
+    rigid = build_graph(6, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)])
+    assert pure.search_automorphisms(6, rigid.adjacency(), 10**7) == (1, ())
+    # path 0-1-2-3-4 has the reflection; pinning vertex 0 leaves none
+    p5 = path(5).adjacency()
+    assert pure.search_automorphisms(5, p5, 1, (1, 0, 0, 0, 0)) == (1, ())
+    assert calls == []
+    assert pure.search_automorphisms(5, p5, 10**7)[0] == 2
+    assert len(calls) == 1
+
+
+def test_frucht_graph_is_rigid_through_the_level_loop(monkeypatch):
+    calls = _counting_search_order(monkeypatch)
+    frucht = nx.frucht_graph()
+    g = build_graph(12, frucht.edges())
+    # 3-regular, so refinement leaves one class of 12 vertices
+    assert len(set(pure._refine_colors(12, g.adjacency()))) == 1
+    assert pure.search_automorphisms(12, g.adjacency(), 10**7) == (1, ())
+    assert len(calls) == 1
+    _assert_matches_oracle(pure, g)
 
 
 def test_group_order_rule_products_match_their_counts():

@@ -1,7 +1,8 @@
 """Steadiness against an independent oracle: networkx VF2.
 
-is_steady tests only the strong generators of Aut(G - u) from the pure
-kernel's stabilizer chain, and graph_indices asks it once per orbit of
+is_steady answers from a twin witness in G - u when the budget allows, and
+otherwise tests only the strong generators of Aut(G - u) from the pure
+kernel's stabilizer chain; graph_indices asks it once per orbit of
 Aut(G).  The oracle enumerates every automorphism of G - u with VF2, on the
 original vertex labels, and checks N(u) against each: no refinement, no
 search order, no chain and no vertex renumbering in common.
@@ -13,9 +14,9 @@ import random
 
 import pytest
 
-from symbreak import graph6, limits
+from symbreak import graph6, kernels, limits
 from symbreak.errors import BudgetExceededError
-from symbreak.graphs import build_graph, complete, cycle, star
+from symbreak.graphs import build_graph, complete, cycle, is_connected, star
 from symbreak.indices import graph_indices, is_steady
 
 from conftest import vsum
@@ -55,6 +56,24 @@ SHAPES = {
 }
 
 
+def test_random_graphs_disconnected_included_match_vf2():
+    rng = random.Random(1709)
+    graphs = []
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        p = rng.random()
+        graphs.append(build_graph(n, [(a, b) for a in range(n)
+                                      for b in range(a + 1, n)
+                                      if rng.random() < p]))
+    answers = []
+    for g in graphs:
+        for u in range(g.n):
+            answers.append(is_steady(g, u))
+            assert answers[-1] == _steady_vf2(g, u), (g.edges(), u)
+    assert sum(not is_connected(g) for g in graphs) >= 60
+    assert 0 < sum(answers) < len(answers)
+
+
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_vertex_sum_shapes_match_vf2_under_relabelling(name):
     g = SHAPES[name]()
@@ -79,14 +98,24 @@ def _star5_with_tail():
     return build_graph(7, [(0, i) for i in range(1, 6)] + [(1, 6)])
 
 
-def test_budget_is_checked_before_an_unsteady_answer():
+def test_budget_is_checked_before_an_unsteady_answer(monkeypatch):
+    # G - 6 = star(5): |Aut| = 120 and (n - 1)! = 6! = 720.  Leaves 1 and
+    # 2 are twins in G - 6, and only 1 is in N(6), so swapping them moves
+    # N(6); that witness is taken only at a cap of 720 or more
     g = _star5_with_tail()
-    with limits.scoped(max_aut=120):
-        assert not is_steady(g, 6)
+    searches = []
+    search = kernels.search_automorphisms
+    monkeypatch.setattr(kernels, "search_automorphisms",
+                        lambda *args: searches.append(args) or search(*args))
     with limits.scoped(max_aut=119):
         with pytest.raises(BudgetExceededError,
                            match="^automorphism search exceeded cap 119$"):
             is_steady(g, 6)
+    for cap, searched in ((120, 1), (719, 1), (720, 0), (10**7, 0)):
+        searches.clear()
+        with limits.scoped(max_aut=cap):
+            assert not is_steady(g, 6)
+        assert len(searches) == searched, cap
 
 
 def test_analyze_steady_exits_3_when_a_deletion_exceeds_the_cap(run_cli):
