@@ -24,9 +24,17 @@ after every pair, so an interrupted run keeps the pairs it finished.  It holds:
              and wall seconds
   summary    per workload and metric: each side's median and quartiles,
              the change's wins over its pairs (by the metric's ``better``
-             direction in the change's BENCHMARK.json), and whether the
+             direction in the change's BENCHMARK.json), whether the
              gain rule holds: wins in at least nine tenths of the pairs and
-             medians further apart than the parent's interquartile range
+             medians further apart than the parent's interquartile range,
+             and the no-regression verdict against the metric's ``bound``,
+             a fraction of the parent's median:
+               unresolved  the parent's interquartile range is wider than
+                           the bound, and not every change run beats
+                           every parent run
+               ok          otherwise, when the change's median is worse
+                           than the parent's by no more than the bound
+               worse       otherwise
 
 Uses the standard library only.
 """
@@ -86,7 +94,22 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def no_regression(parent: list[float], change: list[float], sign: int,
+                  bound: float) -> str:
+    """ok, unresolved or worse: the change's runs against the parent's,
+    for a metric whose better direction is sign (1 higher, -1 lower)."""
+    base = quartiles(parent)
+    if ((base["q3"] - base["q1"]) > bound * base["median"]
+            and not min(sign * c for c in change)
+            > max(sign * p for p in parent)):
+        return "unresolved"
+    worse_by = sign * (base["median"] - quartiles(change)["median"])
+    return "ok" if worse_by <= bound * base["median"] else "worse"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload, over its finished pairs; metrics maps each end-to-end
+    metric's name to its entry in BENCHMARK.json."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -103,7 +126,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             values = {s: [p[s]["metrics"][name] for p in complete]
                       for s in SIDES}
             stats = {s: quartiles(values[s]) for s in SIDES}
-            sign = 1 if better.get(name, "lower") == "higher" else -1
+            spec = metrics[name]
+            sign = 1 if spec["better"] == "higher" else -1
             wins = sum(sign * (c - p) > 0
                        for p, c in zip(values["parent"], values["change"]))
             parent, change = stats["parent"], stats["change"]
@@ -114,7 +138,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "gain_rule_holds": (
                     wins >= 0.9 * len(complete)
                     and sign * (change["median"] - parent["median"])
-                    > parent["q3"] - parent["q1"])}
+                    > parent["q3"] - parent["q1"]),
+                "no_regression": no_regression(
+                    values["parent"], values["change"], sign, spec["bound"])}
         out[workload] = rows
     return out
 
@@ -141,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (checkout / "symbench" / "run.py").is_file():
             parser.error(f"{checkout} has no symbench/run.py")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out = Path(f"BENCH_{args.label}.json")
 
@@ -170,8 +196,13 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
             for side in SIDES:
                 report["sides"][side]["backend"] = sorted(backends[side])
-            report["summary"] = summarize(report["runs"], better)
+            report["summary"] = summarize(report["runs"], metrics)
             out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, rows in report["summary"].items():
+        verdicts = {name: rows[name]["no_regression"] for name in metrics
+                    if name in rows}
+        print(f"{workload}: {rows['pairs']} pairs, no regression "
+              f"{verdicts}", file=sys.stderr)
     failed = sum(r["exit"] != 0 for r in report["runs"])
     print(f"wrote {out}: {len(report['runs'])} runs, {failed} not clean",
           file=sys.stderr)

@@ -8,10 +8,12 @@ Reference implementation of the searches the whole library leans on:
   all_automorphisms_preserve_blocks   whether the chain's generators map
                                    every block onto a block
   isomorphic                       (rooted) isomorphism of two graphs
-  count_distinguishing_partitions  count set partitions no automorphism fixes
-  count_distinguishing_labellings  the count with one palette per vertex
-                                   class, for the twin quotient; with
-                                   first, the existence search behind D
+  count_distinguishing_labellings  labellings no automorphism fixes, with
+                                   one palette per vertex class, for the
+                                   twin quotient; with first, the existence
+                                   search behind D
+  count_distinguishing_partitions  set partitions no automorphism fixes,
+                                   from that walk at k = 1..K labels
 
 There is one backtracking search, _extend: the first leaf below a node of
 the tree that maps one graph into another.  Vertices are mapped in a
@@ -32,19 +34,21 @@ Refinement starts from an optional initial coloring, the search's one
 option: a vertex stabilizer gives the pinned vertex a class of its own,
 and the twin quotient colors each vertex by its weight.
 
-The two partition searches share one element encoding, _kill_table,
-and keep the live elements as an int bitmask.  The last few tables are
-kept, so consecutive searches on the same elements, such as the rungs of a
-D ladder, build one.  Both are memoized on the state that fixes a
-subtree's completions (see their docstrings), so each visits a subset of
-the nodes the plain walk visits, usually a small one; tests hold both,
-with the memo off, to a plain reference walk, node for node.
-count_distinguishing_labellings keeps one set of blocks per vertex class
-and weighs each new block by the labels its class has left, and with
-first it stops at the first labelling.  With one class and a palette of k
-labels it is the existence search behind D (symbreak.kernels): it tries
-the blocks the plain existence walk tries, and in that mode its memo holds
-only subtrees with no completion.
+There is one partition walk, the labelling walk.  It encodes the elements
+by _kill_table and keeps the live ones as an int bitmask.  The last few
+tables are kept, so consecutive walks on the same elements, such as the
+rungs of a D ladder or the K walks of one count, build one.  The walk is
+memoized on the state that fixes a subtree's completions (see its
+docstring), so it visits a subset of the nodes the plain walk visits,
+usually a small one; tests hold it, with the memo off, to a plain
+reference walk, node for node.  It keeps one set of blocks per vertex
+class and weighs each new block by the labels its class has left, and
+with first it stops at the first labelling.  With one class and a palette
+of k labels it is the existence search behind D (symbreak.kernels): it
+tries the blocks the plain existence walk tries, and in that mode its memo
+holds only subtrees with no completion.  Run without first at k = 1..K,
+it gives the partition count by back-substitution, with one node budget
+across the K walks.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -57,12 +61,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add
 
 from .errors import BudgetExceededError
 
-# most machine words the partition count's memo holds (about 32 MB on a
-# 64-bit build); past it the count searches on without storing
+# most machine words the labelling walk's memo holds (about 32 MB on a
+# 64-bit build); past it the walk goes on without storing
 _MEMO_WORDS = 1 << 22
 
 
@@ -263,31 +266,6 @@ def all_automorphisms_preserve_blocks(n: int, adj, blocks, order_cap: int) -> bo
     return True
 
 
-@lru_cache(maxsize=32)
-def _extension_table(n: int, kmax: int) -> list[list[list[int]]]:
-    """E[r][b][j]: ways to assign r further vertices to blocks, starting from
-    b open blocks and ending with exactly j, never exceeding kmax blocks.
-    Exact integers; these overflow 64 bits well inside the vertex cap.
-
-    Memoized, so every count on the same (n, kmax) shares one table:
-    callers must only read it.
-    """
-    E = [[[0] * (kmax + 1) for _ in range(kmax + 2)] for _ in range(n + 1)]
-    for b in range(kmax + 1):
-        E[0][b][b] = 1
-    for r in range(1, n + 1):
-        for b in range(kmax, -1, -1):
-            row = E[r][b]
-            prev_same = E[r - 1][b]
-            prev_new = E[r - 1][b + 1] if b + 1 <= kmax else None
-            for j in range(b, kmax + 1):
-                acc = b * prev_same[j]
-                if prev_new is not None:
-                    acc += prev_new[j]
-                row[j] = acc
-    return E
-
-
 @lru_cache(maxsize=4)
 def _kill_table(n: int, elements: tuple):
     """Which elements each vertex's block choice can break, as bitmasks.
@@ -331,86 +309,24 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
     """A[j] for j = 0..max_blocks: set partitions of {0..n-1} into exactly j
     blocks that no given element preserves.
 
-    elements must be non-identity automorphisms.  Partitions are walked as
-    canonical block assignments: vertex 0 opens block 0, and a new block's
-    id is always the smallest unused.  The live set of not-yet-violated
-    elements, a bitmask, shrinks along each branch; once it empties, the
-    whole subtree is closed with the extension table instead of being
-    visited.
-
-    The search is memoized.  Below vertex v, with b blocks open and live
-    set L, which completions break every live element, and how many blocks
-    they end with, depends on the blocks placed so far only through b and
-    through which frontier vertices share a block.  The frontier is the
-    vertices u < v whose block some element of L still reads at a vertex
-    >= v (_kill_table's reach).  Renaming the blocks permutes completions
-    and keeps their block counts, so the key is (v, b, L, the frontier's
-    block ids renamed by first occurrence), and a key seen before reuses
-    its completion vector: A is exactly what the plain search gives.
-
-    The memo holds at most about _MEMO_WORDS machine words; once full, the
-    search goes on without storing, which stays exact.  Each
-    vertex-to-block assignment visited counts against node_budget, all of
-    a vertex's choices at once as the search enters it.  A memo hit visits
-    nothing, so the nodes counted are a subset of the plain search's, and
-    every count the plain search completes completes here.
+    elements must be non-identity automorphisms.  A labelling with at most
+    k labels is distinguishing exactly when its partition into equal labels
+    is, and a j-block partition takes k!/(k-j)! labellings, so the
+    labelling walk with one class and k labels returns
+    N_k = sum_j A_j * k!/(k-j)!.  The count runs it for k = 1..K,
+    K = min(max_blocks, n), and back-substitutes:
+    A_k = (N_k - sum_{j<k} A_j * k!/(k-j)!) / k!.  The K walks share
+    node_budget: each charges on top of the nodes the walks before it
+    spent, and a spent budget raises with node_budget itself.  So the
+    count at k < K charges a prefix of the count at K.
     """
     A = [0] * (max_blocks + 1)
-    if n == 0:
-        return A
-    kmax = min(max_blocks, n)
-    if kmax == 0:
-        return A
-    E = _extension_table(n, kmax)
-    if not elements:
-        for j in range(1, kmax + 1):
-            A[j] = E[n][0][j]
-        return A
-    kill, reach = _kill_table(n, tuple(elements))
-    color = [0] * n
-    memo: dict[tuple, list[int]] = {}
-    # words per entry: dict slot, key and frontier tuples, the value list
-    # and its integers, and the live mask at about 48 elements a word
-    room = _MEMO_WORDS // (24 + n + 4 * kmax + len(elements) // 48)
     nodes = 0
-
-    def rec(v: int, b: int, live: int) -> list[int]:
-        nonlocal nodes, room
-        front = [color[u] for u, reads in reach[v] if reads & live]
-        key = (v, b, live, tuple(map(front.index, front)))
-        done = memo.get(key)
-        if done is not None:
-            return done
-        top = b + 1 if b < kmax else kmax
-        nodes += top  # the loop below visits every one of them
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"coloring search exceeded budget {node_budget}")
-        out = [0] * (kmax + 1)
-        rest = E[n - v - 1]
-        row = kill[v]
-        for c in range(top):
-            nlive = live
-            for w, keep in row:
-                if color[w] != c:
-                    nlive &= keep
-            nb = b + 1 if c == b else b
-            if not nlive:
-                out = list(map(add, out, rest[nb]))
-            elif v + 1 < n:
-                color[v] = c
-                out = list(map(add, out, rec(v + 1, nb, nlive)))
-            # a full assignment with live elements is preserved by them:
-            # not distinguishing, contributes nothing
-        if room:
-            room -= 1
-            memo[key] = out
-        return out
-
-    try:
-        A[:kmax + 1] = rec(0, 0, (1 << len(elements)) - 1)
-    finally:
-        rec = None  # break the closure's reference to itself
+    for k in range(1, min(max_blocks, n) + 1):
+        labellings, nodes = _walk(n, elements, (0,) * n, (k,), node_budget,
+                                  False, nodes)
+        A[k] = (labellings - sum(A[j] * math.perm(k, j)
+                                 for j in range(1, k))) // math.factorial(k)
     return A
 
 
@@ -424,36 +340,55 @@ def count_distinguishing_labellings(n: int, elements, classes, palettes,
     is none.
 
     An element preserves a labelling iff it preserves the partition into
-    equal labels, and no element joins two classes, so the walk is the
-    count's walk with one set of blocks per class: labels of two classes
-    are never compared.  Opening the j-th block of class w multiplies the
-    count by palettes[w] - j, the labels still unused in w, and a class
-    opens no more blocks than it has labels.  Once no element is live, the
-    vertices u > v are labelled freely, in prod palettes[classes[u]] ways.
+    equal labels, and no element joins two classes, so the walk keeps one
+    set of blocks per class: labels of two classes are never compared.
+    Blocks are walked as canonical assignments: a vertex joins an open
+    block of its class or opens the class's next one.  Opening the j-th
+    block of class w multiplies the count by palettes[w] - j, the labels
+    still unused in w, and a class opens no more blocks than it has labels.
+    The live set of not-yet-broken elements, a bitmask, shrinks along each
+    branch; once it empties, the vertices u > v are labelled freely, in
+    prod palettes[classes[u]] ways, without being visited.
 
-    Memoized on the count's key without its block count (see
-    count_distinguishing_partitions).  A subtree's value is the number of
-    labellings of vertices v..n-1 that break every live element, and labels
-    are interchangeable, so it depends on the labels placed so far only
-    through which frontier vertices share one: blocks no live element reads
-    are labels like any unused one.  The frontier's block ids are compared
-    across classes too, which only splits keys.  Each block tried for a
-    vertex counts against node_budget, as it is tried.  With first, a
+    The walk is memoized.  Below vertex v with live set L, a subtree's
+    value is the number of labellings of vertices v..n-1 that break every
+    element of L.  The frontier is the vertices u < v whose block some
+    element of L still reads at a vertex >= v (_kill_table's reach).
+    Labels are interchangeable, and blocks no live element reads are labels
+    like any unused one, so the value depends on the labels placed so far
+    only through which frontier vertices share one.  The key is (v, L, the
+    frontier's block ids renamed by first occurrence), and a key seen
+    before reuses its value: the count is exactly what the plain walk
+    gives.  The frontier's block ids are compared across classes too, which
+    only splits keys.
+
+    The memo holds at most about _MEMO_WORDS machine words; once full, the
+    walk goes on without storing, which stays exact.  Each block tried for
+    a vertex counts against node_budget, as it is tried.  A memo hit visits
+    nothing, so the nodes charged are a subset of the plain walk's, and
+    every count the plain walk completes completes here.  With first, a
     subtree that finishes has no labelling, so the memo holds only zeros:
-    a hit skips a subtree the plain walk searches in vain, and the walk
-    never charges more nodes than the plain walk.
+    a hit skips a subtree the plain walk searches in vain.
     """
+    return _walk(n, elements, classes, palettes, node_budget, first, 0)[0]
+
+
+def _walk(n: int, elements, classes, palettes, node_budget: int,
+          first: bool, nodes: int) -> tuple[int, int]:
+    """count_distinguishing_labellings, with nodes already spent against
+    node_budget; returns the count and the nodes spent in all."""
     free = [1] * (n + 1)  # free[v]: labellings of vertices v..n-1
     for v in range(n - 1, -1, -1):
         free[v] = free[v + 1] * palettes[classes[v]]
     if not elements or not free[0]:
-        return min(free[0], 1) if first else free[0]
+        return (min(free[0], 1) if first else free[0]), nodes
     kill, reach = _kill_table(n, tuple(elements))
     color = [0] * n
     opened = [0] * len(palettes)
     memo: dict[tuple, int] = {}
+    # words per entry: dict slot, key and frontier tuples, the value, and
+    # the live mask at about 48 elements a word
     room = _MEMO_WORDS // (24 + n + len(elements) // 48)
-    nodes = 0
 
     def rec(v: int, live: int) -> int:
         nonlocal nodes, room
@@ -493,6 +428,7 @@ def count_distinguishing_labellings(n: int, elements, classes, palettes,
         return total
 
     try:
-        return rec(0, (1 << len(elements)) - 1)
+        total = rec(0, (1 << len(elements)) - 1)
     finally:
         rec = None  # break the closure's reference to itself
+    return total, nodes

@@ -163,6 +163,7 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidInputError("complete graph needs at least one vertex")
+    _check_vertex_cap(n)  # combinations holds all of range(n) at once
     return build_graph(n, combinations(range(n), 2))
 
 

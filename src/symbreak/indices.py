@@ -33,11 +33,12 @@ smaller set happens no later, so A_j is unchanged and only node counts fall.
 That set and theta are both read from the group's stabilizer chain by
 one stream of its products, so these routes build no element list: the
 scan that finds the set also records the largest cycle count.
-The kernel's two partition searches share one element encoding, its kill
-table, and both are memoized on the state that fixes a subtree's
-completions.  The count visits each distinct subproblem once.  The
-existence search behind D is the twin route's labelling walk with one
-class and k labels; it stops at the first distinguishing partition, and its
+The kernel has one partition walk, the twin route's labelling walk,
+memoized on the state that fixes a subtree's completions.  With one class
+and k labels it counts the labellings N_k = sum_j A_j * k!/(k-j)!, so the
+count runs it at k = 1..K and back-substitutes for A_k, charging one node
+budget across the K walks.  The existence search behind D is the same walk
+in its first mode; it stops at the first distinguishing partition, and its
 memo keeps only subtrees with none, so it charges no more nodes than the
 plain existence walk.  Answers are reused across calls: symbreak.kernels
 memoizes both searches per process on their inputs, the budget included,

@@ -17,8 +17,14 @@ plain existence walk tries, in the same order, and charges one node per
 block tried; its memo stores only subtrees with no distinguishing
 completion, so it never charges more nodes than the plain walk.
 
-Both partition searches are memoized here in bounded per-process caches
-keyed on every input: (n, tuple(elements), max_blocks, node_budget).
+The partition count is that walk too, without first: run at k = 1..K
+labels, K = min(max_blocks, n), it gives N_k = sum_j A_j * k!/(k-j)!, and
+A_k follows by back-substitution.  The K walks charge one node_budget
+between them, so the count at k < K charges a prefix of the count at K.
+
+The count and the existence search are memoized here in bounded
+per-process caches keyed on every input:
+(n, tuple(elements), max_blocks, node_budget).
 Product graphs whose groups act alike pass the same elements, so the key
 hits across graphs, as well as on the rule sweeps that ask the same copy
 factor again.  The answer is a pure function of the key; the budget is

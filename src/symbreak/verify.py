@@ -165,12 +165,13 @@ def parse_grid(spec: str | None) -> dict:
     return grid
 
 
-def _ints(value, default: Sequence[int]) -> list[int]:
-    if value is None:
-        return list(default)
-    if isinstance(value, int):
-        return [value]
-    return [int(v) for v in value]
+def _ints(grid: dict, key: str, default: Sequence[int]) -> list[int]:
+    value = grid.get(key, default)
+    if isinstance(value, str):
+        raise InvalidInputError(
+            f"grid key {key!r} must be an integer or a range a..b, "
+            f"got {value!r}")
+    return [value] if isinstance(value, int) else list(value)
 
 
 def _cap(grid: dict, default: int = 12) -> int:
@@ -278,13 +279,13 @@ def _vsum_instances(grid: dict,
                     ) -> list[tuple[str, Graph, int, int]]:
     family = grid.get("family")
     if family is not None:
-        if family not in _VSUM_FAMILIES:
+        if not isinstance(family, str) or family not in _VSUM_FAMILIES:
             known = ", ".join(sorted(_VSUM_FAMILIES))
             raise InvalidInputError(
                 f"unknown vertex-sum family {family!r} (known: {known})")
-        chosen = [(family, _ints(grid.get("t"), [2, 3]))]
+        chosen = [(family, _ints(grid, "t", [2, 3]))]
     else:
-        chosen = [(name, _ints(grid.get("t"), ts)) for name, ts in defaults]
+        chosen = [(name, _ints(grid, "t", ts)) for name, ts in defaults]
     out = []
     for name, ts in chosen:
         ctor, root = _VSUM_FAMILIES[name]
@@ -298,8 +299,8 @@ def _vsum_instances(grid: dict,
 
 
 def _rule_eq1(grid: dict) -> list[TheoremVerdict]:
-    ns = _ints(grid.get("n"), range(2, 9))
-    ks = _ints(grid.get("k"), range(1, 5))
+    ns = _ints(grid, "n", range(2, 9))
+    ks = _ints(grid, "k", range(1, 5))
     out = []
     for n in ns:
         g = path(n)
@@ -418,7 +419,7 @@ _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
 
 def _radical_rows(rule: str, kinds: Sequence[str],
                   grid: dict) -> list[TheoremVerdict]:
-    ts = _ints(grid.get("t"), range(2, 51))
+    ts = _ints(grid, "t", range(2, 51))
     family = grid.get("family")
     if family is not None:
         kinds = [family]
@@ -519,8 +520,8 @@ def _rule_thm312(grid: dict) -> list[TheoremVerdict]:
 def _rule_thm313(grid: dict) -> list[TheoremVerdict]:
     pairs = [(3, 2), (3, 3), (4, 2), (5, 2)]
     if "n" in grid or "t" in grid:
-        ns = _ints(grid.get("n"), [3])
-        ts = _ints(grid.get("t"), [2])
+        ns = _ints(grid, "n", [3])
+        ts = _ints(grid, "t", [2])
         pairs = [(n, t) for n in ns for t in ts]
     out = []
     for n, t in pairs:

@@ -1,4 +1,5 @@
-"""scripts/bench.py's summary: quartiles per side and the gain rule."""
+"""scripts/bench.py's summary: quartiles per side, the gain rule and the
+no-regression verdict."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ _spec = importlib.util.spec_from_file_location("bench", _PATH)
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
-BETTER = {"items_per_s": "higher", "op_p50_ms": "lower"}
+METRICS = {"items_per_s": {"better": "higher", "bound": 0.25},
+           "op_p50_ms": {"better": "lower", "bound": 0.25}}
 
 
 def _runs(parent: list[float], change: list[float]) -> list[dict]:
@@ -36,9 +38,9 @@ def test_gain_rule_follows_each_metrics_direction():
     parent = [100.0 + i for i in range(10)]
     change = [120.0 + i for i in range(10)]
     change[3] = 90.0          # one lost pair of ten still meets 9/10
-    rows = bench.summarize(_runs(parent, change), BETTER)["w"]
+    rows = bench.summarize(_runs(parent, change), METRICS)["w"]
     assert rows["pairs"] == 10
-    for name in BETTER:
+    for name in METRICS:
         assert rows[name]["change_wins"] == 9
         assert rows[name]["gain_rule_holds"]
     assert rows["items_per_s"]["change_over_parent"] == pytest.approx(
@@ -50,14 +52,41 @@ def test_gain_rule_needs_nine_tenths_and_a_gap_beyond_the_spread():
     two_lost = [120.0 + i for i in range(10)]
     two_lost[3] = two_lost[4] = 90.0
     assert not bench.summarize(_runs(parent, two_lost),
-                               BETTER)["w"]["items_per_s"]["gain_rule_holds"]
+                               METRICS)["w"]["items_per_s"]["gain_rule_holds"]
     # wins every pair, but by less than the parent's interquartile range
     narrow = [p + 1 for p in parent]
-    rows = bench.summarize(_runs(parent, narrow), BETTER)["w"]
+    rows = bench.summarize(_runs(parent, narrow), METRICS)["w"]
     assert rows["items_per_s"]["change_wins"] == 10
     assert not rows["items_per_s"]["gain_rule_holds"]
 
 
 def test_unfinished_pair_is_left_out():
     runs = _runs([100.0, 101.0], [120.0, 121.0])[:-1]
-    assert bench.summarize(runs, BETTER)["w"]["pairs"] == 1
+    assert bench.summarize(runs, METRICS)["w"]["pairs"] == 1
+
+
+@pytest.mark.parametrize("change,verdict", [
+    # 15% fewer items per second, 18% more time per operation
+    ([85.0 + i * 0.85 for i in range(10)], "ok"),
+    ([150.0 + i for i in range(10)], "ok"),
+    # 30% fewer items per second, 43% more time per operation
+    ([70.0 + i * 0.7 for i in range(10)], "worse")],
+    ids=["within-bound", "better", "past-bound"])
+def test_no_regression_against_a_narrow_parent(change, verdict):
+    parent = [100.0 + i for i in range(10)]
+    rows = bench.summarize(_runs(parent, change), METRICS)["w"]
+    for name in METRICS:
+        assert rows[name]["no_regression"] == verdict
+
+
+def test_no_regression_is_unresolved_past_a_wide_parent_spread():
+    # the parent's interquartile range is 40% of its median
+    parent = [60.0, 80.0, 100.0, 120.0, 140.0] * 2
+    level = [p + 1 for p in parent]
+    rows = bench.summarize(_runs(parent, level), METRICS)["w"]
+    assert rows["items_per_s"]["no_regression"] == "unresolved"
+    # unless every change run beats every parent run
+    ahead = [200.0 + i for i in range(10)]
+    rows = bench.summarize(_runs(parent, ahead), METRICS)["w"]
+    for name in METRICS:
+        assert rows[name]["no_regression"] == "ok"

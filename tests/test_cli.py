@@ -174,6 +174,21 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "bad range '5..2' in grid" in err
 
+    @pytest.mark.parametrize("rule,grid,key,value", [
+        ("eq1", "n=x", "n", "x"), ("thm3.7", "t=2.5", "t", "2.5"),
+        ("cor3.8", "K3,t=a", "t", "a"), ("thm3.13", "n=3,t=b", "t", "b")])
+    def test_non_integer_grid_value_exits_2(self, run_cli, rule, grid, key,
+                                            value):
+        code, out, err = run_cli("verify", rule, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == (f"symbreak: grid key {key!r} must be an integer or a "
+                       f"range a..b, got {value!r}\n")
+
+    def test_range_as_family_exits_2(self, run_cli):
+        code, out, err = run_cli("verify", "cor3.8", "--grid", "family=2..3")
+        assert (code, out) == (2, "")
+        assert err.startswith("symbreak: unknown vertex-sum family [2, 3] ")
+
     def test_expected_disagreement_still_exits_0(self, run_cli):
         code, out, _ = run_cli("verify", "cor3.8", "--grid", "family=K4,t=2..3")
         assert code == 0
@@ -311,8 +326,11 @@ class TestExitCodes:
         code, _, _ = run_cli("analyze", "builtin:petersen", "--max-vertices", "5")
         assert code == 3
 
-    @pytest.mark.parametrize("spec,n", [("builtin:kneser:24:12", 2704156),
-                                        ("builtin:path:2000000", 2000000)])
+    @pytest.mark.parametrize("spec,n", [
+        ("builtin:kneser:24:12", 2704156),
+        ("builtin:path:2000000", 2000000),
+        ("builtin:complete:2000000", 2000000),
+        ("builtin:complete:99999999999999999999", 99999999999999999999)])
     def test_family_over_vertex_cap_builds_nothing(self, run_cli, spec, n):
         tracemalloc.start()
         try:
