@@ -36,6 +36,13 @@ after every pair, so an interrupted run keeps the pairs it finished.  It holds:
                            than the parent's by no more than the bound
                worse       otherwise
 
+After the last pair it prints one line per workload and metric to stderr,
+parent -> change, each as median [q1-q3], then the change's wins over the
+pairs, the gain rule and the no-regression verdict:
+
+  verify items_per_s: 3565 [3531-3667] -> 3992 [3914-4075], wins 10/10,
+    gain rule holds, no regression ok
+
 Uses the standard library only.
 """
 
@@ -145,6 +152,28 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def summary_lines(summary: dict, metrics: dict[str, dict]) -> list[str]:
+    """One line per workload and end-to-end metric, in the order of the
+    metrics: each side's median [q1-q3], the change's wins over the pairs,
+    the gain rule and the no-regression verdict."""
+    def spread(q: dict) -> str:
+        return f"{q['median']:.4g} [{q['q1']:.4g}-{q['q3']:.4g}]"
+
+    lines = []
+    for workload, rows in summary.items():
+        for name in metrics:
+            row = rows.get(name)
+            if row is None:
+                continue
+            lines.append(
+                f"{workload} {name}: {spread(row['parent'])} -> "
+                f"{spread(row['change'])}, wins {row['change_wins']}/"
+                f"{rows['pairs']}, gain rule "
+                f"{'holds' if row['gain_rule_holds'] else 'fails'}, "
+                f"no regression {row['no_regression']}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -198,11 +227,8 @@ def main(argv: list[str] | None = None) -> int:
                 report["sides"][side]["backend"] = sorted(backends[side])
             report["summary"] = summarize(report["runs"], metrics)
             out.write_text(json.dumps(report, indent=1) + "\n")
-    for workload, rows in report["summary"].items():
-        verdicts = {name: rows[name]["no_regression"] for name in metrics
-                    if name in rows}
-        print(f"{workload}: {rows['pairs']} pairs, no regression "
-              f"{verdicts}", file=sys.stderr)
+    for line in summary_lines(report["summary"], metrics):
+        print(line, file=sys.stderr)
     failed = sum(r["exit"] != 0 for r in report["runs"])
     print(f"wrote {out}: {len(report['runs'])} runs, {failed} not clean",
           file=sys.stderr)

@@ -48,7 +48,10 @@ of k labels it is the existence search behind D (symbreak.kernels): it
 tries the blocks the plain existence walk tries, and in that mode its memo
 holds only subtrees with no completion.  Run without first at k = 1..K,
 it gives the partition count by back-substitution, with one node budget
-across the K walks.
+across the K walks.  The count climbs a ladder (CountLadder, climb), one
+walk per rung, each rung stored once its walk completes, so
+symbreak.kernels keeps one ladder per input and extends it in k without
+walking a rung twice; the count here climbs from an empty ladder.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -304,6 +307,44 @@ def _kill_table(n: int, elements: tuple):
     return [[(w, ~mask) for w, mask in row] for row in masks], reach
 
 
+class CountLadder:
+    """One count's rungs so far: A[j] for j = 0..K, and the nodes its K
+    walks spent against the count's node_budget."""
+
+    __slots__ = ("A", "nodes")
+
+    def __init__(self):
+        self.A = [0]
+        self.nodes = 0
+
+    def answer(self, max_blocks: int) -> list[int]:
+        """A fresh list of A[j] for j = 0..max_blocks, with rungs past the
+        ladder read as 0; callers climb the ladder to min(max_blocks, n)
+        first, and no partition of n vertices has more than n blocks."""
+        A = self.A
+        return [A[j] if j < len(A) else 0 for j in range(max_blocks + 1)]
+
+
+def climb(ladder: CountLadder, n: int, elements, K: int,
+          node_budget: int) -> None:
+    """Extend ladder to rung K, one labelling walk per missing rung k, each
+    charging on top of the nodes the walks below it spent.
+
+    A walk appends its rung only once it completes, so a walk that raises
+    leaves the ladder as it was.  The nodes of rungs 1..k are the same
+    however many climbs they took, so a count at k <= K charges a prefix of
+    the count at K, and one that climbs past K raises at the same walk,
+    with node_budget itself, as a count started from an empty ladder.
+    """
+    A = ladder.A
+    for k in range(len(A), K + 1):
+        labellings, nodes = _walk(n, elements, (0,) * n, (k,), node_budget,
+                                  False, ladder.nodes)
+        A.append((labellings - sum(A[j] * math.perm(k, j)
+                                   for j in range(1, k))) // math.factorial(k))
+        ladder.nodes = nodes
+
+
 def count_distinguishing_partitions(n: int, elements, max_blocks: int,
                                     node_budget: int) -> list[int]:
     """A[j] for j = 0..max_blocks: set partitions of {0..n-1} into exactly j
@@ -313,21 +354,15 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
     k labels is distinguishing exactly when its partition into equal labels
     is, and a j-block partition takes k!/(k-j)! labellings, so the
     labelling walk with one class and k labels returns
-    N_k = sum_j A_j * k!/(k-j)!.  The count runs it for k = 1..K,
-    K = min(max_blocks, n), and back-substitutes:
+    N_k = sum_j A_j * k!/(k-j)!.  The count climbs an empty ladder to
+    K = min(max_blocks, n), one walk per rung k, and back-substitutes:
     A_k = (N_k - sum_{j<k} A_j * k!/(k-j)!) / k!.  The K walks share
-    node_budget: each charges on top of the nodes the walks before it
-    spent, and a spent budget raises with node_budget itself.  So the
-    count at k < K charges a prefix of the count at K.
+    node_budget (see climb), so the count at k < K charges a prefix of the
+    count at K.
     """
-    A = [0] * (max_blocks + 1)
-    nodes = 0
-    for k in range(1, min(max_blocks, n) + 1):
-        labellings, nodes = _walk(n, elements, (0,) * n, (k,), node_budget,
-                                  False, nodes)
-        A[k] = (labellings - sum(A[j] * math.perm(k, j)
-                                 for j in range(1, k))) // math.factorial(k)
-    return A
+    ladder = CountLadder()
+    climb(ladder, n, elements, min(max_blocks, n), node_budget)
+    return ladder.answer(max_blocks)
 
 
 def count_distinguishing_labellings(n: int, elements, classes, palettes,

@@ -40,11 +40,19 @@ count runs it at k = 1..K and back-substitutes for A_k, charging one node
 budget across the K walks.  The existence search behind D is the same walk
 in its first mode; it stops at the first distinguishing partition, and its
 memo keeps only subtrees with none, so it charges no more nodes than the
-plain existence walk.  Answers are reused across calls: symbreak.kernels
-memoizes both searches per process on their inputs, the budget included,
-and the kernel keeps its last few kill tables, so the rungs of one D
-ladder, and a phi table followed by D on the same elements, build one
-table.  The root stabilizer of a rooted graph
+plain existence walk.  D's ladder starts at the largest transposition
+class: if (a b) and (b c) are automorphisms, so is (a c), so the vertices
+the group's transpositions join form cliques, a distinguishing coloring
+is injective on each, and every rung below the largest is empty
+(_transposition_class).  Every transposition of the group is a minimal
+cycle partition, so the start needs no other scan.  Answers are reused
+across calls: symbreak.kernels memoizes both searches per process on their
+inputs, the budget included; the count's memo keeps each input's ladder
+A_0..A_K and extends it in k, so the paper's ladders (least k with
+Phi_k >= a target, sums of phi_i over i <= k) walk each rung once.  The
+kernel keeps its last few kill tables, so the rungs of one D ladder, and a
+phi table followed by D on the same elements, build one table.  The root
+stabilizer of a rooted graph
 is cached too (perms.stabilizer), so rooted_indices asked at k = 1, 2, ...
 reads one pinned chain and its cached minimal cycles.
 
@@ -96,6 +104,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 from . import kernels, limits
@@ -162,14 +172,45 @@ def _exists_partition(n: int, nonid, max_blocks: int) -> bool:
         n, nonid, max_blocks, limits.coloring_cap())
 
 
+def _transposition_class(group: AutGroup) -> int:
+    """1 + the most transpositions of the group that move one vertex.
+
+    If (a b) and (b c) are automorphisms, so is (a b)(b c)(a b) = (a c), so
+    the vertices that the group's transpositions join form cliques, and the
+    one at vertex v has 1 + (transpositions moving v) vertices.  A
+    distinguishing coloring is injective on each: two same-colored
+    vertices of one would be swapped by a transposition that preserves it.
+    Every transposition of the group is in minimal_cycles: no other
+    non-identity cycle partition refines its one 2-block, and no other
+    element has that partition.  Only a transposition has n - 1 cycles, so
+    when max_cycles, which the minimal-cycle scan records, is below that,
+    there is none and nothing is scanned; twin-free graphs are such.
+    """
+    n = group.n
+    if group.max_cycles < n - 1:
+        return 1
+    moves = [0] * n
+    vertices = range(n)
+    for e in group.minimal_cycles:
+        moved = list(compress(vertices, map(ne, e, vertices)))
+        if len(moved) == 2:
+            moves[moved[0]] += 1
+            moves[moved[1]] += 1
+    return 1 + max(moves)
+
+
 def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
-    """Least k such that some k-coloring is distinguishing."""
+    """Least k such that some k-coloring is distinguishing.
+
+    The ladder starts at the largest transposition class, never below 2
+    (_transposition_class): every rung below it is empty.
+    """
     if group is None:
         group = automorphism_group(g)
     if group.is_trivial():
         return 1
     minimal = group.minimal_cycles
-    for k in range(2, g.n + 1):
+    for k in range(max(2, _transposition_class(group)), g.n + 1):
         if _exists_partition(g.n, minimal, k):
             return k
     # n distinct colors always distinguish a simple graph's automorphisms

@@ -16,20 +16,34 @@ max_blocks blocks is preserved by no element.  It tries the blocks the
 plain existence walk tries, in the same order, and charges one node per
 block tried; its memo stores only subtrees with no distinguishing
 completion, so it never charges more nodes than the plain walk.
+symbreak.indices starts D's ladder at its largest transposition class,
+so no rung below it is asked.
 
 The partition count is that walk too, without first: run at k = 1..K
 labels, K = min(max_blocks, n), it gives N_k = sum_j A_j * k!/(k-j)!, and
 A_k follows by back-substitution.  The K walks charge one node_budget
 between them, so the count at k < K charges a prefix of the count at K.
 
-The count and the existence search are memoized here in bounded
-per-process caches keyed on every input:
+Both searches are memoized here in bounded per-process caches.  The
+existence search's is keyed on every input:
 (n, tuple(elements), max_blocks, node_budget).
-Product graphs whose groups act alike pass the same elements, so the key
-hits across graphs, as well as on the rule sweeps that ask the same copy
-factor again.  The answer is a pure function of the key; the budget is
-part of it, so a smaller budget still raises where it did, and a raised
-error is never stored.  The count returns a fresh list on every call.
+The count's is keyed on (n, tuple(elements), node_budget) and holds the
+ladder climbed so far: A_0..A_K and the nodes its K walks spent.  A count
+at K' <= K is a slice of it: a fresh K'-count would charge a prefix of
+those nodes, so it could not raise.  A count at K' > K climbs on, running
+walks K+1..K' from the stored node total and storing each walk as it
+completes, so it charges the nodes a fresh K'-count charges, answers the
+same, and raises at the same walk with the same text.  A ladder is stored
+once its first walk completes, and a walk that raises stores nothing.
+_kernels_py.count_distinguishing_partitions is that climb from an empty
+ladder, so the tests that hold it to reference walks cover the code the
+memo runs.  So the paper's ladders, least k with Phi_k >= a target and
+sums of phi_i over i <= k, run each walk once per process.
+Product graphs whose groups act alike pass the same elements, so the keys
+hit across graphs, as well as on the rule sweeps that ask the same copy
+factor again.  The answer is a pure function of the key and the rung asked;
+the budget is part of the key, so a smaller budget still raises where it
+did.  The count returns a fresh list on every call.
 """
 
 from __future__ import annotations
@@ -61,9 +75,11 @@ def all_automorphisms_preserve_blocks(n, adj, blocks, order_cap):
 
 
 @lru_cache(maxsize=256)
-def _count(n, elements, max_blocks, node_budget):
-    return tuple(_pure.count_distinguishing_partitions(
-        n, elements, max_blocks, node_budget))
+def _count(n, elements, node_budget):
+    # a ladder is stored only once its first walk completes
+    ladder = _pure.CountLadder()
+    _pure.climb(ladder, n, elements, 1, node_budget)
+    return ladder
 
 
 @lru_cache(maxsize=256)
@@ -75,7 +91,13 @@ def _exists(n, elements, max_blocks, node_budget):
 
 
 def count_distinguishing_partitions(n, elements, max_blocks, node_budget):
-    return list(_count(n, tuple(elements), max_blocks, node_budget))
+    K = min(max_blocks, n)
+    if K < 1:
+        return [0] * (max_blocks + 1)
+    elements = tuple(elements)
+    ladder = _count(n, elements, node_budget)
+    _pure.climb(ladder, n, elements, K, node_budget)
+    return ladder.answer(max_blocks)
 
 
 def exists_distinguishing_partition(n, elements, max_blocks, node_budget):

@@ -1,9 +1,12 @@
 """Verification harness: every closed-form rule against independent brute force.
 
-Each registered rule owns a default instance grid at desk scale.  Running a
-rule builds the object under test (a product graph, a union, a coloring
-count), evaluates the closed form, recomputes the same quantity by brute
-force through the counting machinery, and emits one verdict per instance:
+Each registered rule owns a default instance grid at desk scale and
+declares the grid keys it reads; a key that no selected rule reads is
+rejected before any rule runs, so a mistyped key cannot fall back to the
+default grid unnoticed.  Running a rule builds the object under test (a
+product graph, a union, a coloring count), evaluates the closed form,
+recomputes the same quantity by brute force through the counting
+machinery, and emits one verdict per instance:
 
   agree / disagree   preconditions hold and the two routes match / differ
   inconclusive       a precondition fails; both values are still reported
@@ -629,48 +632,54 @@ class Rule:
     rule_id: str
     summary: str
     runner: Callable[[dict], list[TheoremVerdict]]
+    keys: tuple[str, ...]  # the grid keys the runner reads
 
 
 _RULES: tuple[Rule, ...] = (
     Rule("eq1", "path coloring-count closed form vs partition search",
-         _rule_eq1),
+         _rule_eq1, ("n", "k")),
     Rule("eq2", "factorial/Stirling exact count above the threshold and the "
-         "binomial accumulation identity vs partition search", _rule_eq2),
+         "binomial accumulation identity vs partition search", _rule_eq2,
+         ("max",)),
     Rule("eq3", "corona group order = base order times copy order to the "
-         "base size, vs enumerated product group", _rule_eq3),
+         "base size, vs enumerated product group", _rule_eq3, ("max",)),
     Rule("thm2.1", "disjoint-union threshold case analysis vs enumerated "
-         "threshold", _rule_thm21),
+         "threshold", _rule_thm21, ()),
     Rule("thm3.5", "steady vertex iff every distinguishing coloring "
          "restricts to a distinguishing coloring of the deletion",
-         _rule_thm35),
+         _rule_thm35, ("max",)),
     Rule("thm3.7", "t-fold vertex-sum distinguishing number: minimum-form "
-         "bound, exact at steady roots, vs search", _rule_thm37),
+         "bound, exact at steady roots, vs search", _rule_thm37,
+         ("family", "t")),
     Rule("cor3.8", "complete-graph vertex-sum: minimum form vs search, and "
-         "radical closed form vs minimum form", _rule_cor38),
+         "radical closed form vs minimum form", _rule_cor38,
+         ("family", "t")),
     Rule("cor3.9", "cycle vertex-sum: minimum form vs search, and radical "
-         "closed form vs minimum form", _rule_cor39),
+         "closed form vs minimum form", _rule_cor39,
+         ("family", "t")),
     Rule("thm3.10", "vertex-sum of distinct 2-connected steady-rooted "
          "factors: max deletion distinguishing number vs search",
-         _rule_thm310),
+         _rule_thm310, ()),
     Rule("thm3.12", "vertex-sum threshold = threshold of the union of "
-         "deletions + 1, vs enumeration", _rule_thm312),
+         "deletions + 1, vs enumeration", _rule_thm312, ()),
     Rule("thm3.13", "t-fold cycle vertex-sum threshold closed form vs "
-         "enumeration", _rule_thm313),
+         "enumeration", _rule_thm313, ("n", "t")),
     Rule("thm4.2", "rooted-product group order = base order times "
          "root-stabilizer order to the base size, vs enumeration",
-         _rule_thm42),
+         _rule_thm42, ("max",)),
     Rule("thm4.3", "rooted-product distinguishing number via rooted "
-         "coloring counts, vs search", _rule_thm43),
+         "coloring counts, vs search", _rule_thm43, ("max",)),
     Rule("thm4.4", "rooted-product threshold case analysis vs enumeration",
-         _rule_thm44),
+         _rule_thm44, ("max",)),
     Rule("thm5.1", "corona distinguishing number via k times the copy's "
-         "coloring count, vs search", _rule_thm51),
+         "coloring count, vs search", _rule_thm51, ("max",)),
     Rule("thm5.2", "corona threshold case analysis vs enumeration",
-         _rule_thm52),
+         _rule_thm52, ("max",)),
     Rule("thm6.1", "lexicographic threshold case analysis under "
-         "fiber-preserving groups, vs enumeration", _rule_thm61),
+         "fiber-preserving groups, vs enumeration", _rule_thm61,
+         ("max",)),
     Rule("lex-d", "lexicographic distinguishing number via the inner "
-         "factor's coloring counts, vs search", _rule_lexd),
+         "factor's coloring counts, vs search", _rule_lexd, ("max",)),
 )
 
 RULES: dict[str, Rule] = {r.rule_id: r for r in _RULES}
@@ -694,6 +703,13 @@ def run_rules(ids: Sequence[str] | None = None,
                 raise InvalidInputError(
                     f"unknown rule {rule_id!r} (known: {known})")
             chosen.append(RULES[rule_id])
+    read = {key for rule in chosen for key in rule.keys}
+    unread = [key for key in grid if key not in read]
+    if unread:
+        raise InvalidInputError(
+            f"no selected rule reads grid key "
+            f"{', '.join(map(repr, unread))} (they read: "
+            f"{', '.join(sorted(read)) or 'none'})")
     out: list[TheoremVerdict] = []
     for rule in chosen:
         out.extend(rule.runner(grid))

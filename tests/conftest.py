@@ -1,4 +1,4 @@
-"""Shared test helpers: CLI runner and corpus samples."""
+"""Shared test helpers: CLI runner, corpus samples and a walk spy."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from symbreak import cli, corpus
+from symbreak import _kernels_py, cli, corpus
 from symbreak.graphs import (Graph, RootedGraph, build_graph, complete,
                              complete_bipartite, cycle, kneser, petersen)
 from symbreak.products import vertex_sum
@@ -25,6 +25,22 @@ def _run_cli(*argv: str) -> tuple[int, str, str]:
 @pytest.fixture
 def run_cli():
     return _run_cli
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list[tuple]:
+    """(n, elements, node_budget, palettes, first) of every labelling walk
+    the kernel starts while the test runs."""
+    seen = []
+    walk = _kernels_py._walk
+
+    def spy(n, elements, classes, palettes, node_budget, first, nodes):
+        seen.append((n, tuple(elements), node_budget, palettes, first))
+        return walk(n, elements, classes, palettes, node_budget, first,
+                    nodes)
+
+    monkeypatch.setattr(_kernels_py, "_walk", spy)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
-"""scripts/bench.py's summary: quartiles per side, the gain rule and the
-no-regression verdict."""
+"""scripts/bench.py's summary: quartiles per side, the gain rule, the
+no-regression verdict and the lines printed from them."""
 
 from __future__ import annotations
 
@@ -90,3 +90,24 @@ def test_no_regression_is_unresolved_past_a_wide_parent_spread():
     rows = bench.summarize(_runs(parent, ahead), METRICS)["w"]
     for name in METRICS:
         assert rows[name]["no_regression"] == "ok"
+
+
+def test_summary_lines_read_off_each_metric():
+    parent = [100.0 + i for i in range(10)]
+    change = [120.0 + i for i in range(10)]
+    change[3] = 90.0
+    summary = bench.summarize(_runs(parent, change), METRICS)
+    assert bench.summary_lines(summary, METRICS) == [
+        "w items_per_s: 104.5 [102.2-106.8] -> 124.5 [121.2-126.8], "
+        "wins 9/10, gain rule holds, no regression ok",
+        "w op_p50_ms: 9.57 [9.368-9.78] -> 8.032 [7.89-8.248], "
+        "wins 9/10, gain rule holds, no regression ok"]
+
+
+def test_summary_lines_skip_a_metric_no_run_reported():
+    summary = bench.summarize(_runs([100.0, 101.0], [99.0, 98.0]), METRICS)
+    del summary["w"]["op_p50_ms"]
+    metrics = {**METRICS, "setup_s": {"better": "lower", "bound": 0.25}}
+    assert bench.summary_lines(summary, metrics) == [
+        "w items_per_s: 100.5 [100.2-100.8] -> 98.5 [98.25-98.75], "
+        "wins 0/2, gain rule fails, no regression ok"]

@@ -184,6 +184,15 @@ class TestVerify:
         assert err == (f"symbreak: grid key {key!r} must be an integer or a "
                        f"range a..b, got {value!r}\n")
 
+    @pytest.mark.parametrize("rule,grid,key", [
+        ("thm3.7", "tt=2..5", "tt"), ("eq2", "k=0..1", "k")])
+    def test_grid_key_the_rule_does_not_read_exits_2(self, run_cli, rule,
+                                                     grid, key):
+        code, out, err = run_cli("verify", rule, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"symbreak: no selected rule reads grid key "
+                              f"{key!r} ")
+
     def test_range_as_family_exits_2(self, run_cli):
         code, out, err = run_cli("verify", "cor3.8", "--grid", "family=2..3")
         assert (code, out) == (2, "")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbreak import limits
+from symbreak import indices, kernels, limits
 from symbreak.errors import BudgetExceededError, InvalidInputError
 from symbreak.graphs import (asymmetric6, build_graph, complete,
                              complete_bipartite, cycle, path, petersen,
@@ -19,9 +19,9 @@ from symbreak.indices import (Coloring, PhiPair, are_equivalent,
                               distinguishing_threshold, graph_indices,
                               is_distinguishing, is_steady, phi, phi_brute,
                               phi_table, rooted_indices)
-from symbreak.perms import automorphism_group
+from symbreak.perms import automorphism_group, stabilizer
 
-from conftest import random_graph
+from conftest import SYMMETRIC_SHAPES, random_graph
 
 
 class TestColoring:
@@ -68,6 +68,50 @@ class TestDistinguishingNumber:
     def test_group_argument(self):
         g = cycle(5)
         assert distinguishing_number(g, automorphism_group(g)) == 3
+
+
+def _plain_d(n, group):
+    """D by the ladder from k = 2."""
+    if group.is_trivial():
+        return 1
+    return next(k for k in range(2, n + 1)
+                if kernels.exists_distinguishing_partition(
+                    n, group.minimal_cycles, k, limits.coloring_cap()))
+
+
+class TestTranspositionStart:
+    def test_ladder_from_the_largest_class_is_the_plain_ladder(
+            self, walks, connected7):
+        cases = []
+        for g in connected7:
+            group = automorphism_group(g)
+            cases.append((g, group))
+            cases.extend((g, stabilizer(group, v)) for v in range(g.n))
+        for make in SYMMETRIC_SHAPES.values():
+            g = make()
+            cases.append((g, automorphism_group(g)))
+        started = 0
+        for g, group in cases:
+            kernels._exists.cache_clear()
+            del walks[:]
+            d = distinguishing_number(g, group)
+            start = indices._transposition_class(group)
+            assert start <= d
+            # the memo is empty, so every rung asked is walked
+            assert all(palettes[0] >= max(2, start)
+                       for *_, palettes, first in walks if first)
+            assert d == _plain_d(g.n, group)
+            started += start > 2
+        assert len(cases) == 996 + 6781 + 11
+        assert started == 776  # inputs whose ladder skips a rung
+
+    def test_k8_takes_one_rung(self, walks):
+        g = complete(8)
+        group = automorphism_group(g)
+        kernels._exists.cache_clear()
+        assert distinguishing_number(g, group) == 8
+        assert [(palettes, first) for *_, palettes, first in walks] == [
+            ((8,), True)]
 
 
 class TestThreshold:

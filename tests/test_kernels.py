@@ -188,9 +188,14 @@ def test_exists_budget_boundary_past_64_vertices(monkeypatch, kernel):
 
 def test_exists_answers_a_non_natural_lex_product():
     # rungs k = 2..5 must each be shown empty; within 10^6 nodes only the
-    # memo of dead subtrees does that
+    # memo of dead subtrees does that.  D's own ladder starts at 6, its
+    # largest transposition class, so the rungs are asked here
     g, _ = lexicographic(graph6.parse_graph6("En}?"),
                          graph6.parse_graph6("A_"))
+    minimal = automorphism_group(g).minimal_cycles
+    kernels._exists.cache_clear()
+    assert not any(kernels.exists_distinguishing_partition(
+        g.n, minimal, k, 10**6) for k in range(2, 6))
     with limits.scoped(max_colorings=10**6):
         assert distinguishing_number(g) == 6 == graph_indices(g).d
 
@@ -516,18 +521,92 @@ def test_memo_never_stores_a_spent_budget():
     kernels._exists.cache_clear()
     c6 = _c6_elements()
     for _ in range(2):
+        # the count's first walk, at k = 1, charges 6 nodes
         with pytest.raises(BudgetExceededError,
-                           match="^coloring search exceeded budget 10$"):
-            kernels.count_distinguishing_partitions(6, c6, 3, 10)
+                           match="^coloring search exceeded budget 5$"):
+            kernels.count_distinguishing_partitions(6, c6, 3, 5)
         with pytest.raises(BudgetExceededError,
                            match="^coloring search exceeded budget 2$"):
             kernels.exists_distinguishing_partition(6, c6, 6, 2)
     assert kernels._count.cache_info().currsize == 0
     assert kernels._exists.cache_info().currsize == 0
+    # at 10 the walk at k = 1 completes and the one at k = 2 raises: the
+    # ladder keeps rung 1 and its nodes, and nothing of the walk that raised
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError,
+                           match="^coloring search exceeded budget 10$"):
+            kernels.count_distinguishing_partitions(6, c6, 3, 10)
+    assert kernels._count.cache_info().currsize == 1
+    ladder = kernels._count(6, tuple(c6), 10)
+    assert (ladder.A, ladder.nodes) == ([0, 0], 6)
     # the same searches answer at a larger budget
     assert kernels.count_distinguishing_partitions(6, c6, 3, 10**7) == [
         0, 0, 6, 68]
     assert kernels.exists_distinguishing_partition(6, c6, 6, 10**7)
+
+
+def test_eq2_runs_each_count_walk_once(walks):
+    kernels._count.cache_clear()
+    assert verify.run_rules(["eq2"])
+    counts = [(n, elements, budget, palettes[0])
+              for n, elements, budget, palettes, first in walks
+              if not first]
+    assert len(counts) > 100
+    assert len(counts) == len(set(counts))
+
+
+# a count whose ladder is climbed in two steps charges exactly what a fresh
+# count charges at the top rung, and raises one node below it
+@pytest.mark.parametrize("elements,total,A", [
+    (_c6_elements, 180, [0, 0, 6, 68]),
+    (lambda: _minimal(vsum(cycle(4), 4)), 25_245, [0, 0, 0, 24192])],
+    ids=["C6", "C4x4"])
+def test_memo_extends_the_ladder_a_fresh_count_climbs(walks, elements, total,
+                                                      A):
+    kernels._count.cache_clear()
+    elements = tuple(elements())
+    n = len(elements[0])
+    assert kernels.count_distinguishing_partitions(n, elements, 2,
+                                                   total) == A[:3]
+    assert len(walks) == 2
+    assert kernels.count_distinguishing_partitions(n, elements, 3,
+                                                   total) == A
+    assert len(walks) == 3
+    assert kernels._count(n, elements, total).nodes == total
+    # a count at or below the ladder's top is a slice: no walk
+    assert kernels.count_distinguishing_partitions(n, elements, 2,
+                                                   total) == A[:3]
+    assert kernels.count_distinguishing_partitions(n, elements, 1,
+                                                   total) == A[:2]
+    assert len(walks) == 3
+    # one node short, the climb from rung 2 raises the unchanged text at
+    # the walk a fresh count raises at, and rungs 1 and 2 still answer
+    assert kernels.count_distinguishing_partitions(n, elements, 2,
+                                                   total - 1) == A[:3]
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^coloring search exceeded budget "
+                                 f"{total - 1}$"):
+            kernels.count_distinguishing_partitions(n, elements, 3,
+                                                    total - 1)
+    del walks[:]
+    assert kernels.count_distinguishing_partitions(n, elements, 1,
+                                                   total - 1) == A[:2]
+    assert kernels.count_distinguishing_partitions(n, elements, 2,
+                                                   total - 1) == A[:3]
+    assert walks == []
+    assert kernels._count(n, elements, total - 1).A == A[:3]
+
+
+def test_count_below_one_block_runs_no_walk(walks):
+    kernels._count.cache_clear()
+    c6 = _c6_elements()
+    assert kernels.count_distinguishing_partitions(6, c6, 0, 1) == [0]
+    assert kernels.count_distinguishing_partitions(6, c6, -1, 1) == []
+    assert kernels.count_distinguishing_partitions(0, [], 2, 1) == [0, 0, 0]
+    assert pure.count_distinguishing_partitions(6, c6, 0, 1) == [0]
+    assert walks == []
+    assert kernels._count.cache_info().currsize == 0
 
 
 def test_memo_keeps_the_budget_in_its_key():
@@ -584,12 +663,12 @@ def test_cache_clear_empties_every_memo():
 
 
 def test_d_ladder_builds_one_kill_table():
-    g = complete(8)
+    g = vsum(complete(3), 4)
     group = automorphism_group(g)
-    assert len(group.minimal_cycles) == 28
+    assert len(group.minimal_cycles) == 16
     kernels._exists.cache_clear()
     pure._kill_table.cache_clear()
-    assert distinguishing_number(g, group) == 8
-    # rungs k = 2..8 all read the table built on the first
+    assert distinguishing_number(g, group) == 4
+    # rungs k = 3, 4 read the table built on the first, k = 2
     info = pure._kill_table.cache_info()
-    assert (info.misses, info.hits) == (1, 6)
+    assert (info.misses, info.hits) == (1, 2)

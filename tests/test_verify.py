@@ -58,6 +58,63 @@ class TestRuleRegistry:
             verify.run_rules(["nope"])
 
 
+class _ReadLog(dict):
+    """A grid that records every key a runner looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestGridKeys:
+    @pytest.mark.parametrize("rule", verify.rule_ids())
+    def test_rule_declares_the_keys_it_reads(self, rule):
+        # max=1 keeps the product grids empty; every other key takes its
+        # default, so every lookup a runner makes is logged
+        grid = _ReadLog({"max": 1})
+        verify.RULES[rule].runner(grid)
+        assert grid.read == set(verify.RULES[rule].keys)
+
+    @pytest.mark.parametrize("ids,spec,message", [
+        (["thm3.7"], "tt=2..5",
+         "no selected rule reads grid key 'tt' (they read: family, t)"),
+        (["eq2"], "k=0..1",
+         "no selected rule reads grid key 'k' (they read: max)"),
+        (["thm2.1", "thm3.10"], "K3,n=2",
+         "no selected rule reads grid key 'family', 'n' (they read: none)")])
+    def test_key_no_selected_rule_reads_is_rejected(self, monkeypatch, ids,
+                                                    spec, message):
+        ran = []
+        for rule_id in ids:
+            monkeypatch.setitem(verify.RULES, rule_id, dataclasses.replace(
+                verify.RULES[rule_id], runner=ran.append))
+        with pytest.raises(InvalidInputError) as exc:
+            verify.run_rules(ids, grid=verify.parse_grid(spec))
+        assert str(exc.value) == message
+        assert ran == []  # rejected before any rule runs
+
+    def test_key_some_rule_reads_reaches_every_rule(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(verify, "_RULES", tuple(
+            dataclasses.replace(rule, runner=lambda grid: grids.append(grid)
+                                or [])
+            for rule in verify._RULES))
+        assert verify.run_rules(grid=verify.parse_grid("max=16")) == []
+        assert grids == [{"max": 16}] * 18
+
+
 class TestVerdictShape:
     def test_frozen(self):
         (v,) = verify.run_rules(["thm3.13"], grid=verify.parse_grid("n=3,t=2"))
