@@ -53,9 +53,8 @@ def encode_checked(g: nx.Graph) -> str:
     return line
 
 
-def main() -> None:
-    out_dir = Path(__file__).resolve().parent.parent / "src" / "symbreak" / "data"
-    out_dir.mkdir(parents=True, exist_ok=True)
+def corpus_texts() -> dict[str, str]:
+    """File name -> text of each corpus file, every line cross-checked."""
     by_n = atlas_connected()
 
     for n, want in EXPECTED_LE6.items():
@@ -63,12 +62,17 @@ def main() -> None:
     assert len(by_n[7]) == EXPECTED_7, len(by_n[7])
 
     le6 = [encode_checked(g) for n in range(1, 7) for g in by_n[n]]
-    (out_dir / "connected_n_le6.g6").write_text("\n".join(le6) + "\n")
-    print(f"wrote {len(le6)} graphs to connected_n_le6.g6")
-
     seven = [encode_checked(g) for g in by_n[7]]
-    (out_dir / "connected_7.g6").write_text("\n".join(seven) + "\n")
-    print(f"wrote {len(seven)} graphs to connected_7.g6")
+    return {"connected_n_le6.g6": "\n".join(le6) + "\n",
+            "connected_7.g6": "\n".join(seven) + "\n"}
+
+
+def main() -> None:
+    out_dir = Path(__file__).resolve().parent.parent / "src" / "symbreak" / "data"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in corpus_texts().items():
+        (out_dir / name).write_text(text)
+        print(f"wrote {text.count(chr(10))} graphs to {name}")
 
 
 if __name__ == "__main__":

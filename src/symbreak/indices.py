@@ -33,28 +33,17 @@ smaller set happens no later, so A_j is unchanged and only node counts fall.
 That set and theta are both read from the group's stabilizer chain by
 one stream of its products, so these routes build no element list: the
 scan that finds the set also records the largest cycle count.
-The kernel has one partition walk, the twin route's labelling walk,
-memoized on the state that fixes a subtree's completions.  With one class
-and k labels it counts the labellings N_k = sum_j A_j * k!/(k-j)!, so the
-count runs it at k = 1..K and back-substitutes for A_k, charging one node
-budget across the K walks.  The existence search behind D is the same walk
-in its first mode; it stops at the first distinguishing partition, and its
-memo keeps only subtrees with none, so it charges no more nodes than the
-plain existence walk.  D's ladder starts at the largest transposition
-class: if (a b) and (b c) are automorphisms, so is (a c), so the vertices
-the group's transpositions join form cliques, a distinguishing coloring
-is injective on each, and every rung below the largest is empty
-(_transposition_class).  Every transposition of the group is a minimal
-cycle partition, so the start needs no other scan.  Answers are reused
-across calls: symbreak.kernels memoizes both searches per process on their
-inputs, the budget included; the count's memo keeps each input's ladder
-A_0..A_K and extends it in k, so the paper's ladders (least k with
-Phi_k >= a target, sums of phi_i over i <= k) walk each rung once.  The
-kernel keeps its last few kill tables, so the rungs of one D ladder, and a
-phi table followed by D on the same elements, build one table.  The root
-stabilizer of a rooted graph
-is cached too (perms.stabilizer), so rooted_indices asked at k = 1, 2, ...
-reads one pinned chain and its cached minimal cycles.
+D's ladder asks the kernel's existence search at k labels, and phi_table
+reads A_j from its partition count; symbreak.kernels says how both walk,
+charge their budget and are memoized.  D's ladder starts at the largest
+transposition class: if (a b) and (b c) are automorphisms, so is (a c),
+so the vertices the group's transpositions join form cliques, a
+distinguishing coloring is injective on each, and every rung below the
+largest is empty (_transposition_class).  Every transposition of the
+group is a minimal cycle partition, so the start needs no other scan.
+The root stabilizer of a rooted graph is cached (perms.stabilizer), so
+rooted_indices asked at k = 1, 2, ... reads one pinned chain and its
+cached minimal cycles.
 
 phi_table computes A_j by search only below theta and switches to the exact
 factorial/Stirling form at and above it (where every surjective coloring is
@@ -468,7 +457,7 @@ def _twin_indices(g: Graph, group: AutGroup, twins: TwinQuotient,
         return kernels.count_distinguishing_labellings(
             len(classes), minimal, classes,
             [math.comb(k, t) for _, t in kinds], limits.coloring_cap(),
-            first)
+            first)[0]
 
     # below the largest class size, that class has no label
     low = max(t for _, t in kinds)

@@ -1,32 +1,63 @@
-"""Kernel entry points.
+"""Search kernels, the searches the whole library leans on:
 
-Every search runs on the pure-Python kernels of symbreak._kernels_py.
-search_automorphisms returns the order and the stabilizer chain's
-transversals, of Aut(G) or of the automorphisms that keep an initial
-vertex coloring (one vertex's stabilizer, a weighted quotient's group);
-group elements are built from them by symbreak.perms, on request only.
-count_distinguishing_labellings, the walk of the twin route, has no
-per-process memo: one graph never asks the same input twice.
+  search_automorphisms               |Aut(G)|, or of the automorphisms that
+                                     keep an initial vertex coloring, and
+                                     the transversals of its stabilizer chain
+  all_automorphisms_preserve_blocks  whether the chain's generators map
+                                     every block onto a block
+  isomorphic                         (rooted) isomorphism of two graphs
+  count_distinguishing_labellings    the labelling walk: labellings no
+                                     automorphism fixes, with one palette per
+                                     vertex class
+  exists_distinguishing_partition    whether some set partition into at most
+                                     k blocks is fixed by none: D's search
+  count_distinguishing_partitions    set partitions no automorphism fixes,
+                                     by number of blocks
 
-The existence search behind D is that walk with one vertex class and a
-palette of max_blocks labels, in its first mode.  Labellings with at most
-k labels are distinguishing exactly when their partitions into equal
-labels are, so it answers whether some set partition into at most
-max_blocks blocks is preserved by no element.  It tries the blocks the
-plain existence walk tries, in the same order, and charges one node per
-block tried; its memo stores only subtrees with no distinguishing
-completion, so it never charges more nodes than the plain walk.
-symbreak.indices starts D's ladder at its largest transposition class,
-so no rung below it is asked.
+There is one backtracking search, _extend: the first leaf below a node of
+the tree that maps one graph into another.  Vertices are mapped in a
+static order (_search_order); a vertex's candidates are the unused target
+vertices of its refined color, with the right adjacency to every vertex
+mapped before it, so every leaf is an isomorphism.  isomorphic refines
+the disjoint union of its two graphs, so colors compare, and runs it once.
 
-The partition count is that walk too, without first: run at k = 1..K
-labels, K = min(max_blocks, n), it gives N_k = sum_j A_j * k!/(k-j)!, and
-A_k follows by back-substitution.  The K walks charge one node_budget
-between them, so the count at k < K charges a prefix of the count at K.
+The automorphism search maps a graph into itself along the pointwise
+stabilizer chain (Sims 1970; Seress, Permutation Group Algorithms, 2003):
+one first-leaf search per candidate image off the identity path, so |Aut|
+is known, and checked against the budget, without building any element
+beyond the transversals.  Each first-leaf search stays inside a distinct
+subtree that a DFS over every leaf enumerates in full, so the chain never
+visits more.  Group elements, as products of transversal elements, are
+built by symbreak.perms, and only where a caller asks for them.
+Refinement starts from an optional initial coloring, the search's one
+option: a vertex stabilizer gives the pinned vertex a class of its own,
+and the twin quotient colors each vertex by its weight.
 
-Both searches are memoized here in bounded per-process caches.  The
-existence search's is keyed on every input:
-(n, tuple(elements), max_blocks, node_budget).
+There is one partition walk, the labelling walk.  It encodes the elements
+by _kill_table and keeps the live ones as an int bitmask.  The last few
+tables are kept, so consecutive walks on the same elements, such as the
+rungs of a D ladder or the K walks of one count, build one.  The walk is
+memoized on the state that fixes a subtree's completions (see its
+docstring), so it visits a subset of the nodes the plain walk visits,
+usually a small one; tests hold it, with the memo off, to plain reference
+walks, node for node.  It keeps one set of blocks per vertex class and
+weighs each new block by the labels its class has left.  Labellings with
+at most k labels are distinguishing exactly when their partitions into
+equal labels are, so with one class the walk answers for partitions:
+
+  existence   a palette of max_blocks labels, stopping at the first
+              labelling.  It tries the blocks the plain existence walk
+              tries, in the same order, and charges one node per block
+              tried; its memo stores only subtrees with no distinguishing
+              completion, so it never charges more nodes than the plain
+              walk.
+  count       k = 1..K labels, K = min(max_blocks, n), giving
+              N_k = sum_j A_j * k!/(k-j)!, and A_k by back-substitution.
+              The K walks charge one node_budget between them, so the
+              count at k < K charges a prefix of the count at K.
+
+Both are memoized in bounded per-process caches.  The existence search's
+cache is keyed on every input: (n, tuple(elements), max_blocks, node_budget).
 The count's is keyed on (n, tuple(elements), node_budget) and holds the
 ladder climbed so far: A_0..A_K and the nodes its K walks spent.  A count
 at K' <= K is a slice of it: a fresh K'-count would charge a prefix of
@@ -34,79 +65,439 @@ those nodes, so it could not raise.  A count at K' > K climbs on, running
 walks K+1..K' from the stored node total and storing each walk as it
 completes, so it charges the nodes a fresh K'-count charges, answers the
 same, and raises at the same walk with the same text.  A ladder is stored
-once its first walk completes, and a walk that raises stores nothing.
-_kernels_py.count_distinguishing_partitions is that climb from an empty
-ladder, so the tests that hold it to reference walks cover the code the
-memo runs.  So the paper's ladders, least k with Phi_k >= a target and
-sums of phi_i over i <= k, run each walk once per process.
-Product graphs whose groups act alike pass the same elements, so the keys
-hit across graphs, as well as on the rule sweeps that ask the same copy
-factor again.  The answer is a pure function of the key and the rung asked;
-the budget is part of the key, so a smaller budget still raises where it
-did.  The count returns a fresh list on every call.
+once its first walk completes, and a walk that raises stores nothing.  So
+the paper's ladders, least k with Phi_k >= a target and sums of phi_i
+over i <= k, run each walk once per process.  Product graphs whose groups
+act alike pass the same elements, so the keys hit across graphs, as well
+as on the rule sweeps that ask the same copy factor again.  The answer is
+a pure function of the key and the rung asked; the budget is part of the
+key, so a smaller budget still raises where it did.  The count returns a
+fresh list on every call.  The labelling walk itself, the twin route's,
+has no per-process memo: one graph never asks the same input twice.
+
+Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
+leave as image tuples (element[i] = image of vertex i).  Budgets raise
+BudgetExceededError; nothing is ever silently truncated.  No search keeps a
+reference cycle alive after it returns or raises: recursive closures drop
+their reference to themselves on the way out.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from . import _kernels_py as _pure
+from .errors import BudgetExceededError
+
+# most machine words the labelling walk's memo holds (about 32 MB on a
+# 64-bit build); past it the walk goes on without storing
+_MEMO_WORDS = 1 << 22
 
 
 def backend_name() -> str:
+    """The kernel's name, as benchmark reports record it."""
     return "pure"
 
 
-def search_automorphisms(n, adj, order_cap, colors=None):
-    return _pure.search_automorphisms(n, adj, order_cap, colors)
+def _refine_colors(n: int, adj, start=None) -> list[int]:
+    """Iterated neighbor-degree refinement, from the degrees or from the
+    (color, degree) pairs of an initial coloring start; stable colors are
+    preserved by every automorphism that preserves start, so search
+    candidates never leave their color class."""
+    colors = [adj[v].bit_count() for v in range(n)]
+    if start is not None:
+        ids: dict[tuple, int] = {}
+        colors = [ids.setdefault((c, d), len(ids))
+                  for c, d in zip(start, colors)]
+    while True:
+        table: dict[tuple, int] = {}
+        new = []
+        for v in range(n):
+            nb = []
+            mask = adj[v]
+            while mask:
+                low = mask & -mask
+                nb.append(colors[low.bit_length() - 1])
+                mask ^= low
+            nb.sort()
+            sig = (colors[v], tuple(nb))
+            new.append(table.setdefault(sig, len(table)))
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
 
 
-def isomorphic(n, adj, dst, pin):
-    return _pure.isomorphic(n, adj, dst, pin)
+def _search_order(n: int, adj, colors) -> list[int]:
+    """Static vertex order: rare color classes first, staying adjacent to the
+    already-ordered prefix so each new vertex is tightly constrained.
+
+    Each step takes the first vertex, by (class size, vertex), among the
+    unplaced neighbors of the prefix, or among all unplaced vertices when
+    the prefix has none.
+    """
+    size: dict[int, int] = {}
+    for c in colors:
+        size[c] = size.get(c, 0) + 1
+    ranked = sorted(range(n), key=lambda v: (size[colors[v]], v))
+    order: list[int] = []
+    placed = 0
+    adj_mask = 0  # neighbors of the ordered prefix
+    for _ in range(n):
+        pool = adj_mask & ~placed or ~placed
+        best = next(v for v in ranked if pool >> v & 1)
+        order.append(best)
+        placed |= 1 << best
+        adj_mask |= adj[best]
+    return order
 
 
-def all_automorphisms_preserve_blocks(n, adj, blocks, order_cap):
+def _extend(n: int, adj, dst, order, cls, image, used: int, depth: int):
+    """First leaf below one node of the search tree mapping graph adj into
+    graph dst; automorphism searches pass adj as dst.
+
+    image is fixed on order[:depth] and used is the set of its images.
+    Candidates are tried in increasing vertex order, as in the DFS.  Returns
+    the first completion to an isomorphism as an image tuple, or None when
+    there is none.
+    """
+    if depth == n:
+        return tuple(image)
+    v = order[depth]
+    cand = cls[v] & ~used
+    av = adj[v]
+    for i in range(depth):
+        u = order[i]
+        cand &= dst[image[u]] if av >> u & 1 else ~dst[image[u]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        image[v] = low.bit_length() - 1
+        leaf = _extend(n, adj, dst, order, cls, image, used | low, depth + 1)
+        if leaf is not None:
+            return leaf
+    return None
+
+
+def _class_masks(colors) -> dict[int, int]:
+    """Color -> bitmask of the vertices with that color."""
+    masks: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        masks[c] = masks.get(c, 0) | (1 << v)
+    return masks
+
+
+def search_automorphisms(n: int, adj, order_cap: int, colors=None):
+    """(|Aut|, chain) for the graph given as neighbor bitmasks, or for its
+    automorphisms that preserve the vertex coloring colors (one hashable
+    value per vertex) when it is given.
+
+    chain holds the nontrivial transversals of the pointwise stabilizer
+    chain along the search order, in level order, each a tuple of image
+    tuples with the identity first.  G_i is the subgroup fixing order[:i]
+    pointwise, so G_0 = Aut(G) and G_n = 1.  Levels are walked from i = n-1
+    down to 0.  At level i every candidate image w != order[i] of order[i],
+    with order[:i] fixed, gets one first-leaf search; the leaf found, if
+    any, is the representative of the coset of G_{i+1} sending order[i] to
+    w.  The transversal T_i then gives |G_i| = |T_i| * |G_{i+1}| exactly,
+    and the cap is checked after every representative: BudgetExceededError
+    is raised exactly when the order exceeds order_cap.
+
+    Each (i, w) search runs inside the subtree that the plain DFS enters
+    when it leaves the identity path at depth i for w, and these subtrees
+    are pairwise distinct, so the chain visits no more nodes than the DFS.
+    Refinement starts from colors, so no leaf maps a vertex to one of
+    another color: a vertex stabilizer is the coloring that gives the
+    vertex a class of its own, and a weighted quotient's group the one
+    that colors each vertex by its weight.
+    Every automorphism factors uniquely as t_0 * t_1 * ... (right factor
+    applied first) with t_i in the i-th transversal, so the non-identity
+    transversal elements generate the group.
+    When refinement leaves every vertex a class of its own, the search
+    returns (1, ()) at once: no level would have a candidate.
+    """
+    if order_cap < 1:
+        raise BudgetExceededError(
+            f"automorphism search exceeded cap {order_cap}")
+    colors = _refine_colors(n, adj, colors)
+    class_mask = _class_masks(colors)
+    if len(class_mask) == n:
+        return 1, ()
+    cls = [class_mask[c] for c in colors]
+    order = _search_order(n, adj, colors)
+    ident = tuple(range(n))
+    image = list(ident)
+    prefix = [0] * (n + 1)
+    for i, v in enumerate(order):
+        prefix[i + 1] = prefix[i] | 1 << v
+    size = 1
+    chain = []
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        cand = cls[v] & ~prefix[i + 1]
+        av = adj[v]
+        for u in order[:i]:
+            cand &= adj[u] if av >> u & 1 else ~adj[u]
+        reps = [ident]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[v] = low.bit_length() - 1
+            leaf = _extend(n, adj, adj, order, cls, image, prefix[i] | low,
+                           i + 1)
+            if leaf is None:
+                continue
+            reps.append(leaf)
+            if len(reps) * size > order_cap:
+                raise BudgetExceededError(
+                    f"automorphism search exceeded cap {order_cap}")
+        image[v] = v
+        if len(reps) > 1:
+            size *= len(reps)
+            chain.append(tuple(reps))
+    return size, tuple(reversed(chain))
+
+
+def isomorphic(n: int, adj, dst, pin) -> bool:
+    """True iff graph adj maps onto graph dst, both on n vertices, sending
+    u to w when pin = (u, w) is given.  Colors come from refining the two
+    graphs' disjoint union, so they mean the same in both."""
+    colors = _refine_colors(2 * n, list(adj) + [m << n for m in dst])
+    if sorted(colors[:n]) != sorted(colors[n:]):
+        return False
+    class_mask = _class_masks(colors[n:])
+    cls = [class_mask[c] for c in colors[:n]]
+    own = colors[:n]
+    if pin is not None:
+        u, w = pin
+        cls[u] &= 1 << w
+        own[u] = -1
+    order = _search_order(n, adj, own)
+    return _extend(n, adj, dst, order, cls, [0] * n, 0, 0) is not None
+
+
+def all_automorphisms_preserve_blocks(n: int, adj, blocks, order_cap: int) -> bool:
+    """True iff every automorphism maps each block (given as a block id per
+    vertex) onto some block.  A group does iff its generators do, and a
+    permutation does iff v's block determines the block of v's image.  The
+    chain is built without the cap, so a splitting generator answers False
+    whatever |Aut| is; otherwise |Aut| > order_cap raises."""
     # one integer block id per vertex; bad shapes fail here, before the
     # chain is built
     blocks = [int(b) for b in blocks]
     if len(blocks) != n:
         raise ValueError("need one block id per vertex")
-    return _pure.all_automorphisms_preserve_blocks(n, adj, blocks, order_cap)
+    if n == 0:
+        return True
+    order, chain = search_automorphisms(n, adj, math.inf)
+    for reps in chain:
+        for t in reps[1:]:
+            image: dict[int, int] = {}
+            for v in range(n):
+                if image.setdefault(blocks[v], blocks[t[v]]) != blocks[t[v]]:
+                    return False
+    if order > order_cap:
+        raise BudgetExceededError(
+            f"automorphism search exceeded cap {order_cap}")
+    return True
 
 
-@lru_cache(maxsize=256)
-def _count(n, elements, node_budget):
-    # a ladder is stored only once its first walk completes
-    ladder = _pure.CountLadder()
-    _pure.climb(ladder, n, elements, 1, node_budget)
-    return ladder
+@lru_cache(maxsize=4)
+def _kill_table(n: int, elements: tuple):
+    """Which elements each vertex's block choice can break, as bitmasks.
+
+    Bit i stands for elements[i].  kill[v] holds (w, keep) for w < v, where
+    ~keep is the set of elements e with e(v) = w or e(w) = v: each of them
+    survives the choice of a block for v only if w is in that block.
+    reach[v] holds (u, reads) for u < v, where reads is the union of those
+    sets over every pair (x, u) with x >= v: the elements that still read
+    the block of u once v - 1 is placed.
+
+    Memoized, so the rungs of one D ladder, and a count followed by D on
+    the same elements, share one table: callers must only read it.
+    """
+    size = (len(elements) + 7) >> 3
+    bufs: dict[int, bytearray] = {}  # v * n + w -> bits
+    for i, e in enumerate(elements):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for x, y in enumerate(e):
+            if x != y:
+                pair = x * n + y if y < x else y * n + x
+                buf = bufs.get(pair)
+                if buf is None:
+                    buf = bufs[pair] = bytearray(size)
+                buf[byte] |= bit
+    masks = [[] for _ in range(n)]
+    for pair, buf in bufs.items():
+        v, w = divmod(pair, n)
+        masks[v].append((w, int.from_bytes(buf, "little")))
+    reach = [[] for _ in range(n)]
+    later: dict[int, int] = {}
+    for v in range(n - 1, 0, -1):
+        for w, mask in masks[v]:
+            later[w] = later.get(w, 0) | mask
+        reach[v] = [(u, reads) for u, reads in later.items() if u < v]
+    return [[(w, ~mask) for w, mask in row] for row in masks], reach
+
+
+def count_distinguishing_labellings(n: int, elements, classes, palettes,
+                                    node_budget: int, first: bool = False,
+                                    nodes: int = 0) -> tuple[int, int]:
+    """(labellings, nodes): the labellings of {0..n-1} that no given element
+    preserves, and the nodes charged against node_budget in all, the given
+    nodes, spent before this walk, included.  Vertex v takes one of
+    palettes[classes[v]] labels, and the given elements, all non-identity,
+    map every vertex into its own class.  With first, the walk stops at the
+    first such labelling and counts 1, or 0 when there is none.
+
+    An element preserves a labelling iff it preserves the partition into
+    equal labels, and no element joins two classes, so the walk keeps one
+    set of blocks per class: labels of two classes are never compared.
+    Blocks are walked as canonical assignments: a vertex joins an open
+    block of its class or opens the class's next one.  Opening the j-th
+    block of class w multiplies the count by palettes[w] - j, the labels
+    still unused in w, and a class opens no more blocks than it has labels.
+    The live set of not-yet-broken elements, a bitmask, shrinks along each
+    branch; once it empties, the vertices u > v are labelled freely, in
+    prod palettes[classes[u]] ways, without being visited.
+
+    The walk is memoized.  Below vertex v with live set L, a subtree's
+    value is the number of labellings of vertices v..n-1 that break every
+    element of L.  The frontier is the vertices u < v whose block some
+    element of L still reads at a vertex >= v (_kill_table's reach).
+    Labels are interchangeable, and blocks no live element reads are labels
+    like any unused one, so the value depends on the labels placed so far
+    only through which frontier vertices share one.  The key is (v, L, the
+    frontier's block ids renamed by first occurrence), and a key seen
+    before reuses its value: the count is exactly what the plain walk
+    gives.  The frontier's block ids are compared across classes too, which
+    only splits keys.
+
+    The memo holds at most about _MEMO_WORDS machine words; once full, the
+    walk goes on without storing, which stays exact.  Each block tried for
+    a vertex counts against node_budget, as it is tried.  A memo hit visits
+    nothing, so the nodes charged are a subset of the plain walk's, and
+    every count the plain walk completes completes here.  With first, a
+    subtree that finishes has no labelling, so the memo holds only zeros:
+    a hit skips a subtree the plain walk searches in vain.
+    """
+    free = [1] * (n + 1)  # free[v]: labellings of vertices v..n-1
+    for v in range(n - 1, -1, -1):
+        free[v] = free[v + 1] * palettes[classes[v]]
+    if not elements or not free[0]:
+        return (min(free[0], 1) if first else free[0]), nodes
+    kill, reach = _kill_table(n, tuple(elements))
+    color = [0] * n
+    opened = [0] * len(palettes)
+    memo: dict[tuple, int] = {}
+    # words per entry: dict slot, key and frontier tuples, the value, and
+    # the live mask at about 48 elements a word
+    room = _MEMO_WORDS // (24 + n + len(elements) // 48)
+
+    def rec(v: int, live: int) -> int:
+        nonlocal nodes, room
+        front = [color[u] for u, reads in reach[v] if reads & live]
+        key = (v, live, tuple(map(front.index, front)))
+        done = memo.get(key)
+        if done is not None:
+            return done
+        w = classes[v]
+        b, labels = opened[w], palettes[w]
+        total = 0
+        row = kill[v]
+        for c in range(b + 1 if b < labels else labels):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"coloring search exceeded budget {node_budget}")
+            nlive = live
+            for u, keep in row:
+                if color[u] != c:
+                    nlive &= keep
+            if not nlive:
+                ways = free[v + 1]
+            elif v + 1 < n:
+                color[v] = c
+                opened[w] += c == b
+                ways = rec(v + 1, nlive)
+                opened[w] -= c == b
+            else:
+                continue  # a full labelling with live elements: preserved
+            total += ways * (labels - b if c == b else 1)
+            if first and total:
+                return 1
+        if room:
+            room -= 1
+            memo[key] = total
+        return total
+
+    try:
+        total = rec(0, (1 << len(elements)) - 1)
+    finally:
+        rec = None  # break the closure's reference to itself
+    return total, nodes
 
 
 @lru_cache(maxsize=256)
 def _exists(n, elements, max_blocks, node_budget):
-    if n == 0 or max_blocks < 1:
-        return False
-    return _pure.count_distinguishing_labellings(
-        n, elements, (0,) * n, (max_blocks,), node_budget, True) > 0
-
-
-def count_distinguishing_partitions(n, elements, max_blocks, node_budget):
-    K = min(max_blocks, n)
-    if K < 1:
-        return [0] * (max_blocks + 1)
-    elements = tuple(elements)
-    ladder = _count(n, elements, node_budget)
-    _pure.climb(ladder, n, elements, K, node_budget)
-    return ladder.answer(max_blocks)
+    return count_distinguishing_labellings(
+        n, elements, (0,) * n, (max_blocks,), node_budget, True)[0] > 0
 
 
 def exists_distinguishing_partition(n, elements, max_blocks, node_budget):
     """True iff some set partition of {0..n-1} into at most max_blocks
     nonempty blocks is preserved by none of the given elements."""
+    if n == 0 or max_blocks < 1:
+        return False
     return _exists(n, tuple(elements), max_blocks, node_budget)
 
 
-def count_distinguishing_labellings(n, elements, classes, palettes,
-                                    node_budget, first=False):
-    return _pure.count_distinguishing_labellings(n, elements, classes,
-                                                 palettes, node_budget, first)
+class _Ladder:
+    """One count's rungs so far: A[j] for j = 0..K, and the nodes its K
+    walks spent against the count's node_budget."""
+
+    __slots__ = ("A", "nodes")
+
+    def __init__(self):
+        self.A = [0]
+        self.nodes = 0
+
+
+def _climb(ladder: _Ladder, n: int, elements, K: int,
+           node_budget: int) -> None:
+    """Extend ladder to rung K, one labelling walk per missing rung k, each
+    charging on top of the nodes the walks below it spent, and
+    back-substitute: A_k = (N_k - sum_{j<k} A_j * k!/(k-j)!) / k!.  A walk
+    appends its rung only once it completes, so a walk that raises leaves
+    the ladder as it was."""
+    A = ladder.A
+    for k in range(len(A), K + 1):
+        labellings, nodes = count_distinguishing_labellings(
+            n, elements, (0,) * n, (k,), node_budget, False, ladder.nodes)
+        A.append((labellings - sum(A[j] * math.perm(k, j)
+                                   for j in range(1, k))) // math.factorial(k))
+        ladder.nodes = nodes
+
+
+@lru_cache(maxsize=256)
+def _count(n, elements, node_budget):
+    # a ladder is stored only once its first walk completes
+    ladder = _Ladder()
+    _climb(ladder, n, elements, 1, node_budget)
+    return ladder
+
+
+def count_distinguishing_partitions(n: int, elements, max_blocks: int,
+                                    node_budget: int) -> list[int]:
+    """A[j] for j = 0..max_blocks: set partitions of {0..n-1} into exactly j
+    blocks that no given element, each a non-identity automorphism,
+    preserves.  A j-block partition takes k!/(k-j)! labellings with at
+    most k labels, so the count climbs the input's ladder to
+    K = min(max_blocks, n); rungs past n are 0."""
+    K = min(max_blocks, n)
+    if K < 1:
+        return [0] * (max_blocks + 1)
+    elements = tuple(elements)
+    ladder = _count(n, elements, node_budget)
+    _climb(ladder, n, elements, K, node_budget)
+    A = ladder.A[:max_blocks + 1]
+    return A + [0] * (max_blocks + 1 - len(A))

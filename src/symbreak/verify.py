@@ -42,8 +42,9 @@ the run.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -124,8 +125,12 @@ def _brute_group(g: Graph):
         return automorphism_group(g)
 
 
-def _g6(g: Graph) -> str:
-    return emit_graph6(g)
+def _brute_order(p: Graph) -> int:
+    return _brute_group(p).order
+
+
+def _brute_d(p: Graph) -> int:
+    return distinguishing_number(p, _brute_group(p))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,8 @@ def parse_grid(spec: str | None) -> dict:
 
     Comma-separated tokens; 'key=value' sets a key, a bare token sets the
     family.  Values: 'a..b' is an inclusive integer range with b >= a,
-    digits an integer, anything else a string.
+    ASCII digits with an optional leading '-' an integer, anything else a
+    string.
     """
     grid: dict = {}
     if not spec:
@@ -159,7 +165,7 @@ def parse_grid(spec: str | None) -> dict:
                 if not values:
                     raise InvalidInputError(f"bad range {value!r} in grid")
                 grid[key] = values
-            elif value.lstrip("-").isdigit():
+            elif re.fullmatch(r"-?[0-9]+", value):
                 grid[key] = int(value)
             else:
                 grid[key] = value
@@ -320,7 +326,7 @@ def _rule_eq2(grid: dict) -> list[TheoremVerdict]:
     for g in corpus.connected_graphs(min(_cap(grid, 6), 6)):
         group = automorphism_group(g)
         theta = distinguishing_threshold(g, group)
-        name = _g6(g)
+        name = emit_graph6(g)
         for k in range(theta, theta + 3):
             def exact(g=g, k=k, group=group):
                 num = math.factorial(k) * formulas.stirling2(g.n, k)
@@ -341,18 +347,6 @@ def _rule_eq2(grid: dict) -> list[TheoremVerdict]:
                 "eq2", f"{name},k={k},cumulative",
                 cumulative,
                 lambda g=g, k=k, group=group: phi_brute(g, k, group).phi))
-    return out
-
-
-def _rule_eq3(grid: dict) -> list[TheoremVerdict]:
-    out = []
-    for g, h in _pairs_corona(grid):
-        product, _ = products.corona(g, h)
-        out.append(_verdict(
-            "eq3", f"corona({_g6(g)},{_g6(h)})",
-            lambda g=g, h=h: formulas.aut_order_corona(g, h),
-            lambda p=product: _brute_group(p).order,
-            unmet=formulas.corona_preconditions(g, h)))
     return out
 
 
@@ -389,7 +383,7 @@ def _rule_thm21(grid: dict) -> list[TheoremVerdict]:
 def _rule_thm35(grid: dict) -> list[TheoremVerdict]:
     out = []
     for g in corpus.connected_graphs(min(_cap(grid, 6), 6)):
-        name = _g6(g)
+        name = emit_graph6(g)
         for ob in orbits(automorphism_group(g)):
             u = ob[0]
             out.append(_verdict(
@@ -411,7 +405,7 @@ def _rule_thm37(grid: dict) -> list[TheoremVerdict]:
         out.append(_verdict(
             "thm3.7", f"{name}@{root},t={t}",
             lambda bound=bound: bound.value,
-            lambda p=product: distinguishing_number(p, _brute_group(p)),
+            lambda p=product: _brute_d(p),
             unmet=unmet))
     return out
 
@@ -420,13 +414,29 @@ _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
                  "defining minimum is the canonical value")
 
 
-def _radical_rows(rule: str, kinds: Sequence[str],
-                  grid: dict) -> list[TheoremVerdict]:
-    ts = _ints(grid, "t", range(2, 51))
+def _vsum_closed_rows(rule: str, closed_form,
+                      defaults: list[tuple[str, list[int]]],
+                      grid: dict) -> list[TheoremVerdict]:
+    """cor3.8 and cor3.9: closed_form(n, t), the minimum form, against
+    search on each t-fold vertex-sum, then the radical rows of each family.
+    A rule takes only the families of its defaults."""
+    instances = _vsum_instances(grid, defaults)
+    kinds = [name for name, _ in defaults]
     family = grid.get("family")
     if family is not None:
+        if family not in kinds:
+            raise InvalidInputError(
+                f"rule {rule} takes family {', '.join(kinds)}, "
+                f"got {family!r}")
         kinds = [family]
     out = []
+    for name, g, root, t in instances:
+        product, _ = products.vertex_sum_power(g, root, t)
+        out.append(_verdict(
+            rule, f"{name},t={t},min-form",
+            lambda n=g.n, t=t: closed_form(n, t),
+            lambda p=product: _brute_d(p)))
+    ts = _ints(grid, "t", range(2, 51))
     for kind in kinds:
         for row in formulas.radical_discrepancy_rows(kind, ts):
             out.append(_verdict(
@@ -438,35 +448,14 @@ def _radical_rows(rule: str, kinds: Sequence[str],
 
 
 def _rule_cor38(grid: dict) -> list[TheoremVerdict]:
-    defaults = [("K3", [2, 3, 4, 5]), ("K4", [2, 3, 4]), ("K5", [2])]
-    out = []
-    for name, g, root, t in _vsum_instances(grid, defaults):
-        if not name.startswith("K") or name == "K4-e":
-            continue
-        n = g.n
-        product, _ = products.vertex_sum_power(g, root, t)
-        out.append(_verdict(
-            "cor3.8", f"{name},t={t},min-form",
-            lambda n=n, t=t: formulas.d_vsum_complete_closed(n, t),
-            lambda p=product: distinguishing_number(p, _brute_group(p))))
-    out.extend(_radical_rows("cor3.8", ["K3", "K4", "K5"], grid))
-    return out
+    return _vsum_closed_rows(
+        "cor3.8", formulas.d_vsum_complete_closed,
+        [("K3", [2, 3, 4, 5]), ("K4", [2, 3, 4]), ("K5", [2])], grid)
 
 
 def _rule_cor39(grid: dict) -> list[TheoremVerdict]:
-    defaults = [("C5", [2, 3]), ("C7", [2])]
-    out = []
-    for name, g, root, t in _vsum_instances(grid, defaults):
-        if not name.startswith("C"):
-            continue
-        n = g.n
-        product, _ = products.vertex_sum_power(g, root, t)
-        out.append(_verdict(
-            "cor3.9", f"{name},t={t},min-form",
-            lambda n=n, t=t: formulas.d_vsum_cycles(n, t),
-            lambda p=product: distinguishing_number(p, _brute_group(p))))
-    out.extend(_radical_rows("cor3.9", ["C5", "C7"], grid))
-    return out
+    return _vsum_closed_rows("cor3.9", formulas.d_vsum_cycles,
+                             [("C5", [2, 3]), ("C7", [2])], grid)
 
 
 def _thm310_instances() -> list[tuple[str, list[RootedGraph]]]:
@@ -490,7 +479,7 @@ def _rule_thm310(grid: dict) -> list[TheoremVerdict]:
         out.append(_verdict(
             "thm3.10", name,
             lambda factors=factors: formulas.d_vsum_nonisomorphic(factors),
-            lambda p=product: distinguishing_number(p, _brute_group(p)),
+            lambda p=product: _brute_d(p),
             unmet=formulas.d_vsum_nonisomorphic_preconditions(factors)))
     return out
 
@@ -536,71 +525,68 @@ def _rule_thm313(grid: dict) -> list[TheoremVerdict]:
     return out
 
 
-def _rule_thm42(grid: dict) -> list[TheoremVerdict]:
+_PRODUCTS = {"rooted": (_pairs_rooted, products.rooted_product_smooth),
+             "corona": (_pairs_corona, products.corona)}
+
+
+def _product_rows(rule: str, kind: str, predicted_of, brute_of, unmet_of,
+                  grid: dict) -> list[TheoremVerdict]:
+    """One verdict per factor pair of the kind's grid, "rooted" or
+    "corona": predicted_of(g, h) against brute_of on the product graph,
+    with unmet_of(g, h) the preconditions the pair fails.  Each distinct
+    factor is named once per rule."""
+    pairs, build = _PRODUCTS[kind]
+    name = cache(emit_graph6)
     out = []
-    for g, h in _pairs_rooted(grid):
-        product, _ = products.rooted_product_smooth(g, h)
+    for g, h in pairs(grid):
+        copy = f"{name(h.graph)}@{h.root}" if kind == "rooted" else name(h)
+        product, _ = build(g, h)
         out.append(_verdict(
-            "thm4.2", f"rooted({_g6(g)},{_g6(h.graph)}@{h.root})",
-            lambda g=g, h=h: formulas.aut_order_rooted(g, h),
-            lambda p=product: _brute_group(p).order,
-            unmet=formulas.rooted_preconditions(g, h)))
+            rule, f"{kind}({name(g)},{copy})",
+            lambda g=g, h=h: predicted_of(g, h),
+            lambda p=product: brute_of(p),
+            unmet=unmet_of(g, h)))
     return out
+
+
+def _rule_eq3(grid: dict) -> list[TheoremVerdict]:
+    return _product_rows("eq3", "corona", formulas.aut_order_corona,
+                         _brute_order, formulas.corona_preconditions, grid)
+
+
+def _rule_thm42(grid: dict) -> list[TheoremVerdict]:
+    return _product_rows("thm4.2", "rooted", formulas.aut_order_rooted,
+                         _brute_order, formulas.rooted_preconditions, grid)
 
 
 def _rule_thm43(grid: dict) -> list[TheoremVerdict]:
-    out = []
-    for g, h in _pairs_rooted(grid):
-        product, _ = products.rooted_product_smooth(g, h)
-        out.append(_verdict(
-            "thm4.3", f"rooted({_g6(g)},{_g6(h.graph)}@{h.root})",
-            lambda g=g, h=h: formulas.d_rooted(g, h),
-            lambda p=product: distinguishing_number(p, _brute_group(p)),
-            unmet=formulas.rooted_preconditions(g, h)))
-    return out
+    return _product_rows("thm4.3", "rooted", formulas.d_rooted, _brute_d,
+                         formulas.rooted_preconditions, grid)
 
 
 def _rule_thm44(grid: dict) -> list[TheoremVerdict]:
-    out = []
-    for g, h in _pairs_rooted(grid):
-        product, _ = products.rooted_product_smooth(g, h)
-        out.append(_verdict(
-            "thm4.4", f"rooted({_g6(g)},{_g6(h.graph)}@{h.root})",
-            lambda g=g, h=h: formulas.theta_rooted(g, h),
-            lambda p=product: distinguishing_threshold(p),
-            unmet=formulas.theta_rooted_preconditions(g, h)))
-    return out
+    return _product_rows("thm4.4", "rooted", formulas.theta_rooted,
+                         distinguishing_threshold,
+                         formulas.theta_rooted_preconditions, grid)
 
 
 def _rule_thm51(grid: dict) -> list[TheoremVerdict]:
-    out = []
-    for g, h in _pairs_corona(grid):
-        product, _ = products.corona(g, h)
-        out.append(_verdict(
-            "thm5.1", f"corona({_g6(g)},{_g6(h)})",
-            lambda g=g, h=h: formulas.d_corona(g, h),
-            lambda p=product: distinguishing_number(p, _brute_group(p)),
-            unmet=formulas.corona_preconditions(g, h)))
-    return out
+    return _product_rows("thm5.1", "corona", formulas.d_corona, _brute_d,
+                         formulas.corona_preconditions, grid)
 
 
 def _rule_thm52(grid: dict) -> list[TheoremVerdict]:
-    out = []
-    for g, h in _pairs_corona(grid):
-        product, _ = products.corona(g, h)
-        out.append(_verdict(
-            "thm5.2", f"corona({_g6(g)},{_g6(h)})",
-            lambda g=g, h=h: formulas.theta_corona(g, h),
-            lambda p=product: distinguishing_threshold(p),
-            unmet=formulas.corona_preconditions(g, h)))
-    return out
+    return _product_rows("thm5.2", "corona", formulas.theta_corona,
+                         distinguishing_threshold,
+                         formulas.corona_preconditions, grid)
 
 
 def _lex_rows(rule: str, predicted_of, brute_of,
               grid: dict) -> list[TheoremVerdict]:
+    name = cache(emit_graph6)
     out = []
     for g, h in _pairs_lex(grid):
-        instance = f"lex({_g6(g)},{_g6(h)})"
+        instance = f"lex({name(g)},{name(h)})"
         try:
             unmet = formulas.lexicographic_preconditions(g, h)
         except BudgetExceededError as exc:
@@ -622,9 +608,7 @@ def _rule_thm61(grid: dict) -> list[TheoremVerdict]:
 
 
 def _rule_lexd(grid: dict) -> list[TheoremVerdict]:
-    return _lex_rows("lex-d", formulas.d_lexicographic,
-                     lambda p: distinguishing_number(p, _brute_group(p)),
-                     grid)
+    return _lex_rows("lex-d", formulas.d_lexicographic, _brute_d, grid)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from symbreak import _kernels_py, cli, corpus
+from symbreak import cli, corpus, kernels
 from symbreak.graphs import (Graph, RootedGraph, build_graph, complete,
                              complete_bipartite, cycle, kneser, petersen)
 from symbreak.products import vertex_sum
@@ -32,14 +32,15 @@ def walks(monkeypatch) -> list[tuple]:
     """(n, elements, node_budget, palettes, first) of every labelling walk
     the kernel starts while the test runs."""
     seen = []
-    walk = _kernels_py._walk
+    walk = kernels.count_distinguishing_labellings
 
-    def spy(n, elements, classes, palettes, node_budget, first, nodes):
+    def spy(n, elements, classes, palettes, node_budget, first=False,
+            nodes=0):
         seen.append((n, tuple(elements), node_budget, palettes, first))
         return walk(n, elements, classes, palettes, node_budget, first,
                     nodes)
 
-    monkeypatch.setattr(_kernels_py, "_walk", spy)
+    monkeypatch.setattr(kernels, "count_distinguishing_labellings", spy)
     return seen
 
 

@@ -3,7 +3,7 @@
 VF2 shares no code with the kernels (no refinement, no search order, no
 stabilizer chain), so agreement on the order, the sorted element list and
 the largest non-identity cycle count is evidence for the chain and for the
-group answers read from it.  The pure kernel returns the chain, and the
+group answers read from it.  The kernel returns the chain, and the
 group built on it gives the elements and, by a streamed scan, the largest
 cycle count, which a wrongly composed stream can still get right, so the
 stream is also checked element by element.
@@ -21,8 +21,7 @@ import random
 
 import pytest
 
-from symbreak import _kernels_py as pure
-from symbreak import products, verify
+from symbreak import kernels, products, verify
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import build_graph, path
 from symbreak.perms import (AutGroup, Permutation, _product_blocks,
@@ -32,8 +31,6 @@ from conftest import SYMMETRIC_SHAPES
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
-
-BACKENDS = [pure]
 
 
 def _vf2_maps(g):
@@ -62,10 +59,10 @@ def _vf2(g) -> tuple[int, int, list[tuple[int, ...]]]:
     return len(elements), max_cycles, elements
 
 
-def _assert_matches_oracle(kernel, g) -> None:
+def _assert_matches_oracle(g) -> None:
     order, max_cycles, elements = _vf2(g)
     adj = g.adjacency()
-    found, chain = kernel.search_automorphisms(g.n, adj, 10**7)
+    found, chain = kernels.search_automorphisms(g.n, adj, 10**7)
     assert found == order
     group = AutGroup(g.n, adj, found, chain)
     assert [p.image for p in group.elements] == elements
@@ -76,17 +73,16 @@ def _assert_matches_oracle(kernel, g) -> None:
                 for e in block]
     assert sorted(streamed) == elements
     # exact cap boundary
-    assert kernel.search_automorphisms(g.n, adj, order)[0] == order
+    assert kernels.search_automorphisms(g.n, adj, order)[0] == order
     with pytest.raises(BudgetExceededError) as info:
-        kernel.search_automorphisms(g.n, adj, order - 1)
+        kernels.search_automorphisms(g.n, adj, order - 1)
     assert str(info.value) == f"automorphism search exceeded cap {order - 1}"
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
-def test_corpus_matches_vf2(kernel, connected7):
+def test_corpus_matches_vf2(connected7):
     assert len(connected7) == 996
     for g in connected7:
-        _assert_matches_oracle(kernel, g)
+        _assert_matches_oracle(g)
 
 
 # the symmetric benchmark shapes; K8 and Kneser(7,2) take seconds in VF2
@@ -94,21 +90,20 @@ SHAPES = {name: make for name, make in SYMMETRIC_SHAPES.items()
           if name not in ("K8", "kneser_7_2")}
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
 @pytest.mark.parametrize("name", sorted(SHAPES))
-def test_symmetric_shapes_match_vf2_under_relabelling(kernel, name):
+def test_symmetric_shapes_match_vf2_under_relabelling(name):
     g = SHAPES[name]()
     image = list(range(g.n))
     random.Random(name).shuffle(image)
-    _assert_matches_oracle(kernel, g.relabel(image))
+    _assert_matches_oracle(g.relabel(image))
 
 
 def _counting_search_order(monkeypatch) -> list:
-    """Patch the pure kernel's _search_order to log its calls; the level
-    loop runs only after it."""
+    """Patch the kernel's _search_order to log its calls; the level loop
+    runs only after it."""
     calls = []
-    order = pure._search_order
-    monkeypatch.setattr(pure, "_search_order",
+    order = kernels._search_order
+    monkeypatch.setattr(kernels, "_search_order",
                         lambda *args: calls.append(args) or order(*args))
     return calls
 
@@ -117,12 +112,12 @@ def test_discrete_refinement_returns_before_the_level_loop(monkeypatch):
     calls = _counting_search_order(monkeypatch)
     # degrees 1, 3, 3, 2, 2, 1, and refinement tells every vertex apart
     rigid = build_graph(6, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)])
-    assert pure.search_automorphisms(6, rigid.adjacency(), 10**7) == (1, ())
+    assert kernels.search_automorphisms(6, rigid.adjacency(), 10**7) == (1, ())
     # path 0-1-2-3-4 has the reflection; pinning vertex 0 leaves none
     p5 = path(5).adjacency()
-    assert pure.search_automorphisms(5, p5, 1, (1, 0, 0, 0, 0)) == (1, ())
+    assert kernels.search_automorphisms(5, p5, 1, (1, 0, 0, 0, 0)) == (1, ())
     assert calls == []
-    assert pure.search_automorphisms(5, p5, 10**7)[0] == 2
+    assert kernels.search_automorphisms(5, p5, 10**7)[0] == 2
     assert len(calls) == 1
 
 
@@ -131,10 +126,10 @@ def test_frucht_graph_is_rigid_through_the_level_loop(monkeypatch):
     frucht = nx.frucht_graph()
     g = build_graph(12, frucht.edges())
     # 3-regular, so refinement leaves one class of 12 vertices
-    assert len(set(pure._refine_colors(12, g.adjacency()))) == 1
-    assert pure.search_automorphisms(12, g.adjacency(), 10**7) == (1, ())
+    assert len(set(kernels._refine_colors(12, g.adjacency()))) == 1
+    assert kernels.search_automorphisms(12, g.adjacency(), 10**7) == (1, ())
     assert len(calls) == 1
-    _assert_matches_oracle(pure, g)
+    _assert_matches_oracle(g)
 
 
 def test_group_order_rule_products_match_their_counts():

@@ -176,7 +176,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("rule,grid,key,value", [
         ("eq1", "n=x", "n", "x"), ("thm3.7", "t=2.5", "t", "2.5"),
-        ("cor3.8", "K3,t=a", "t", "a"), ("thm3.13", "n=3,t=b", "t", "b")])
+        ("cor3.8", "K3,t=a", "t", "a"), ("thm3.13", "n=3,t=b", "t", "b"),
+        ("eq1", "n=--5", "n", "--5"), ("eq1", "n=²", "n", "²")])
     def test_non_integer_grid_value_exits_2(self, run_cli, rule, grid, key,
                                             value):
         code, out, err = run_cli("verify", rule, "--grid", grid)
@@ -197,6 +198,17 @@ class TestVerify:
         code, out, err = run_cli("verify", "cor3.8", "--grid", "family=2..3")
         assert (code, out) == (2, "")
         assert err.startswith("symbreak: unknown vertex-sum family [2, 3] ")
+
+    @pytest.mark.parametrize("rule,family,own", [
+        ("cor3.8", "C5", "K3, K4, K5"), ("cor3.8", "K4-e", "K3, K4, K5"),
+        ("cor3.9", "K3", "C5, C7")])
+    def test_closed_vsum_rule_takes_only_its_families(self, run_cli, rule,
+                                                      family, own):
+        code, out, err = run_cli("verify", rule, "--grid",
+                                 f"family={family},t=2..3")
+        assert (code, out) == (2, "")
+        assert err == (f"symbreak: rule {rule} takes family {own}, "
+                       f"got {family!r}\n")
 
     def test_expected_disagreement_still_exits_0(self, run_cli):
         code, out, _ = run_cli("verify", "cor3.8", "--grid", "family=K4,t=2..3")

@@ -10,7 +10,6 @@ import tracemalloc
 
 import pytest
 
-from symbreak import _kernels_py as pure
 from symbreak import graph6, kernels, limits, perms, verify
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (RootedGraph, asymmetric6, complete,
@@ -32,6 +31,22 @@ def _adj(g):
     return g.adjacency()
 
 
+def _fresh_exists(*args):
+    """The existence search itself, not its per-process memo."""
+    kernels._exists.cache_clear()
+    return kernels.exists_distinguishing_partition(*args)
+
+
+def _fresh_count(*args):
+    """The count climbed from an empty ladder: its per-process memo is
+    cleared before and after, so no ladder outlives the call."""
+    kernels._count.cache_clear()
+    try:
+        return kernels.count_distinguishing_partitions(*args)
+    finally:
+        kernels._count.cache_clear()
+
+
 def test_backend_reports_a_name():
     assert kernels.backend_name() == "pure"
 
@@ -47,10 +62,9 @@ def _closure(n, generators):
     return seen
 
 
-@pytest.mark.parametrize("kernel", [pure], ids=["pure"])
 @pytest.mark.parametrize("g", SAMPLE, ids=lambda g: f"n{g.n}m{g.m}")
-def test_generators_give_the_search_order(kernel, g):
-    order, chain = kernel.search_automorphisms(g.n, _adj(g), 10**7)
+def test_generators_give_the_search_order(g):
+    order, chain = kernels.search_automorphisms(g.n, _adj(g), 10**7)
     generators = [t for reps in chain for t in reps[1:]]
     elements = [p.image for p in enumerate_automorphisms(g)]
     assert order == len(elements)
@@ -83,8 +97,8 @@ def test_search_order_matches_reference(connected7):
     for g in connected7:
         for h in [g] + [delete_vertex(g, u) for u in range(g.n)]:
             adj = h.adjacency()
-            colors = pure._refine_colors(h.n, adj)
-            assert (pure._search_order(h.n, adj, colors)
+            colors = kernels._refine_colors(h.n, adj)
+            assert (kernels._search_order(h.n, adj, colors)
                     == _search_order_reference(h.n, adj, colors))
 
 
@@ -140,23 +154,23 @@ def _exists_rungs(connected7):
     return rungs
 
 
-def _assert_exists_budget_boundary(kernel, rungs):
+def _assert_exists_budget_boundary(rungs):
     kernels._exists.cache_clear()
     for n, elements, k, found, nodes in rungs:
-        assert kernel.exists_distinguishing_partition(
+        assert kernels.exists_distinguishing_partition(
             n, elements, k, nodes) is found
         with pytest.raises(BudgetExceededError,
                            match=f"^coloring search exceeded budget "
                                  f"{nodes - 1}$"):
-            kernel.exists_distinguishing_partition(n, elements, k, nodes - 1)
+            kernels.exists_distinguishing_partition(n, elements, k, nodes - 1)
 
 
 # without its memo the existence search is the plain existence walk
 def test_exists_visits_the_reference_nodes(monkeypatch, connected7):
-    monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
+    monkeypatch.setattr(kernels, "_MEMO_WORDS", 0)
     rungs = _exists_rungs(connected7)
     assert sum(found for *_, found, _ in rungs) > 1000
-    _assert_exists_budget_boundary(kernels, rungs)
+    _assert_exists_budget_boundary(rungs)
 
 
 def test_exists_memo_never_charges_more_nodes(connected7):
@@ -175,15 +189,14 @@ def test_exists_memo_never_charges_more_nodes(connected7):
     assert below >= 1000
 
 
-@pytest.mark.parametrize("kernel", [kernels], ids=["pure"])
-def test_exists_budget_boundary_past_64_vertices(monkeypatch, kernel):
-    monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
+def test_exists_budget_boundary_past_64_vertices(monkeypatch):
+    monkeypatch.setattr(kernels, "_MEMO_WORDS", 0)
     with limits.scoped(max_vertices=66):
         g = path(66)
     elements = enumerate_automorphisms(g).minimal_cycles
     found, nodes = _exists_reference(66, elements, 2)
     assert (found, nodes) == (True, 67)
-    _assert_exists_budget_boundary(kernel, [(66, elements, 2, found, nodes)])
+    _assert_exists_budget_boundary([(66, elements, 2, found, nodes)])
 
 
 def test_exists_answers_a_non_natural_lex_product():
@@ -268,22 +281,20 @@ def _labelling_reference(n, elements, k):
     return rec(0, 0, list(range(len(elements)))), nodes
 
 
-# the pure count without its memo gives the plain count's A, and charges
-# the plain labelling walk's nodes at k = 1..K, summed
-@pytest.mark.parametrize("memo_words", [0], ids=["pure-plain"])
-def test_count_visits_the_reference_nodes(monkeypatch, connected7,
-                                          memo_words):
-    monkeypatch.setattr(pure, "_MEMO_WORDS", memo_words)
+# the count from an empty ladder, without the walk's memo, gives the plain
+# count's A, and charges the plain labelling walk's nodes at k = 1..K, summed
+def test_count_visits_the_reference_nodes(monkeypatch, connected7):
+    monkeypatch.setattr(kernels, "_MEMO_WORDS", 0)
     rungs = _exists_rungs(connected7)
     for n, elements, k, _, _ in rungs:
         A, _ = _count_reference(n, elements, k)
         nodes = sum(_labelling_reference(n, elements, j)[1]
                     for j in range(1, k + 1))
-        assert pure.count_distinguishing_partitions(n, elements, k, nodes) == A
+        assert _fresh_count(n, elements, k, nodes) == A
         with pytest.raises(BudgetExceededError,
                            match=f"^coloring search exceeded budget "
                                  f"{nodes - 1}$"):
-            pure.count_distinguishing_partitions(n, elements, k, nodes - 1)
+            _fresh_count(n, elements, k, nodes - 1)
 
 
 def test_budget_raises():
@@ -324,55 +335,46 @@ C6_RELABELLED = cycle(6).relabel([3, 5, 1, 0, 2, 4]).adjacency()
 
 
 def _fresh_k6():
-    return AutGroup(6, K6, *pure.search_automorphisms(6, K6, 10**7))
-
-
-def _fresh_exists(*args):
-    """The existence search itself, not its per-process memo."""
-    kernels._exists.cache_clear()
-    return kernels.exists_distinguishing_partition(*args)
+    return AutGroup(6, K6, *kernels.search_automorphisms(6, K6, 10**7))
 
 
 PIN_0 = (1, 0, 0, 0, 0, 0)  # vertex 0 in a class of its own
 
-# (pure kernel call, whether it spends its budget)
-PURE_CALLS = {
-    "search": (lambda: pure.search_automorphisms(6, K6, 10**7), False),
-    "search-budget": (lambda: pure.search_automorphisms(6, K6, 100), True),
-    "search-pinned": (lambda: pure.search_automorphisms(6, K6, 10**7,
-                                                        PIN_0), False),
-    "search-pinned-budget": (lambda: pure.search_automorphisms(6, K6, 100,
-                                                               PIN_0), True),
+# (kernel call, whether it spends its budget)
+KERNEL_CALLS = {
+    "search": (lambda: kernels.search_automorphisms(6, K6, 10**7), False),
+    "search-budget": (lambda: kernels.search_automorphisms(6, K6, 100), True),
+    "search-pinned": (lambda: kernels.search_automorphisms(6, K6, 10**7,
+                                                           PIN_0), False),
+    "search-pinned-budget": (lambda: kernels.search_automorphisms(
+        6, K6, 100, PIN_0), True),
     # what a group reads from the chain's products, early exit included,
     # each on a fresh group
     "search-stream": (lambda: (_fresh_k6().max_cycles,
                                _fresh_k6().minimal_cycles,
                                _fresh_k6().elements,
                                orbits(_fresh_k6())), False),
-    "blocks": (lambda: pure.all_automorphisms_preserve_blocks(
+    "blocks": (lambda: kernels.all_automorphisms_preserve_blocks(
         6, K6, [0, 0, 1, 1, 2, 2], 10**7), False),
-    "blocks-budget": (lambda: pure.all_automorphisms_preserve_blocks(
+    "blocks-budget": (lambda: kernels.all_automorphisms_preserve_blocks(
         6, K6, [0] * 6, 100), True),
-    "iso": (lambda: pure.isomorphic(6, C6, C6_RELABELLED, (0, 3)), False),
-    "count": (lambda: pure.count_distinguishing_partitions(
-        6, _c6_elements(), 3, 10**7), False),
-    "count-budget": (lambda: pure.count_distinguishing_partitions(
-        6, _c6_elements(), 3, 10), True),
+    "iso": (lambda: kernels.isomorphic(6, C6, C6_RELABELLED, (0, 3)), False),
+    "count": (lambda: _fresh_count(6, _c6_elements(), 3, 10**7), False),
+    "count-budget": (lambda: _fresh_count(6, _c6_elements(), 3, 10), True),
     # 180 nodes suffice only with memo hits: the plain walks need 227
-    "count-memo": (lambda: pure.count_distinguishing_partitions(
-        6, _c6_elements(), 3, 180), False),
+    "count-memo": (lambda: _fresh_count(6, _c6_elements(), 3, 180), False),
     "exists": (lambda: _fresh_exists(6, _c6_elements(), 3, 10**7), False),
     "exists-budget": (lambda: _fresh_exists(6, _c6_elements(), 6, 2), True),
-    "labellings": (lambda: pure.count_distinguishing_labellings(
+    "labellings": (lambda: kernels.count_distinguishing_labellings(
         6, _c6_elements(), (0,) * 6, (3,), 10**7), False),
-    "labellings-budget": (lambda: pure.count_distinguishing_labellings(
+    "labellings-budget": (lambda: kernels.count_distinguishing_labellings(
         6, _c6_elements(), (0,) * 6, (3,), 2), True),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PURE_CALLS))
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
 def test_pure_kernels_leave_no_reference_cycles(name):
-    call, spends_budget = PURE_CALLS[name]
+    call, spends_budget = KERNEL_CALLS[name]
     automorphism_group(cycle(6))  # warm the group cache outside the window
     gc.collect()
     gc.disable()
@@ -403,27 +405,36 @@ def test_pure_budget_exit_builds_no_elements():
     def call():
         with pytest.raises(BudgetExceededError,
                            match="exceeded cap 100000$"):
-            pure.search_automorphisms(30, adj, 100_000)
+            kernels.search_automorphisms(30, adj, 100_000)
 
     assert _peak_traced_bytes(call) < 1 << 20
 
 
 def test_automorphism_search_is_the_chain_on_every_backend():
-    adj = complete(30).adjacency()
-
-    def call():
-        with pytest.raises(BudgetExceededError,
-                           match="exceeded cap 100000$"):
-            kernels.search_automorphisms(30, adj, 100_000)
-
-    assert _peak_traced_bytes(call) < 1 << 20
+    # the search answers with the stabilizer chain, not with the group:
+    # |Aut| is the product of the transversal sizes, each transversal
+    # opens with the identity and holds automorphisms only
+    for g in SAMPLE:
+        adj = g.adjacency()
+        order, chain = kernels.search_automorphisms(g.n, adj, math.inf)
+        assert order == math.prod(len(t) for t in chain)
+        ident = tuple(range(g.n))
+        for t in chain:
+            assert t[0] == ident and len(set(t)) == len(t) > 1
+            for img in t[1:]:
+                assert all(adj[img[v]] == sum(1 << img[u] for u in range(g.n)
+                                              if adj[v] >> u & 1)
+                           for v in range(g.n))
+        generators = [img for t in chain for img in t[1:]]
+        assert len(_closure(g.n, generators)) == order
 
 
 def test_pure_stream_stores_no_group():
     adj = complete(8).adjacency()
 
     def call():
-        group = AutGroup(8, adj, *pure.search_automorphisms(8, adj, 10**7))
+        group = AutGroup(8, adj,
+                         *kernels.search_automorphisms(8, adj, 10**7))
         assert (group.order, group.max_cycles) == (40320, 7)
 
     assert _peak_traced_bytes(call) < 1 << 20
@@ -432,7 +443,8 @@ def test_pure_stream_stores_no_group():
 def test_max_cycles_stops_at_n_minus_1():
     # 12! products would take hours; the first block holds a transposition
     adj = complete(12).adjacency()
-    group = AutGroup(12, adj, *pure.search_automorphisms(12, adj, math.inf))
+    group = AutGroup(12, adj,
+                     *kernels.search_automorphisms(12, adj, math.inf))
     assert group.order == math.factorial(12)
     assert group.max_cycles == 11
 
@@ -455,17 +467,16 @@ def _minimal(g):
 
 def test_count_memo_skips_nodes(monkeypatch):
     c6 = _c6_elements()
-    assert pure.count_distinguishing_partitions(6, c6, 3, 180) == [0, 0, 6, 68]
+    assert _fresh_count(6, c6, 3, 180) == [0, 0, 6, 68]
     c4x4 = _minimal(vsum(cycle(4), 4))
-    assert pure.count_distinguishing_partitions(13, c4x4, 3, 30_000) == [
-        0, 0, 0, 24192]
+    assert _fresh_count(13, c4x4, 3, 30_000) == [0, 0, 0, 24192]
     # without the memo the same budgets run out
-    monkeypatch.setattr(pure, "_MEMO_WORDS", 0)
+    monkeypatch.setattr(kernels, "_MEMO_WORDS", 0)
     with pytest.raises(BudgetExceededError,
                        match="^coloring search exceeded budget 180$"):
-        pure.count_distinguishing_partitions(6, c6, 3, 180)
+        _fresh_count(6, c6, 3, 180)
     with pytest.raises(BudgetExceededError):
-        pure.count_distinguishing_partitions(13, c4x4, 3, 30_000)
+        _fresh_count(13, c4x4, 3, 30_000)
 
 
 # nodes the memoized count charges over its walks at k = 1, 2, 3: one
@@ -477,11 +488,11 @@ def test_count_memo_skips_nodes(monkeypatch):
 def test_count_charges_one_budget_across_its_walks(elements, total, A):
     elements = elements()
     n = len(elements[0])
-    assert pure.count_distinguishing_partitions(n, elements, 3, total) == A
+    assert _fresh_count(n, elements, 3, total) == A
     with pytest.raises(BudgetExceededError,
                        match=f"^coloring search exceeded budget "
                              f"{total - 1}$"):
-        pure.count_distinguishing_partitions(n, elements, 3, total - 1)
+        _fresh_count(n, elements, 3, total - 1)
 
 
 @pytest.mark.parametrize("g,k", [(vsum(cycle(4), 4), 3),
@@ -489,13 +500,12 @@ def test_count_charges_one_budget_across_its_walks(elements, total, A):
                          ids=["C4x4", "K3x5"])
 def test_count_is_exact_whatever_the_memo_holds(monkeypatch, g, k):
     elements = _minimal(g)
-    full = pure.count_distinguishing_partitions(g.n, elements, k, 10**7)
+    full = _fresh_count(g.n, elements, k, 10**7)
     assert sum(full) > 0
     # a full memo searches on without storing; 0 stores nothing at all
     for words in (2_000, 0):
-        monkeypatch.setattr(pure, "_MEMO_WORDS", words)
-        assert pure.count_distinguishing_partitions(
-            g.n, elements, k, 10**7) == full
+        monkeypatch.setattr(kernels, "_MEMO_WORDS", words)
+        assert _fresh_count(g.n, elements, k, 10**7) == full
 
 
 def test_count_memo_memory_is_capped(monkeypatch):
@@ -503,10 +513,10 @@ def test_count_memo_memory_is_capped(monkeypatch):
 
     def call():
         with pytest.raises(BudgetExceededError):
-            pure.count_distinguishing_partitions(21, elements, 3, 5_000)
+            _fresh_count(21, elements, 3, 5_000)
 
     full = _peak_traced_bytes(call)
-    monkeypatch.setattr(pure, "_MEMO_WORDS", 1 << 12)
+    monkeypatch.setattr(kernels, "_MEMO_WORDS", 1 << 12)
     capped = _peak_traced_bytes(call)
     # 4096 words of memo plus the kill table; uncapped, this search
     # stores several times that before its budget runs out
@@ -604,7 +614,6 @@ def test_count_below_one_block_runs_no_walk(walks):
     assert kernels.count_distinguishing_partitions(6, c6, 0, 1) == [0]
     assert kernels.count_distinguishing_partitions(6, c6, -1, 1) == []
     assert kernels.count_distinguishing_partitions(0, [], 2, 1) == [0, 0, 0]
-    assert pure.count_distinguishing_partitions(6, c6, 0, 1) == [0]
     assert walks == []
     assert kernels._count.cache_info().currsize == 0
 
@@ -648,7 +657,7 @@ def test_cache_clear_empties_every_memo():
     distinguishing_number(g, group)
     kernels.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
     verify._restriction_property(g, 0)
-    memos = (kernels._count, kernels._exists, pure._kill_table,
+    memos = (kernels._count, kernels._exists, kernels._kill_table,
              perms._cached_stabilizer, verify._distinguishing_partitions)
     assert all(memo.cache_info().currsize for memo in memos)
     # every lru_cache callable in the package's module namespaces, as a
@@ -667,8 +676,8 @@ def test_d_ladder_builds_one_kill_table():
     group = automorphism_group(g)
     assert len(group.minimal_cycles) == 16
     kernels._exists.cache_clear()
-    pure._kill_table.cache_clear()
+    kernels._kill_table.cache_clear()
     assert distinguishing_number(g, group) == 4
     # rungs k = 3, 4 read the table built on the first, k = 2
-    info = pure._kill_table.cache_info()
+    info = kernels._kill_table.cache_info()
     assert (info.misses, info.hits) == (1, 2)
