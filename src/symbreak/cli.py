@@ -132,7 +132,7 @@ def _single_document(token: str) -> GraphDocument:
 
 def _rooted_factor(token: str) -> RootedGraph:
     base, sep, root = token.rpartition("@")
-    if not sep or not root.isdigit():
+    if not sep or not re.fullmatch(r"[0-9]+", root):
         raise InvalidInputError(
             f"rooted factor {token!r} needs an @root suffix, "
             "e.g. builtin:cycle:4@0")

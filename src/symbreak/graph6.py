@@ -70,7 +70,9 @@ def decode_size(data: bytes) -> tuple[int, int]:
 def parse_graph6(line: str | bytes) -> Graph:
     """Decode one graph6 line (optionally prefixed by the format header)."""
     if isinstance(line, str):
-        data = line.encode("ascii", errors="surrogateescape")
+        # a non-ASCII character encodes to bytes above _HIGH, which the
+        # byte range check below rejects at its offset
+        data = line.encode("utf-8", errors="surrogateescape")
     else:
         data = line
     if data.startswith(HEADER.encode()):

@@ -45,14 +45,17 @@ The root stabilizer of a rooted graph is cached (perms.stabilizer), so
 rooted_indices asked at k = 1, 2, ... reads one pinned chain and its
 cached minimal cycles.
 
-phi_table computes A_j by search only below theta and switches to the exact
-factorial/Stirling form at and above it (where every surjective coloring is
-distinguishing); phi_brute stays on the search route for any k and passes
-every non-identity element, on purpose: it shares neither shortcut and
-serves as the oracle for both in the verification harness.  It is, with
-is_distinguishing and are_equivalent, one of the readers that have the
-group build its element list.  The count itself is checked against a plain
-enumeration of set partitions in tests/test_partition_oracle.py.
+phi_table and the twin route (below) search only for Phi_k with k < theta
+and hand those to one row builder, _phi_rows: below theta varphi_k =
+sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every surjective k-coloring
+is distinguishing and the group acts freely, so varphi_k = k! S(n, k) /
+|Aut|, which is 0 past n; and Phi_k = sum_i C(k, i) varphi_i.  phi_brute
+stays on the search route for any k and passes every non-identity element,
+on purpose: it shares neither shortcut and serves as the oracle for both in
+the verification harness.  It is, with is_distinguishing and
+are_equivalent, one of the readers that have the group build its element
+list.  The count itself is checked against a plain enumeration of set
+partitions in tests/test_partition_oracle.py.
 
 graph_indices, behind analyze, table and product, takes a twin route on
 graphs with twins (twin_quotient).  Twin classes are blocks of Aut(G), so
@@ -63,9 +66,9 @@ gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
 class x takes one of C(k, t_x) labels (Hemminger's X-join with
 H = K_t or its complement), and N_k = |Aut_w(G')| * Phi_k comes from one
 weighted walk over G' (kernels.count_distinguishing_labellings), which
-stops at the first labelling for D.  Then varphi_k = sum_i (-1)^(k-i)
-C(k, i) Phi_i, and theta = n with no scan: a transposition of two twins
-has n - 1 cycles, and no non-identity permutation has more.  G's own chain
+stops at the first labelling for D.  theta = n with no scan: a
+transposition of two twins has n - 1 cycles, and no non-identity
+permutation has more; so the walk runs only for k < n.  G's own chain
 is still built first, for the automorphism budget, |Aut| and the steady
 orbits.  Every other caller, verify and the formulas included, and every
 graph without twins, stays on the direct route, which is the twin route's
@@ -281,13 +284,28 @@ def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
     return _phi_from_counts(A, k, g.n, group.order)
 
 
-def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
-    """Rows k = 1..k_max of (Phi_k, varphi_k), hybrid route.
+def _phi_rows(n: int, order: int, theta: int, k_max: int,
+              below) -> tuple[tuple[PhiRow, ...], int]:
+    """Rows k = 1..k_max, and the least k with varphi_k > 0 (0 if none),
+    from below = Phi_1, Phi_2, ... for every k < theta up to k_max."""
+    varphi = [0] * (k_max + 1)
+    for k in range(1, k_max + 1):
+        if k < theta:
+            varphi[k] = sum((-1) ** (k - i) * math.comb(k, i) * below[i - 1]
+                            for i in range(1, k + 1))
+        elif k <= n:
+            varphi[k] = _exact_div(math.factorial(k) * stirling2(n, k),
+                                   order, "varphi")
+    rows = tuple(
+        PhiRow(k, sum(math.comb(k, i) * varphi[i]
+                      for i in range(1, min(k, n) + 1)), varphi[k])
+        for k in range(1, k_max + 1))
+    return rows, next((r.k for r in rows if r.varphi), 0)
 
-    Below theta the A_j come from the partition search; at and above theta
-    every coloring with exactly k colors is distinguishing and the group acts
-    freely, so varphi_k = k! S(n,k) / |Aut| exactly.
-    """
+
+def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
+    """Rows k = 1..k_max of (Phi_k, varphi_k): the partition search gives
+    Phi_k below theta, and _phi_rows the rest."""
     if k_max < 1:
         raise InvalidInputError("k_max must be at least 1")
     if group is None:
@@ -297,31 +315,15 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
     # the group no second time; a nontrivial group needs both
     minimal = group.minimal_cycles
     theta = distinguishing_threshold(g, group)
-    enum_limit = min(k_max, theta - 1, n)
-    A = None
+    enum_limit = min(k_max, theta - 1)
+    below = []
     if enum_limit >= 1:
         A = _partition_counts(n, minimal, enum_limit)
-
-    varphi = [0] * (k_max + 1)
-    for k in range(1, k_max + 1):
-        if k > n:
-            varphi[k] = 0
-        elif k < theta:
-            varphi[k] = _exact_div(A[k] * math.factorial(k), order, "varphi")
-        else:
-            varphi[k] = _exact_div(math.factorial(k) * stirling2(n, k),
-                                   order, "varphi")
-    rows = []
-    d = 0
-    for k in range(1, k_max + 1):
-        phi_k = sum(math.comb(k, i) * varphi[i]
-                    for i in range(1, min(k, n) + 1))
-        rows.append(PhiRow(k, phi_k, varphi[k]))
-        if d == 0 and varphi[k] > 0:
-            d = k
-    if d == 0:
-        d = distinguishing_number(g, group)
-    return PhiTable(n, order, d, theta, tuple(rows))
+        below = [_phi_from_counts(A, k, n, order).phi
+                 for k in range(1, enum_limit + 1)]
+    rows, d = _phi_rows(n, order, theta, k_max, below)
+    return PhiTable(n, order, d or distinguishing_number(g, group), theta,
+                    rows)
 
 
 def phi(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
@@ -464,14 +466,11 @@ def _twin_indices(g: Graph, group: AutGroup, twins: TwinQuotient,
     if not phi_max:
         return next(k for k in range(low, g.n + 1)
                     if labellings(k, True)), None
-    phis = [0] + [_exact_div(labellings(k), quotient.order, "Phi")
-                  for k in range(1, phi_max + 1)]
-    rows = tuple(
-        PhiRow(k, phis[k], sum((-1) ** (k - i) * math.comb(k, i) * phis[i]
-                               for i in range(1, k + 1)))
-        for k in range(1, phi_max + 1))
-    d = next((k for k in range(1, phi_max + 1) if phis[k]), None)
-    if d is None:
+    # theta = n, so the walk runs only below n
+    below = [_exact_div(labellings(k), quotient.order, "Phi")
+             for k in range(1, min(phi_max, g.n - 1) + 1)]
+    rows, d = _phi_rows(g.n, group.order, g.n, phi_max, below)
+    if not d:
         d = next(k for k in range(max(low, phi_max + 1), g.n + 1)
                  if labellings(k, True))
     return d, PhiTable(g.n, group.order, d, g.n, rows)

@@ -137,6 +137,9 @@ def _brute_d(p: Graph) -> int:
 # grid specifications
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_grid(spec: str | None) -> dict:
     """Parse 'K3,t=2..5' style grid overrides.
 
@@ -158,14 +161,13 @@ def parse_grid(spec: str | None) -> dict:
             value = value.strip()
             if ".." in value:
                 lo, _, hi = value.partition("..")
-                try:
+                values = []
+                if _INTEGER.fullmatch(lo) and _INTEGER.fullmatch(hi):
                     values = list(range(int(lo), int(hi) + 1))
-                except ValueError:
-                    values = []
                 if not values:
                     raise InvalidInputError(f"bad range {value!r} in grid")
                 grid[key] = values
-            elif re.fullmatch(r"-?[0-9]+", value):
+            elif _INTEGER.fullmatch(value):
                 grid[key] = int(value)
             else:
                 grid[key] = value
@@ -192,34 +194,6 @@ def _cap(grid: dict, default: int = 12) -> int:
 
 # ---------------------------------------------------------------------------
 # shared grids and oracles
-
-
-def _pairs_rooted(grid: dict) -> list[tuple[Graph, RootedGraph]]:
-    cap = _cap(grid)
-    pool = corpus.connected_graphs(6)
-    out = []
-    for g in corpus.connected_graphs(6, min_n=2):
-        for hb in pool:
-            if g.n * hb.n > cap:
-                continue
-            for ob in orbits(automorphism_group(hb)):
-                out.append((g, RootedGraph(hb, ob[0])))
-    return out
-
-
-def _pairs_corona(grid: dict) -> list[tuple[Graph, Graph]]:
-    cap = _cap(grid)
-    pool = corpus.connected_graphs(6)
-    return [(g, h)
-            for g in corpus.connected_graphs(6, min_n=2)
-            for h in pool
-            if g.n * (h.n + 1) <= cap]
-
-
-def _pairs_lex(grid: dict) -> list[tuple[Graph, Graph]]:
-    cap = _cap(grid)
-    pool = corpus.connected_graphs(6)
-    return [(g, h) for g in pool for h in pool if g.n * h.n <= cap]
 
 
 def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -525,27 +499,64 @@ def _rule_thm313(grid: dict) -> list[TheoremVerdict]:
     return out
 
 
-_PRODUCTS = {"rooted": (_pairs_rooted, products.rooted_product_smooth),
-             "corona": (_pairs_corona, products.corona)}
+def _rooted_copies(h: Graph) -> list[RootedGraph]:
+    """h rooted at the least vertex of each orbit of its group."""
+    return [RootedGraph(h, ob[0]) for ob in orbits(automorphism_group(h))]
+
+
+# per product kind: the least base order, the vertices each base vertex
+# adds beside its copy's, the copies of one pool graph, and the product
+_PRODUCTS = {"rooted": (2, 0, _rooted_copies, products.rooted_product_smooth),
+             "corona": (2, 1, lambda h: [h], products.corona),
+             "lex": (1, 0, lambda h: [h], products.lexicographic)}
+
+
+def _pairs(kind: str, grid: dict) -> list[tuple[Graph, Graph]]:
+    """(base, pool graph) pairs of connected graphs on at most 6 vertices
+    whose product of the kind has at most the grid's max vertices."""
+    min_n, extra = _PRODUCTS[kind][:2]
+    cap = _cap(grid)
+    pool = corpus.connected_graphs(6)
+    return [(g, h)
+            for g in corpus.connected_graphs(6, min_n=min_n)
+            for h in pool
+            if g.n * (h.n + extra) <= cap]
 
 
 def _product_rows(rule: str, kind: str, predicted_of, brute_of, unmet_of,
                   grid: dict) -> list[TheoremVerdict]:
-    """One verdict per factor pair of the kind's grid, "rooted" or
-    "corona": predicted_of(g, h) against brute_of on the product graph,
-    with unmet_of(g, h) the preconditions the pair fails.  Each distinct
-    factor is named once per rule."""
-    pairs, build = _PRODUCTS[kind]
+    """One verdict per factor pair of the kind's grid, "rooted" (a copy
+    per root orbit), "corona" or "lex": predicted_of(g, h) against
+    brute_of on the product graph, with unmet_of(g, h) the preconditions
+    the pair fails (for "lex", the naturality check).  A pair whose
+    preconditions spend a budget is a skip record, and so is a pool graph
+    whose root orbits do, once per base, named without a root.  Each
+    distinct factor is named once per rule."""
+    copies_of, build = _PRODUCTS[kind][2:]
     name = cache(emit_graph6)
     out = []
-    for g, h in pairs(grid):
-        copy = f"{name(h.graph)}@{h.root}" if kind == "rooted" else name(h)
-        product, _ = build(g, h)
-        out.append(_verdict(
-            rule, f"{kind}({name(g)},{copy})",
-            lambda g=g, h=h: predicted_of(g, h),
-            lambda p=product: brute_of(p),
-            unmet=unmet_of(g, h)))
+    for g, hb in _pairs(kind, grid):
+        try:
+            copies = copies_of(hb)
+        except BudgetExceededError as exc:
+            out.append(_skip(rule, f"{kind}({name(g)},{name(hb)})",
+                             f"root orbits hit budget: {exc}"))
+            continue
+        for h in copies:
+            copy = f"{name(hb)}@{h.root}" if kind == "rooted" else name(hb)
+            instance = f"{kind}({name(g)},{copy})"
+            try:
+                unmet = unmet_of(g, h)
+            except BudgetExceededError as exc:
+                out.append(_skip(rule, instance,
+                                 f"preconditions hit budget: {exc}"))
+                continue
+            product, _ = build(g, h)
+            out.append(_verdict(
+                rule, instance,
+                lambda g=g, h=h: predicted_of(g, h),
+                lambda p=product: brute_of(p),
+                unmet=unmet))
     return out
 
 
@@ -581,34 +592,15 @@ def _rule_thm52(grid: dict) -> list[TheoremVerdict]:
                          formulas.corona_preconditions, grid)
 
 
-def _lex_rows(rule: str, predicted_of, brute_of,
-              grid: dict) -> list[TheoremVerdict]:
-    name = cache(emit_graph6)
-    out = []
-    for g, h in _pairs_lex(grid):
-        instance = f"lex({name(g)},{name(h)})"
-        try:
-            unmet = formulas.lexicographic_preconditions(g, h)
-        except BudgetExceededError as exc:
-            out.append(_skip(rule, instance,
-                             f"naturality check hit budget: {exc}"))
-            continue
-        product, _ = products.lexicographic(g, h)
-        out.append(_verdict(
-            rule, instance,
-            lambda g=g, h=h: predicted_of(g, h),
-            lambda p=product: brute_of(p),
-            unmet=unmet))
-    return out
-
-
 def _rule_thm61(grid: dict) -> list[TheoremVerdict]:
-    return _lex_rows("thm6.1", formulas.theta_lexicographic,
-                     distinguishing_threshold, grid)
+    return _product_rows("thm6.1", "lex", formulas.theta_lexicographic,
+                         distinguishing_threshold,
+                         formulas.lexicographic_preconditions, grid)
 
 
 def _rule_lexd(grid: dict) -> list[TheoremVerdict]:
-    return _lex_rows("lex-d", formulas.d_lexicographic, _brute_d, grid)
+    return _product_rows("lex-d", "lex", formulas.d_lexicographic, _brute_d,
+                         formulas.lexicographic_preconditions, grid)
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,9 @@ def test_frucht_graph_is_rigid_through_the_level_loop(monkeypatch):
 def test_group_order_rule_products_match_their_counts():
     grid_products = (
         [products.rooted_product_smooth(g, h)[0]
-         for g, h in verify._pairs_rooted({})]
-        + [products.corona(g, h)[0] for g, h in verify._pairs_corona({})])
+         for g, hb in verify._pairs("rooted", {})
+         for h in verify._rooted_copies(hb)]
+        + [products.corona(g, h)[0] for g, h in verify._pairs("corona", {})])
     assert len(grid_products) == 993
     by_vf2 = 0
     for p in grid_products:

@@ -135,6 +135,14 @@ class TestProduct:
         assert code == 2
         assert "root" in err
 
+    @pytest.mark.parametrize("root", ["²", "٢"])
+    def test_root_takes_only_ascii_digits(self, run_cli, root):
+        factor = f"builtin:path:3@{root}"
+        code, out, err = run_cli("product", "vsum", factor, "builtin:path:2@0")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"symbreak: rooted factor {factor!r} needs an "
+                              "@root suffix")
+
     def test_unknown_kind_rejected(self, run_cli):
         code, _, _ = run_cli("product", "warp", "builtin:path:2", "builtin:path:2")
         assert code == 2
@@ -173,6 +181,35 @@ class TestVerify:
         code, out, err = run_cli("verify", "thm3.7", "--grid", "t=5..2")
         assert (code, out) == (2, "")
         assert "bad range '5..2' in grid" in err
+
+    @pytest.mark.parametrize("grid,value", [("n=3..1_0", "3..1_0"),
+                                            ("t=٢..٣", "٢..٣")])
+    def test_range_takes_only_ascii_integers(self, run_cli, grid, value):
+        code, out, err = run_cli("verify", "eq1", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == f"symbreak: bad range {value!r} in grid\n"
+
+    def test_range_still_parses(self, run_cli):
+        code, out, err = run_cli("verify", "eq1", "--grid", "n=3..10,k=1")
+        assert (code, err) == (0, "")
+        assert [v["instance"] for v in json.loads(out)["verdicts"]] == [
+            f"path:{n},k=1" for n in range(3, 11)]
+
+    @pytest.mark.parametrize("rule,reasons", [
+        ("thm4.2", {"root orbits", "prediction"}),
+        ("thm4.3", {"root orbits", "prediction"}),
+        ("thm4.4", {"root orbits", "preconditions"}),
+        ("thm6.1", {"preconditions", "prediction"})])
+    def test_product_rule_folds_budget_hits_into_skips(self, run_cli, rule,
+                                                       reasons):
+        code, out, err = run_cli("verify", rule, "--max-aut", "1")
+        assert (code, err) == (0, "")
+        skipped = [v["notes"][0] for v in json.loads(out)["verdicts"]
+                   if v["status"] == "skipped"]
+        assert {note.partition(" hit budget: ")[0]
+                for note in skipped} == reasons
+        assert all(note.endswith(" hit budget: automorphism search "
+                                 "exceeded cap 1") for note in skipped)
 
     @pytest.mark.parametrize("rule,grid,key,value", [
         ("eq1", "n=x", "n", "x"), ("thm3.7", "t=2.5", "t", "2.5"),

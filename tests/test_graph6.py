@@ -92,6 +92,11 @@ class TestErrorTaxonomy:
         with pytest.raises(Graph6ByteRangeError):
             parse_graph6("A\x7f")
 
+    @pytest.mark.parametrize("line", ["A\x80", "Aé", "A٢", "A\udc80"])
+    def test_non_ascii_character(self, line):
+        with pytest.raises(Graph6ByteRangeError, match="at offset 1 "):
+            parse_graph6(line)
+
     def test_truncated(self):
         with pytest.raises(Graph6LengthError):
             parse_graph6("D?")

@@ -189,20 +189,21 @@ def _relabelled_kneser_7_2(seed: int):
 
 
 def _lex_c4_k3():
-    g, h = next((g, h) for g, h in verify._pairs_lex({})
+    g, h = next((g, h) for g, h in verify._pairs("lex", {})
                 if is_isomorphic(g, cycle(4)) and is_isomorphic(h, complete(3)))
     return lexicographic(g, h)[0]
 
 
 def _corona_k3_k3():
-    g, h = next((g, h) for g, h in verify._pairs_corona({})
+    g, h = next((g, h) for g, h in verify._pairs("corona", {})
                 if is_isomorphic(g, complete(3))
                 and is_isomorphic(h, complete(3)))
     return corona(g, h)[0]
 
 
 def _rooted_k3_star3():
-    g, h = next((g, h) for g, h in verify._pairs_rooted({})
+    g, h = next((g, h) for g, hb in verify._pairs("rooted", {})
+                for h in verify._rooted_copies(hb)
                 if is_isomorphic(g, complete(3))
                 and is_isomorphic(h.graph, star(3), pin=(h.root, 0)))
     return rooted_product_smooth(g, h)[0]

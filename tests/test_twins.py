@@ -32,7 +32,8 @@ K44_PENDANT = build_graph(9, [(u, 4 + v) for u in range(4) for v in range(4)]
 
 def _assert_matches_direct(g):
     group = automorphism_group(g)
-    k_max = min(g.n, 6)
+    # past n, so the Stirling and zero rows are compared too
+    k_max = min(g.n, 6) + 3
     report = graph_indices(g, phi_max=k_max)
     assert report.aut_order == group.order
     assert report.d == distinguishing_number(g, group)
@@ -67,6 +68,13 @@ def test_symmetric_shapes_match_the_direct_route(name):
     assert (report.aut_order, report.d, report.theta) == (
         group.order, distinguishing_number(g, group),
         distinguishing_threshold(g, group))
+
+
+def test_twin_rows_walk_only_below_n(walks):
+    # theta = n on the twin route, so the rows at k >= n need no walk
+    table = graph_indices(complete(5), phi_max=40).phi
+    assert len([w for w in walks if not w[4]]) <= 4
+    assert table == phi_table(complete(5), 40)
 
 
 @pytest.mark.parametrize("g,quotient_order", [

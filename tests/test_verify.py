@@ -35,8 +35,11 @@ class TestParseGrid:
     def test_one_value_range(self):
         assert verify.parse_grid("t=3..3")["t"] == [3]
 
+    def test_signed_range(self):
+        assert verify.parse_grid("t=-1..2")["t"] == [-1, 0, 1, 2]
+
     @pytest.mark.parametrize("bad", ["t=a..b", "k=1..2..3", "n=..4",
-                                     "t=5..2"])
+                                     "t=5..2", "t=1_0..1_1", "t=²..3"])
     def test_malformed_range_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="bad range"):
             verify.parse_grid(bad)
