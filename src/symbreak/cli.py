@@ -54,15 +54,12 @@ _EDGELIST_HEAD = re.compile(r"^\s*\d+\s+\d+\s*$")
 
 
 def _builtin_document(spec: str) -> GraphDocument:
-    parts = spec.split(":")
-    params = []
-    for p in parts[1:]:
-        try:
-            params.append(int(p))
-        except ValueError:
+    name, *params = spec.split(":")
+    for p in params:
+        if not limits.INTEGER.fullmatch(p):
             raise InvalidInputError(
-                f"builtin parameter {p!r} is not an integer") from None
-    return GraphDocument(spec, family(parts[0], *params), "builtin")
+                f"builtin parameter {p!r} is not an integer")
+    return GraphDocument(spec, family(name, *map(int, params)), "builtin")
 
 
 def _split_edgelist_blocks(text: str) -> list[str]:
@@ -132,7 +129,7 @@ def _single_document(token: str) -> GraphDocument:
 
 def _rooted_factor(token: str) -> RootedGraph:
     base, sep, root = token.rpartition("@")
-    if not sep or not re.fullmatch(r"[0-9]+", root):
+    if not sep or not limits.INTEGER.fullmatch(root):
         raise InvalidInputError(
             f"rooted factor {token!r} needs an @root suffix, "
             "e.g. builtin:cycle:4@0")
@@ -213,13 +210,11 @@ def _parse_range(text: str) -> range:
     """'a..b' inclusive, or a single integer; an upper end below the lower
     end is bad input, not an empty table."""
     lo, dots, hi = text.partition("..")
-    try:
-        out = range(int(lo), int(hi if dots else lo) + 1)
-    except ValueError:
-        raise InvalidInputError(f"bad range {text!r}") from None
-    if not out:
+    hi = hi if dots else lo
+    if not (limits.INTEGER.fullmatch(lo) and limits.INTEGER.fullmatch(hi)
+            and int(lo) <= int(hi)):
         raise InvalidInputError(f"bad range {text!r}")
-    return out
+    return range(int(lo), int(hi) + 1)
 
 
 def _cmd_table(args, command) -> int:
@@ -263,13 +258,20 @@ def _cmd_convert(args, command) -> int:
 # parser and entry point
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value, in the one grammar (limits.INTEGER)."""
+    if not limits.INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--max-vertices", type=int, default=None,
+    budgets.add_argument("--max-vertices", type=_integer, default=None,
                          metavar="N", help="vertex cap (default 64)")
-    budgets.add_argument("--max-aut", type=int, default=None, metavar="N",
+    budgets.add_argument("--max-aut", type=_integer, default=None, metavar="N",
                          help="automorphism enumeration cap (default 10^7)")
-    budgets.add_argument("--max-colorings", type=int, default=None,
+    budgets.add_argument("--max-colorings", type=_integer, default=None,
                          metavar="N",
                          help="coloring search cap (default 10^7)")
     fmt = argparse.ArgumentParser(add_help=False)
@@ -290,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "builtin spec")
     p.add_argument("graph", help="file path, builtin:<family>[:params], "
                                  "or g6:<token>")
-    p.add_argument("--phi-max", type=int, default=None, metavar="K",
+    p.add_argument("--phi-max", type=_integer, default=None, metavar="K",
                    help="also tabulate coloring counts for 1..K colors")
     p.add_argument("--steady", action="store_true",
                    help="report the steady vertices")
@@ -303,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="graph specs; rooted kinds take an @root suffix")
     p.add_argument("--emit", choices=("g6", "json"), default="g6",
                    help="graph6 line or full JSON report (default g6)")
-    p.add_argument("--phi-max", type=int, default=None, metavar="K",
+    p.add_argument("--phi-max", type=_integer, default=None, metavar="K",
                    help="coloring-count table size for --emit json")
     p.set_defaults(func=_cmd_product)
 
@@ -325,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # would be reported as a missing range instead of reaching
     # _parse_range; widen the pattern to ranges for this subcommand.
     p._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$|^-\d*\.\d+$")
-    p.add_argument("--phi-max", type=int, default=4, metavar="K",
+    p.add_argument("--phi-max", type=_integer, default=4, metavar="K",
                    help="coloring-count table size (default 4)")
     p.add_argument("--steady", action="store_true",
                    help="report the steady vertices")

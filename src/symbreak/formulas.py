@@ -34,7 +34,7 @@ from .indices import (
     distinguishing_number,
     distinguishing_threshold,
     is_steady,
-    phi,
+    least_k,
     rooted_indices,
     stirling2,
 )
@@ -157,11 +157,7 @@ def d_vertex_sum_power(g: Graph, u: int, t: int) -> VertexSumBound:
         raise PreconditionError("vertex-sum power needs t >= 2")
     if not is_connected(g):
         raise PreconditionError("factor must be connected")
-    deleted = delete_vertex(g, u)
-    k = 1
-    while phi(deleted, k).phi < t:
-        k += 1
-    return VertexSumBound(k, is_steady(g, u))
+    return VertexSumBound(least_k(delete_vertex(g, u), t), is_steady(g, u))
 
 
 def d_vsum_complete_closed(n: int, t: int) -> int:
@@ -346,11 +342,8 @@ def aut_order_rooted(g: Graph, h: RootedGraph) -> int:
 def d_rooted(g: Graph, h: RootedGraph) -> int:
     """Least k whose rooted distinguishing-coloring count of (H, v) reaches
     D(G)."""
-    target = distinguishing_number(g)
-    k = 1
-    while rooted_indices(h, phi_max=k).phi.row(k).phi < target:
-        k += 1
-    return k
+    return least_k(h.graph, distinguishing_number(g),
+                   stabilizer(automorphism_group(h.graph), h.root))
 
 
 def theta_rooted(g: Graph, h: RootedGraph) -> int:
@@ -409,11 +402,7 @@ def d_corona(g: Graph, h: Graph) -> int:
     """
     if g.n < 2:
         raise PreconditionError("base graph needs at least two vertices")
-    target = distinguishing_number(g)
-    k = 1
-    while k * phi(h, k).phi < target:
-        k += 1
-    return k
+    return least_k(h, distinguishing_number(g), weight=lambda k: k)
 
 
 def theta_corona(g: Graph, h: Graph) -> int:
@@ -441,11 +430,7 @@ def d_lexicographic(g: Graph, h: Graph) -> int:
     """Least k whose count of distinguishing k-colorings of H reaches D(G).
 
     Valid when all automorphisms of the product preserve fibers."""
-    target = distinguishing_number(g)
-    k = 1
-    while phi(h, k).phi < target:
-        k += 1
-    return k
+    return least_k(h, distinguishing_number(g))
 
 
 def theta_lexicographic(g: Graph, h: Graph) -> int:

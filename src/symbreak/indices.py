@@ -14,6 +14,8 @@ This module computes:
                             distinguishing colorings with at most / exactly k
                             colors, where colorings are equivalent when one is
                             the other composed with an automorphism
+  least_k                   least k with w(k) * Phi_k >= a target, the form
+                            of the paper's D rules for products
 
 Whether a coloring is distinguishing depends only on its color-class
 partition, and the group acts freely on distinguishing colorings, so all
@@ -33,29 +35,31 @@ smaller set happens no later, so A_j is unchanged and only node counts fall.
 That set and theta are both read from the group's stabilizer chain by
 one stream of its products, so these routes build no element list: the
 scan that finds the set also records the largest cycle count.
-D's ladder asks the kernel's existence search at k labels, and phi_table
-reads A_j from its partition count; symbreak.kernels says how both walk,
-charge their budget and are memoized.  D's ladder starts at the largest
+
+One ladder, _ladder, gives D, theta and the Phi rows on both routes, the
+direct one (_direct) and the twin route (below), from Phi_k for k < theta,
+a test of one rung and the first rung worth asking.  Its row builder is
+_phi_rows: below theta varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and
+above it every surjective k-coloring is distinguishing and the group acts
+freely, so varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
+Phi_k = sum_i C(k, i) varphi_i.  D is the first k with varphi_k > 0, or
+else the first rung past the rows that answers.  The direct route counts
+Phi_k with one partition count and tests a rung with the existence
+search, both over the minimal cycles (symbreak.kernels says how both
+walk, charge their budget and are memoized), from the largest
 transposition class: if (a b) and (b c) are automorphisms, so is (a c),
 so the vertices the group's transpositions join form cliques, a
 distinguishing coloring is injective on each, and every rung below the
-largest is empty (_transposition_class).  Every transposition of the
-group is a minimal cycle partition, so the start needs no other scan.
-The root stabilizer of a rooted graph is cached (perms.stabilizer), so
-rooted_indices asked at k = 1, 2, ... reads one pinned chain and its
-cached minimal cycles.
-
-phi_table and the twin route (below) search only for Phi_k with k < theta
-and hand those to one row builder, _phi_rows: below theta varphi_k =
-sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every surjective k-coloring
-is distinguishing and the group acts freely, so varphi_k = k! S(n, k) /
-|Aut|, which is 0 past n; and Phi_k = sum_i C(k, i) varphi_i.  phi_brute
-stays on the search route for any k and passes every non-identity element,
-on purpose: it shares neither shortcut and serves as the oracle for both in
-the verification harness.  It is, with is_distinguishing and
-are_equivalent, one of the readers that have the group build its element
-list.  The count itself is checked against a plain enumeration of set
-partitions in tests/test_partition_oracle.py.
+largest is empty (_transposition_class); every transposition is a minimal
+cycle partition, so the start needs no other scan.  least_k reads a table
+one row longer per rung; the count memo extends in k and the root
+stabilizer is cached (perms.stabilizer), so a rung adds at most one walk.
+phi_brute stays on the search route for any k and passes every
+non-identity element, on purpose: it shares neither shortcut and serves as
+the oracle for both in the verification harness.  It is, with
+is_distinguishing and are_equivalent, one of the readers that have the
+group build its element list.  The count itself is checked against a
+plain enumeration of set partitions in tests/test_partition_oracle.py.
 
 graph_indices, behind analyze, table and product, takes a twin route on
 graphs with twins (twin_quotient).  Twin classes are blocks of Aut(G), so
@@ -66,7 +70,7 @@ gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
 class x takes one of C(k, t_x) labels (Hemminger's X-join with
 H = K_t or its complement), and N_k = |Aut_w(G')| * Phi_k comes from one
 weighted walk over G' (kernels.count_distinguishing_labellings), which
-stops at the first labelling for D.  theta = n with no scan: a
+stops at the first labelling for a rung of D.  theta = n with no scan: a
 transposition of two twins has n - 1 cycles, and no non-identity
 permutation has more; so the walk runs only for k < n.  G's own chain
 is still built first, for the automorphism budget, |Aut| and the steady
@@ -101,7 +105,7 @@ from operator import ne
 from typing import NamedTuple
 
 from . import kernels, limits
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PreconditionError
 from .graphs import Graph, RootedGraph
 from .perms import AutGroup, automorphism_group, orbits, stabilizer
 
@@ -154,16 +158,6 @@ def are_equivalent(g: Graph, group: AutGroup, c1: Coloring, c2: Coloring) -> boo
 
 # -- core counts ---------------------------------------------------------------
 
-def _partition_counts(n: int, nonid, max_blocks: int) -> list[int]:
-    return kernels.count_distinguishing_partitions(
-        n, nonid, max_blocks, limits.coloring_cap())
-
-
-def _exists_partition(n: int, nonid, max_blocks: int) -> bool:
-    return kernels.exists_distinguishing_partition(
-        n, nonid, max_blocks, limits.coloring_cap())
-
-
 def _transposition_class(group: AutGroup) -> int:
     """1 + the most transpositions of the group that move one vertex.
 
@@ -192,21 +186,10 @@ def _transposition_class(group: AutGroup) -> int:
 
 
 def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
-    """Least k such that some k-coloring is distinguishing.
-
-    The ladder starts at the largest transposition class, never below 2
-    (_transposition_class): every rung below it is empty.
-    """
+    """Least k such that some k-coloring is distinguishing."""
     if group is None:
         group = automorphism_group(g)
-    if group.is_trivial():
-        return 1
-    minimal = group.minimal_cycles
-    for k in range(max(2, _transposition_class(group)), g.n + 1):
-        if _exists_partition(g.n, minimal, k):
-            return k
-    # n distinct colors always distinguish a simple graph's automorphisms
-    raise AssertionError("no distinguishing coloring up to n colors")
+    return _direct(g, group, 0)[0]
 
 
 def distinguishing_threshold(g: Graph, group: AutGroup | None = None) -> int:
@@ -280,7 +263,8 @@ def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
         raise InvalidInputError("k must be at least 1")
     if group is None:
         group = automorphism_group(g)
-    A = _partition_counts(g.n, group.nonidentity_images(), min(k, g.n))
+    A = kernels.count_distinguishing_partitions(
+        g.n, group.nonidentity_images(), min(k, g.n), limits.coloring_cap())
     return _phi_from_counts(A, k, g.n, group.order)
 
 
@@ -303,6 +287,42 @@ def _phi_rows(n: int, order: int, theta: int, k_max: int,
     return rows, next((r.k for r in rows if r.varphi), 0)
 
 
+def _ladder(n: int, order: int, theta: int, start, below, exists,
+            k_max: int | None) -> tuple[int, int, PhiTable | None]:
+    """(D, theta, the table up to k_max or None) of a group of the given
+    order on n vertices.  below(K) gives Phi_1..Phi_K for K < theta,
+    exists(k) whether some k-coloring is distinguishing, and start() the
+    first rung worth asking, read only when the rows leave D open.  D = 1
+    exactly for the trivial group, n = 0 included."""
+    k_max = k_max or 0
+    K = min(k_max, theta - 1)
+    rows, d = _phi_rows(n, order, theta, k_max, below(K) if K > 0 else [])
+    if not d:
+        d = 1 if order == 1 else next(
+            (k for k in range(max(start(), k_max + 1), n + 1) if exists(k)), 0)
+    if not d:
+        # n distinct colors always distinguish a simple graph's automorphisms
+        raise AssertionError("no distinguishing coloring up to n colors")
+    return d, theta, PhiTable(n, order, d, theta, rows) if k_max else None
+
+
+def _direct(g: Graph, group: AutGroup,
+            k_max: int | None) -> tuple[int, int, PhiTable | None]:
+    """_ladder on the direct route (see the module docstring)."""
+    n, order = g.n, group.order
+    minimal = group.minimal_cycles  # its scan records max_cycles for theta
+
+    def below(K: int) -> list[int]:
+        A = kernels.count_distinguishing_partitions(n, minimal, K,
+                                                    limits.coloring_cap())
+        return [_phi_from_counts(A, k, n, order).phi for k in range(1, K + 1)]
+
+    return _ladder(n, order, group.max_cycles + 1,
+                   lambda: max(2, _transposition_class(group)), below,
+                   lambda k: kernels.exists_distinguishing_partition(
+                       n, minimal, k, limits.coloring_cap()), k_max)
+
+
 def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
     """Rows k = 1..k_max of (Phi_k, varphi_k): the partition search gives
     Phi_k below theta, and _phi_rows the rest."""
@@ -310,20 +330,7 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
         raise InvalidInputError("k_max must be at least 1")
     if group is None:
         group = automorphism_group(g)
-    n, order = g.n, group.order
-    # the scan behind minimal_cycles records max_cycles, so theta streams
-    # the group no second time; a nontrivial group needs both
-    minimal = group.minimal_cycles
-    theta = distinguishing_threshold(g, group)
-    enum_limit = min(k_max, theta - 1)
-    below = []
-    if enum_limit >= 1:
-        A = _partition_counts(n, minimal, enum_limit)
-        below = [_phi_from_counts(A, k, n, order).phi
-                 for k in range(1, enum_limit + 1)]
-    rows, d = _phi_rows(n, order, theta, k_max, below)
-    return PhiTable(n, order, d or distinguishing_number(g, group), theta,
-                    rows)
+    return _direct(g, group, k_max)[2]
 
 
 def phi(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
@@ -332,6 +339,22 @@ def phi(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
         raise InvalidInputError("k must be at least 1")
     row = phi_table(g, k, group).row(k)
     return PhiPair(row.phi, row.varphi)
+
+
+def least_k(g: Graph, target: int, group: AutGroup | None = None,
+            weight=lambda k: 1) -> int:
+    """Least k with weight(k) * Phi_k(g) >= target, Phi_k counted up to
+    group (Aut(g) by default): the form of the paper's D rules for
+    vertex-sum powers, rooted products, coronas and lexicographic products."""
+    if not g.n and target > 0:  # Phi_k = 0 for every k: no rung answers
+        raise PreconditionError("no k reaches the target on a graph with no "
+                                "vertices")
+    if group is None:
+        group = automorphism_group(g)
+    k = 1
+    while weight(k) * phi(g, k, group).phi < target:
+        k += 1
+    return k
 
 
 # -- rooted variants -------------------------------------------------------------
@@ -362,13 +385,8 @@ def graph_indices(g: Graph, phi_max: int | None = None,
     steady are the direct route's."""
     group = automorphism_group(g)
     twins = twin_quotient(g)
-    if twins is None:
-        table = phi_table(g, phi_max, group) if phi_max else None
-        d = table.d if table else distinguishing_number(g, group)
-        theta = distinguishing_threshold(g, group)
-    else:
-        d, table = _twin_indices(g, group, twins, phi_max)
-        theta = g.n
+    d, theta, table = (_direct(g, group, phi_max) if twins is None
+                       else _twin(g, group, twins, phi_max))
     return IndexReport(
         n=g.n, m=g.m, aut_order=group.order, d=d, theta=theta, phi=table,
         steady=_steady_vertices(g, group) if steady else None,
@@ -380,15 +398,9 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
     stabilizer of the root, whose chain is searched with the root pinned;
     colorings still cover every vertex of H."""
     stab = stabilizer(automorphism_group(h.graph), h.root)
-    g = h.graph
-    table = phi_table(g, phi_max, stab) if phi_max else None
-    return IndexReport(
-        n=g.n, m=g.m, aut_order=stab.order,
-        d=table.d if table else distinguishing_number(g, stab),
-        theta=distinguishing_threshold(g, stab),
-        phi=table,
-        root=h.root,
-    )
+    d, theta, table = _direct(h.graph, stab, phi_max)
+    return IndexReport(n=h.graph.n, m=h.graph.m, aut_order=stab.order, d=d,
+                       theta=theta, phi=table, root=h.root)
 
 
 # -- the twin route --------------------------------------------------------------
@@ -446,34 +458,32 @@ def twin_quotient(g: Graph) -> TwinQuotient | None:
     return TwinQuotient(tuple(classes), tuple(weights), tuple(qadj))
 
 
-def _twin_indices(g: Graph, group: AutGroup, twins: TwinQuotient,
-                  phi_max: int | None) -> tuple[int, PhiTable | None]:
-    """(D, the phi table up to phi_max or None) of g with twins."""
+def _twin(g: Graph, group: AutGroup, twins: TwinQuotient,
+         k_max: int | None) -> tuple[int, int, PhiTable | None]:
+    """_ladder on the twin route: the labelling walk on the quotient, with
+    theta = n, from the largest class, which has no label below its size."""
     quotient = twins.group(group.order)
     minimal = quotient.minimal_cycles
     kinds = sorted(set(twins.weights))
     classes = [kinds.index(w) for w in twins.weights]
 
-    def labellings(k: int, first: bool = False) -> int:
+    def labellings(k: int, first: bool, nodes: int = 0) -> tuple[int, int]:
         # N_k = |Aut_w(G')| * Phi_k(G): class x takes a t_x-set of colors
         return kernels.count_distinguishing_labellings(
             len(classes), minimal, classes,
             [math.comb(k, t) for _, t in kinds], limits.coloring_cap(),
-            first)[0]
+            first, nodes)
 
-    # below the largest class size, that class has no label
-    low = max(t for _, t in kinds)
-    if not phi_max:
-        return next(k for k in range(low, g.n + 1)
-                    if labellings(k, True)), None
-    # theta = n, so the walk runs only below n
-    below = [_exact_div(labellings(k), quotient.order, "Phi")
-             for k in range(1, min(phi_max, g.n - 1) + 1)]
-    rows, d = _phi_rows(g.n, group.order, g.n, phi_max, below)
-    if not d:
-        d = next(k for k in range(max(low, phi_max + 1), g.n + 1)
-                 if labellings(k, True))
-    return d, PhiTable(g.n, group.order, d, g.n, rows)
+    def below(K: int) -> list[int]:
+        # the K count walks charge one budget between them
+        phis, nodes = [], 0
+        for k in range(1, K + 1):
+            count, nodes = labellings(k, False, nodes)
+            phis.append(_exact_div(count, quotient.order, "Phi"))
+        return phis
+
+    return _ladder(g.n, group.order, g.n, lambda: max(t for _, t in kinds),
+                   below, lambda k: labellings(k, True)[0], k_max)
 
 
 # -- steadiness ------------------------------------------------------------------

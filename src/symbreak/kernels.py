@@ -54,7 +54,9 @@ equal labels are, so with one class the walk answers for partitions:
   count       k = 1..K labels, K = min(max_blocks, n), giving
               N_k = sum_j A_j * k!/(k-j)!, and A_k by back-substitution.
               The K walks charge one node_budget between them, so the
-              count at k < K charges a prefix of the count at K.
+              count at k < K charges a prefix of the count at K; the twin
+              route's count walks in symbreak.indices charge alike.  On
+              both routes each rung of D is one walk with its own budget.
 
 Both are memoized in bounded per-process caches.  The existence search's
 cache is keyed on every input: (n, tuple(elements), max_blocks, node_budget).

@@ -20,6 +20,7 @@ budget must be a positive integer.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -29,16 +30,18 @@ DEFAULT_MAX_VERTICES = 64
 DEFAULT_MAX_AUT = 10_000_000
 DEFAULT_MAX_COLORINGS = 10_000_000
 
+# the one integer grammar of budgets, flags, specs and grids; int() alone
+# would also take other digits, underscores, a plus sign and spaces
+INTEGER = re.compile(r"-?[0-9]+")
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"{name} must be an integer, got {raw!r}") from None
+    if not INTEGER.fullmatch(raw):
+        raise InvalidInputError(f"{name} must be an integer, got {raw!r}")
+    value = int(raw)
     _check_positive(name, value)
     return value
 

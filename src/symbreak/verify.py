@@ -42,7 +42,6 @@ the run.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import itemgetter
@@ -137,9 +136,6 @@ def _brute_d(p: Graph) -> int:
 # grid specifications
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def parse_grid(spec: str | None) -> dict:
     """Parse 'K3,t=2..5' style grid overrides.
 
@@ -162,12 +158,12 @@ def parse_grid(spec: str | None) -> dict:
             if ".." in value:
                 lo, _, hi = value.partition("..")
                 values = []
-                if _INTEGER.fullmatch(lo) and _INTEGER.fullmatch(hi):
+                if all(map(limits.INTEGER.fullmatch, (lo, hi))):
                     values = list(range(int(lo), int(hi) + 1))
                 if not values:
                     raise InvalidInputError(f"bad range {value!r} in grid")
                 grid[key] = values
-            elif _INTEGER.fullmatch(value):
+            elif limits.INTEGER.fullmatch(value):
                 grid[key] = int(value)
             else:
                 grid[key] = value

@@ -4,23 +4,29 @@ Whatever argv is drawn from the subcommands, graph specs, graph6 tokens,
 grids and budget flags, main answers with a documented exit code: 0, 2 for
 bad input or 3 for a spent budget, and never a traceback.  Integers are
 also spelled the ways Python's int() takes but the grammar does not:
-non-ASCII digits, underscores, superscripts and signs.  Graphs and grids
-stay small and every case must finish within the deadline.
+non-ASCII digits, underscores, superscripts and signs.  The grammar's
+integers are ASCII digits after an optional minus sign, so such a spelling
+as a builtin parameter, a table range or an integer flag's value, or in a
+SYMBREAK_MAX_* variable, is bad input: exit 2.  Graphs and grids stay
+small and every case must finish within the deadline.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbreak import corpus, verify
+from symbreak import corpus, limits, verify
 from symbreak.graph6 import emit_graph6
 
 from conftest import _run_cli
 
 _ODD_INTS = ("٢", "1_0", "²", "--1", "+3", "", "x")
+_INT_FLAGS = ("--max-aut", "--max-colorings", "--max-vertices", "--phi-max")
 
 _ARITY = {"empty": 1, "path": 1, "cycle": 1, "complete": 1,
           "complete_bipartite": 2, "star": 1, "kneser": 2, "petersen": 0,
@@ -129,6 +135,26 @@ _argv = st.one_of(_analyze, _product, _verify, _table, _convert,
                       max_size=3))
 
 
+def _odd(text: str) -> bool:
+    return re.fullmatch(r"-?[0-9]+", text) is None
+
+
+def _odd_integer_slot(argv) -> bool:
+    """Whether argv spells an integer outside the grammar where one is
+    read: an integer flag's value, a builtin parameter (before any @root
+    suffix) or an end of a table range."""
+    if any(flag in _INT_FLAGS and _odd(value)
+           for flag, value in zip(argv, argv[1:])):
+        return True
+    if any(_odd(p) for tok in argv if tok.startswith("builtin:")
+           for p in tok.partition("@")[0].split(":")[2:]):
+        return True
+    if argv[:1] == ["table"] and len(argv) > 2:
+        lo, dots, hi = argv[2].partition("..")
+        return _odd(lo) or bool(dots) and _odd(hi)
+    return False
+
+
 @settings(max_examples=500, derandomize=True,
           deadline=timedelta(seconds=5), database=None)
 @given(_argv)
@@ -136,3 +162,16 @@ def test_every_argv_exits_with_a_documented_code(argv):
     code, _, err = _run_cli(*argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
+    if _odd_integer_slot(argv):
+        assert code == 2, (argv, code, err)
+
+
+@pytest.mark.parametrize("name", ["SYMBREAK_MAX_VERTICES", "SYMBREAK_MAX_AUT",
+                                  "SYMBREAK_MAX_COLORINGS"])
+@pytest.mark.parametrize("value", _ODD_INTS + ("١٠٠", " 100"))
+def test_odd_env_integer_exits_2(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    monkeypatch.setattr(limits, "_active", None)  # read the environment anew
+    code, out, err = _run_cli("analyze", "builtin:complete:5")
+    assert (code, out) == (2, "")
+    assert err == f"symbreak: {name} must be an integer, got {value!r}\n"

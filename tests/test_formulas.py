@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbreak import formulas
+from symbreak import formulas, verify
 from symbreak.errors import InvalidInputError, PreconditionError
 from symbreak.formulas import (RadicalRow, VertexSumBound, aut_order_corona,
                                aut_order_rooted, binomial, corona_preconditions,
@@ -23,11 +23,11 @@ from symbreak.formulas import (RadicalRow, VertexSumBound, aut_order_corona,
                                theta_union, theta_vsum_2connected,
                                theta_vsum_cycles)
 from symbreak.graphs import (RootedGraph, asymmetric6, build_graph, complete,
-                             cycle, disjoint_union, empty_graph, path,
-                             star)
+                             cycle, delete_vertex, disjoint_union,
+                             empty_graph, path, star)
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               phi_brute)
-from symbreak.perms import automorphism_group
+from symbreak.perms import automorphism_group, stabilizer
 from symbreak.products import (corona, lexicographic, rooted_product_smooth,
                                vertex_sum, vertex_sum_power)
 
@@ -329,3 +329,54 @@ class TestLexicographic:
             assert d_lexicographic(h, complete(1)) == distinguishing_number(h)
             assert theta_lexicographic(h, complete(1)) == \
                 distinguishing_threshold(h)
+
+
+def _plain_least_k(g, target, group=None, weight=lambda k: 1):
+    """least_k's oracle: phi_brute, over every element, rung by rung."""
+    k = 1
+    while weight(k) * phi_brute(g, k, group).phi < target:
+        k += 1
+    return k
+
+
+class TestLeastKOracle:
+    """The four D forms, each a least_k, against the plain loop on the
+    factors of the thm3.7, thm4.3, thm5.1 and lex-d grids.  D(G) is the
+    least k with Phi_k(G) >= 1."""
+
+    def test_vertex_sum_power(self):
+        for ctor, root in verify._VSUM_FAMILIES.values():
+            g = ctor()
+            for t in range(2, 6):
+                assert d_vertex_sum_power(g, root, t).value == \
+                    _plain_least_k(delete_vertex(g, root), t)
+
+    def test_rooted_counts_up_to_the_root_stabilizer(self):
+        pairs = verify._pairs("rooted", {})
+        for g, hb in pairs:
+            for h in verify._rooted_copies(hb):
+                stab = stabilizer(automorphism_group(hb), h.root)
+                assert d_rooted(g, h) == _plain_least_k(
+                    hb, _plain_least_k(g, 1), stab)
+        assert len(pairs) == 453
+
+    def test_corona(self):
+        pairs = verify._pairs("corona", {})
+        for g, h in pairs:
+            assert d_corona(g, h) == _plain_least_k(
+                h, _plain_least_k(g, 1), weight=lambda k: k)
+        assert len(pairs) == 184
+
+    def test_no_vertices_is_rejected_not_climbed(self):
+        # Phi_k of the empty graph is 0 for every k
+        with pytest.raises(PreconditionError, match="no vertices"):
+            d_vertex_sum_power(complete(1), 0, 2)
+        with pytest.raises(PreconditionError, match="no vertices"):
+            d_lexicographic(path(2), empty_graph(0))
+
+    def test_lexicographic(self):
+        pairs = verify._pairs("lex", {})
+        for g, h in pairs:
+            assert d_lexicographic(g, h) == _plain_least_k(
+                h, _plain_least_k(g, 1))
+        assert len(pairs) == 596

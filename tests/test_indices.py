@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from symbreak import indices, kernels, limits
 from symbreak.errors import BudgetExceededError, InvalidInputError
 from symbreak.graphs import (asymmetric6, build_graph, complete,
-                             complete_bipartite, cycle, path, petersen,
-                             star, RootedGraph)
+                             complete_bipartite, cycle, empty_graph, path,
+                             petersen, star, RootedGraph)
 from symbreak.indices import (Coloring, PhiPair, are_equivalent,
                               distinguishing_number,
                               distinguishing_threshold, graph_indices,
@@ -261,6 +261,53 @@ class TestReports:
         # 4 colorings with <=2 colors, trivial stabilizer: all distinguish
         assert r.phi.row(2).phi == 4
         assert r.phi.row(2).varphi == 2
+
+
+class TestLadder:
+    """The one ladder behind D and the Phi rows, at its edges."""
+
+    @pytest.mark.parametrize("g,rows,steady", [
+        (empty_graph(0), [(1, 0, 0), (2, 0, 0), (3, 0, 0)], ()),
+        (complete(1), [(1, 1, 1), (2, 2, 0), (3, 3, 0)], (0,)),
+        (asymmetric6(), [(1, 1, 1), (2, 64, 62), (3, 729, 540)], ()),
+    ], ids=["n0", "n1", "rigid"])
+    def test_trivial_groups(self, g, rows, steady):
+        assert distinguishing_number(g) == 1
+        table = phi_table(g, 3)
+        assert (table.n, table.aut_order, table.d, table.theta) == (
+            g.n, 1, 1, 1)
+        assert [(r.k, r.phi, r.varphi) for r in table.rows] == rows
+        report = graph_indices(g, phi_max=3, steady=True)
+        assert (report.d, report.theta, report.phi, report.steady) == (
+            1, 1, table, steady)
+        report = graph_indices(g)
+        assert (report.d, report.theta, report.phi) == (1, 1, None)
+        if g.n:
+            rooted = rooted_indices(RootedGraph(g, 0), phi_max=2)
+            assert (rooted.aut_order, rooted.d, rooted.theta) == (1, 1, 1)
+            assert rooted.phi.rows == table.rows[:2]
+
+    @pytest.mark.parametrize("k_max,asked", [(None, [2, 3]), (1, [2, 3]),
+                                             (2, [3])])
+    def test_rungs_start_past_the_table(self, k_max, asked):
+        seen = []
+
+        def exists(k):
+            seen.append(k)
+            return k == 3
+
+        d, theta, table = indices._ladder(4, 2, 4, lambda: 2,
+                                          lambda K: [0] * K, exists, k_max)
+        assert (d, theta, seen) == (3, 4, asked)
+        assert (table is None) == (k_max is None)
+
+    @pytest.mark.parametrize("k_max", [None, 2])
+    def test_no_rung_answers(self, k_max):
+        with pytest.raises(AssertionError,
+                           match="^no distinguishing coloring up to n "
+                                 "colors$"):
+            indices._ladder(3, 2, 3, lambda: 2, lambda K: [0] * K,
+                            lambda k: False, k_max)
 
 
 @settings(max_examples=30, deadline=None)

@@ -228,3 +228,17 @@ def test_twin_route_spends_the_coloring_budget(run_cli, spec, argv):
     assert (code, err) == (3, "")
     record = json.loads(out)["graphs"][0]
     assert record["skipped"] == "coloring search exceeded budget 1"
+
+
+def test_twin_count_walks_share_one_budget(run_cli):
+    # four C4 summed at a vertex: its count walks at k = 1..12 charge
+    # 0 + 38 + 364 + 9 * 399 = 3,993 nodes between them, and the largest
+    # walk alone charges 399
+    spec = "g6:" + graph6.emit_graph6(vsum(cycle(4), 4))
+    for budget, expected in ((399, 3), (3992, 3), (3993, 0)):
+        code, out, err = run_cli("analyze", spec, "--phi-max", "12",
+                                 "--max-colorings", str(budget))
+        assert (code, err) == (expected, "")
+        record = json.loads(out)["graphs"][0]
+        assert record["skipped"] == (
+            f"coloring search exceeded budget {budget}" if expected else None)
