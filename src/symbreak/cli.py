@@ -46,7 +46,7 @@ from .products import corona, lexicographic, rooted_product_smooth, vertex_sum
 from .report import (GraphDocument, ReportEnvelope, emit_report,
                      graph_record, skip_record)
 
-_EDGELIST_HEAD = re.compile(r"^\s*\d+\s+\d+\s*$")
+_EDGELIST_HEAD = re.compile(r"^\s*[0-9]+\s+[0-9]+\s*$")
 
 
 # ---------------------------------------------------------------------------

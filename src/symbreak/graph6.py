@@ -13,6 +13,7 @@ Blank lines and ``#`` comments are permitted and ignored.
 
 from __future__ import annotations
 
+from . import limits
 from .errors import (
     EdgeListError,
     Graph6ByteRangeError,
@@ -138,7 +139,8 @@ def parse_graph6_many(text: str) -> list[Graph]:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Decode the ``n m`` edge-list format."""
+    """Decode the ``n m`` edge-list format.  Every number is an integer
+    of limits.INTEGER: ASCII digits after an optional minus sign."""
     lines = text.splitlines()
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -152,11 +154,10 @@ def parse_edgelist(text: str) -> Graph:
     parts = header.split()
     if len(parts) != 2:
         raise EdgeListError(lineno, f"header must be 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
+    if not all(map(limits.INTEGER.fullmatch, parts)):
         raise EdgeListError(lineno, f"header must be two integers, "
-                                    f"got {header!r}") from None
+                                    f"got {header!r}")
+    n, m = int(parts[0]), int(parts[1])
     if n < 0 or m < 0:
         raise EdgeListError(lineno, "n and m must be nonnegative")
     if len(rows) - 1 != m:
@@ -171,11 +172,10 @@ def parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise EdgeListError(lineno, f"edge line must be 'u v', "
                                         f"got {body!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        if not all(map(limits.INTEGER.fullmatch, parts)):
             raise EdgeListError(lineno, f"edge endpoints must be integers, "
-                                        f"got {body!r}") from None
+                                        f"got {body!r}")
+        u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(lineno, f"edge ({u}, {v}) out of range for "
                                         f"{n} vertices")

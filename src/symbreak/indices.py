@@ -73,10 +73,15 @@ weighted walk over G' (kernels.count_distinguishing_labellings), which
 stops at the first labelling for a rung of D.  theta = n with no scan: a
 transposition of two twins has n - 1 cycles, and no non-identity
 permutation has more; so the walk runs only for k < n.  G's own chain
-is still built first, for the automorphism budget, |Aut| and the steady
-orbits.  Every other caller, verify and the formulas included, and every
-graph without twins, stays on the direct route, which is the twin route's
-oracle in tests/test_twins.py.
+is never built: |Aut(G)| = P * |Aut_w(G')| with P = prod t_x!, so the
+quotient is searched with cap (budget // P), which it exceeds exactly
+when |Aut(G)| exceeds the budget (the error names the budget), and it is
+searched even when P alone does, at cap 0, where the kernel raises before
+refining.  The orbits of Aut(G) are the unions of the twin classes over
+each orbit of Aut_w(G'), since every weight-keeping automorphism of G'
+lifts to one of G.  Every other caller, verify and the formulas
+included, and every graph without twins, stays on the direct route, which
+is the twin route's oracle in tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
 itself.  is_steady first looks for a twin witness: two vertices of G - u
@@ -86,9 +91,15 @@ one moves N(u), so u is not steady.  The witness is taken only when
 (n - 1)! <= the automorphism budget, where no group on the n - 1 vertices
 of G - u exceeds the budget and the search it skips could not raise; so
 is_steady still raises exactly when |Aut(G - u)| exceeds the budget.
-Without a witness it searches Aut(G - u) and tests only the generators
-(see its docstring), and the search returns at once when refinement
-already tells every vertex apart (McKay 1981).  graph_indices asks
+Under the same guard, and without a witness, the refinement of G - u
+certifies u steady when N(u) is a union of its color cells: refined
+colors are kept by every automorphism (McKay 1981), so each cell, and
+each union of cells, is mapped onto itself.  The converse fails, so a
+neighborhood that splits a cell is left to the search, which starts
+from those colors and refines them in one round to the same cells, so
+its chain and answer are unchanged.  Only then is Aut(G - u) searched and
+only its generators tested (see its docstring); the search returns at
+once when refinement already tells every vertex apart.  graph_indices asks
 is_steady once per orbit of Aut(G), about the smallest vertex: steadiness
 is an orbit invariant, since an automorphism taking u to u' restricts to
 an isomorphism G - u -> G - u' that carries N(u) onto N(u').  So is
@@ -105,7 +116,7 @@ from operator import ne
 from typing import NamedTuple
 
 from . import kernels, limits
-from .errors import InvalidInputError, PreconditionError
+from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .graphs import Graph, RootedGraph
 from .perms import AutGroup, automorphism_group, orbits, stabilizer
 
@@ -380,16 +391,23 @@ class IndexReport:
 def graph_indices(g: Graph, phi_max: int | None = None,
                   steady: bool = False) -> IndexReport:
     """Indices of g: through its twin quotient when g has twins (see the
-    module docstring), directly otherwise.  G's own chain is built first
-    either way, so the automorphism budget, |Aut| and the orbits behind
-    steady are the direct route's."""
-    group = automorphism_group(g)
+    module docstring), directly otherwise.  A graph with twins builds only
+    the quotient's chain: |Aut(G)| = prod t_x! * |Aut_w(G')|, the quotient
+    search raises exactly when that exceeds the automorphism budget, and
+    the orbits behind steady are lifted from the quotient's."""
     twins = twin_quotient(g)
-    d, theta, table = (_direct(g, group, phi_max) if twins is None
-                       else _twin(g, group, twins, phi_max))
+    if twins is None:
+        group = automorphism_group(g)
+        order = group.order
+        d, theta, table = _direct(g, group, phi_max)
+    else:
+        group = twins.group(limits.aut_cap())  # Aut_w(G')
+        order = twins.swaps * group.order
+        d, theta, table = _twin(g.n, order, twins, group, phi_max)
     return IndexReport(
-        n=g.n, m=g.m, aut_order=group.order, d=d, theta=theta, phi=table,
-        steady=_steady_vertices(g, group) if steady else None,
+        n=g.n, m=g.m, aut_order=order, d=d, theta=theta, phi=table,
+        steady=_steady_vertices(g, orbits(group) if twins is None
+                                else twins.orbits(group)) if steady else None,
     )
 
 
@@ -412,11 +430,34 @@ class TwinQuotient(NamedTuple):
     weights: tuple[tuple[int, int], ...]  # (1 for true twins else 0, size)
     adj: tuple[int, ...]                  # neighbor bitmasks of G'
 
+    @property
+    def swaps(self) -> int:
+        """prod t_x!: the automorphisms of G that fix every class."""
+        return math.prod(math.factorial(t) for _, t in self.weights)
+
     def group(self, order_cap: int) -> AutGroup:
-        """Aut_w(G'): the automorphisms of G' that keep every weight."""
+        """Aut_w(G'): the automorphisms of G' that keep every weight.
+
+        |Aut(G)| = swaps * |Aut_w(G')|, so the search runs with cap
+        order_cap // swaps, and raises exactly when |Aut(G)| exceeds
+        order_cap, with order_cap in the message.  The search runs even
+        when swaps alone exceeds order_cap: it then raises at cap 0, before
+        any refinement."""
         n = len(self.classes)
-        return AutGroup(n, self.adj, *kernels.search_automorphisms(
-            n, self.adj, order_cap, self.weights))
+        try:
+            return AutGroup(n, self.adj, *kernels.search_automorphisms(
+                n, self.adj, order_cap // self.swaps, self.weights))
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"automorphism search exceeded cap {order_cap}") from None
+
+    def orbits(self, quotient: AutGroup) -> tuple[tuple[int, ...], ...]:
+        """The orbits of Aut(G), from quotient = Aut_w(G'): each is the
+        union of the twin classes of one orbit of the quotient, sorted.
+        Classes are numbered by least member, so these come ordered by
+        smallest member, as perms.orbits orders them."""
+        return tuple(tuple(sorted(v for x in ob for v in self.classes[x]))
+                     for ob in orbits(quotient))
 
 
 def twin_quotient(g: Graph) -> TwinQuotient | None:
@@ -458,11 +499,12 @@ def twin_quotient(g: Graph) -> TwinQuotient | None:
     return TwinQuotient(tuple(classes), tuple(weights), tuple(qadj))
 
 
-def _twin(g: Graph, group: AutGroup, twins: TwinQuotient,
+def _twin(n: int, order: int, twins: TwinQuotient, quotient: AutGroup,
          k_max: int | None) -> tuple[int, int, PhiTable | None]:
-    """_ladder on the twin route: the labelling walk on the quotient, with
-    theta = n, from the largest class, which has no label below its size."""
-    quotient = twins.group(group.order)
+    """_ladder on the twin route for a graph on n vertices with
+    |Aut| = order, quotient = Aut_w(G'): the labelling walk on the
+    quotient, with theta = n, from the largest class, which has no label
+    below its size."""
     minimal = quotient.minimal_cycles
     kinds = sorted(set(twins.weights))
     classes = [kinds.index(w) for w in twins.weights]
@@ -482,7 +524,7 @@ def _twin(g: Graph, group: AutGroup, twins: TwinQuotient,
             phis.append(_exact_div(count, quotient.order, "Phi"))
         return phis
 
-    return _ladder(g.n, group.order, g.n, lambda: max(t for _, t in kinds),
+    return _ladder(n, order, n, lambda: max(t for _, t in kinds),
                    below, lambda k: labellings(k, True)[0], k_max)
 
 
@@ -498,13 +540,17 @@ def is_steady(g: Graph, u: int) -> bool:
     two vertices of G - u with the same open neighborhood, or the same
     closed one, are twins, so swapping them is an automorphism of G - u,
     and when one lies in N(u) and the other does not, it moves N(u).
-    Otherwise the stabilizer chain of Aut(G - u) is searched, and since a
-    group maps a set onto itself iff each of its generators does, only its
-    strong generators are tested, with N(u) as a bitmask; no other element
-    is built.  The chain is built in full before any generator is tested,
-    so the call raises BudgetExceededError exactly when |Aut(G - u)|
-    exceeds the automorphism budget, whatever the answer would have been;
-    the twin witness is taken only where the search could not raise.
+    Under the same bound, a refinement of G - u in which N(u) is a union
+    of color cells answers True with no search: every automorphism keeps
+    each cell.  Otherwise the stabilizer chain of Aut(G - u) is searched,
+    from those colors when they were refined, and since a group maps a set
+    onto itself iff each of its generators does, only its strong
+    generators are tested, with N(u) as a bitmask; no other element is
+    built.  The chain is built in full before any generator is tested, so
+    the call raises BudgetExceededError exactly when |Aut(G - u)| exceeds
+    the automorphism budget, whatever the answer would have been; the twin
+    witness and the refinement answer only where the search could not
+    raise.
     """
     if not 0 <= u < g.n:
         raise InvalidInputError(f"vertex {u} out of range")
@@ -513,6 +559,7 @@ def is_steady(g: Graph, u: int) -> bool:
     rest = [m & low | m >> (u + 1) << u for m in adj]
     mask = rest.pop(u)
     cap = limits.aut_cap()
+    colors = None
     if math.factorial(len(rest)) <= cap:
         # open and closed masks share one dict: N(a) = N[b] would put a in
         # N(b), hence in N(a).  sides: 1 outside N(u), 2 inside, 3 both
@@ -524,18 +571,24 @@ def is_steady(g: Graph, u: int) -> bool:
                 if sides == 3:
                     return False
                 seen[key] = sides
+        # refined colors are kept by every automorphism of G - u, so when
+        # N(u) is a union of color cells, each maps it onto itself
+        colors = kernels._refine_colors(len(rest), rest)
+        cells = {c for v, c in enumerate(colors) if mask >> v & 1}
+        if all(mask >> v & 1 or c not in cells for v, c in enumerate(colors)):
+            return True
     nbrs = [v - (v > u) for v in g.neighbors(u)]
-    _, chain = kernels.search_automorphisms(len(rest), rest, cap)
+    # the search refines from colors in one round, to the same cells
+    _, chain = kernels.search_automorphisms(len(rest), rest, cap, colors)
     return all(sum(1 << t[v] for v in nbrs) == mask
                for reps in chain for t in reps[1:])
 
 
-def _steady_vertices(g: Graph, group: AutGroup) -> tuple[int, ...]:
+def _steady_vertices(g: Graph, obs) -> tuple[int, ...]:
     """The steady vertices of g, with one is_steady call per orbit of its
-    automorphism group (see the module docstring)."""
+    automorphism group, obs (see the module docstring)."""
     steady: list[int] = []
-    for ob in orbits(group):
+    for ob in obs:
         if is_steady(g, ob[0]):
             steady.extend(ob)
     return tuple(sorted(steady))
-

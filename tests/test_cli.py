@@ -87,6 +87,21 @@ class TestAnalyze:
         assert g["name"] == "square"
         assert g["graph6"] == "Cl"
 
+    @pytest.mark.parametrize("name", ["p3.el", "p3"])
+    @pytest.mark.parametrize("text", [
+        "٣ ٢\n0 1\n1 ٢\n", "3 2\n0 1\n1 ٢\n", "11 1\n0 1_0\n",
+    ], ids=["header", "endpoint", "underscore"])
+    def test_edgelist_integers_are_ascii_digits(self, run_cli, tmp_path,
+                                                name, text):
+        # int() would read each of these as a graph; a file without a
+        # suffix whose header is not ASCII is sniffed as graph6, and fails
+        # there
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli("analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("symbreak: line ")
+
     def test_csv_format(self, run_cli):
         code, out, _ = run_cli(
             "analyze", "builtin:cycle:4", "--format", "csv", "--phi-max", "2"

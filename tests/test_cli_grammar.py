@@ -166,6 +166,41 @@ def test_every_argv_exits_with_a_documented_code(argv):
         assert code == 2, (argv, code, err)
 
 
+# edge-list files: a header "n m" and m lines "u v", any of them with a
+# "#" comment; the comment's own digits are never read
+_EL_ODD = ("٢", "٣", "1_0", "²", "+3", "-1", "x")
+_el_int = _mostly(st.integers(0, 5).map(str), st.sampled_from(_EL_ODD))
+_el_comment = st.sampled_from(["", " # ٣ 1_0", "# 2 1"])
+
+
+@st.composite
+def _edgelist(draw):
+    edges = draw(st.lists(st.tuples(_el_int, _el_int), max_size=4))
+    m = draw(_mostly(st.just(str(len(edges))), _el_int))
+    rows = [(draw(_el_int), m)] + edges
+    lines = [f"{a} {b}" + draw(_el_comment) for a, b in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    odd = any(not t.isascii() or "_" in t for row in rows for t in row)
+    return "\n".join(lines) + "\n", odd
+
+
+@settings(max_examples=200, derandomize=True,
+          deadline=timedelta(seconds=5), database=None)
+@given(_edgelist(), st.sampled_from(["g.el", "g"]), _maybe)
+def test_every_edgelist_file_exits_with_a_documented_code(
+        tmp_path_factory, drawn, name, extra):
+    text, odd = drawn
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_text(text)
+    code, _, err = _run_cli("analyze", str(path), *extra)
+    assert code in (0, 2, 3), (text, code, err)
+    assert "Traceback" not in err
+    if odd:
+        # a non-ASCII digit or an underscore where an integer is read
+        assert code == 2, (text, code, err)
+
+
 @pytest.mark.parametrize("name", ["SYMBREAK_MAX_VERTICES", "SYMBREAK_MAX_AUT",
                                   "SYMBREAK_MAX_COLORINGS"])
 @pytest.mark.parametrize("value", _ODD_INTS + ("١٠٠", " 100"))

@@ -163,6 +163,21 @@ class TestEdgeList:
             parse_edgelist("2 1\n0 x")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("text,line", [
+        ("٣ ٢\n0 1\n1 2", 1),       # Arabic-Indic digits in the header
+        ("3 ٢\n0 1\n1 2", 1),
+        ("1_0 1\n0 1", 1),           # an underscore, which int() takes
+        ("+3 1\n0 1", 1),
+        ("3 2\n0 1\n1 ٢", 3),       # a non-ASCII endpoint
+        ("11 1\n1_0 2", 2),
+        ("3 2\n0 1\n²  2", 3),
+        ("3 1\n+0 1", 2),
+    ])
+    def test_integers_are_ascii_digits(self, text, line):
+        with pytest.raises(EdgeListError) as exc:
+            parse_edgelist(text)
+        assert exc.value.line == line
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 12), st.randoms(use_true_random=False))

@@ -3,7 +3,9 @@
 graph_indices collapses every twin class of a graph to one weighted vertex
 and counts labellings of the quotient; distinguishing_number,
 distinguishing_threshold, phi_table and phi_brute stay on the direct route
-and serve as its oracles here.
+and serve as its oracles here.  The route builds only the quotient's chain,
+so |Aut|, the automorphism budget and the orbits behind steady are held to
+G's own chain too, and the searches are counted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from symbreak import graph6, kernels, perms
+from symbreak import graph6, kernels, limits, perms
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (build_graph, complete, complete_bipartite, cycle,
                              path, petersen, star)
@@ -242,3 +244,89 @@ def test_twin_count_walks_share_one_budget(run_cli):
         record = json.loads(out)["graphs"][0]
         assert record["skipped"] == (
             f"coloring search exceeded budget {budget}" if expected else None)
+
+
+def test_twin_budget_is_the_order_of_g(connected7):
+    shapes = [make() for _, make in sorted(SYMMETRIC_SHAPES.items())]
+    graphs = [g for g in connected7 + tuple(shapes)
+              if twin_quotient(g) is not None]
+    assert len(graphs) == 665 + 8
+    for g in graphs:
+        order = automorphism_group(g).order
+        with limits.scoped(max_aut=order - 1):
+            with pytest.raises(BudgetExceededError, match=(
+                    f"^automorphism search exceeded cap {order - 1}$")):
+                graph_indices(g)
+        with limits.scoped(max_aut=order):
+            assert graph_indices(g).aut_order == order
+
+
+def test_twin_orbits_are_the_orbits_of_g(connected7):
+    checked = 0
+    for g in connected7:
+        twins = twin_quotient(g)
+        if twins is not None:
+            group = automorphism_group(g)
+            assert twins.orbits(twins.group(group.order)) == orbits(group)
+            checked += 1
+    assert checked == 665
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list[tuple]:
+    """(n, order_cap) of every automorphism search while the test runs."""
+    seen = []
+    search = kernels.search_automorphisms
+
+    def spy(n, adj, order_cap, colors=None):
+        seen.append((n, order_cap))
+        return search(n, adj, order_cap, colors)
+
+    monkeypatch.setattr(kernels, "search_automorphisms", spy)
+    perms._cached_group.cache_clear()
+    perms._cached_stabilizer.cache_clear()
+    return seen
+
+
+def test_over_budget_twin_graph_raises_before_refining(run_cli, searches,
+                                                       monkeypatch):
+    # 30! > 1e5: the quotient search, on one vertex, runs at cap 0
+    refined = []
+    refine = kernels._refine_colors
+    monkeypatch.setattr(kernels, "_refine_colors",
+                        lambda *args: refined.append(args) or refine(*args))
+    code, out, err = run_cli("analyze", "builtin:complete:30",
+                             "--max-aut", "100000")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["graphs"][0]["skipped"] == (
+        "automorphism search exceeded cap 100000")
+    assert searches == [(1, 0)] and refined == []
+
+
+def test_k44_steady_builds_no_chain_on_g(run_cli, searches):
+    code, out, err = run_cli("analyze", "builtin:complete_bipartite:4:4",
+                             "--steady")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["graphs"][0]["steady"] == list(range(8))
+    # the quotient's chain only: G - u is certified by its refinement
+    assert [n for n, _ in searches] == [2]
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(4, 4), vsum(cycle(4), 4)],
+                         ids=["K4,4", "vsum_C4x4"])
+def test_analyze_exits_3_exactly_past_the_order(run_cli, g):
+    order = automorphism_group(g).order
+    for cap, expected in ((order - 1, 3), (order, 0)):
+        code, out, err = run_cli("analyze", "g6:" + graph6.emit_graph6(g),
+                                 "--max-aut", str(cap))
+        assert (code, err) == (expected, "")
+        assert json.loads(out)["graphs"][0]["skipped"] == (
+            f"automorphism search exceeded cap {cap}" if expected else None)
+
+
+def test_corpus_search_count(connected7, searches):
+    # 4,800 searches before the twin route stopped building G's chain and
+    # the refinement of G - u started to certify steady vertices
+    for g in connected7:
+        graph_indices(g, phi_max=4, steady=True)
+    assert len(searches) <= 1816
