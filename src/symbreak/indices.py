@@ -578,7 +578,7 @@ def is_steady(g: Graph, u: int) -> bool:
         if all(mask >> v & 1 or c not in cells for v, c in enumerate(colors)):
             return True
     nbrs = [v - (v > u) for v in g.neighbors(u)]
-    # the search refines from colors in one round, to the same cells
+    # refined colors, when given, refine in one round to the same cells
     _, chain = kernels.search_automorphisms(len(rest), rest, cap, colors)
     return all(sum(1 << t[v] for v in nbrs) == mask
                for reps in chain for t in reps[1:])
