@@ -1,16 +1,20 @@
-"""Regression anchor for the verification harness, on reduced grids.
+"""Regression anchors for the verification harness, on reduced grids, and
+for analyze on the two corpus files.
 
 Each rule runs through the CLI on a grid small enough for the whole set to
 take seconds, and its report digest and verdict count must equal the values
 frozen when the anchor was set.  The digest covers the command line and
 every verdict field, notes included, so any moved verdict, predicted value,
 brute-force value or budget note fails here.  The grids are the ones the
-benchmark's verify workload runs.
+benchmark's verify workload runs.  The analyze anchors cover every field
+of every graph's record: |Aut|, D, theta, the Phi rows up to 4 and the
+steady vertices.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,4 +56,24 @@ def test_rule_keeps_its_anchor(run_cli, rule):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["summary"]["verdicts"] == count
+    assert report["digest"] == digest
+
+
+# corpus file -> (digest, graphs) of analyze --phi-max 4 --steady on it
+ANALYZE_ANCHOR = {
+    "connected_n_le6.g6": ("sha256:e85713272eec7c702c79943d9f30a90213120016f201afbc90b2a9f7a1bcbd00", 143),
+    "connected_7.g6": ("sha256:efb9e3017ff344e211ce89514da5c6a16a27e78739f1db97111f83f04ad7791f", 853),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYZE_ANCHOR))
+def test_analyze_keeps_its_anchor(run_cli, monkeypatch, name):
+    # the digest covers the command, so the path is given from the repo root
+    digest, count = ANALYZE_ANCHOR[name]
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, out, err = run_cli("analyze", f"src/symbreak/data/{name}",
+                             "--phi-max", "4", "--steady")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["summary"]["graphs"] == count
     assert report["digest"] == digest
