@@ -11,7 +11,10 @@ change's BENCHMARK.json.  Pair i uses seed ``--seed`` + i, and the
 side that runs first alternates from pair to pair, so host drift between the
 two runs of a pair does not favour one side.  Each checkout benchmarks the
 program in its own ``src/`` with its own ``symbench/``; nothing under
-``symbench/`` is edited.
+``symbench/`` is edited.  Before the first pair, each checkout's ``src/``
+is byte-compiled: symbench's ``setup_s`` assumes that the first launch
+leaves ``.pyc`` files behind, which it does not where
+PYTHONDONTWRITEBYTECODE is set, and then every launch compiles anew.
 
 The output, ``BENCH_<label>.json`` in the current directory, is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.  It holds:
@@ -49,6 +52,7 @@ Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import platform
 import statistics
@@ -70,6 +74,12 @@ def describe(checkout: Path) -> dict:
     return {"head": git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(git(checkout, "status", "--porcelain",
                               "--untracked-files=no"))}
+
+
+def compile_sources(checkout: Path) -> None:
+    """Write the .pyc files of checkout's src/, stale or missing ones."""
+    if not compileall.compile_dir(checkout / "src", quiet=1):
+        raise RuntimeError(f"{checkout}: src/ does not compile")
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -195,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     for checkout in checkouts.values():
         if not (checkout / "symbench" / "run.py").is_file():
             parser.error(f"{checkout} has no symbench/run.py")
+        compile_sources(checkout)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]

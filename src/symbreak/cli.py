@@ -7,8 +7,9 @@ Graphs are named by spec tokens:
   <path>                          a file of graph6 lines or edge lists
 
 Edge-list files hold one or more blocks of "n m" followed by m lines
-"u v" (0-indexed), separated by blank lines.  Files ending in .g6 or
-.graph6 are read as graph6; other files are sniffed by their first line.
+"u v" (0-indexed), separated by blank lines, with "#" comments.  Files
+ending in .g6 or .graph6 are read as graph6; other files are sniffed by
+their first line that is not blank once its comment is stripped.
 Rooted factors for `product vsum` and `product rooted` take an @root
 suffix, e.g. builtin:cycle:4@0.
 
@@ -32,6 +33,7 @@ import argparse
 import re
 import sys
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -62,16 +64,14 @@ def _builtin_document(spec: str) -> GraphDocument:
     return GraphDocument(spec, family(name, *map(int, params)), "builtin")
 
 
-def _split_edgelist_blocks(text: str) -> list[str]:
-    blocks, current = [], []
-    for line in text.splitlines():
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
+def _split_edgelist_blocks(text: str) -> list[tuple[int, str]]:
+    """(first line number, text) of each run of non-blank lines."""
+    blocks = []
+    for blank, run in groupby(enumerate(text.splitlines(), start=1),
+                              key=lambda row: not row[1].strip()):
+        if not blank:
+            run = list(run)
+            blocks.append((run[0][0], "\n".join(line for _, line in run)))
     return blocks
 
 
@@ -82,8 +82,9 @@ def _file_format(path: Path, text: str) -> str:
     if suffix in (".el", ".edges", ".edgelist"):
         return "edgelist"
     for line in text.splitlines():
-        if line.strip():
-            return "edgelist" if _EDGELIST_HEAD.match(line) else "graph6"
+        body = line.split("#", 1)[0]
+        if body.strip():
+            return "edgelist" if _EDGELIST_HEAD.match(body) else "graph6"
     raise InvalidInputError(f"{path}: file contains no graphs")
 
 
@@ -98,8 +99,12 @@ def _file_documents(token: str) -> list[GraphDocument]:
         graphs = parse_graph6_many(text)
         source = "graph6"
     else:
-        graphs = [parse_edgelist(block)
-                  for block in _split_edgelist_blocks(text)]
+        graphs = []
+        for first, block in _split_edgelist_blocks(text):
+            try:
+                graphs.append(parse_edgelist(block))
+            except EdgeListError as exc:  # renumber by line of the file
+                raise EdgeListError(first + exc.line - 1, exc.reason) from None
         source = "edgelist"
     if not graphs:
         raise InvalidInputError(f"{token}: file contains no graphs")

@@ -50,4 +50,4 @@ class EdgeListError(InvalidInputError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
+        self.line, self.reason = line, message

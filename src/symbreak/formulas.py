@@ -268,8 +268,8 @@ def d_vsum_nonisomorphic(factors: Sequence[RootedGraph]) -> int:
                for f in factors)
 
 
-def d_vsum_nonisomorphic_preconditions(
-        factors: Sequence[RootedGraph]) -> list[str]:
+def _steady_factors_unmet(factors: Sequence[RootedGraph]) -> list[str]:
+    """The factor hypotheses both vertex-sum rules share that fail."""
     out = []
     if len(factors) < 2:
         out.append("needs at least two factors")
@@ -278,6 +278,12 @@ def d_vsum_nonisomorphic_preconditions(
             out.append(f"factor {i} is not 2-connected")
         elif not is_steady(f.graph, f.root):
             out.append(f"root of factor {i} is not steady")
+    return out
+
+
+def d_vsum_nonisomorphic_preconditions(
+        factors: Sequence[RootedGraph]) -> list[str]:
+    out = _steady_factors_unmet(factors)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if is_isomorphic(factors[i].graph, factors[j].graph,
@@ -302,14 +308,7 @@ def theta_vsum_2connected_preconditions(
     factor 2-connected with a steady root, and any two factors whose
     deletions are isomorphic must already be isomorphic as rooted graphs
     (otherwise the union has automorphisms the sum lacks)."""
-    out = []
-    if len(factors) < 2:
-        out.append("needs at least two factors")
-    for i, f in enumerate(factors):
-        if not is_2connected(f.graph):
-            out.append(f"factor {i} is not 2-connected")
-        elif not is_steady(f.graph, f.root):
-            out.append(f"root of factor {i} is not steady")
+    out = _steady_factors_unmet(factors)
     deleted = [delete_vertex(f.graph, f.root) for f in factors]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):

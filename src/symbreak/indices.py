@@ -37,51 +37,56 @@ one stream of its products, so these routes build no element list: the
 scan that finds the set also records the largest cycle count.
 
 One ladder, _ladder, gives D, theta and the Phi rows on both routes, the
-direct one (_direct) and the twin route (below), from Phi_k for k < theta,
-a test of one rung and the first rung worth asking.  Its row builder is
-_phi_rows: below theta varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and
-above it every surjective k-coloring is distinguishing and the group acts
-freely, so varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
+direct one (_direct) and the quotient route (below), from Phi_k for
+k < theta, a test of one rung and the first rung worth asking.  Both read
+Phi_k = N_k / |group| from the kernel's count ladder
+(kernels.labelling_ladder); the direct one's N_k is the sum above.  Its row
+builder is _phi_rows: below theta
+varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every surjective
+k-coloring is distinguishing and the group acts freely, so
+varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
 Phi_k = sum_i C(k, i) varphi_i.  D is the first k with varphi_k > 0, or
-else the first rung past the rows that answers.  The direct route counts
-Phi_k with one partition count and tests a rung with the existence
-search, both over the minimal cycles (symbreak.kernels says how both
-walk, charge their budget and are memoized), from the largest
-transposition class: if (a b) and (b c) are automorphisms, so is (a c),
-so the vertices the group's transpositions join form cliques, a
-distinguishing coloring is injective on each, and every rung below the
-largest is empty (_transposition_class); every transposition is a minimal
-cycle partition, so the start needs no other scan.  least_k reads a table
-one row longer per rung; the count memo extends in k and the root
-stabilizer is cached (perms.stabilizer), so a rung adds at most one walk.
-phi_brute stays on the search route for any k and passes every
-non-identity element, on purpose: it shares neither shortcut and serves as
-the oracle for both in the verification harness.  It is, with
-is_distinguishing and are_equivalent, one of the readers that have the
-group build its element list.  The count itself is checked against a
+else the first rung past the rows that answers.  The direct route tests a
+rung with the existence search, and both searches run over the minimal
+cycles (symbreak.kernels says how they walk, charge their budget and are
+memoized), from the largest transposition class: if (a b) and (b c) are
+automorphisms, so is (a c), so the vertices the group's transpositions join
+form cliques, a distinguishing coloring is injective on each, and every
+rung below the largest is empty (_transposition_class); every transposition
+is a minimal cycle partition, so the start needs no other scan.  least_k
+reads a table one row longer per rung; the count ladder extends in k and
+the root stabilizer is cached (perms.stabilizer), so a rung adds at most
+one walk.  phi_brute stays on the search route for any k and passes every
+non-identity element to the partition count, on purpose: it shares neither
+shortcut and serves as the oracle for both in the verification harness.  It
+is, with is_distinguishing and are_equivalent, one of the readers that have
+the group build its element list.  The count itself is checked against a
 plain enumeration of set partitions in tests/test_partition_oracle.py.
 
-graph_indices, behind analyze, table and product, takes a twin route on
-graphs with twins (twin_quotient).  Twin classes are blocks of Aut(G), so
-Aut(G) = prod Sym(T_x) x| Aut_w(G'), where G' has one vertex per class,
-weighted (kind, t_x), and Aut_w(G') keeps every weight.  A coloring is
-distinguishing iff it is injective on every class and the labelling that
-gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
-class x takes one of C(k, t_x) labels (Hemminger's X-join with
-H = K_t or its complement), and N_k = |Aut_w(G')| * Phi_k comes from one
-weighted walk over G' (kernels.count_distinguishing_labellings), which
-stops at the first labelling for a rung of D.  theta = n with no scan: a
-transposition of two twins has n - 1 cycles, and no non-identity
-permutation has more; so the walk runs only for k < n.  G's own chain
-is never built: |Aut(G)| = P * |Aut_w(G')| with P = prod t_x!, so the
-quotient is searched with cap (budget // P), which it exceeds exactly
-when |Aut(G)| exceeds the budget (the error names the budget), and it is
-searched even when P alone does, at cap 0, where the kernel raises before
-refining.  The orbits of Aut(G) are the unions of the twin classes over
-each orbit of Aut_w(G'), since every weight-keeping automorphism of G'
-lifts to one of G.  Every other caller, verify and the formulas
-included, and every graph without twins, stays on the direct route, which
-is the twin route's oracle in tests/test_twins.py.
+graph_indices, behind analyze, table and product, has one route, through
+the twin quotient (twin_quotient); a graph without twins is its own.  Twin
+classes are blocks of Aut(G), so Aut(G) = prod Sym(T_x) x| Aut_w(G'), where
+G' has one vertex per class, weighted (kind, t_x), and Aut_w(G') keeps
+every weight.  A coloring is distinguishing iff it is injective on every
+class and the labelling that gives class x its set of t_x colors is
+distinguishing for Aut_w(G'), so class x takes one of C(k, t_x) labels
+(Hemminger's X-join with H = K_t or its complement), and
+N_k = |Aut_w(G')| * Phi_k comes from the count ladder of weighted walks
+over G', while a rung of D is one walk
+(kernels.count_distinguishing_labellings) that stops at the first
+labelling.  With twins, theta = n with no scan: a transposition of two
+twins has n - 1 cycles, and no non-identity permutation has more; so the
+walk runs only for k < n; without twins, theta and D's first rung are the
+direct route's.  G's own chain is never built: |Aut(G)| = P * |Aut_w(G')|
+with P = prod t_x!, so the quotient is searched with cap (budget // P),
+which it exceeds exactly when |Aut(G)| exceeds the budget (the error names
+the budget), and it is searched even when P alone does, at cap 0, where the
+kernel raises before refining.  The orbits of Aut(G) are the unions of the
+twin classes over each orbit of Aut_w(G'), since every weight-keeping
+automorphism of G' lifts to one of G.  The direct route serves the
+per-index functions (distinguishing_number, phi_table, phi, least_k,
+rooted_indices), and through them verify and the formulas; it is the
+quotient route's oracle in tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
 itself.  is_steady first looks for a twin witness: two vertices of G - u
@@ -257,14 +262,6 @@ class PhiTable:
         raise InvalidInputError(f"no row for k={k}")
 
 
-def _phi_from_counts(A, k: int, n: int, order: int) -> PhiPair:
-    total = sum(A[j] * math.perm(k, j) for j in range(1, min(k, n) + 1))
-    phi_k = _exact_div(total, order, "Phi")
-    varphi_k = _exact_div(A[k] * math.factorial(k), order,
-                          "varphi") if k <= n else 0
-    return PhiPair(phi_k, varphi_k)
-
-
 def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
     """(Phi_k, varphi_k) by partition search alone, any k; the oracle route.
 
@@ -276,7 +273,10 @@ def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
         group = automorphism_group(g)
     A = kernels.count_distinguishing_partitions(
         g.n, group.nonidentity_images(), min(k, g.n), limits.coloring_cap())
-    return _phi_from_counts(A, k, g.n, group.order)
+    total = sum(A[j] * math.perm(k, j) for j in range(1, min(k, g.n) + 1))
+    return PhiPair(_exact_div(total, group.order, "Phi"),
+                   _exact_div(A[k] * math.factorial(k), group.order,
+                              "varphi") if k <= g.n else 0)
 
 
 def _phi_rows(n: int, order: int, theta: int, k_max: int,
@@ -296,6 +296,16 @@ def _phi_rows(n: int, order: int, theta: int, k_max: int,
                       for i in range(1, min(k, n) + 1)), varphi[k])
         for k in range(1, k_max + 1))
     return rows, next((r.k for r in rows if r.varphi), 0)
+
+
+def _below(walked: AutGroup, classes, sizes):
+    """below(K) for _ladder: Phi_1..Phi_K = N_k / |walked|, N_k from the
+    kernel's count ladder over walked's minimal cycles, where vertex class
+    w takes C(k, sizes[w]) labels."""
+    return lambda K: [_exact_div(count, walked.order, "Phi")
+                      for count in kernels.labelling_ladder(
+                          walked.n, walked.minimal_cycles, classes, sizes, K,
+                          limits.coloring_cap())]
 
 
 def _ladder(n: int, order: int, theta: int, start, below, exists,
@@ -320,16 +330,11 @@ def _ladder(n: int, order: int, theta: int, start, below, exists,
 def _direct(g: Graph, group: AutGroup,
             k_max: int | None) -> tuple[int, int, PhiTable | None]:
     """_ladder on the direct route (see the module docstring)."""
-    n, order = g.n, group.order
+    n = g.n
     minimal = group.minimal_cycles  # its scan records max_cycles for theta
-
-    def below(K: int) -> list[int]:
-        A = kernels.count_distinguishing_partitions(n, minimal, K,
-                                                    limits.coloring_cap())
-        return [_phi_from_counts(A, k, n, order).phi for k in range(1, K + 1)]
-
-    return _ladder(n, order, group.max_cycles + 1,
-                   lambda: max(2, _transposition_class(group)), below,
+    return _ladder(n, group.order, group.max_cycles + 1,
+                   lambda: max(2, _transposition_class(group)),
+                   _below(group, (0,) * n, (1,)),
                    lambda k: kernels.exists_distinguishing_partition(
                        n, minimal, k, limits.coloring_cap()), k_max)
 
@@ -390,24 +395,17 @@ class IndexReport:
 
 def graph_indices(g: Graph, phi_max: int | None = None,
                   steady: bool = False) -> IndexReport:
-    """Indices of g: through its twin quotient when g has twins (see the
-    module docstring), directly otherwise.  A graph with twins builds only
-    the quotient's chain: |Aut(G)| = prod t_x! * |Aut_w(G')|, the quotient
-    search raises exactly when that exceeds the automorphism budget, and
-    the orbits behind steady are lifted from the quotient's."""
+    """Indices of g through its twin quotient (see the module docstring).
+    Only the quotient's chain is built: |Aut(G)| = prod t_x! * |Aut_w(G')|,
+    the quotient search raises exactly when that exceeds the automorphism
+    budget, and the orbits behind steady are lifted from the quotient's."""
     twins = twin_quotient(g)
-    if twins is None:
-        group = automorphism_group(g)
-        order = group.order
-        d, theta, table = _direct(g, group, phi_max)
-    else:
-        group = twins.group(limits.aut_cap())  # Aut_w(G')
-        order = twins.swaps * group.order
-        d, theta, table = _twin(g.n, order, twins, group, phi_max)
+    quotient = twins.group(limits.aut_cap())  # Aut_w(G')
+    order = twins.swaps * quotient.order
+    d, theta, table = _twin(g.n, order, twins, quotient, phi_max)
     return IndexReport(
         n=g.n, m=g.m, aut_order=order, d=d, theta=theta, phi=table,
-        steady=_steady_vertices(g, orbits(group) if twins is None
-                                else twins.orbits(group)) if steady else None,
+        steady=_steady_vertices(g, twins.orbits(quotient)) if steady else None,
     )
 
 
@@ -424,7 +422,7 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
 # -- the twin route --------------------------------------------------------------
 
 class TwinQuotient(NamedTuple):
-    """G' of a graph G with twins: one vertex per twin class."""
+    """G' of a graph G: one vertex per twin class."""
 
     classes: tuple[tuple[int, ...], ...]  # members, by least member
     weights: tuple[tuple[int, int], ...]  # (1 for true twins else 0, size)
@@ -460,8 +458,8 @@ class TwinQuotient(NamedTuple):
                      for ob in orbits(quotient))
 
 
-def twin_quotient(g: Graph) -> TwinQuotient | None:
-    """The twin quotient of g, or None when g has no twins.
+def twin_quotient(g: Graph) -> TwinQuotient:
+    """The twin quotient of g; a graph without twins is its own.
 
     u and v are false twins when N(u) = N(v) and true twins when
     N[u] = N[v].  Both are equivalence relations, and no vertex has twins
@@ -476,7 +474,8 @@ def twin_quotient(g: Graph) -> TwinQuotient | None:
         false_twins.setdefault(nbrs, []).append(v)
         true_twins.setdefault(nbrs | 1 << v, []).append(v)
     if len(false_twins) == len(true_twins) == g.n:
-        return None
+        return TwinQuotient(tuple((v,) for v in range(g.n)),
+                            ((0, 1),) * g.n, adj)
     of = [-1] * g.n
     classes, weights = [], []
     for v in range(g.n):
@@ -501,31 +500,21 @@ def twin_quotient(g: Graph) -> TwinQuotient | None:
 
 def _twin(n: int, order: int, twins: TwinQuotient, quotient: AutGroup,
          k_max: int | None) -> tuple[int, int, PhiTable | None]:
-    """_ladder on the twin route for a graph on n vertices with
+    """_ladder on the quotient route for a graph on n vertices with
     |Aut| = order, quotient = Aut_w(G'): the labelling walk on the
-    quotient, with theta = n, from the largest class, which has no label
-    below its size."""
-    minimal = quotient.minimal_cycles
+    quotient, with theta = n when g has twins, from the largest class,
+    which has no label below its size, and from 2."""
+    minimal = quotient.minimal_cycles  # its scan records max_cycles for theta
     kinds = sorted(set(twins.weights))
-    classes = [kinds.index(w) for w in twins.weights]
-
-    def labellings(k: int, first: bool, nodes: int = 0) -> tuple[int, int]:
-        # N_k = |Aut_w(G')| * Phi_k(G): class x takes a t_x-set of colors
-        return kernels.count_distinguishing_labellings(
+    classes = tuple(kinds.index(w) for w in twins.weights)
+    sizes = tuple(t for _, t in kinds)
+    return _ladder(
+        n, order, n if twins.swaps > 1 else quotient.max_cycles + 1,
+        lambda: max((2, *sizes)), _below(quotient, classes, sizes),
+        lambda k: kernels.count_distinguishing_labellings(
             len(classes), minimal, classes,
-            [math.comb(k, t) for _, t in kinds], limits.coloring_cap(),
-            first, nodes)
-
-    def below(K: int) -> list[int]:
-        # the K count walks charge one budget between them
-        phis, nodes = [], 0
-        for k in range(1, K + 1):
-            count, nodes = labellings(k, False, nodes)
-            phis.append(_exact_div(count, quotient.order, "Phi"))
-        return phis
-
-    return _ladder(n, order, n, lambda: max(t for _, t in kinds),
-                   below, lambda k: labellings(k, True)[0], k_max)
+            tuple(math.comb(k, t) for t in sizes), limits.coloring_cap(),
+            True)[0], k_max)
 
 
 # -- steadiness ------------------------------------------------------------------

@@ -11,6 +11,8 @@
                                      vertex class
   exists_distinguishing_partition    whether some set partition into at most
                                      k blocks is fixed by none: D's search
+  labelling_ladder                   the labelling walk's counts at
+                                     k = 1..K labels, memoized as a ladder
   count_distinguishing_partitions    set partitions no automorphism fixes,
                                      by number of blocks
 
@@ -50,32 +52,31 @@ equal labels are, so with one class the walk answers for partitions:
               tries, in the same order, and charges one node per block
               tried; its memo stores only subtrees with no distinguishing
               completion, so it never charges more nodes than the plain
-              walk.
-  count       k = 1..K labels, K = min(max_blocks, n), giving
-              N_k = sum_j A_j * k!/(k-j)!, and A_k by back-substitution.
-              The K walks charge one node_budget between them, so the
-              count at k < K charges a prefix of the count at K; the twin
-              route's count walks in symbreak.indices charge alike.  On
-              both routes each rung of D is one walk with its own budget.
+              walk.  Each rung of D is one walk with its own budget.
+  ladder      N_k for k = 1..K, one walk per rung, where class w takes
+              C(k, sizes[w]) labels.  The K walks charge one node_budget
+              between them, so the ladder to k < K charges a prefix of
+              the ladder to K.  With one class of size 1,
+              N_k = sum_j A_j * k!/(k-j)!, and the partition count gives
+              A_k by back-substitution.
 
 Both are memoized in bounded per-process caches.  The existence search's
 cache is keyed on every input: (n, tuple(elements), max_blocks, node_budget).
-The count's is keyed on (n, tuple(elements), node_budget) and holds the
-ladder climbed so far: A_0..A_K and the nodes its K walks spent.  A count
-at K' <= K is a slice of it: a fresh K'-count would charge a prefix of
-those nodes, so it could not raise.  A count at K' > K climbs on, running
-walks K+1..K' from the stored node total and storing each walk as it
-completes, so it charges the nodes a fresh K'-count charges, answers the
-same, and raises at the same walk with the same text.  A ladder is stored
-once its first walk completes, and a walk that raises stores nothing.  So
-the paper's ladders, least k with Phi_k >= a target and sums of phi_i
-over i <= k, run each walk once per process.  Product graphs whose groups
-act alike pass the same elements, so the keys hit across graphs, as well
-as on the rule sweeps that ask the same copy factor again.  The answer is
-a pure function of the key and the rung asked; the budget is part of the
-key, so a smaller budget still raises where it did.  The count returns a
-fresh list on every call.  The labelling walk itself, the twin route's,
-has no per-process memo: one graph never asks the same input twice.
+The ladder's is keyed on (n, tuple(elements), classes, sizes, node_budget)
+and holds the rungs climbed so far: N_1..N_K and the nodes its K walks
+spent.  A ladder to K' <= K is a slice of it: a fresh one would charge a
+prefix of those nodes, so it could not raise.  A ladder to K' > K climbs
+on, running walks K+1..K' from the stored node total and storing each walk
+as it completes, so it charges the nodes a fresh ladder to K' charges,
+answers the same, and raises at the same walk with the same text.  A
+ladder is stored once its first walk completes, and a walk that raises
+stores nothing.  So the paper's ladders, least k with Phi_k >= a target
+and sums of phi_i over i <= k, run each walk once per process.  Product
+graphs whose groups act alike pass the same elements, so the keys hit
+across graphs, as well as on the rule sweeps that ask the same copy factor
+again.  The answer is a pure function of the key and the rung asked; the
+budget is part of the key, so a smaller budget still raises where it did.
+The ladder and the partition count return a fresh list on every call.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -454,38 +455,43 @@ def exists_distinguishing_partition(n, elements, max_blocks, node_budget):
 
 
 class _Ladder:
-    """One count's rungs so far: A[j] for j = 0..K, and the nodes its K
-    walks spent against the count's node_budget."""
+    """One ladder's rungs so far: N[k - 1] for k = 1..K, and the nodes its
+    K walks spent against the key's node_budget.  It is stored only once
+    its first walk completes."""
 
-    __slots__ = ("A", "nodes")
+    __slots__ = ("key", "N", "nodes")
 
-    def __init__(self):
-        self.A = [0]
-        self.nodes = 0
+    def __init__(self, *key):
+        self.key, self.N, self.nodes = key, [], 0
+        self.climb(1)
 
-
-def _climb(ladder: _Ladder, n: int, elements, K: int,
-           node_budget: int) -> None:
-    """Extend ladder to rung K, one labelling walk per missing rung k, each
-    charging on top of the nodes the walks below it spent, and
-    back-substitute: A_k = (N_k - sum_{j<k} A_j * k!/(k-j)!) / k!.  A walk
-    appends its rung only once it completes, so a walk that raises leaves
-    the ladder as it was."""
-    A = ladder.A
-    for k in range(len(A), K + 1):
-        labellings, nodes = count_distinguishing_labellings(
-            n, elements, (0,) * n, (k,), node_budget, False, ladder.nodes)
-        A.append((labellings - sum(A[j] * math.perm(k, j)
-                                   for j in range(1, k))) // math.factorial(k))
-        ladder.nodes = nodes
+    def climb(self, K: int) -> None:
+        """Extend to rung K, one labelling walk per missing rung k, each
+        charging on top of the nodes the walks below it spent.  A walk
+        appends its rung only once it completes, so a walk that raises
+        leaves the ladder as it was."""
+        n, elements, classes, sizes, node_budget = self.key
+        for k in range(len(self.N) + 1, K + 1):
+            labellings, self.nodes = count_distinguishing_labellings(
+                n, elements, classes, tuple(math.comb(k, t) for t in sizes),
+                node_budget, False, self.nodes)
+            self.N.append(labellings)
 
 
-@lru_cache(maxsize=256)
-def _count(n, elements, node_budget):
-    # a ladder is stored only once its first walk completes
-    ladder = _Ladder()
-    _climb(ladder, n, elements, 1, node_budget)
-    return ladder
+_count = lru_cache(maxsize=256)(_Ladder)
+
+
+def labelling_ladder(n: int, elements, classes, sizes, K: int,
+                     node_budget: int) -> list[int]:
+    """N_k for k = 1..K: count_distinguishing_labellings with
+    C(k, sizes[w]) labels for class w, from the input's ladder climbed
+    to K."""
+    if K < 1:
+        return []
+    ladder = _count(n, tuple(elements), tuple(classes), tuple(sizes),
+                    node_budget)
+    ladder.climb(K)
+    return ladder.N[:K]
 
 
 def count_distinguishing_partitions(n: int, elements, max_blocks: int,
@@ -493,13 +499,11 @@ def count_distinguishing_partitions(n: int, elements, max_blocks: int,
     """A[j] for j = 0..max_blocks: set partitions of {0..n-1} into exactly j
     blocks that no given element, each a non-identity automorphism,
     preserves.  A j-block partition takes k!/(k-j)! labellings with at
-    most k labels, so the count climbs the input's ladder to
-    K = min(max_blocks, n); rungs past n are 0."""
-    K = min(max_blocks, n)
-    if K < 1:
-        return [0] * (max_blocks + 1)
-    elements = tuple(elements)
-    ladder = _count(n, elements, node_budget)
-    _climb(ladder, n, elements, K, node_budget)
-    A = ladder.A[:max_blocks + 1]
-    return A + [0] * (max_blocks + 1 - len(A))
+    most k labels, so the one-class ladder to K = min(max_blocks, n) gives
+    A_k = (N_k - sum_{j<k} A_j * k!/(k-j)!) / k!; rungs past n are 0."""
+    A = [0]
+    for k, labellings in enumerate(labelling_ladder(
+            n, elements, (0,) * n, (1,), min(max_blocks, n), node_budget), 1):
+        A.append((labellings - sum(A[j] * math.perm(k, j)
+                                   for j in range(1, k))) // math.factorial(k))
+    return (A + [0] * max_blocks)[:max_blocks + 1]

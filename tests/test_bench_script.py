@@ -111,3 +111,16 @@ def test_summary_lines_skip_a_metric_no_run_reported():
     assert bench.summary_lines(summary, metrics) == [
         "w items_per_s: 100.5 [100.2-100.8] -> 98.5 [98.25-98.75], "
         "wins 0/2, gain rule fails, no regression ok"]
+
+
+def test_sources_are_byte_compiled(tmp_path, monkeypatch):
+    # written even where the interpreter itself writes no bytecode
+    monkeypatch.setattr("sys.dont_write_bytecode", True)
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("X = 1\n")
+    bench.compile_sources(tmp_path)
+    assert [p.suffix for p in (package / "__pycache__").iterdir()] == [".pyc"]
+    (package / "bad.py").write_text("def\n")
+    with pytest.raises(RuntimeError, match="src/ does not compile"):
+        bench.compile_sources(tmp_path)

@@ -102,6 +102,30 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("symbreak: line ")
 
+    @pytest.mark.parametrize("text", [
+        "# path\n3 2\n0 1\n1 2\n", "3 2 # hdr\n0 1\n1 2\n",
+    ], ids=["comment-line", "header-comment"])
+    def test_sniff_reads_past_comments(self, run_cli, tmp_path, text):
+        # "#" (byte 35) is no graph6 byte, so a file without a suffix is
+        # sniffed by its first line that is not blank once its comment is
+        # stripped, as parse_edgelist reads it
+        file = tmp_path / "p3"
+        file.write_text(text)
+        code, out, err = run_cli("analyze", str(file))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["graphs"][0]["graph6"] == graph6.emit_graph6(
+            graphs.path(3))
+
+    @pytest.mark.parametrize("name", ["two.el", "two"])
+    def test_edgelist_errors_name_the_line_of_the_file(self, run_cli,
+                                                      tmp_path, name):
+        file = tmp_path / name
+        file.write_text("2 1\n0 1\n\n3 2\n0 1\n1 5\n")
+        code, out, err = run_cli("analyze", str(file))
+        assert (code, out) == (2, "")
+        assert err == ("symbreak: line 6: edge (1, 5) out of range for 3 "
+                       "vertices\n")
+
     def test_csv_format(self, run_cli):
         code, out, _ = run_cli(
             "analyze", "builtin:cycle:4", "--format", "csv", "--phi-max", "2"

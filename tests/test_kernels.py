@@ -547,8 +547,9 @@ def test_memo_never_stores_a_spent_budget():
                            match="^coloring search exceeded budget 10$"):
             kernels.count_distinguishing_partitions(6, c6, 3, 10)
     assert kernels._count.cache_info().currsize == 1
-    ladder = kernels._count(6, tuple(c6), 10)
-    assert (ladder.A, ladder.nodes) == ([0, 0], 6)
+    ladder = kernels._count(6, tuple(c6), (0,) * 6, (1,), 10)
+    assert (ladder.N, ladder.nodes) == ([0], 6)
+    assert kernels.count_distinguishing_partitions(6, c6, 1, 10) == [0, 0]
     # the same searches answer at a larger budget
     assert kernels.count_distinguishing_partitions(6, c6, 3, 10**7) == [
         0, 0, 6, 68]
@@ -582,7 +583,7 @@ def test_memo_extends_the_ladder_a_fresh_count_climbs(walks, elements, total,
     assert kernels.count_distinguishing_partitions(n, elements, 3,
                                                    total) == A
     assert len(walks) == 3
-    assert kernels._count(n, elements, total).nodes == total
+    assert kernels._count(n, elements, (0,) * n, (1,), total).nodes == total
     # a count at or below the ladder's top is a slice: no walk
     assert kernels.count_distinguishing_partitions(n, elements, 2,
                                                    total) == A[:3]
@@ -605,7 +606,30 @@ def test_memo_extends_the_ladder_a_fresh_count_climbs(walks, elements, total,
     assert kernels.count_distinguishing_partitions(n, elements, 2,
                                                    total - 1) == A[:3]
     assert walks == []
-    assert kernels._count(n, elements, total - 1).A == A[:3]
+    # the ladder holds N_k = sum_j A_j * k!/(k-j)! for the rungs it climbed
+    assert kernels._count(n, elements, (0,) * n, (1,), total - 1).N == [
+        sum(a * math.perm(k, j) for j, a in enumerate(A[:k + 1]))
+        for k in (1, 2)]
+
+
+def test_ladder_of_classes_is_its_walks_on_one_budget():
+    # K4,4's twin quotient: two classes of 4 false twins, swapped
+    n, elements, classes, sizes = 2, ((1, 0),), (0, 0), (4,)
+    kernels._count.cache_clear()
+    counts = [kernels.count_distinguishing_labellings(
+        n, elements, classes, (math.comb(k, 4),), 10**7)
+        for k in range(1, 9)]
+    assert kernels.labelling_ladder(n, elements, classes, sizes, 8,
+                                    10**7) == [c for c, _ in counts]
+    assert kernels._count(n, elements, classes, sizes, 10**7).nodes == sum(
+        nodes for _, nodes in counts)
+    # N_8 = |Aut_w(G')| * Phi_8(K4,4): two distinct 4-sets of 8 colors
+    assert kernels.labelling_ladder(n, elements, classes, sizes, 8,
+                                    10**7)[7] == 2 * 2415
+    # the sizes are part of the key
+    assert kernels.labelling_ladder(n, elements, classes, (1,), 2,
+                                    10**7) == [0, 2]
+    assert kernels._count.cache_info().currsize == 2
 
 
 def test_count_below_one_block_runs_no_walk(walks):

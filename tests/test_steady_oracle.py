@@ -1,11 +1,13 @@
 """Steadiness against an independent oracle: networkx VF2.
 
-is_steady answers from a twin witness in G - u when the budget allows, and
-otherwise tests only the strong generators of Aut(G - u) from the pure
-kernel's stabilizer chain; graph_indices asks it once per orbit of
-Aut(G).  The oracle enumerates every automorphism of G - u with VF2, on the
-original vertex labels, and checks N(u) against each: no refinement, no
-search order, no chain and no vertex renumbering in common.
+When the budget allows, is_steady answers False from a twin witness in
+G - u, and True from a refinement certificate: refined colors of G - u in
+which N(u) is a union of color cells.  Otherwise it tests only the strong
+generators of Aut(G - u) from the pure kernel's stabilizer chain, searched
+from those colors when they were refined; graph_indices asks it once per
+orbit of Aut(G).  The oracle enumerates every automorphism of G - u with
+VF2, on the original vertex labels, and checks N(u) against each: no
+refinement, no search order, no chain and no vertex renumbering in common.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""The twin route of graph_indices against the direct functions.
+"""The quotient route of graph_indices against the direct functions.
 
 graph_indices collapses every twin class of a graph to one weighted vertex
-and counts labellings of the quotient; distinguishing_number,
-distinguishing_threshold, phi_table and phi_brute stay on the direct route
-and serve as its oracles here.  The route builds only the quotient's chain,
-so |Aut|, the automorphism budget and the orbits behind steady are held to
-G's own chain too, and the searches are counted.
+and counts labellings of the quotient, a twin-free graph being its own
+quotient; distinguishing_number, distinguishing_threshold, phi_table and
+phi_brute stay on the direct route and serve as its oracles here.  The
+route builds only the quotient's chain, so |Aut|, the automorphism budget
+and the orbits behind steady are held to G's own chain too, and the
+searches are counted.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ def _assert_matches_direct(g):
     assert report.phi == phi_table(g, k_max, group)
     assert graph_indices(g).d == report.d
     twins = twin_quotient(g)
-    if twins is not None:
-        sizes = math.prod(math.factorial(t) for _, t in twins.weights)
-        assert sizes * twins.group(group.order).order == group.order
+    sizes = math.prod(math.factorial(t) for _, t in twins.weights)
+    assert sizes * twins.group(group.order).order == group.order
 
 
 def test_corpus_matches_the_direct_route(connected7):
@@ -53,18 +53,18 @@ def test_corpus_matches_the_direct_route(connected7):
     with_twins = 0
     for g in connected7:
         _assert_matches_direct(g)
-        with_twins += twin_quotient(g) is not None
+        with_twins += twin_quotient(g).swaps > 1
     assert with_twins == 665
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
 def test_symmetric_shapes_match_the_direct_route(name):
     g = SYMMETRIC_SHAPES[name]()
-    if twin_quotient(g) is not None:
+    if name != "kneser_7_2":
         _assert_matches_direct(g)
         return
-    # no twins: graph_indices is the direct route; Kneser(7,2)'s phi rows
-    # would spend the coloring budget, so only D, theta and |Aut| here
+    # Kneser(7,2)'s phi rows would spend the coloring budget, so only D,
+    # theta and |Aut| here
     group = automorphism_group(g)
     report = graph_indices(g)
     assert (report.aut_order, report.d, report.theta) == (
@@ -101,8 +101,11 @@ def test_rows_match_phi_brute(g, quotient_order):
     (K44_PENDANT, (((0,), (1, 2, 3), (4, 5, 6, 7), (8,)),
                    ((0, 1), (0, 3), (0, 4), (0, 1)),
                    (0b1100, 0b0100, 0b0011, 0b0001))),
-    (path(4), None),
-    (petersen(), None),
+    # no twins: singleton classes on g's own adjacency
+    (path(4), (((0,), (1,), (2,), (3,)), ((0, 1),) * 4,
+               (0b10, 0b101, 0b1010, 0b100))),
+    (petersen(), (tuple((v,) for v in range(10)), ((0, 1),) * 10,
+                  petersen().adjacency())),
 ], ids=["K4", "star3", "vsum_K3x2", "K4,4+pendant", "P4", "petersen"])
 def test_twin_quotient(g, quotient):
     assert twin_quotient(g) == quotient
@@ -195,7 +198,7 @@ def test_labelling_walk_budget(first):
 def test_analyze_scans_no_full_group(run_cli, monkeypatch):
     scanned, counted = [], []
     scan = perms._minimal_cycle_partitions
-    count = kernels.count_distinguishing_partitions
+    count = kernels.labelling_ladder
 
     def scan_spy(n, blocks):
         scanned.append(n)
@@ -206,7 +209,7 @@ def test_analyze_scans_no_full_group(run_cli, monkeypatch):
         return count(n, *args)
 
     monkeypatch.setattr(perms, "_minimal_cycle_partitions", scan_spy)
-    monkeypatch.setattr(kernels, "count_distinguishing_partitions", count_spy)
+    monkeypatch.setattr(kernels, "labelling_ladder", count_spy)
     perms._cached_group.cache_clear()
     for argv, n in ((("builtin:complete:10",), 10),
                     (("builtin:complete:8", "--phi-max", "8", "--steady"), 8),
@@ -214,7 +217,7 @@ def test_analyze_scans_no_full_group(run_cli, monkeypatch):
         code, _, err = run_cli("analyze", *argv)
         assert (code, err) == (0, "")
         assert n not in scanned and n not in counted
-    # the spies see the direct route
+    # the spies see a twin-free graph's own scan and count
     code, _, _ = run_cli("analyze", "builtin:petersen", "--phi-max", "3")
     assert code == 0 and 10 in scanned and 10 in counted
 
@@ -249,7 +252,7 @@ def test_twin_count_walks_share_one_budget(run_cli):
 def test_twin_budget_is_the_order_of_g(connected7):
     shapes = [make() for _, make in sorted(SYMMETRIC_SHAPES.items())]
     graphs = [g for g in connected7 + tuple(shapes)
-              if twin_quotient(g) is not None]
+              if twin_quotient(g).swaps > 1]
     assert len(graphs) == 665 + 8
     for g in graphs:
         order = automorphism_group(g).order
@@ -265,7 +268,7 @@ def test_twin_orbits_are_the_orbits_of_g(connected7):
     checked = 0
     for g in connected7:
         twins = twin_quotient(g)
-        if twins is not None:
+        if twins.swaps > 1:
             group = automorphism_group(g)
             assert twins.orbits(twins.group(group.order)) == orbits(group)
             checked += 1
