@@ -419,7 +419,7 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
                        theta=theta, phi=table, root=h.root)
 
 
-# -- the twin route --------------------------------------------------------------
+# -- the quotient route ----------------------------------------------------------
 
 class TwinQuotient(NamedTuple):
     """G' of a graph G: one vertex per twin class."""

@@ -73,7 +73,7 @@ def test_symmetric_shapes_match_the_direct_route(name):
 
 
 def test_twin_rows_walk_only_below_n(walks):
-    # theta = n on the twin route, so the rows at k >= n need no walk
+    # theta = n for a graph with twins, so the rows at k >= n need no walk
     table = graph_indices(complete(5), phi_max=40).phi
     assert len([w for w in walks if not w[4]]) <= 4
     assert table == phi_table(complete(5), 40)
