@@ -340,7 +340,7 @@ def _direct(g: Graph, group: AutGroup,
 
 
 def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
-    """Rows k = 1..k_max of (Phi_k, varphi_k): the partition search gives
+    """Rows k = 1..k_max of (Phi_k, varphi_k): the count ladder gives
     Phi_k below theta, and _phi_rows the rest."""
     if k_max < 1:
         raise InvalidInputError("k_max must be at least 1")
