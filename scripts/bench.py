@@ -194,19 +194,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=101)
     args = parser.parse_args(argv)
 
-    plan = []
-    for item in args.pairs:
-        workload, _, count = item.partition("=")
-        if not count.isdigit() or int(count) < 1:
-            parser.error(f"--pairs takes WORKLOAD=N, got {item!r}")
-        plan.append((workload, int(count)))
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     for checkout in checkouts.values():
         if not (checkout / "symbench" / "run.py").is_file():
             parser.error(f"{checkout} has no symbench/run.py")
-        compile_sources(checkout)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    plan = []
+    for item in args.pairs:
+        workload, _, count = item.partition("=")
+        if workload not in workloads:
+            parser.error(f"--pairs: {workload!r} is not a workload of "
+                         f"BENCHMARK.json ({', '.join(workloads)})")
+        # str.isdigit alone accepts digits such as "²" that int() rejects
+        if not (count.isascii() and count.isdigit()) or int(count) < 1:
+            parser.error(f"--pairs takes WORKLOAD=N, got {item!r}")
+        plan.append((workload, int(count)))
+    for checkout in checkouts.values():
+        compile_sources(checkout)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out = Path(f"BENCH_{args.label}.json")

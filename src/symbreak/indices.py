@@ -36,57 +36,61 @@ That set and theta are both read from the group's stabilizer chain by
 one stream of its products, so these routes build no element list: the
 scan that finds the set also records the largest cycle count.
 
-One ladder, _ladder, gives D, theta and the Phi rows on both routes, the
-direct one (_direct) and the quotient route (below), from Phi_k for
-k < theta, a test of one rung and the first rung worth asking.  Both read
-Phi_k = N_k / |group| from the kernel's count ladder
-(kernels.labelling_ladder); the direct one's N_k is the sum above.  Its row
-builder is _phi_rows: below theta
-varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every surjective
-k-coloring is distinguishing and the group acts freely, so
+One ladder, _ladder, gives D, theta and the Phi rows from the group its
+walks read (walked), a class for each walked vertex and a size for each
+class: at k colors a class of size t takes C(k, t) labels.  The per-index
+functions (distinguishing_number, phi_table, phi, least_k,
+rooted_indices), and through them verify and the formulas, pass the group
+itself with one class of size 1; graph_indices passes the twin quotient
+(below).  theta = n when the graph has twins, that is when its order
+exceeds walked's, and walked.max_cycles + 1 otherwise.  Below theta,
+Phi_k = N_k / |walked| from the kernel's count ladder
+(kernels.labelling_ladder); with one class of size 1, N_k is the sum
+above.  _phi_rows builds the rows: below theta
+varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every
+surjective k-coloring is distinguishing and the group acts freely, so
 varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
 Phi_k = sum_i C(k, i) varphi_i.  D is the first k with varphi_k > 0, or
-else the first rung past the rows that answers.  The direct route tests a
-rung with the existence search, and both searches run over the minimal
-cycles (symbreak.kernels says how they walk, charge their budget and are
-memoized), from the largest transposition class: if (a b) and (b c) are
-automorphisms, so is (a c), so the vertices the group's transpositions join
-form cliques, a distinguishing coloring is injective on each, and every
-rung below the largest is empty (_transposition_class); every transposition
-is a minimal cycle partition, so the start needs no other scan.  least_k
-reads a table one row longer per rung; the count ladder extends in k and
-the root stabilizer is cached (perms.stabilizer), so a rung adds at most
-one walk.  phi_brute stays on the search route for any k and passes every
-non-identity element to the partition count, on purpose: it shares neither
-shortcut and serves as the oracle for both in the verification harness.  It
-is, with is_distinguishing and are_equivalent, one of the readers that have
-the group build its element list.  The count itself is checked against a
+else the first rung past the rows that answers, each rung one existence
+walk (kernels.exists_distinguishing_partition) over the same classes,
+sizes and minimal cycles (symbreak.kernels says how the walks run, charge
+their budget and are memoized).  Without twins the rungs start at the
+largest transposition class: if (a b) and (b c) are automorphisms, so is
+(a c), so transpositions join the vertices into cliques, a distinguishing
+coloring is injective on each, and every rung below the largest is empty
+(_transposition_class); every transposition is a minimal cycle.  With
+twins they start at max(2, t) for the largest class size t, as
+C(k, t) = 0 for k < t; the transposition start does not hold there:
+K_{2,2,2,2,2} has D = 4, as C(4, 2) = 6 >= 5 classes, but its quotient K5
+has transposition class 5.  least_k reads a table one row longer per
+rung; the count ladder extends in k and the root stabilizer is cached
+(perms.stabilizer), so a rung adds at most one walk.  phi_brute stays on
+the search route for any k and passes every non-identity element to the
+partition count, on purpose: it shares neither shortcut and serves as the
+oracle for both in the verification harness.  It is, with
+is_distinguishing and are_equivalent, one of the readers that have the
+group build its element list.  The count itself is checked against a
 plain enumeration of set partitions in tests/test_partition_oracle.py.
 
-graph_indices, behind analyze, table and product, has one route, through
-the twin quotient (twin_quotient); a graph without twins is its own.  Twin
-classes are blocks of Aut(G), so Aut(G) = prod Sym(T_x) x| Aut_w(G'), where
-G' has one vertex per class, weighted (kind, t_x), and Aut_w(G') keeps
-every weight.  A coloring is distinguishing iff it is injective on every
-class and the labelling that gives class x its set of t_x colors is
-distinguishing for Aut_w(G'), so class x takes one of C(k, t_x) labels
-(Hemminger's X-join with H = K_t or its complement), and
-N_k = |Aut_w(G')| * Phi_k comes from the count ladder of weighted walks
-over G', while a rung of D is one walk
-(kernels.count_distinguishing_labellings) that stops at the first
-labelling.  With twins, theta = n with no scan: a transposition of two
-twins has n - 1 cycles, and no non-identity permutation has more; so the
-walk runs only for k < n; without twins, theta and D's first rung are the
-direct route's.  G's own chain is never built: |Aut(G)| = P * |Aut_w(G')|
+graph_indices, behind analyze, table and product, reads the twin quotient
+(twin_quotient); a graph without twins is its own, with one class of
+size 1.  Twin classes are blocks of Aut(G), so
+Aut(G) = prod Sym(T_x) x| Aut_w(G'), where G' has one vertex per class,
+weighted (kind, t_x), and Aut_w(G') keeps every weight.  A coloring is
+distinguishing iff it is injective on every class and the labelling that
+gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
+class x takes one of C(k, t_x) labels (Hemminger's X-join with H = K_t or
+its complement), and _ladder walks G' with one class per weight.  With
+twins, theta = n with no scan: a transposition of two twins has n - 1
+cycles, and no non-identity permutation has more; so the count walks run
+only for k < n.  G's own chain is never built: |Aut(G)| = P * |Aut_w(G')|
 with P = prod t_x!, so the quotient is searched with cap (budget // P),
 which it exceeds exactly when |Aut(G)| exceeds the budget (the error names
 the budget), and it is searched even when P alone does, at cap 0, where the
-kernel raises before refining.  The orbits of Aut(G) are the unions of the
-twin classes over each orbit of Aut_w(G'), since every weight-keeping
-automorphism of G' lifts to one of G.  The direct route serves the
-per-index functions (distinguishing_number, phi_table, phi, least_k,
-rooted_indices), and through them verify and the formulas; it is the
-quotient route's oracle in tests/test_twins.py.
+kernel raises before refining.  The orbits of Aut(G) are the unions of
+the twin classes over each orbit of Aut_w(G'), since every weight-keeping
+automorphism of G' lifts to one of G.  The per-index functions, which
+never read the quotient, are its oracle in tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
 itself.  is_steady first looks for a twin witness: two vertices of G - u
@@ -123,7 +127,8 @@ from typing import NamedTuple
 from . import kernels, limits
 from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .graphs import Graph, RootedGraph
-from .perms import AutGroup, automorphism_group, orbits, stabilizer
+from .perms import (AutGroup, automorphism_group, colored_group, orbits,
+                    stabilizer)
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,8 @@ def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
     """Least k such that some k-coloring is distinguishing."""
     if group is None:
         group = automorphism_group(g)
-    return _direct(g, group, 0)[0]
+    return _ladder(group.n, group.order, group, (0,) * group.n, (1,),
+                   None)[0]
 
 
 def distinguishing_threshold(g: Graph, group: AutGroup | None = None) -> int:
@@ -298,45 +304,37 @@ def _phi_rows(n: int, order: int, theta: int, k_max: int,
     return rows, next((r.k for r in rows if r.varphi), 0)
 
 
-def _below(walked: AutGroup, classes, sizes):
-    """below(K) for _ladder: Phi_1..Phi_K = N_k / |walked|, N_k from the
-    kernel's count ladder over walked's minimal cycles, where vertex class
-    w takes C(k, sizes[w]) labels."""
-    return lambda K: [_exact_div(count, walked.order, "Phi")
-                      for count in kernels.labelling_ladder(
-                          walked.n, walked.minimal_cycles, classes, sizes, K,
-                          limits.coloring_cap())]
-
-
-def _ladder(n: int, order: int, theta: int, start, below, exists,
+def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
             k_max: int | None) -> tuple[int, int, PhiTable | None]:
     """(D, theta, the table up to k_max or None) of a group of the given
-    order on n vertices.  below(K) gives Phi_1..Phi_K for K < theta,
-    exists(k) whether some k-coloring is distinguishing, and start() the
-    first rung worth asking, read only when the rows leave D open.  D = 1
-    exactly for the trivial group, n = 0 included."""
+    order on n vertices, whose distinguishing k-colorings come from the
+    labellings no element of walked fixes, vertex v taking one of
+    C(k, sizes[classes[v]]) labels (see the module docstring); order
+    exceeds walked.order exactly when the graph has twins.  D = 1 exactly
+    for the trivial group, n = 0 included."""
+    minimal = walked.minimal_cycles  # its scan records max_cycles for theta
+    twins = order > walked.order
+    theta = n if twins else walked.max_cycles + 1
     k_max = k_max or 0
     K = min(k_max, theta - 1)
-    rows, d = _phi_rows(n, order, theta, k_max, below(K) if K > 0 else [])
-    if not d:
-        d = 1 if order == 1 else next(
-            (k for k in range(max(start(), k_max + 1), n + 1) if exists(k)), 0)
+    below = [_exact_div(count, walked.order, "Phi")
+             for count in kernels.labelling_ladder(
+                 walked.n, minimal, classes, sizes, K,
+                 limits.coloring_cap())] if K > 0 else []
+    rows, d = _phi_rows(n, order, theta, k_max, below)
+    if order == 1:
+        d = 1
+    elif not d:
+        start = max(2, *sizes) if twins else max(
+            2, _transposition_class(walked))
+        d = next((k for k in range(max(start, k_max + 1), n + 1)
+                  if kernels.exists_distinguishing_partition(
+                      walked.n, minimal, k, limits.coloring_cap(), classes,
+                      sizes)), 0)
     if not d:
         # n distinct colors always distinguish a simple graph's automorphisms
         raise AssertionError("no distinguishing coloring up to n colors")
     return d, theta, PhiTable(n, order, d, theta, rows) if k_max else None
-
-
-def _direct(g: Graph, group: AutGroup,
-            k_max: int | None) -> tuple[int, int, PhiTable | None]:
-    """_ladder on the direct route (see the module docstring)."""
-    n = g.n
-    minimal = group.minimal_cycles  # its scan records max_cycles for theta
-    return _ladder(n, group.order, group.max_cycles + 1,
-                   lambda: max(2, _transposition_class(group)),
-                   _below(group, (0,) * n, (1,)),
-                   lambda k: kernels.exists_distinguishing_partition(
-                       n, minimal, k, limits.coloring_cap()), k_max)
 
 
 def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
@@ -346,7 +344,8 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
         raise InvalidInputError("k_max must be at least 1")
     if group is None:
         group = automorphism_group(g)
-    return _direct(g, group, k_max)[2]
+    return _ladder(group.n, group.order, group, (0,) * group.n, (1,),
+                   k_max)[2]
 
 
 def phi(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
@@ -402,7 +401,10 @@ def graph_indices(g: Graph, phi_max: int | None = None,
     twins = twin_quotient(g)
     quotient = twins.group(limits.aut_cap())  # Aut_w(G')
     order = twins.swaps * quotient.order
-    d, theta, table = _twin(g.n, order, twins, quotient, phi_max)
+    kinds = sorted(set(twins.weights))
+    d, theta, table = _ladder(
+        g.n, order, quotient, tuple(kinds.index(w) for w in twins.weights),
+        tuple(t for _, t in kinds), phi_max)
     return IndexReport(
         n=g.n, m=g.m, aut_order=order, d=d, theta=theta, phi=table,
         steady=_steady_vertices(g, twins.orbits(quotient)) if steady else None,
@@ -414,7 +416,8 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
     stabilizer of the root, whose chain is searched with the root pinned;
     colorings still cover every vertex of H."""
     stab = stabilizer(automorphism_group(h.graph), h.root)
-    d, theta, table = _direct(h.graph, stab, phi_max)
+    d, theta, table = _ladder(stab.n, stab.order, stab, (0,) * stab.n, (1,),
+                              phi_max)
     return IndexReport(n=h.graph.n, m=h.graph.m, aut_order=stab.order, d=d,
                        theta=theta, phi=table, root=h.root)
 
@@ -440,11 +443,11 @@ class TwinQuotient(NamedTuple):
         order_cap // swaps, and raises exactly when |Aut(G)| exceeds
         order_cap, with order_cap in the message.  The search runs even
         when swaps alone exceeds order_cap: it then raises at cap 0, before
-        any refinement."""
-        n = len(self.classes)
+        any refinement.  It is cached per (adj, cap, weights)
+        (perms.colored_group)."""
         try:
-            return AutGroup(n, self.adj, *kernels.search_automorphisms(
-                n, self.adj, order_cap // self.swaps, self.weights))
+            return colored_group(len(self.classes), self.adj,
+                                 order_cap // self.swaps, self.weights)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"automorphism search exceeded cap {order_cap}") from None
@@ -496,25 +499,6 @@ def twin_quotient(g: Graph) -> TwinQuotient:
             mask |= 1 << of[u]
         qadj.append(mask & ~(1 << x))
     return TwinQuotient(tuple(classes), tuple(weights), tuple(qadj))
-
-
-def _twin(n: int, order: int, twins: TwinQuotient, quotient: AutGroup,
-         k_max: int | None) -> tuple[int, int, PhiTable | None]:
-    """_ladder on the quotient route for a graph on n vertices with
-    |Aut| = order, quotient = Aut_w(G'): the labelling walk on the
-    quotient, with theta = n when g has twins, from the largest class,
-    which has no label below its size, and from 2."""
-    minimal = quotient.minimal_cycles  # its scan records max_cycles for theta
-    kinds = sorted(set(twins.weights))
-    classes = tuple(kinds.index(w) for w in twins.weights)
-    sizes = tuple(t for _, t in kinds)
-    return _ladder(
-        n, order, n if twins.swaps > 1 else quotient.max_cycles + 1,
-        lambda: max((2, *sizes)), _below(quotient, classes, sizes),
-        lambda k: kernels.count_distinguishing_labellings(
-            len(classes), minimal, classes,
-            tuple(math.comb(k, t) for t in sizes), limits.coloring_cap(),
-            True)[0], k_max)
 
 
 # -- steadiness ------------------------------------------------------------------

@@ -9,8 +9,8 @@
   count_distinguishing_labellings    the labelling walk: labellings no
                                      automorphism fixes, with one palette per
                                      vertex class
-  exists_distinguishing_partition    whether some set partition into at most
-                                     k blocks is fixed by none: D's search
+  exists_distinguishing_partition    whether some labelling at k labels is
+                                     fixed by none: D's search
   labelling_ladder                   the labelling walk's counts at
                                      k = 1..K labels, memoized as a ladder
   count_distinguishing_partitions    set partitions no automorphism fixes,
@@ -43,40 +43,40 @@ memoized on the state that fixes a subtree's completions (see its
 docstring), so it visits a subset of the nodes the plain walk visits,
 usually a small one; tests hold it, with the memo off, to plain reference
 walks, node for node.  It keeps one set of blocks per vertex class and
-weighs each new block by the labels its class has left.  Labellings with
-at most k labels are distinguishing exactly when their partitions into
-equal labels are, so with one class the walk answers for partitions:
+weighs each new block by the labels its class has left: at k labels,
+class w takes C(k, sizes[w]) (_palettes).  Labellings with at most k
+labels are distinguishing exactly when their partitions into equal labels
+are, so with one class of size 1 the walk answers for partitions:
 
-  existence   a palette of max_blocks labels, stopping at the first
-              labelling.  It tries the blocks the plain existence walk
+  existence   k = max_blocks, stopping at the first labelling.  With one
+              class of size 1 it tries the blocks the plain existence walk
               tries, in the same order, and charges one node per block
               tried; its memo stores only subtrees with no distinguishing
               completion, so it never charges more nodes than the plain
               walk.  Each rung of D is one walk with its own budget.
-  ladder      N_k for k = 1..K, one walk per rung, where class w takes
-              C(k, sizes[w]) labels.  The K walks charge one node_budget
-              between them, so the ladder to k < K charges a prefix of
-              the ladder to K.  With one class of size 1,
+  ladder      N_k for k = 1..K, one walk per rung.  The K walks charge one
+              node_budget between them, so the ladder to k < K charges a
+              prefix of the ladder to K.  With one class of size 1,
               N_k = sum_j A_j * k!/(k-j)!, and the partition count gives
               A_k by back-substitution.
 
-Both are memoized in bounded per-process caches.  The existence search's
-cache is keyed on every input: (n, tuple(elements), max_blocks, node_budget).
-The ladder's is keyed on (n, tuple(elements), classes, sizes, node_budget)
-and holds the rungs climbed so far: N_1..N_K and the nodes its K walks
-spent.  A ladder to K' <= K is a slice of it: a fresh one would charge a
-prefix of those nodes, so it could not raise.  A ladder to K' > K climbs
-on, running walks K+1..K' from the stored node total and storing each walk
-as it completes, so it charges the nodes a fresh ladder to K' charges,
-answers the same, and raises at the same walk with the same text.  A
-ladder is stored once its first walk completes, and a walk that raises
-stores nothing.  So the paper's ladders, least k with Phi_k >= a target
-and sums of phi_i over i <= k, run each walk once per process.  Product
-graphs whose groups act alike pass the same elements, so the keys hit
-across graphs, as well as on the rule sweeps that ask the same copy factor
-again.  The answer is a pure function of the key and the rung asked; the
-budget is part of the key, so a smaller budget still raises where it did.
-The ladder and the partition count return a fresh list on every call.
+Both are memoized in bounded per-process caches, keyed on every input:
+(n, tuple(elements), classes, sizes, node_budget), and max_blocks for the
+existence search.  The ladder's holds the rungs climbed so far: N_1..N_K
+and the nodes its K walks spent.  A ladder to K' <= K is a slice of it: a
+fresh one would charge a prefix of those nodes, so it could not raise.  A
+ladder to K' > K climbs on, running walks K+1..K' from the stored node
+total and storing each walk as it completes, so it charges the nodes a
+fresh ladder to K' charges, answers the same, and raises at the same walk
+with the same text.  A ladder is stored once its first walk completes, and
+a walk that raises stores nothing.  So the paper's ladders, least k with
+Phi_k >= a target and sums of phi_i over i <= k, run each walk once per
+process.  Product graphs whose groups act alike pass the same elements, so
+the keys hit across graphs, as well as on the rule sweeps that ask the same
+copy factor again.  The answer is a pure function of the key and the rung
+asked; the budget is part of the key, so a smaller budget still raises
+where it did.  The ladder and the partition count return a fresh list on
+every call.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -440,18 +440,27 @@ def count_distinguishing_labellings(n: int, elements, classes, palettes,
     return total, nodes
 
 
+def _palettes(k: int, sizes) -> tuple[int, ...]:
+    """The labels of each class at k labels: C(k, sizes[w]) for class w."""
+    return tuple(math.comb(k, t) for t in sizes)
+
+
 @lru_cache(maxsize=256)
-def _exists(n, elements, max_blocks, node_budget):
+def _exists(n, elements, classes, sizes, k, node_budget):
     return count_distinguishing_labellings(
-        n, elements, (0,) * n, (max_blocks,), node_budget, True)[0] > 0
+        n, elements, classes, _palettes(k, sizes), node_budget, True)[0] > 0
 
 
-def exists_distinguishing_partition(n, elements, max_blocks, node_budget):
+def exists_distinguishing_partition(n, elements, max_blocks, node_budget,
+                                    classes=None, sizes=(1,)):
     """True iff some set partition of {0..n-1} into at most max_blocks
-    nonempty blocks is preserved by none of the given elements."""
+    nonempty blocks is preserved by none of the given elements; with vertex
+    classes, iff some labelling is where class w takes
+    C(max_blocks, sizes[w]) labels."""
     if n == 0 or max_blocks < 1:
         return False
-    return _exists(n, tuple(elements), max_blocks, node_budget)
+    return _exists(n, tuple(elements), tuple(classes or (0,) * n),
+                   tuple(sizes), max_blocks, node_budget)
 
 
 class _Ladder:
@@ -473,8 +482,8 @@ class _Ladder:
         n, elements, classes, sizes, node_budget = self.key
         for k in range(len(self.N) + 1, K + 1):
             labellings, self.nodes = count_distinguishing_labellings(
-                n, elements, classes, tuple(math.comb(k, t) for t in sizes),
-                node_budget, False, self.nodes)
+                n, elements, classes, _palettes(k, sizes), node_budget,
+                False, self.nodes)
             self.N.append(labellings)
 
 

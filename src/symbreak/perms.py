@@ -14,8 +14,8 @@ the chain without an element list:
   orbits              union-find over the transversal elements, which
                       generate the group
   stabilizer          the chain of the same graph with the vertex pinned,
-                      cached per (graph, order, vertex) like the groups
-                      themselves, so one rooted graph has one pinned chain
+                      cached with twin quotients' groups in colored_group,
+                      so one rooted graph has one pinned chain
   minimal_cycles      one scan of the group's products, streamed from the
                       chain in blocks of at most _STREAM_BLOCK; each
                       candidate is tested only against the kept elements
@@ -257,20 +257,22 @@ def stabilizer(group: AutGroup, u: int) -> AutGroup:
     """Subgroup of elements fixing vertex u: the chain of the same graph
     searched again with u pinned, that is, with a coloring that gives u a
     class of its own.  Its order is at most the group's, so the group's
-    order is its cap and the search never raises.  Cached like
-    _cached_group, so every question about one rooted graph reads one
+    order is its cap and the search never raises.  Cached in
+    colored_group, so every question about one rooted graph reads one
     pinned chain and what that chain has computed."""
     if not 0 <= u < group.n:
         raise InvalidInputError(f"vertex {u} out of range")
-    return _cached_stabilizer(group.n, group.adj, group.order, u)
+    return colored_group(group.n, group.adj, group.order,
+                         tuple(v == u for v in range(group.n)))
 
 
 @lru_cache(maxsize=4096)
-def _cached_stabilizer(n: int, adj: tuple[int, ...], order: int,
-                       u: int) -> AutGroup:
-    pinned = tuple(v == u for v in range(n))
-    return AutGroup(n, adj, *kernels.search_automorphisms(n, adj, order,
-                                                          pinned))
+def colored_group(n: int, adj: tuple[int, ...], order_cap: int,
+                  colors: tuple) -> AutGroup:
+    """The automorphisms of graph adj that keep the vertex coloring colors,
+    under cap order_cap, searched once per process; a raise stores nothing."""
+    return AutGroup(n, adj, *kernels.search_automorphisms(n, adj, order_cap,
+                                                          colors))
 
 
 def orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:

@@ -124,3 +124,23 @@ def test_sources_are_byte_compiled(tmp_path, monkeypatch):
     (package / "bad.py").write_text("def\n")
     with pytest.raises(RuntimeError, match="src/ does not compile"):
         bench.compile_sources(tmp_path)
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ("corpus=²", "--pairs takes WORKLOAD=N, got 'corpus=²'"),
+    ("corpus=0", "--pairs takes WORKLOAD=N, got 'corpus=0'"),
+    ("corpsu=3", "--pairs: 'corpsu' is not a workload of BENCHMARK.json"),
+], ids=["superscript", "zero", "unknown-workload"])
+def test_pairs_are_checked_before_anything_runs(monkeypatch, capsys, pairs,
+                                               message):
+    def never(*args):
+        raise AssertionError("ran before --pairs was checked")
+
+    monkeypatch.setattr(bench, "compile_sources", never)
+    monkeypatch.setattr(bench, "run_once", never)
+    root = str(_PATH.parent.parent)
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", root, "--change", root, "--label", "x",
+                    "--pairs", "symmetric=1", pairs])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err

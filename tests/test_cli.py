@@ -104,11 +104,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("text", [
         "# path\n3 2\n0 1\n1 2\n", "3 2 # hdr\n0 1\n1 2\n",
-    ], ids=["comment-line", "header-comment"])
+        "# a path\n\n3 2\n0 1\n1 2\n", "3 2\n# edges follow\n0 1\n1 2\n",
+    ], ids=["comment-line", "header-comment", "comment-paragraph",
+            "comment-in-block"])
     def test_sniff_reads_past_comments(self, run_cli, tmp_path, text):
         # "#" (byte 35) is no graph6 byte, so a file without a suffix is
         # sniffed by its first line that is not blank once its comment is
-        # stripped, as parse_edgelist reads it
+        # stripped, as parse_edgelist reads it; a paragraph of comments
+        # alone is no graph
         file = tmp_path / "p3"
         file.write_text(text)
         code, out, err = run_cli("analyze", str(file))

@@ -287,27 +287,44 @@ class TestLadder:
             assert (rooted.aut_order, rooted.d, rooted.theta) == (1, 1, 1)
             assert rooted.phi.rows == table.rows[:2]
 
-    @pytest.mark.parametrize("k_max,asked", [(None, [2, 3]), (1, [2, 3]),
-                                             (2, [3])])
-    def test_rungs_start_past_the_table(self, k_max, asked):
+    @staticmethod
+    def _rungs(monkeypatch, answer) -> list[int]:
+        """The rungs the ladder asks about, with every count row 0 and
+        answer(k) as the existence search's answer at rung k."""
         seen = []
 
-        def exists(k):
+        def exists(n, elements, k, node_budget, classes, sizes):
             seen.append(k)
-            return k == 3
+            return answer(k)
 
-        d, theta, table = indices._ladder(4, 2, 4, lambda: 2,
-                                          lambda K: [0] * K, exists, k_max)
+        monkeypatch.setattr(kernels, "labelling_ladder",
+                            lambda n, elements, classes, sizes, K, budget:
+                            [0] * K)
+        monkeypatch.setattr(kernels, "exists_distinguishing_partition",
+                            exists)
+        return seen
+
+    @pytest.mark.parametrize("k_max,asked", [(None, [2, 3]), (1, [2, 3]),
+                                             (2, [3])])
+    def test_rungs_start_past_the_table(self, monkeypatch, k_max, asked):
+        # a triangle with a pendant vertex: order 2, theta 4, and its one
+        # transposition starts the rungs at 2
+        walked = automorphism_group(build_graph(
+            4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        seen = self._rungs(monkeypatch, lambda k: k == 3)
+        d, theta, table = indices._ladder(4, 2, walked, (0,) * 4, (1,),
+                                          k_max)
         assert (d, theta, seen) == (3, 4, asked)
         assert (table is None) == (k_max is None)
 
     @pytest.mark.parametrize("k_max", [None, 2])
-    def test_no_rung_answers(self, k_max):
+    def test_no_rung_answers(self, monkeypatch, k_max):
+        walked = automorphism_group(path(3))  # order 2, theta 3
+        self._rungs(monkeypatch, lambda k: False)
         with pytest.raises(AssertionError,
                            match="^no distinguishing coloring up to n "
                                  "colors$"):
-            indices._ladder(3, 2, 3, lambda: 2, lambda K: [0] * K,
-                            lambda k: False, k_max)
+            indices._ladder(3, 2, walked, (0,) * 3, (1,), k_max)
 
 
 @settings(max_examples=30, deadline=None)

@@ -682,7 +682,7 @@ def test_cache_clear_empties_every_memo():
     kernels.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
     verify._restriction_property(g, 0)
     memos = (kernels._count, kernels._exists, kernels._kill_table,
-             perms._cached_stabilizer, verify._distinguishing_partitions)
+             perms.colored_group, verify._distinguishing_partitions)
     assert all(memo.cache_info().currsize for memo in memos)
     # every lru_cache callable in the package's module namespaces, as a
     # caller that wants a process's fresh state would find them

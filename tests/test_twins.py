@@ -79,6 +79,17 @@ def test_twin_rows_walk_only_below_n(walks):
     assert table == phi_table(complete(5), 40)
 
 
+@pytest.mark.parametrize("parts", [5, 6])
+def test_weighted_quotient_rungs_start_at_the_largest_class(parts):
+    # K_{2,...,2}: parts classes of two false twins over a complete
+    # quotient, whose transposition class is parts.  C(4, 2) = 6 >= parts
+    # pairs of colors give D = 4, below that class, so the quotient's rungs
+    # must start from the class size, 2, not from its transpositions
+    g = build_graph(2 * parts, [(u, v) for u in range(2 * parts)
+                                for v in range(u) if u // 2 != v // 2])
+    assert graph_indices(g).d == distinguishing_number(g) == 4
+
+
 @pytest.mark.parametrize("g,quotient_order", [
     (vsum(cycle(4), 4), 24), (K44_PENDANT, 1), (complete_bipartite(4, 4), 2),
 ], ids=["vsum_C4x4", "K4,4+pendant", "K4,4"])
@@ -211,6 +222,7 @@ def test_analyze_scans_no_full_group(run_cli, monkeypatch):
     monkeypatch.setattr(perms, "_minimal_cycle_partitions", scan_spy)
     monkeypatch.setattr(kernels, "labelling_ladder", count_spy)
     perms._cached_group.cache_clear()
+    perms.colored_group.cache_clear()
     for argv, n in ((("builtin:complete:10",), 10),
                     (("builtin:complete:8", "--phi-max", "8", "--steady"), 8),
                     (("builtin:complete_bipartite:4:4", "--phi-max", "5"), 8)):
@@ -287,7 +299,7 @@ def searches(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(kernels, "search_automorphisms", spy)
     perms._cached_group.cache_clear()
-    perms._cached_stabilizer.cache_clear()
+    perms.colored_group.cache_clear()
     return seen
 
 
@@ -313,6 +325,16 @@ def test_k44_steady_builds_no_chain_on_g(run_cli, searches):
     assert json.loads(out)["graphs"][0]["steady"] == list(range(8))
     # the quotient's chain only: G - u is certified by its refinement
     assert [n for n, _ in searches] == [2]
+
+
+@pytest.mark.parametrize("g,n", [(petersen(), 10),
+                                 (complete_bipartite(4, 4), 2)],
+                         ids=["petersen", "K4,4"])
+def test_quotient_group_is_searched_once(searches, g, n):
+    first = graph_indices(g, phi_max=3)
+    assert [m for m, _ in searches] == [n]
+    assert graph_indices(g, phi_max=3) == first
+    assert [m for m, _ in searches] == [n]
 
 
 @pytest.mark.parametrize("g", [complete_bipartite(4, 4), vsum(cycle(4), 4)],

@@ -257,7 +257,7 @@ def _old_restriction_property(g, u) -> bool:
 
 
 def test_thm43_pins_each_rooted_copy_once(monkeypatch, run_cli):
-    perms._cached_stabilizer.cache_clear()
+    perms.colored_group.cache_clear()
     pinned = Counter()
     search = kernels.search_automorphisms
 
