@@ -68,11 +68,10 @@ def _split_edgelist_blocks(text: str) -> list[tuple[int, str]]:
     """(first line number, text) of each run of non-blank lines that are
     not all comments."""
     blocks = []
-    for blank, run in groupby(enumerate(text.splitlines(), start=1),
-                              key=lambda row: not row[1].strip()):
+    for _, run in groupby(enumerate(text.splitlines(), start=1),
+                          key=lambda row: not row[1].strip()):
         run = list(run)
-        if not blank and any(line.split("#", 1)[0].strip()
-                             for _, line in run):
+        if any(line.split("#", 1)[0].strip() for _, line in run):
             blocks.append((run[0][0], "\n".join(line for _, line in run)))
     return blocks
 
