@@ -32,9 +32,9 @@ behind D and phi_table run against one representative of each
 (AutGroup.minimal_cycles: 28 transpositions instead of 40,319 elements for
 K8).  The searches close a subtree once no element is live, which with the
 smaller set happens no later, so A_j is unchanged and only node counts fall.
-That set and theta are both read from the group's stabilizer chain by
-one stream of its products, so these routes build no element list: the
-scan that finds the set also records the largest cycle count.
+That set is read from the group's stabilizer chain by one stream of its
+products (the minimal-cycle scan), which also records the largest cycle
+count, so these routes build no element list.
 
 One ladder, _ladder, gives D, theta and the Phi rows from the group its
 walks read (walked), a class for each walked vertex and a size for each
@@ -51,26 +51,45 @@ varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every
 surjective k-coloring is distinguishing and the group acts freely, so
 varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
 Phi_k = sum_i C(k, i) varphi_i.  D is the first k with varphi_k > 0, or
-else the first rung past the rows that answers, each rung one existence
-walk (kernels.exists_distinguishing_partition) over the same classes,
-sizes and minimal cycles (symbreak.kernels says how the walks run, charge
-their budget and are memoized).  Without twins the rungs start at the
-largest transposition class: if (a b) and (b c) are automorphisms, so is
-(a c), so transpositions join the vertices into cliques, a distinguishing
-coloring is injective on each, and every rung below the largest is empty
-(_transposition_class); every transposition is a minimal cycle.  With
-twins they start at max(2, t) for the largest class size t, as
-C(k, t) = 0 for k < t; the transposition start does not hold there:
-K_{2,2,2,2,2} has D = 4, as C(4, 2) = 6 >= 5 classes, but its quotient K5
-has transposition class 5.  least_k reads a table one row longer per
-rung; the count ladder extends in k and the root stabilizer is cached
-(perms.stabilizer), so a rung adds at most one walk.  phi_brute stays on
-the search route for any k and passes every non-identity element to the
-partition count, on purpose: it shares neither shortcut and serves as the
-oracle for both in the verification harness.  It is, with
-is_distinguishing and are_equivalent, one of the readers that have the
-group build its element list.  The count itself is checked against a
-plain enumeration of set partitions in tests/test_partition_oracle.py.
+else the first rung past the rows that answers (_rungs, which
+distinguishing_number climbs from the bottom, with no rows and no theta).
+Witnesses come before walks: each rung first tries a few seeded probe
+labellings, each certified by an automorphism search of walked's graph
+that keeps walked's start coloring (the pin or the weights) and the
+labels, at cap 1 (kernels._probe).  Only a rung whose probes all fail
+runs the existence walk (kernels.exists_distinguishing_partition) over
+the same classes, sizes and minimal cycles, and a probe answers only with
+a certified witness, so D is the walk's (symbreak.kernels says how probes
+and walks run, charge their budget and are memoized).  When most
+colorings distinguish, which is the usual case once every automorphism
+moves many vertices (Russell & Sundaram, EJC 5, 1998), the first probe
+answers.  The minimal-cycle scan runs only where a walk needs its
+elements: for the count ladder, read before theta so the scan records
+max_cycles, or for a rung no probe answers.  Without a table theta is
+read after D, from the scan if a walk ran it, and otherwise from the
+max_cycles stream, cheaper per element and stopped at n - 1 cycles
+(perms.AutGroup.max_cycles); so analyze without --phi-max,
+distinguishing_number and rooted_indices scan nothing on a rung a probe
+answers.  Without twins the rungs start at the largest
+transposition class: if (a b) and (b c) are automorphisms, so is (a c),
+so transpositions join the vertices into cliques, a distinguishing
+coloring is injective on each, and every rung below the largest is empty.
+A transposition of walked is a swap of two twins of its graph that share
+a start color, so the start is read from those twin classes, with no scan
+and no stream (_transposition_class).  With twins they start at
+max(2, t) for the largest class size t, as C(k, t) = 0 for k < t; the
+transposition start does not hold there: K_{2,2,2,2,2} has D = 4, as
+C(4, 2) = 6 >= 5 classes, but its quotient K5 has transposition class 5.
+
+least_k reads a table one row longer per rung; the count ladder extends
+in k and the root stabilizer is cached (perms.stabilizer), so a rung adds
+at most one walk.  phi_brute stays on the search route for any k and
+passes every non-identity element to the partition count, on purpose: it
+shares neither shortcut and serves as the oracle for both in the
+verification harness.  It is, with is_distinguishing and are_equivalent,
+one of the readers that have the group build its element list.  The
+count itself is checked against a plain enumeration of set partitions in
+tests/test_partition_oracle.py.
 
 graph_indices, behind analyze, table and product, reads the twin quotient
 (twin_quotient); a graph without twins is its own, with one class of
@@ -120,8 +139,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 from typing import NamedTuple
 
 from . import kernels, limits
@@ -180,38 +197,33 @@ def are_equivalent(g: Graph, group: AutGroup, c1: Coloring, c2: Coloring) -> boo
 # -- core counts ---------------------------------------------------------------
 
 def _transposition_class(group: AutGroup) -> int:
-    """1 + the most transpositions of the group that move one vertex.
+    """The most vertices that the group's transpositions join into one
+    class, read from twins: 1 + the most twins one vertex has.
 
     If (a b) and (b c) are automorphisms, so is (a b)(b c)(a b) = (a c), so
-    the vertices that the group's transpositions join form cliques, and the
-    one at vertex v has 1 + (transpositions moving v) vertices.  A
+    the vertices that the group's transpositions join form cliques.  A
     distinguishing coloring is injective on each: two same-colored
     vertices of one would be swapped by a transposition that preserves it.
-    Every transposition of the group is in minimal_cycles: no other
-    non-identity cycle partition refines its one 2-block, and no other
-    element has that partition.  Only a transposition has n - 1 cycles, so
-    when max_cycles, which the minimal-cycle scan records, is below that,
-    there is none and nothing is scanned; twin-free graphs are such.
+    A transposition (a b) is an automorphism of the graph exactly when a
+    and b are twins, with N(a) = N(b) or N[a] = N[b], and it keeps the
+    group's start coloring exactly when a and b share a start color.  So
+    the cliques are the classes of twins sharing a start color: a pinned
+    vertex is in none, and a quotient's weights keep twins of different
+    weights apart.  Neither the group's elements nor its cycles are read.
     """
-    n = group.n
-    if group.max_cycles < n - 1:
-        return 1
-    moves = [0] * n
-    vertices = range(n)
-    for e in group.minimal_cycles:
-        moved = list(compress(vertices, map(ne, e, vertices)))
-        if len(moved) == 2:
-            moves[moved[0]] += 1
-            moves[moved[1]] += 1
-    return 1 + max(moves)
+    colors = group.colors or (0,) * group.n
+    seen: dict[tuple, int] = {}
+    for v, (color, nbrs) in enumerate(zip(colors, group.adj)):
+        for key in ((color, nbrs), (color, nbrs | 1 << v)):
+            seen[key] = seen.get(key, 0) + 1
+    return max(seen.values(), default=1)
 
 
 def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
     """Least k such that some k-coloring is distinguishing."""
     if group is None:
         group = automorphism_group(g)
-    return _ladder(group.n, group.order, group, (0,) * group.n, (1,),
-                   None)[0]
+    return _rungs(group.n, group.order, group, (0,) * group.n, (1,), 1)
 
 
 def distinguishing_threshold(g: Graph, group: AutGroup | None = None) -> int:
@@ -304,37 +316,57 @@ def _phi_rows(n: int, order: int, theta: int, k_max: int,
     return rows, next((r.k for r in rows if r.varphi), 0)
 
 
+def _rungs(n: int, order: int, walked: AutGroup, classes, sizes,
+           first: int) -> int:
+    """D of a group of the given order on n vertices, walked as in _ladder,
+    where no rung below first answers: 1 for the trivial group, n = 0
+    included, and otherwise the least rung from first on whose seeded
+    probes (kernels._probe) find a certified witness, or whose existence
+    walk over walked's minimal cycles finds one.  The walk charges the
+    coloring budget on top of the probes, and its elements are read only
+    where every probe failed."""
+    if order == 1:
+        return 1
+    twins = order > walked.order
+    start = max(first, 2, *sizes) if twins else max(
+        first, 2, _transposition_class(walked))
+    budget = limits.coloring_cap()
+    for k in range(start, n + 1):
+        witness, nodes = kernels._probe(walked.n, walked.adj, walked.colors,
+                                        walked.chain, classes, sizes, k,
+                                        budget)
+        if witness is not None or kernels.exists_distinguishing_partition(
+                walked.n, walked.minimal_cycles, k, budget, classes, sizes,
+                nodes):
+            return k
+    # n distinct colors always distinguish a simple graph's automorphisms
+    raise AssertionError("no distinguishing coloring up to n colors")
+
+
 def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
             k_max: int | None) -> tuple[int, int, PhiTable | None]:
     """(D, theta, the table up to k_max or None) of a group of the given
     order on n vertices, whose distinguishing k-colorings come from the
     labellings no element of walked fixes, vertex v taking one of
     C(k, sizes[classes[v]]) labels (see the module docstring); order
-    exceeds walked.order exactly when the graph has twins.  D = 1 exactly
-    for the trivial group, n = 0 included."""
-    minimal = walked.minimal_cycles  # its scan records max_cycles for theta
+    exceeds walked.order exactly when the graph has twins.  The minimal
+    cycles are read only for the count ladder, whose scan then records
+    max_cycles for theta, or by a rung's walk; without a table theta is
+    read after D, so a scan that a walk ran spares the stream."""
     twins = order > walked.order
+    if not k_max:
+        d = _rungs(n, order, walked, classes, sizes, 1)
+        return d, n if twins else walked.max_cycles + 1, None
+    minimal = walked.minimal_cycles
     theta = n if twins else walked.max_cycles + 1
-    k_max = k_max or 0
     K = min(k_max, theta - 1)
     below = [_exact_div(count, walked.order, "Phi")
              for count in kernels.labelling_ladder(
                  walked.n, minimal, classes, sizes, K,
                  limits.coloring_cap())] if K > 0 else []
     rows, d = _phi_rows(n, order, theta, k_max, below)
-    if order == 1:
-        d = 1
-    elif not d:
-        start = max(2, *sizes) if twins else max(
-            2, _transposition_class(walked))
-        d = next((k for k in range(max(start, k_max + 1), n + 1)
-                  if kernels.exists_distinguishing_partition(
-                      walked.n, minimal, k, limits.coloring_cap(), classes,
-                      sizes)), 0)
-    if not d:
-        # n distinct colors always distinguish a simple graph's automorphisms
-        raise AssertionError("no distinguishing coloring up to n colors")
-    return d, theta, PhiTable(n, order, d, theta, rows) if k_max else None
+    d = d or _rungs(n, order, walked, classes, sizes, k_max + 1)
+    return d, theta, PhiTable(n, order, d, theta, rows)
 
 
 def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:

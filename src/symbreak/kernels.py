@@ -9,6 +9,9 @@
   count_distinguishing_labellings    the labelling walk: labellings no
                                      automorphism fixes, with one palette per
                                      vertex class
+  _probe                             seeded labellings at k labels, each
+                                     certified by a cap-1 automorphism
+                                     search: D's rungs before any walk
   exists_distinguishing_partition    whether some labelling at k labels is
                                      fixed by none: D's search
   labelling_ladder                   the labelling walk's counts at
@@ -48,27 +51,49 @@ class w takes C(k, sizes[w]) (_palettes).  Labellings with at most k
 labels are distinguishing exactly when their partitions into equal labels
 are, so with one class of size 1 the walk answers for partitions:
 
-  existence   k = max_blocks, stopping at the first labelling.  With one
-              class of size 1 it tries the blocks the plain existence walk
-              tries, in the same order, and charges one node per block
-              tried; its memo stores only subtrees with no distinguishing
-              completion, so it never charges more nodes than the plain
-              walk.  Each rung of D is one walk with its own budget.
+  existence   k = max_blocks, stopping at the first labelling.  A vertex
+              tries its blocks newest first: the one it would open, then
+              the open ones from the last down, as a witness of D needs
+              many blocks.  With one class of size 1 it tries the blocks
+              the plain existence walk tries, in that order, and charges
+              one node per block tried; its memo stores only subtrees with
+              no distinguishing completion, so it never charges more nodes
+              than the plain walk.  Each rung of D is one walk with its own
+              budget, charged on top of the rung's probes (below).
   ladder      N_k for k = 1..K, one walk per rung.  The K walks charge one
               node_budget between them, so the ladder to k < K charges a
               prefix of the ladder to K.  With one class of size 1,
               N_k = sum_j A_j * k!/(k-j)!, and the partition count gives
               A_k by back-substitution.
 
-Both are memoized in bounded per-process caches, keyed on every input:
-(n, tuple(elements), classes, sizes, node_budget), and max_blocks for the
-existence search.  The ladder's holds the rungs climbed so far: N_1..N_K
-and the nodes its K walks spent.  A ladder to K' <= K is a slice of it: a
-fresh one would charge a prefix of those nodes, so it could not raise.  A
-ladder to K' > K climbs on, running walks K+1..K' from the stored node
-total and storing each walk as it completes, so it charges the nodes a
-fresh ladder to K' charges, answers the same, and raises at the same walk
-with the same text.  A ladder is stored once its first walk completes, and
+A rung of D is probed before it is walked (_probe): _PROBES labellings at
+k labels, each vertex drawing one of its class's C(k, t) labels from
+random.Random(_PROBE_SEED), never from hash(), so a rung's probes are the
+same in every process.  A probe that a non-identity transversal element of
+the group keeps fails at once.  Any other is certified by
+search_automorphisms(n, adj, 1, colors), colors pairing the group's start
+coloring with the labels: order 1 means no non-identity automorphism keeps
+the labelling, and cap 1 stops the search at the first that does.  So a
+probe answers a rung only True, and only with a certified witness, and a
+rung whose probes all fail is walked.  Budget rule: each probe charges n
+nodes against the rung's node_budget before it is drawn, and the walk that
+follows charges on top of the probes' nodes, so a spent budget raises the
+walk's text, from whichever of the two spends it.  The probes read the
+graph and its chain, never the walk's elements, so a rung they answer
+needs no minimal-cycle scan.
+
+The three are memoized in bounded per-process caches, keyed on every
+input: (n, tuple(elements), classes, sizes, node_budget), with max_blocks
+and the probes' nodes for the existence search, and the probes on (n, adj,
+start colors, chain, classes, sizes, k, node_budget), where the first
+three determine the chain.  A probe that raises stores nothing.  The
+ladder's holds the rungs climbed so far: N_1..N_K and the nodes its K
+walks spent.  A ladder to K' <= K is a slice of it: a fresh one would
+charge a prefix of those nodes, so it could not raise.  A ladder to
+K' > K climbs on, running walks K+1..K' from the stored node total and
+storing each walk as it completes, so it charges the nodes a fresh ladder
+to K' charges, answers the same, and raises at the same walk with the
+same text.  A ladder is stored once its first walk completes, and
 a walk that raises stores nothing.  So the paper's ladders, least k with
 Phi_k >= a target and sums of phi_i over i <= k, run each walk once per
 process.  Product graphs whose groups act alike pass the same elements, so
@@ -88,13 +113,20 @@ their reference to themselves on the way out.
 from __future__ import annotations
 
 import math
+import random
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import BudgetExceededError
 
 # most machine words the labelling walk's memo holds (about 32 MB on a
 # 64-bit build); past it the walk goes on without storing
 _MEMO_WORDS = 1 << 22
+
+# seeded probe labellings tried before each rung's existence walk, and
+# their seed
+_PROBES = 8
+_PROBE_SEED = 2109
 
 
 def backend_name() -> str:
@@ -356,9 +388,11 @@ def count_distinguishing_labellings(n: int, elements, classes, palettes,
     equal labels, and no element joins two classes, so the walk keeps one
     set of blocks per class: labels of two classes are never compared.
     Blocks are walked as canonical assignments: a vertex joins an open
-    block of its class or opens the class's next one.  Opening the j-th
-    block of class w multiplies the count by palettes[w] - j, the labels
-    still unused in w, and a class opens no more blocks than it has labels.
+    block of its class or opens the class's next one; with first it tries
+    the next one before the open ones, and those from the last down.
+    Opening the j-th block of class w multiplies the count by
+    palettes[w] - j, the labels still unused in w, and a class opens no
+    more blocks than it has labels.
     The live set of not-yet-broken elements, a bitmask, shrinks along each
     branch; once it empties, the vertices u > v are labelled freely, in
     prod palettes[classes[u]] ways, without being visited.
@@ -407,7 +441,8 @@ def count_distinguishing_labellings(n: int, elements, classes, palettes,
         b, labels = opened[w], palettes[w]
         total = 0
         row = kill[v]
-        for c in range(b + 1 if b < labels else labels):
+        top = b + 1 if b < labels else labels
+        for c in range(top - 1, -1, -1) if first else range(top):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
@@ -446,21 +481,61 @@ def _palettes(k: int, sizes) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _exists(n, elements, classes, sizes, k, node_budget):
+def _exists(n, elements, classes, sizes, k, node_budget, nodes):
     return count_distinguishing_labellings(
-        n, elements, classes, _palettes(k, sizes), node_budget, True)[0] > 0
+        n, elements, classes, _palettes(k, sizes), node_budget, True,
+        nodes)[0] > 0
 
 
 def exists_distinguishing_partition(n, elements, max_blocks, node_budget,
-                                    classes=None, sizes=(1,)):
+                                    classes=None, sizes=(1,), nodes=0):
     """True iff some set partition of {0..n-1} into at most max_blocks
     nonempty blocks is preserved by none of the given elements; with vertex
     classes, iff some labelling is where class w takes
-    C(max_blocks, sizes[w]) labels."""
+    C(max_blocks, sizes[w]) labels.  The walk charges node_budget on top of
+    the given nodes, those a rung's probes spent."""
     if n == 0 or max_blocks < 1:
         return False
     return _exists(n, tuple(elements), tuple(classes or (0,) * n),
-                   tuple(sizes), max_blocks, node_budget)
+                   tuple(sizes), max_blocks, node_budget, nodes)
+
+
+@lru_cache(maxsize=256)
+def _probe(n: int, adj: tuple, colors, chain, classes: tuple, sizes: tuple,
+           k: int, node_budget: int) -> tuple[tuple | None, int]:
+    """(witness, nodes): the first of the _PROBES seeded labellings at k
+    labels, class w taking C(k, sizes[w]), that no non-identity
+    automorphism of graph adj keeping the start coloring colors (None for
+    none) keeps, or None; and the nodes charged against node_budget, n per
+    probe (see the module docstring).  chain is the group's transversals,
+    as search_automorphisms returns them from colors.  The group's elements
+    keep colors and map every vertex into its own class, so pairing each
+    start color with a label is enough: labels of two classes never meet.
+    """
+    palettes = _palettes(k, sizes)
+    if not all(palettes):
+        return None, 0
+    rnd = random.Random(_PROBE_SEED).random
+    # a float draw is exact below 2**53 labels, and a labelling of n
+    # vertices never needs that many
+    per_vertex = [min(palettes[w], 1 << 53) for w in classes]
+    start = colors or (0,) * n
+    getters = [itemgetter(*t) for reps in chain for t in reps[1:]]
+    nodes = 0
+    for _ in range(_PROBES):
+        nodes += n
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"coloring search exceeded budget {node_budget}")
+        labels = tuple([int(rnd() * p) for p in per_vertex])
+        if any(get(labels) == labels for get in getters):
+            continue
+        try:
+            search_automorphisms(n, adj, 1, tuple(zip(start, labels)))
+        except BudgetExceededError:
+            continue
+        return labels, nodes
+    return None, nodes
 
 
 class _Ladder:

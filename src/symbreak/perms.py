@@ -16,6 +16,9 @@ the chain without an element list:
   stabilizer          the chain of the same graph with the vertex pinned,
                       cached with twin quotients' groups in colored_group,
                       so one rooted graph has one pinned chain
+  colors              the start coloring the chain was searched from (the
+                      pin, or a quotient's weights), so a probe labelling's
+                      certificate searches the same group
   minimal_cycles      one scan of the group's products, streamed from the
                       chain in blocks of at most _STREAM_BLOCK; each
                       candidate is tested only against the kept elements
@@ -153,13 +156,15 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
 class AutGroup:
     """The automorphism group of the graph with neighbor bitmasks adj, as
     its order and the nontrivial transversals of a stabilizer chain (see
-    kernels.search_automorphisms).  The properties below are computed once
-    per instance."""
+    kernels.search_automorphisms), searched from the start coloring colors
+    (None for the whole group): the group is the automorphisms that keep
+    it.  The properties below are computed once per instance."""
 
     n: int
     adj: tuple[int, ...]
     order: int
     chain: tuple[tuple[tuple[int, ...], ...], ...]
+    colors: tuple | None = None
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -272,7 +277,7 @@ def colored_group(n: int, adj: tuple[int, ...], order_cap: int,
     """The automorphisms of graph adj that keep the vertex coloring colors,
     under cap order_cap, searched once per process; a raise stores nothing."""
     return AutGroup(n, adj, *kernels.search_automorphisms(n, adj, order_cap,
-                                                          colors))
+                                                          colors), colors)
 
 
 def orbits(group: AutGroup) -> tuple[tuple[int, ...], ...]:

@@ -37,6 +37,15 @@ def _fresh_exists(*args):
     return kernels.exists_distinguishing_partition(*args)
 
 
+def _fresh_probe(n, adj, k, node_budget, colors=None):
+    """The probes of rung k on graph adj, one class of size 1, from the
+    chain searched from colors, not from their per-process memo."""
+    kernels._probe.cache_clear()
+    _, chain = kernels.search_automorphisms(n, adj, 10**7, colors)
+    return kernels._probe(n, tuple(adj), colors, chain, (0,) * n, (1,), k,
+                          node_budget)
+
+
 def _fresh_count(*args):
     """The count climbed from an empty ladder: its per-process memo is
     cleared before and after, so no ladder outlives the call."""
@@ -104,8 +113,9 @@ def test_search_order_matches_reference(connected7):
 
 def _exists_reference(n, elements, kmax):
     """The existence search as first written, over image and inverse lists,
-    filtering a list of element ids at every node; returns (answer, nodes),
-    one node per child, counted before the child is tried."""
+    filtering a list of element ids at every node, trying the blocks newest
+    first; returns (answer, nodes), one node per child, counted before the
+    child is tried."""
     invs = []
     for e in elements:
         inv = [0] * n
@@ -117,7 +127,8 @@ def _exists_reference(n, elements, kmax):
 
     def rec(v, b, live):
         nonlocal nodes
-        for c in range(min(b + 1, kmax)):
+        # newest block first: a witness needs many blocks
+        for c in range(min(b + 1, kmax) - 1, -1, -1):
             nodes += 1
             color[v] = c
             nlive = [e for e in live
@@ -195,7 +206,7 @@ def test_exists_budget_boundary_past_64_vertices(monkeypatch):
         g = path(66)
     elements = enumerate_automorphisms(g).minimal_cycles
     found, nodes = _exists_reference(66, elements, 2)
-    assert (found, nodes) == (True, 67)
+    assert (found, nodes) == (True, 66)
     _assert_exists_budget_boundary([(66, elements, 2, found, nodes)])
 
 
@@ -214,10 +225,11 @@ def test_exists_answers_a_non_natural_lex_product():
 
 
 def _count_reference(n, elements, kmax):
-    """The plain count: the walk of _exists_reference taken to the end.  A
-    node that leaves no element live adds every completion of its
-    partition to A, one by one; a full assignment with a live element adds
-    nothing.  Returns (A, nodes), nodes counted as there."""
+    """The plain count: the walk of _exists_reference taken to the end,
+    trying the blocks in increasing order.  A node that leaves no element
+    live adds every completion of its partition to A, one by one; a full
+    assignment with a live element adds nothing.  Returns (A, nodes), nodes
+    counted as there."""
     invs = [[e.index(v) for v in range(n)] for e in elements]
     color = [-1] * n
     A = [0] * (kmax + 1)
@@ -251,10 +263,11 @@ def _count_reference(n, elements, kmax):
 
 def _labelling_reference(n, elements, k):
     """The plain labelling walk with one class and k labels: the walk of
-    _exists_reference taken to the end.  A new block weighs the labels
-    still unused, a node that leaves no element live labels the rest
-    freely, and a full assignment with a live element adds nothing.
-    Returns (labellings, nodes), nodes counted as there."""
+    _exists_reference taken to the end, trying the blocks in increasing
+    order.  A new block weighs the labels still unused, a node that leaves
+    no element live labels the rest freely, and a full assignment with a
+    live element adds nothing.  Returns (labellings, nodes), nodes counted
+    as there."""
     invs = [[e.index(v) for v in range(n)] for e in elements]
     color = [-1] * n
     nodes = 0
@@ -369,6 +382,9 @@ KERNEL_CALLS = {
         6, _c6_elements(), (0,) * 6, (3,), 10**7), False),
     "labellings-budget": (lambda: kernels.count_distinguishing_labellings(
         6, _c6_elements(), (0,) * 6, (3,), 2), True),
+    "probe": (lambda: _fresh_probe(6, C6, 3, 10**7), False),
+    "probe-pinned": (lambda: _fresh_probe(6, K6, 5, 10**7, PIN_0), False),
+    "probe-budget": (lambda: _fresh_probe(6, K6, 5, 47), True),
 }
 
 
@@ -522,6 +538,52 @@ def test_count_memo_memory_is_capped(monkeypatch):
     # stores several times that before its budget runs out
     assert capped < 384 << 10
     assert full > 2 * capped
+
+
+# -- probes ----------------------------------------------------------------------
+
+def test_probe_charges_n_nodes_per_labelling():
+    # C6 at 3 labels: the first labelling that no rotation or reflection
+    # keeps is the probe's witness, after a node per vertex per probe
+    witness, nodes = _fresh_probe(6, C6, 3, 10**7)
+    assert nodes % 6 == 0 and 0 < nodes <= 6 * kernels._PROBES
+    assert not any(all(witness[e[v]] == witness[v] for v in range(6))
+                   for e in _c6_elements())
+    assert _fresh_probe(6, C6, 3, nodes) == (witness, nodes)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^coloring search exceeded budget "
+                             f"{nodes - 1}$"):
+        _fresh_probe(6, C6, 3, nodes - 1)
+    # K6 has no distinguishing labelling at 5 labels: every probe fails,
+    # and the eighth exceeds a budget of 47
+    assert _fresh_probe(6, K6, 5, 48) == (None, 48)
+    with pytest.raises(BudgetExceededError,
+                       match="^coloring search exceeded budget 47$"):
+        _fresh_probe(6, K6, 5, 47)
+    # a palette of 0 labels charges nothing
+    assert kernels._probe(2, (2, 1), None, (((0, 1), (1, 0)),), (0, 0),
+                          (4,), 3, 0) == (None, 0)
+
+
+def test_walk_charges_on_top_of_the_probes():
+    # K6's D: its transposition class starts the rungs at 6, where no
+    # probe finds a witness, so the walk charges past their 48 nodes
+    g = complete(6)
+    group = automorphism_group(g)
+    kernels._probe.cache_clear()
+    assert kernels._probe(6, group.adj, None, group.chain, (0,) * 6, (1,),
+                          6, 10**7) == (None, 48)
+    found, walk = kernels.count_distinguishing_labellings(
+        6, group.minimal_cycles, (0,) * 6, (6,), 10**7, True)
+    assert found == 1
+    kernels._exists.cache_clear()
+    with limits.scoped(max_colorings=48 + walk):
+        assert distinguishing_number(g, group) == 6
+    with limits.scoped(max_colorings=48 + walk - 1):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^coloring search exceeded budget "
+                                 f"{48 + walk - 1}$"):
+            distinguishing_number(g, group)
 
 
 # -- per-process memos ---------------------------------------------------------
@@ -682,7 +744,8 @@ def test_cache_clear_empties_every_memo():
     kernels.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
     verify._restriction_property(g, 0)
     memos = (kernels._count, kernels._exists, kernels._kill_table,
-             perms.colored_group, verify._distinguishing_partitions)
+             kernels._probe, perms.colored_group,
+             verify._distinguishing_partitions)
     assert all(memo.cache_info().currsize for memo in memos)
     # every lru_cache callable in the package's module namespaces, as a
     # caller that wants a process's fresh state would find them
@@ -695,12 +758,14 @@ def test_cache_clear_empties_every_memo():
     assert not any(memo.cache_info().currsize for memo in memos)
 
 
-def test_d_ladder_builds_one_kill_table():
+def test_d_ladder_builds_one_kill_table(monkeypatch):
     g = vsum(complete(3), 4)
     group = automorphism_group(g)
     assert len(group.minimal_cycles) == 16
     kernels._exists.cache_clear()
     kernels._kill_table.cache_clear()
+    # with the probes off, every rung is walked
+    monkeypatch.setattr(kernels, "_probe", lambda *args: (None, 0))
     assert distinguishing_number(g, group) == 4
     # rungs k = 3, 4 read the table built on the first, k = 2
     info = kernels._kill_table.cache_info()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from itertools import product as iproduct
 
 import pytest
@@ -234,6 +235,31 @@ def test_analyze_scans_no_full_group(run_cli, monkeypatch):
     assert code == 0 and 10 in scanned and 10 in counted
 
 
+@pytest.mark.parametrize("spec,d,theta,seconds", [
+    ("builtin:kneser:7:2", 2, 17, None), ("builtin:kneser:9:2", 2, 30, 5)],
+    ids=["kneser_7_2", "kneser_9_2"])
+def test_probe_answers_d_with_no_scan_and_no_walk(run_cli, monkeypatch, walks,
+                                                  spec, d, theta, seconds):
+    # a probe answers the one rung and theta comes from the max_cycles
+    # stream, so the minimal-cycle scan never runs and no walk starts
+    scanned = []
+    scan = perms._minimal_cycle_partitions
+    monkeypatch.setattr(perms, "_minimal_cycle_partitions",
+                        lambda n, blocks: scanned.append(n) or scan(n, blocks))
+    perms._cached_group.cache_clear()
+    perms.colored_group.cache_clear()
+    kernels._probe.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run_cli("analyze", spec)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    record = json.loads(out)["graphs"][0]
+    assert (record["d"], record["theta"]) == (d, theta)
+    assert scanned == [] and walks == []
+    # Kneser(9,2)'s rung alone was a 3,175,310-node walk
+    assert seconds is None or elapsed < seconds
+
+
 @pytest.mark.parametrize("spec", [
     "builtin:complete_bipartite:4:4",
     "g6:" + graph6.emit_graph6(vsum(cycle(4), 4)),
@@ -288,18 +314,31 @@ def test_twin_orbits_are_the_orbits_of_g(connected7):
 
 
 @pytest.fixture
-def searches(monkeypatch) -> list[tuple]:
-    """(n, order_cap) of every automorphism search while the test runs."""
+def certificates() -> list[int]:
+    """n of every cap-1 search, the certificate of a probe labelling,
+    while the test runs; the searches fixture fills it."""
+    return []
+
+
+@pytest.fixture
+def searches(monkeypatch, certificates) -> list[tuple]:
+    """(n, order_cap) of every automorphism search that builds a group
+    while the test runs.  A search at cap 1 certifies a probe and goes to
+    certificates instead; none of these tests builds a group at cap 1."""
     seen = []
     search = kernels.search_automorphisms
 
     def spy(n, adj, order_cap, colors=None):
-        seen.append((n, order_cap))
+        if order_cap == 1:
+            certificates.append(n)
+        else:
+            seen.append((n, order_cap))
         return search(n, adj, order_cap, colors)
 
     monkeypatch.setattr(kernels, "search_automorphisms", spy)
     perms._cached_group.cache_clear()
     perms.colored_group.cache_clear()
+    kernels._probe.cache_clear()
     return seen
 
 
@@ -349,9 +388,12 @@ def test_analyze_exits_3_exactly_past_the_order(run_cli, g):
             f"automorphism search exceeded cap {cap}" if expected else None)
 
 
-def test_corpus_search_count(connected7, searches):
+def test_corpus_search_count(connected7, searches, certificates):
     # 4,800 searches before the twin route stopped building G's chain and
     # the refinement of G - u started to certify steady vertices
     for g in connected7:
         graph_indices(g, phi_max=4, steady=True)
     assert len(searches) <= 1816
+    # the rungs past --phi-max 4 that a probe answers, each with one
+    # certified labelling
+    assert len(certificates) == 9
