@@ -62,9 +62,9 @@ the same classes, sizes and minimal cycles, and a probe answers only with
 a certified witness, so D is the walk's (symbreak.kernels says how probes
 and walks run, charge their budget and are memoized).  When most
 colorings distinguish, which is the usual case once every automorphism
-moves many vertices (Russell & Sundaram, EJC 5, 1998), the first probe
-answers.  The minimal-cycle scan runs only where a walk needs its
-elements: for the count ladder, read before theta so the scan records
+moves many vertices (Russell & Sundaram, EJC 5, 1998), one of the first
+few probes answers.  The minimal-cycle scan runs only where a walk needs
+its elements: for the count ladder, read before theta so the scan records
 max_cycles, or for a rung no probe answers.  Without a table theta is
 read after D, from the scan if a walk ran it, and otherwise from the
 max_cycles stream, cheaper per element and stopped at n - 1 cycles
