@@ -139,6 +139,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from . import kernels, limits
@@ -211,12 +212,9 @@ def _transposition_class(group: AutGroup) -> int:
     vertex is in none, and a quotient's weights keep twins of different
     weights apart.  Neither the group's elements nor its cycles are read.
     """
-    colors = group.colors or (0,) * group.n
-    seen: dict[tuple, int] = {}
-    for v, (color, nbrs) in enumerate(zip(colors, group.adj)):
-        for key in ((color, nbrs), (color, nbrs | 1 << v)):
-            seen[key] = seen.get(key, 0) + 1
-    return max(seen.values(), default=1)
+    false_twins, true_twins = _twins(group.adj, group.colors)
+    return max(map(len, chain(false_twins.values(), true_twins.values())),
+               default=1)
 
 
 def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
@@ -493,21 +491,33 @@ class TwinQuotient(NamedTuple):
                      for ob in orbits(quotient))
 
 
-def twin_quotient(g: Graph) -> TwinQuotient:
-    """The twin quotient of g; a graph without twins is its own.
+def _twins(adj, colors=None) -> tuple[dict, dict]:
+    """(false, true): the twin classes of graph adj, members ascending,
+    keyed N(v) and N[v] as bitmasks; with a vertex coloring colors, the
+    classes among the vertices of each color, keyed (color, mask).
 
     u and v are false twins when N(u) = N(v) and true twins when
     N[u] = N[v].  Both are equivalence relations, and no vertex has twins
     of both kinds: a false twin v and a true twin w of u would give
     w in N(u) = N(v) and v in N[w] = N[u], so v would be adjacent to u.
-    A vertex without twins is a class of weight (0, 1).
+    """
+    false_twins: dict = {}
+    true_twins: dict = {}
+    for v, nbrs in enumerate(adj):
+        closed = nbrs | 1 << v
+        if colors is not None:
+            nbrs, closed = (colors[v], nbrs), (colors[v], closed)
+        false_twins.setdefault(nbrs, []).append(v)
+        true_twins.setdefault(closed, []).append(v)
+    return false_twins, true_twins
+
+
+def twin_quotient(g: Graph) -> TwinQuotient:
+    """The twin quotient of g (see _twins); a graph without twins is its
+    own.  A vertex without twins is a class of weight (0, 1).
     """
     adj = g.adjacency()
-    false_twins: dict[int, list[int]] = {}
-    true_twins: dict[int, list[int]] = {}
-    for v, nbrs in enumerate(adj):
-        false_twins.setdefault(nbrs, []).append(v)
-        true_twins.setdefault(nbrs | 1 << v, []).append(v)
+    false_twins, true_twins = _twins(adj)
     if len(false_twins) == len(true_twins) == g.n:
         return TwinQuotient(tuple((v,) for v in range(g.n)),
                             ((0, 1),) * g.n, adj)
@@ -566,16 +576,11 @@ def is_steady(g: Graph, u: int) -> bool:
     cap = limits.aut_cap()
     colors = None
     if math.factorial(len(rest)) <= cap:
-        # open and closed masks share one dict: N(a) = N[b] would put a in
-        # N(b), hence in N(a).  sides: 1 outside N(u), 2 inside, 3 both
-        seen: dict[int, int] = {}
-        for v, m in enumerate(rest):
-            side = 1 + (mask >> v & 1)
-            for key in (m, m | 1 << v):
-                sides = seen.get(key, 0) | side
-                if sides == 3:
-                    return False
-                seen[key] = sides
+        # a twin class with members on both sides of N(u)
+        if any(0 < sum(mask >> v & 1 for v in members) < len(members)
+               for twins in _twins(rest) for members in twins.values()
+               if len(members) > 1):
+            return False
         # refined colors are kept by every automorphism of G - u, so when
         # N(u) is a union of color cells, each maps it onto itself
         colors = kernels._refine_colors(len(rest), rest)

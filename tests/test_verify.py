@@ -259,15 +259,24 @@ def _old_restriction_property(g, u) -> bool:
 def test_thm43_pins_each_rooted_copy_once(monkeypatch, run_cli):
     perms.colored_group.cache_clear()
     pinned = Counter()
-    search = kernels.search_automorphisms
+    search, probe = kernels.search_automorphisms, kernels._probe
+    probing = []
 
     def spy(n, adj, order_cap, colors=None):
-        # cap 1 is a probe's certificate, not a pinned group
-        if colors is not None and order_cap != 1:
+        # a probe's certificate searches no pinned group
+        if colors is not None and not probing:
             pinned[n, tuple(adj), colors] += 1
         return search(n, adj, order_cap, colors)
 
+    def probe_spy(*args):
+        probing.append(True)
+        try:
+            return probe(*args)
+        finally:
+            probing.pop()
+
     monkeypatch.setattr(kernels, "search_automorphisms", spy)
+    monkeypatch.setattr(kernels, "_probe", probe_spy)
     code, _, _ = run_cli("verify", "thm4.3", "--grid", "max=10")
     assert code == 0
     assert pinned and max(pinned.values()) == 1
