@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="automorphism enumeration cap (default 10^7)")
     budgets.add_argument("--max-colorings", type=_integer, default=None,
                          metavar="N",
-                         help="coloring search cap (default 10^7)")
+                         help="coloring search cap: nodes per rung of D, "
+                              "joins per Phi table (default 10^7)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format (default json)")

@@ -44,12 +44,13 @@ rooted_indices), and through them verify and the formulas, pass the group
 itself with one class of size 1; graph_indices passes the twin quotient
 (below).  theta = n when the graph has twins, that is when its order
 exceeds walked's, and walked.max_cycles + 1 otherwise.  Below theta,
-Phi_k = N_k / |walked| from the kernel's count ladder
-(kernels.labelling_ladder); with one class of size 1, N_k is the sum
-above.  _phi_rows builds the rows: below theta
-varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above it every
-surjective k-coloring is distinguishing and the group acts freely, so
-varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
+Phi_k = N_k / |walked|, every k from one labelling polynomial over
+walked's minimal cycles (kernels.labelling_polynomial: inclusion-exclusion
+over their cycle partitions, one node of the coloring budget per join);
+with one class of size 1, N_k is the sum above.  _phi_rows builds the
+rows: below theta varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above
+it every surjective k-coloring is distinguishing and the group acts
+freely, so varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
 Phi_k = sum_i C(k, i) varphi_i.  D is the first k with varphi_k > 0, or
 else the first rung past the rows that answers (_rungs, which
 distinguishing_number climbs from the bottom, with no rows and no theta).
@@ -64,7 +65,7 @@ and walks run, charge their budget and are memoized).  When most
 colorings distinguish, which is the usual case once every automorphism
 moves many vertices (Russell & Sundaram, EJC 5, 1998), one of the first
 few probes answers.  The minimal-cycle scan runs only where a walk needs
-its elements: for the count ladder, read before theta so the scan records
+its elements: for the polynomial, read before theta so the scan records
 max_cycles, or for a rung no probe answers.  Without a table theta is
 read after D, from the scan if a walk ran it, and otherwise from the
 max_cycles stream, cheaper per element and stopped at n - 1 cycles
@@ -81,15 +82,17 @@ max(2, t) for the largest class size t, as C(k, t) = 0 for k < t; the
 transposition start does not hold there: K_{2,2,2,2,2} has D = 4, as
 C(4, 2) = 6 >= 5 classes, but its quotient K5 has transposition class 5.
 
-least_k reads a table one row longer per rung; the count ladder extends
-in k and the root stabilizer is cached (perms.stabilizer), so a rung adds
-at most one walk.  phi_brute stays on the search route for any k and
-passes every non-identity element to the partition count, on purpose: it
-shares neither shortcut and serves as the oracle for both in the
-verification harness.  It is, with is_distinguishing and are_equivalent,
-one of the readers that have the group build its element list.  The
-count itself is checked against a plain enumeration of set partitions in
-tests/test_partition_oracle.py.
+least_k reads a table one row longer per rung; the polynomial serves
+every k and the root stabilizer is cached (perms.stabilizer), so a rung
+adds no count.  phi_brute stays on the search route for any k and passes
+every non-identity element to the partition count, which walks them
+(kernels.count_distinguishing_partitions), on purpose: it shares neither
+the minimal cycles nor the polynomial and serves as the oracle for both
+in the verification harness.  It is, with is_distinguishing and
+are_equivalent, one of the readers that have the group build its element
+list.  The count itself is checked against a plain enumeration of set
+partitions in tests/test_partition_oracle.py, and the polynomial against
+the walk in tests/test_labelling_polynomial.py.
 
 graph_indices, behind analyze, table and product, reads the twin quotient
 (twin_quotient); a graph without twins is its own, with one class of
@@ -101,15 +104,16 @@ gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
 class x takes one of C(k, t_x) labels (Hemminger's X-join with H = K_t or
 its complement), and _ladder walks G' with one class per weight.  With
 twins, theta = n with no scan: a transposition of two twins has n - 1
-cycles, and no non-identity permutation has more; so the count walks run
-only for k < n.  G's own chain is never built: |Aut(G)| = P * |Aut_w(G')|
-with P = prod t_x!, so the quotient is searched with cap (budget // P),
-which it exceeds exactly when |Aut(G)| exceeds the budget (the error names
-the budget), and it is searched even when P alone does, at cap 0, where the
-kernel raises before refining.  The orbits of Aut(G) are the unions of
-the twin classes over each orbit of Aut_w(G'), since every weight-keeping
-automorphism of G' lifts to one of G.  The per-index functions, which
-never read the quotient, are its oracle in tests/test_twins.py.
+cycles, and no non-identity permutation has more; so the polynomial
+serves only k < n.  G's own chain is never built:
+|Aut(G)| = P * |Aut_w(G')| with P = prod t_x!, so the quotient is searched
+with cap (budget // P), which it exceeds exactly when |Aut(G)| exceeds the
+budget (the error names the budget), and it is searched even when P alone
+does, at cap 0, where the kernel raises before refining.  The orbits of
+Aut(G) are the unions of the twin classes over each orbit of Aut_w(G'),
+since every weight-keeping automorphism of G' lifts to one of G.  The
+per-index functions, which never read the quotient, are its oracle in
+tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
 itself.  is_steady first looks for a twin witness: two vertices of G - u
@@ -348,9 +352,9 @@ def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
     labellings no element of walked fixes, vertex v taking one of
     C(k, sizes[classes[v]]) labels (see the module docstring); order
     exceeds walked.order exactly when the graph has twins.  The minimal
-    cycles are read only for the count ladder, whose scan then records
-    max_cycles for theta, or by a rung's walk; without a table theta is
-    read after D, so a scan that a walk ran spares the stream."""
+    cycles are read only for the labelling polynomial, whose scan then
+    records max_cycles for theta, or by a rung's walk; without a table
+    theta is read after D, so a scan that a walk ran spares the stream."""
     twins = order > walked.order
     if not k_max:
         d = _rungs(n, order, walked, classes, sizes, 1)
@@ -358,18 +362,19 @@ def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
     minimal = walked.minimal_cycles
     theta = n if twins else walked.max_cycles + 1
     K = min(k_max, theta - 1)
-    below = [_exact_div(count, walked.order, "Phi")
-             for count in kernels.labelling_ladder(
-                 walked.n, minimal, classes, sizes, K,
-                 limits.coloring_cap())] if K > 0 else []
+    terms = kernels.labelling_polynomial(
+        walked.n, minimal, classes, limits.coloring_cap()) if K > 0 else ()
+    below = [_exact_div(kernels.labellings_at(terms,
+                                              kernels._palettes(k, sizes)),
+                        walked.order, "Phi") for k in range(1, K + 1)]
     rows, d = _phi_rows(n, order, theta, k_max, below)
     d = d or _rungs(n, order, walked, classes, sizes, k_max + 1)
     return d, theta, PhiTable(n, order, d, theta, rows)
 
 
 def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
-    """Rows k = 1..k_max of (Phi_k, varphi_k): the count ladder gives
-    Phi_k below theta, and _phi_rows the rest."""
+    """Rows k = 1..k_max of (Phi_k, varphi_k): the labelling polynomial
+    gives Phi_k below theta, and _phi_rows the rest."""
     if k_max < 1:
         raise InvalidInputError("k_max must be at least 1")
     if group is None:

@@ -14,10 +14,14 @@
                                      search: D's rungs before any walk
   exists_distinguishing_partition    whether some labelling at k labels is
                                      fixed by none: D's search
+  labelling_polynomial               the labellings no element fixes, at
+                                     every k at once, by inclusion-exclusion
+                                     over the cycle partitions: the Phi rows
   labelling_ladder                   the labelling walk's counts at
                                      k = 1..K labels, memoized as a ladder
   count_distinguishing_partitions    set partitions no automorphism fixes,
-                                     by number of blocks
+                                     by number of blocks, from the ladder:
+                                     phi_brute's oracle route
 
 There is one backtracking search, _extend: the first leaf below a node of
 the tree that maps one graph into another.  Vertices are mapped in a
@@ -64,7 +68,26 @@ are, so with one class of size 1 the walk answers for partitions:
               node_budget between them, so the ladder to k < K charges a
               prefix of the ladder to K.  With one class of size 1,
               N_k = sum_j A_j * k!/(k-j)!, and the partition count gives
-              A_k by back-substitution.
+              A_k by back-substitution.  This mode serves only
+              count_distinguishing_partitions, the route of phi_brute, the
+              oracle, and is the test reference of labelling_polynomial.
+
+The Phi rows come from labelling_polynomial instead: N_k, the labellings
+at k labels that no element keeps, for every k at once.  An element keeps
+a labelling iff its cycle partition refines the partition into equal
+labels, so inclusion-exclusion over the distinct cycle partitions (atoms)
+sums, over each set of atoms, +-1 times the labellings constant on the
+blocks of its join: prod C(k, sizes[w]) ** (blocks in class w), singletons
+included.  The sum is kept as {join: coefficient}: each atom adds -c at
+its join with every entry (p, c), and a coefficient that reaches 0 drops
+its entry.  A join is the orbit partition of the group the atoms in it
+generate, so there are never more entries than such partitions (Rota's
+Moebius inversion, 1964, on the lattice of those joins).  The budget unit
+is one node per join, charged an atom at a time before its joins run, on
+the same node_budget and with the same text as the walks.  Twin classes
+put every partition of a class in the lattice, so the per-index route of a
+group with many twins (K_n, Bell(n) partitions) is where it is slowest;
+the twin quotient of graph_indices keeps those classes out.
 
 A rung of D is probed before it is walked (_probe): _PROBES labellings at
 k labels, each vertex drawing one of its class's C(k, t) labels from
@@ -82,26 +105,28 @@ walk's text, from whichever of the two spends it.  The probes read the
 graph and its chain, never the walk's elements, so a rung they answer
 needs no minimal-cycle scan.
 
-The three are memoized in bounded per-process caches, keyed on every
+The four are memoized in bounded per-process caches, keyed on every
 input: (n, tuple(elements), classes, sizes, node_budget), with max_blocks
-and the probes' nodes for the existence search, and the probes on (n, adj,
-start colors, chain, classes, sizes, k, node_budget), where the first
-three determine the chain.  A probe that raises stores nothing.  The
-ladder's holds the rungs climbed so far: N_1..N_K and the nodes its K
-walks spent.  A ladder to K' <= K is a slice of it: a fresh one would
-charge a prefix of those nodes, so it could not raise.  A ladder to
-K' > K climbs on, running walks K+1..K' from the stored node total and
-storing each walk as it completes, so it charges the nodes a fresh ladder
-to K' charges, answers the same, and raises at the same walk with the
-same text.  A ladder is stored once its first walk completes, and
-a walk that raises stores nothing.  So the paper's ladders, least k with
-Phi_k >= a target and sums of phi_i over i <= k, run each walk once per
-process.  Product graphs whose groups act alike pass the same elements, so
-the keys hit across graphs, as well as on the rule sweeps that ask the same
-copy factor again.  The answer is a pure function of the key and the rung
-asked; the budget is part of the key, so a smaller budget still raises
-where it did.  The ladder and the partition count return a fresh list on
-every call.
+and the probes' nodes for the existence search; the polynomial on (n,
+tuple(elements), classes, node_budget), as its terms serve every palette;
+and the probes on (n, adj, start colors, chain, classes, sizes, k,
+node_budget), where the first three determine the chain.  A probe or a
+polynomial that raises stores nothing.  The ladder's holds the rungs
+climbed so far: N_1..N_K and the nodes its K walks spent.  A ladder to
+K' <= K is a slice of it: a fresh one would charge a prefix of those
+nodes, so it could not raise.  A ladder to K' > K climbs on, running walks
+K+1..K' from the stored node total and storing each walk as it completes,
+so it charges the nodes a fresh ladder to K' charges, answers the same,
+and raises at the same walk with the same text.  A ladder is stored once
+its first walk completes, and a walk that raises stores nothing.  So the
+paper's ladders, least k with Phi_k >= a target and sums of phi_i over
+i <= k, expand each polynomial, and run each of phi_brute's walks, once
+per process.  Product graphs whose groups act alike pass the same
+elements, so the keys hit across graphs, as well as on the rule sweeps
+that ask the same copy factor again.  The answer is a pure function of the
+key and the rung asked; the budget is part of the key, so a smaller budget
+still raises where it did.  The ladder and the partition count return a
+fresh list on every call, the polynomial an immutable tuple.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -536,6 +561,89 @@ def _probe(n: int, adj: tuple, colors, chain, classes: tuple, sizes: tuple,
             continue
         return labels, nodes
     return None, nodes
+
+
+def _cycle_blocks(element) -> tuple[int, ...]:
+    """The nontrivial cycles of an image tuple, as sorted vertex bitmasks."""
+    seen = 0
+    blocks = []
+    for start, image in enumerate(element):
+        if image == start or seen >> start & 1:
+            continue
+        block, v = 0, start
+        while not block >> v & 1:
+            block |= 1 << v
+            v = element[v]
+        seen |= block
+        blocks.append(block)
+    return tuple(sorted(blocks))
+
+
+def _join(p: tuple[int, ...], atom: tuple[int, ...]) -> tuple[int, ...]:
+    """The finest partition that both partitions refine, each given by its
+    nontrivial blocks as sorted bitmasks: every block of atom takes in
+    every block of p it meets."""
+    blocks = list(p)
+    for b in atom:
+        rest = []
+        for x in blocks:
+            if x & b:
+                b |= x
+            else:
+                rest.append(x)
+        rest.append(b)
+        blocks = rest
+    return tuple(sorted(blocks))
+
+
+@lru_cache(maxsize=256)
+def _polynomial(n, elements, classes, node_budget):
+    atoms = list(dict.fromkeys(map(_cycle_blocks, elements)))
+    terms: dict[tuple[int, ...], int] = {(): 1}
+    nodes = 0
+    for atom in atoms:
+        nodes += len(terms)
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"coloring search exceeded budget {node_budget}")
+        joined = dict(terms)
+        for p, c in terms.items():
+            q = _join(p, atom)
+            c = joined.get(q, 0) - c
+            if c:
+                joined[q] = c
+            else:
+                del joined[q]
+        terms = joined
+    members = [classes.count(w) for w in range(max(classes, default=-1) + 1)]
+    poly: dict[tuple[int, ...], int] = {}
+    for p, c in terms.items():
+        counts = list(members)
+        for b in p:
+            counts[classes[(b & -b).bit_length() - 1]] -= b.bit_count() - 1
+        counts = tuple(counts)
+        poly[counts] = poly.get(counts, 0) + c
+    return tuple(sorted((counts, c) for counts, c in poly.items() if c))
+
+
+def labelling_polynomial(n: int, elements, classes, node_budget: int
+                         ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The labellings of {0..n-1} that no given element keeps, as a
+    polynomial in the labels of each vertex class: terms (b, c), b holding
+    a block count per class, such that with x[w] labels for class w the
+    count is sum c * prod x[w] ** b[w] (labellings_at).  The elements map
+    every vertex into its own class.  The sum runs over the joins of the
+    elements' distinct cycle partitions by inclusion-exclusion, one node
+    of node_budget per join (see the module docstring); a spent budget
+    raises BudgetExceededError, and nothing is truncated."""
+    return _polynomial(n, tuple(elements), tuple(classes), node_budget)
+
+
+def labellings_at(terms, palettes) -> int:
+    """The count labelling_polynomial's terms give with palettes[w] labels
+    for class w."""
+    return sum(c * math.prod(x ** b for x, b in zip(palettes, blocks))
+               for blocks, c in terms)
 
 
 class _Ladder:

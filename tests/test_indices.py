@@ -337,9 +337,8 @@ class TestLadder:
             seen.append(k)
             return answer(k)
 
-        monkeypatch.setattr(kernels, "labelling_ladder",
-                            lambda n, elements, classes, sizes, K, budget:
-                            [0] * K)
+        monkeypatch.setattr(kernels, "labelling_polynomial",
+                            lambda n, elements, classes, budget: ())
         monkeypatch.setattr(kernels, "_probe", lambda *args: (None, 0))
         monkeypatch.setattr(kernels, "exists_distinguishing_partition",
                             exists)

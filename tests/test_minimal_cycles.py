@@ -90,20 +90,28 @@ def test_symmetric_graphs_match_full_group_under_relabelling(name):
 
 
 def test_only_phi_brute_passes_every_element(monkeypatch):
-    # both count through the kernel's one count ladder
-    seen = []
+    # phi_brute walks every element through the count ladder; phi_table
+    # expands the minimal cycles as the labelling polynomial's atoms
+    walked, expanded = [], []
     ladder = kernels.labelling_ladder
+    polynomial = kernels.labelling_polynomial
 
-    def spy(n, elements, *args):
-        seen.append(len(elements))
+    def ladder_spy(n, elements, *args):
+        walked.append(len(elements))
         return ladder(n, elements, *args)
 
-    monkeypatch.setattr(kernels, "labelling_ladder", spy)
+    def polynomial_spy(n, elements, *args):
+        expanded.append(len(elements))
+        return polynomial(n, elements, *args)
+
+    monkeypatch.setattr(kernels, "labelling_ladder", ladder_spy)
+    monkeypatch.setattr(kernels, "labelling_polynomial", polynomial_spy)
     group = enumerate_automorphisms(petersen())
     phi_brute(petersen(), 3, group)
     phi_table(petersen(), 3, group)
-    assert seen == [group.order - 1, len(group.minimal_cycles)]
-    assert seen == [119, 25]
+    assert (walked, expanded) == ([group.order - 1],
+                                  [len(group.minimal_cycles)])
+    assert (walked, expanded) == ([119], [25])
 
 
 class TestReduction:

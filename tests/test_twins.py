@@ -210,7 +210,7 @@ def test_labelling_walk_budget(first):
 def test_analyze_scans_no_full_group(run_cli, monkeypatch):
     scanned, counted = [], []
     scan = perms._minimal_cycle_partitions
-    count = kernels.labelling_ladder
+    count = kernels.labelling_polynomial
 
     def scan_spy(n, blocks):
         scanned.append(n)
@@ -221,7 +221,7 @@ def test_analyze_scans_no_full_group(run_cli, monkeypatch):
         return count(n, *args)
 
     monkeypatch.setattr(perms, "_minimal_cycle_partitions", scan_spy)
-    monkeypatch.setattr(kernels, "labelling_ladder", count_spy)
+    monkeypatch.setattr(kernels, "labelling_polynomial", count_spy)
     perms._cached_group.cache_clear()
     perms.colored_group.cache_clear()
     for argv, n in ((("builtin:complete:10",), 10),
@@ -274,11 +274,10 @@ def test_twin_route_spends_the_coloring_budget(run_cli, spec, argv):
 
 
 def test_twin_count_walks_share_one_budget(run_cli):
-    # four C4 summed at a vertex: its count walks at k = 1..12 charge
-    # 0 + 38 + 364 + 9 * 399 = 3,993 nodes between them, and the largest
-    # walk alone charges 399
+    # four C4 summed at a vertex: one labelling polynomial gives its counts
+    # at k = 1..12, and its 6 atoms charge 35 joins in all
     spec = "g6:" + graph6.emit_graph6(vsum(cycle(4), 4))
-    for budget, expected in ((399, 3), (3992, 3), (3993, 0)):
+    for budget, expected in ((34, 3), (35, 0)):
         code, out, err = run_cli("analyze", spec, "--phi-max", "12",
                                  "--max-colorings", str(budget))
         assert (code, err) == (expected, "")
