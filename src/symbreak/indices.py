@@ -51,10 +51,12 @@ with one class of size 1, N_k is the sum above.  _phi_rows builds the
 rows: below theta varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above
 it every surjective k-coloring is distinguishing and the group acts
 freely, so varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
-Phi_k = sum_i C(k, i) varphi_i.  D is the first k with varphi_k > 0, or
-else the first rung past the rows that answers (_rungs, which
-distinguishing_number climbs from the bottom, with no rows and no theta).
-Witnesses come before walks: each rung first tries a few seeded probe
+Phi_k = sum_i C(k, i) varphi_i.  A table reads D from the same
+polynomial, with no probe and no walk: the least k < theta with N_k > 0,
+or theta when there is none, so its coloring budget pays only the joins.
+Without a table D is the first rung that answers (_rungs, which
+distinguishing_number climbs too, with no rows and no theta), and
+witnesses come before walks: each rung first tries a few seeded probe
 labellings, each certified by an automorphism search of walked's graph
 that keeps walked's start coloring (the pin or the weights) and the
 labels, at cap 1 (kernels._probe).  Only a rung whose probes all fail
@@ -225,7 +227,7 @@ def distinguishing_number(g: Graph, group: AutGroup | None = None) -> int:
     """Least k such that some k-coloring is distinguishing."""
     if group is None:
         group = automorphism_group(g)
-    return _rungs(group.n, group.order, group, (0,) * group.n, (1,), 1)
+    return _rungs(group.n, group.order, group, (0,) * group.n, (1,))
 
 
 def distinguishing_threshold(g: Graph, group: AutGroup | None = None) -> int:
@@ -300,9 +302,9 @@ def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
 
 
 def _phi_rows(n: int, order: int, theta: int, k_max: int,
-              below) -> tuple[tuple[PhiRow, ...], int]:
-    """Rows k = 1..k_max, and the least k with varphi_k > 0 (0 if none),
-    from below = Phi_1, Phi_2, ... for every k < theta up to k_max."""
+              below) -> tuple[PhiRow, ...]:
+    """Rows k = 1..k_max from below = Phi_1, Phi_2, ... for every k < theta
+    up to k_max."""
     varphi = [0] * (k_max + 1)
     for k in range(1, k_max + 1):
         if k < theta:
@@ -311,27 +313,23 @@ def _phi_rows(n: int, order: int, theta: int, k_max: int,
         elif k <= n:
             varphi[k] = _exact_div(math.factorial(k) * stirling2(n, k),
                                    order, "varphi")
-    rows = tuple(
+    return tuple(
         PhiRow(k, sum(math.comb(k, i) * varphi[i]
                       for i in range(1, min(k, n) + 1)), varphi[k])
         for k in range(1, k_max + 1))
-    return rows, next((r.k for r in rows if r.varphi), 0)
 
 
-def _rungs(n: int, order: int, walked: AutGroup, classes, sizes,
-           first: int) -> int:
-    """D of a group of the given order on n vertices, walked as in _ladder,
-    where no rung below first answers: 1 for the trivial group, n = 0
-    included, and otherwise the least rung from first on whose seeded
-    probes (kernels._probe) find a certified witness, or whose existence
-    walk over walked's minimal cycles finds one.  The walk charges the
-    coloring budget on top of the probes, and its elements are read only
-    where every probe failed."""
+def _rungs(n: int, order: int, walked: AutGroup, classes, sizes) -> int:
+    """D of a group of the given order on n vertices, walked as in _ladder:
+    1 for the trivial group, n = 0 included, and otherwise the least rung
+    whose seeded probes (kernels._probe) find a certified witness, or whose
+    existence walk over walked's minimal cycles finds one.  The walk
+    charges the coloring budget on top of the probes, and its elements are
+    read only where every probe failed."""
     if order == 1:
         return 1
     twins = order > walked.order
-    start = max(first, 2, *sizes) if twins else max(
-        first, 2, _transposition_class(walked))
+    start = max(2, *sizes) if twins else max(2, _transposition_class(walked))
     budget = limits.coloring_cap()
     for k in range(start, n + 1):
         witness, nodes = kernels._probe(walked.n, walked.adj, walked.colors,
@@ -351,24 +349,28 @@ def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
     order on n vertices, whose distinguishing k-colorings come from the
     labellings no element of walked fixes, vertex v taking one of
     C(k, sizes[classes[v]]) labels (see the module docstring); order
-    exceeds walked.order exactly when the graph has twins.  The minimal
-    cycles are read only for the labelling polynomial, whose scan then
-    records max_cycles for theta, or by a rung's walk; without a table
-    theta is read after D, so a scan that a walk ran spares the stream."""
+    exceeds walked.order exactly when the graph has twins.  A table reads
+    D from its labelling polynomial, the least k < theta with N_k > 0, or
+    theta when there is none, and the polynomial's scan of the minimal
+    cycles records max_cycles for theta.  Without a table D comes from the
+    rungs, and theta is read after D, so a scan that a walk ran spares the
+    stream."""
     twins = order > walked.order
     if not k_max:
-        d = _rungs(n, order, walked, classes, sizes, 1)
+        d = _rungs(n, order, walked, classes, sizes)
         return d, n if twins else walked.max_cycles + 1, None
     minimal = walked.minimal_cycles
     theta = n if twins else walked.max_cycles + 1
-    K = min(k_max, theta - 1)
     terms = kernels.labelling_polynomial(
-        walked.n, minimal, classes, limits.coloring_cap()) if K > 0 else ()
-    below = [_exact_div(kernels.labellings_at(terms,
-                                              kernels._palettes(k, sizes)),
-                        walked.order, "Phi") for k in range(1, K + 1)]
-    rows, d = _phi_rows(n, order, theta, k_max, below)
-    d = d or _rungs(n, order, walked, classes, sizes, k_max + 1)
+        walked.n, minimal, classes, limits.coloring_cap()) if theta > 1 else ()
+
+    def labellings(k: int) -> int:
+        return kernels.labellings_at(terms, kernels._palettes(k, sizes))
+
+    d = next((k for k in range(1, theta) if labellings(k)), theta)
+    below = [_exact_div(labellings(k), walked.order, "Phi")
+             for k in range(1, min(k_max, theta - 1) + 1)]
+    rows = _phi_rows(n, order, theta, k_max, below)
     return d, theta, PhiTable(n, order, d, theta, rows)
 
 

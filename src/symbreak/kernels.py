@@ -18,7 +18,7 @@
                                      every k at once, by inclusion-exclusion
                                      over the cycle partitions: the Phi rows
   labelling_ladder                   the labelling walk's counts at
-                                     k = 1..K labels, memoized as a ladder
+                                     k = 1..K labels, on one budget
   count_distinguishing_partitions    set partitions no automorphism fixes,
                                      by number of blocks, from the ladder:
                                      phi_brute's oracle route
@@ -105,28 +105,26 @@ walk's text, from whichever of the two spends it.  The probes read the
 graph and its chain, never the walk's elements, so a rung they answer
 needs no minimal-cycle scan.
 
-The four are memoized in bounded per-process caches, keyed on every
-input: (n, tuple(elements), classes, sizes, node_budget), with max_blocks
-and the probes' nodes for the existence search; the polynomial on (n,
-tuple(elements), classes, node_budget), as its terms serve every palette;
-and the probes on (n, adj, start colors, chain, classes, sizes, k,
-node_budget), where the first three determine the chain.  A probe or a
-polynomial that raises stores nothing.  The ladder's holds the rungs
-climbed so far: N_1..N_K and the nodes its K walks spent.  A ladder to
-K' <= K is a slice of it: a fresh one would charge a prefix of those
-nodes, so it could not raise.  A ladder to K' > K climbs on, running walks
-K+1..K' from the stored node total and storing each walk as it completes,
-so it charges the nodes a fresh ladder to K' charges, answers the same,
-and raises at the same walk with the same text.  A ladder is stored once
-its first walk completes, and a walk that raises stores nothing.  So the
-paper's ladders, least k with Phi_k >= a target and sums of phi_i over
-i <= k, expand each polynomial, and run each of phi_brute's walks, once
-per process.  Product graphs whose groups act alike pass the same
-elements, so the keys hit across graphs, as well as on the rule sweeps
-that ask the same copy factor again.  The answer is a pure function of the
-key and the rung asked; the budget is part of the key, so a smaller budget
-still raises where it did.  The ladder and the partition count return a
-fresh list on every call, the polynomial an immutable tuple.
+The walk, the polynomial and the probes are memoized in bounded
+per-process caches, keyed on every input.  The walk has one memo, _walk,
+on (n, tuple(elements), classes, sizes, k, node_budget, first, nodes),
+where nodes are those spent before the walk: by a rung's probes for the
+existence search, or by the walks at 1..k-1 for a ladder's rung k.  The
+polynomial's is on (n, tuple(elements), classes, node_budget), as its
+terms serve every palette; the probes' on (n, adj, start colors, chain,
+classes, sizes, k, node_budget), where the first three determine the
+chain.  A search that raises stores nothing.  A ladder to K therefore
+reads the rungs a ladder to K' < K stored and walks only k > K', from the
+nodes they spent: it charges what a fresh ladder charges, answers the
+same, and raises at the same walk with the same text.  So the paper's
+ladders, least k with Phi_k >= a target and sums of phi_i over i <= k,
+expand each polynomial, and run each of phi_brute's walks, once per
+process.  Product graphs whose groups act alike pass the same elements, so
+the keys hit across graphs, as well as on the rule sweeps that ask the
+same copy factor again.  The answer is a pure function of the key; the
+budget is part of the key, so a smaller budget still raises where it did.
+The ladder and the partition count return a fresh list on every call, the
+polynomial an immutable tuple.
 
 Graphs arrive as per-vertex neighbor bitmasks.  Group elements arrive and
 leave as image tuples (element[i] = image of vertex i).  Budgets raise
@@ -505,11 +503,10 @@ def _palettes(k: int, sizes) -> tuple[int, ...]:
     return tuple(math.comb(k, t) for t in sizes)
 
 
-@lru_cache(maxsize=256)
-def _exists(n, elements, classes, sizes, k, node_budget, nodes):
+@lru_cache(maxsize=512)
+def _walk(n, elements, classes, sizes, k, node_budget, first, nodes):
     return count_distinguishing_labellings(
-        n, elements, classes, _palettes(k, sizes), node_budget, True,
-        nodes)[0] > 0
+        n, elements, classes, _palettes(k, sizes), node_budget, first, nodes)
 
 
 def exists_distinguishing_partition(n, elements, max_blocks, node_budget,
@@ -521,8 +518,8 @@ def exists_distinguishing_partition(n, elements, max_blocks, node_budget,
     the given nodes, those a rung's probes spent."""
     if n == 0 or max_blocks < 1:
         return False
-    return _exists(n, tuple(elements), tuple(classes or (0,) * n),
-                   tuple(sizes), max_blocks, node_budget, nodes)
+    return _walk(n, tuple(elements), tuple(classes or (0,) * n),
+                 tuple(sizes), max_blocks, node_budget, True, nodes)[0] > 0
 
 
 @lru_cache(maxsize=256)
@@ -646,44 +643,17 @@ def labellings_at(terms, palettes) -> int:
                for blocks, c in terms)
 
 
-class _Ladder:
-    """One ladder's rungs so far: N[k - 1] for k = 1..K, and the nodes its
-    K walks spent against the key's node_budget.  It is stored only once
-    its first walk completes."""
-
-    __slots__ = ("key", "N", "nodes")
-
-    def __init__(self, *key):
-        self.key, self.N, self.nodes = key, [], 0
-        self.climb(1)
-
-    def climb(self, K: int) -> None:
-        """Extend to rung K, one labelling walk per missing rung k, each
-        charging on top of the nodes the walks below it spent.  A walk
-        appends its rung only once it completes, so a walk that raises
-        leaves the ladder as it was."""
-        n, elements, classes, sizes, node_budget = self.key
-        for k in range(len(self.N) + 1, K + 1):
-            labellings, self.nodes = count_distinguishing_labellings(
-                n, elements, classes, _palettes(k, sizes), node_budget,
-                False, self.nodes)
-            self.N.append(labellings)
-
-
-_count = lru_cache(maxsize=256)(_Ladder)
-
-
 def labelling_ladder(n: int, elements, classes, sizes, K: int,
                      node_budget: int) -> list[int]:
     """N_k for k = 1..K: count_distinguishing_labellings with
-    C(k, sizes[w]) labels for class w, from the input's ladder climbed
-    to K."""
-    if K < 1:
-        return []
-    ladder = _count(n, tuple(elements), tuple(classes), tuple(sizes),
-                    node_budget)
-    ladder.climb(K)
-    return ladder.N[:K]
+    C(k, sizes[w]) labels for class w, one walk per rung, each charging
+    node_budget on top of the nodes the walks below it spent."""
+    key = n, tuple(elements), tuple(classes), tuple(sizes)
+    N, nodes = [], 0
+    for k in range(1, K + 1):
+        labellings, nodes = _walk(*key, k, node_budget, False, nodes)
+        N.append(labellings)
+    return N
 
 
 def count_distinguishing_partitions(n: int, elements, max_blocks: int,

@@ -414,8 +414,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [("--phi-max", "3"), ()],
                              ids=["count", "exists"])
     def test_coloring_budget_past_64_bits(self, run_cli, argv):
-        kernels._count.cache_clear()
-        kernels._exists.cache_clear()
+        kernels._walk.cache_clear()
         code, out, err = run_cli("analyze", "builtin:petersen", *argv,
                                  "--max-colorings", str(10**20))
         assert (code, err) == (0, "")

@@ -131,7 +131,7 @@ class TestTranspositionStart:
         cases = _d_cases(connected7)
         started = 0
         for g, group in cases:
-            kernels._exists.cache_clear()
+            kernels._walk.cache_clear()
             del walks[:]
             d = distinguishing_number(g, group)
             start = indices._transposition_class(group)
@@ -147,7 +147,7 @@ class TestTranspositionStart:
     def test_k8_takes_one_rung(self, walks):
         g = complete(8)
         group = automorphism_group(g)
-        kernels._exists.cache_clear()
+        kernels._walk.cache_clear()
         assert distinguishing_number(g, group) == 8
         assert [(palettes, first) for *_, palettes, first in walks] == [
             ((8,), True)]
@@ -328,9 +328,9 @@ class TestLadder:
 
     @staticmethod
     def _rungs(monkeypatch, answer) -> list[int]:
-        """The rungs the ladder asks about, with every count row 0, no
-        probe finding a witness, and answer(k) as the existence search's
-        answer at rung k."""
+        """The rungs the ladder asks about, with the labelling polynomial
+        0 at every k, no probe finding a witness, and answer(k) as the
+        existence search's answer at rung k."""
         seen = []
 
         def exists(n, elements, k, node_budget, classes, sizes, nodes):
@@ -344,20 +344,23 @@ class TestLadder:
                             exists)
         return seen
 
-    @pytest.mark.parametrize("k_max,asked", [(None, [2, 3]), (1, [2, 3]),
-                                             (2, [3])])
+    @pytest.mark.parametrize("k_max,asked", [(None, [2, 3]), (1, []),
+                                             (2, [])])
     def test_rungs_start_past_the_table(self, monkeypatch, k_max, asked):
         # a triangle with a pendant vertex: order 2, theta 4, and its one
-        # transposition starts the rungs at 2
+        # transposition starts the rungs at 2, where rung 3 answers; a
+        # table asks no rung, as its polynomial, 0 below theta, gives
+        # D = theta
         walked = automorphism_group(build_graph(
             4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
         seen = self._rungs(monkeypatch, lambda k: k == 3)
         d, theta, table = indices._ladder(4, 2, walked, (0,) * 4, (1,),
                                           k_max)
-        assert (d, theta, seen) == (3, 4, asked)
+        assert (d, theta, seen) == (3 if k_max is None else 4, 4, asked)
         assert (table is None) == (k_max is None)
 
-    @pytest.mark.parametrize("k_max", [None, 2])
+    # the table route has no rungs to exhaust
+    @pytest.mark.parametrize("k_max", [None])
     def test_no_rung_answers(self, monkeypatch, k_max):
         walked = automorphism_group(path(3))  # order 2, theta 3
         self._rungs(monkeypatch, lambda k: False)
@@ -365,6 +368,40 @@ class TestLadder:
                            match="^no distinguishing coloring up to n "
                                  "colors$"):
             indices._ladder(3, 2, walked, (0,) * 3, (1,), k_max)
+
+
+class TestTableD:
+    """A table reads D from its labelling polynomial, the least k < theta
+    with N_k > 0; without a table D comes from the rungs, probes then
+    walks.  The two routes share no count, so each is the other's oracle."""
+
+    def test_graph_indices(self, connected7):
+        shapes = tuple(make() for make in SYMMETRIC_SHAPES.values())
+        above_one = 0
+        for g in connected7 + shapes:
+            d = graph_indices(g).d
+            assert graph_indices(g, phi_max=1).d == d
+            above_one += d > 1
+        assert above_one == 854
+
+    def test_rooted_indices(self, connected7):
+        cases = above_one = 0
+        for g in connected7:
+            for v in range(g.n):
+                h = RootedGraph(g, v)
+                d = rooted_indices(h).d
+                assert rooted_indices(h, phi_max=1).d == d
+                cases += 1
+                above_one += d > 1
+        assert (cases, above_one) == (6781, 4544)
+
+    def test_phi_table(self, connected7):
+        shapes = tuple(make() for make in SYMMETRIC_SHAPES.values())
+        graphs = [g for g in connected7 + shapes if g.n <= 12]
+        for g in graphs:
+            group = automorphism_group(g)
+            assert phi_table(g, 1, group).d == distinguishing_number(g, group)
+        assert len(graphs) == 996 + 9
 
 
 @settings(max_examples=30, deadline=None)

@@ -33,7 +33,7 @@ def _adj(g):
 
 def _fresh_exists(*args):
     """The existence search itself, not its per-process memo."""
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     return kernels.exists_distinguishing_partition(*args)
 
 
@@ -47,13 +47,13 @@ def _fresh_probe(n, adj, k, node_budget, colors=None):
 
 
 def _fresh_count(*args):
-    """The count climbed from an empty ladder: its per-process memo is
-    cleared before and after, so no ladder outlives the call."""
-    kernels._count.cache_clear()
+    """The count from an empty walk memo: the memo is cleared before and
+    after, so no rung outlives the call."""
+    kernels._walk.cache_clear()
     try:
         return kernels.count_distinguishing_partitions(*args)
     finally:
-        kernels._count.cache_clear()
+        kernels._walk.cache_clear()
 
 
 def test_backend_reports_a_name():
@@ -166,7 +166,7 @@ def _exists_rungs(connected7):
 
 
 def _assert_exists_budget_boundary(rungs):
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     for n, elements, k, found, nodes in rungs:
         assert kernels.exists_distinguishing_partition(
             n, elements, k, nodes) is found
@@ -185,7 +185,7 @@ def test_exists_visits_the_reference_nodes(monkeypatch, connected7):
 
 
 def test_exists_memo_never_charges_more_nodes(connected7):
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     below = 0
     for n, elements, k, found, nodes in _exists_rungs(connected7):
         assert kernels.exists_distinguishing_partition(
@@ -217,7 +217,7 @@ def test_exists_answers_a_non_natural_lex_product():
     g, _ = lexicographic(graph6.parse_graph6("En}?"),
                          graph6.parse_graph6("A_"))
     minimal = automorphism_group(g).minimal_cycles
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     assert not any(kernels.exists_distinguishing_partition(
         g.n, minimal, k, 10**6) for k in range(2, 6))
     with limits.scoped(max_colorings=10**6):
@@ -294,7 +294,7 @@ def _labelling_reference(n, elements, k):
     return rec(0, 0, list(range(len(elements)))), nodes
 
 
-# the count from an empty ladder, without the walk's memo, gives the plain
+# the count from an empty walk memo, without the walk's own memo, gives the plain
 # count's A, and charges the plain labelling walk's nodes at k = 1..K, summed
 def test_count_visits_the_reference_nodes(monkeypatch, connected7):
     monkeypatch.setattr(kernels, "_MEMO_WORDS", 0)
@@ -576,7 +576,7 @@ def test_walk_charges_on_top_of_the_probes():
     found, walk = kernels.count_distinguishing_labellings(
         6, group.minimal_cycles, (0,) * 6, (6,), 10**7, True)
     assert found == 1
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     with limits.scoped(max_colorings=48 + walk):
         assert distinguishing_number(g, group) == 6
     with limits.scoped(max_colorings=48 + walk - 1):
@@ -589,8 +589,7 @@ def test_walk_charges_on_top_of_the_probes():
 # -- per-process memos ---------------------------------------------------------
 
 def test_memo_never_stores_a_spent_budget():
-    kernels._count.cache_clear()
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     c6 = _c6_elements()
     for _ in range(2):
         # the count's first walk, at k = 1, charges 6 nodes
@@ -600,17 +599,17 @@ def test_memo_never_stores_a_spent_budget():
         with pytest.raises(BudgetExceededError,
                            match="^coloring search exceeded budget 2$"):
             kernels.exists_distinguishing_partition(6, c6, 6, 2)
-    assert kernels._count.cache_info().currsize == 0
-    assert kernels._exists.cache_info().currsize == 0
+    assert kernels._walk.cache_info().currsize == 0
     # at 10 the walk at k = 1 completes and the one at k = 2 raises: the
-    # ladder keeps rung 1 and its nodes, and nothing of the walk that raised
+    # memo keeps rung 1 and its nodes, and nothing of the walk that raised
     for _ in range(2):
         with pytest.raises(BudgetExceededError,
                            match="^coloring search exceeded budget 10$"):
             kernels.count_distinguishing_partitions(6, c6, 3, 10)
-    assert kernels._count.cache_info().currsize == 1
-    ladder = kernels._count(6, tuple(c6), (0,) * 6, (1,), 10)
-    assert (ladder.N, ladder.nodes) == ([0], 6)
+    info = kernels._walk.cache_info()
+    assert info.currsize == 1
+    assert _rungs(6, c6, (0,) * 6, (1,), 1, 10) == [(0, 6)]
+    assert kernels._walk.cache_info().hits == info.hits + 1
     assert kernels.count_distinguishing_partitions(6, c6, 1, 10) == [0, 0]
     # the same searches answer at a larger budget
     assert kernels.count_distinguishing_partitions(6, c6, 3, 10**7) == [
@@ -619,7 +618,7 @@ def test_memo_never_stores_a_spent_budget():
 
 
 def test_eq2_runs_each_count_walk_once(walks):
-    kernels._count.cache_clear()
+    kernels._walk.cache_clear()
     assert verify.run_rules(["eq2"])
     counts = [(n, elements, budget, palettes[0])
               for n, elements, budget, palettes, first in walks
@@ -628,15 +627,26 @@ def test_eq2_runs_each_count_walk_once(walks):
     assert len(counts) == len(set(counts))
 
 
-# a count whose ladder is climbed in two steps charges exactly what a fresh
-# count charges at the top rung, and raises one node below it
+def _rungs(n, elements, classes, sizes, K, node_budget):
+    """(N_k, nodes spent by rungs 1..k) for k = 1..K, read from the walk
+    memo as labelling_ladder chains it."""
+    rungs, nodes = [], 0
+    for k in range(1, K + 1):
+        rungs.append(kernels._walk(n, tuple(elements), classes, sizes, k,
+                                   node_budget, False, nodes))
+        nodes = rungs[-1][1]
+    return rungs
+
+
+# a count climbed in two steps charges exactly what a fresh count charges
+# at the top rung, and raises one node below it
 @pytest.mark.parametrize("elements,total,A", [
     (_c6_elements, 180, [0, 0, 6, 68]),
     (lambda: _minimal(vsum(cycle(4), 4)), 25_245, [0, 0, 0, 24192])],
     ids=["C6", "C4x4"])
 def test_memo_extends_the_ladder_a_fresh_count_climbs(walks, elements, total,
                                                       A):
-    kernels._count.cache_clear()
+    kernels._walk.cache_clear()
     elements = tuple(elements())
     n = len(elements[0])
     assert kernels.count_distinguishing_partitions(n, elements, 2,
@@ -645,8 +655,8 @@ def test_memo_extends_the_ladder_a_fresh_count_climbs(walks, elements, total,
     assert kernels.count_distinguishing_partitions(n, elements, 3,
                                                    total) == A
     assert len(walks) == 3
-    assert kernels._count(n, elements, (0,) * n, (1,), total).nodes == total
-    # a count at or below the ladder's top is a slice: no walk
+    assert _rungs(n, elements, (0,) * n, (1,), 3, total)[-1][1] == total
+    # a count at or below the top rung walked reads the memo: no walk
     assert kernels.count_distinguishing_partitions(n, elements, 2,
                                                    total) == A[:3]
     assert kernels.count_distinguishing_partitions(n, elements, 1,
@@ -668,40 +678,42 @@ def test_memo_extends_the_ladder_a_fresh_count_climbs(walks, elements, total,
     assert kernels.count_distinguishing_partitions(n, elements, 2,
                                                    total - 1) == A[:3]
     assert walks == []
-    # the ladder holds N_k = sum_j A_j * k!/(k-j)! for the rungs it climbed
-    assert kernels._count(n, elements, (0,) * n, (1,), total - 1).N == [
+    # the memo holds N_k = sum_j A_j * k!/(k-j)! for the rungs walked
+    assert [N for N, _ in _rungs(n, elements, (0,) * n, (1,), 2,
+                                  total - 1)] == [
         sum(a * math.perm(k, j) for j, a in enumerate(A[:k + 1]))
         for k in (1, 2)]
+    assert walks == []
 
 
 def test_ladder_of_classes_is_its_walks_on_one_budget():
     # K4,4's twin quotient: two classes of 4 false twins, swapped
     n, elements, classes, sizes = 2, ((1, 0),), (0, 0), (4,)
-    kernels._count.cache_clear()
+    kernels._walk.cache_clear()
     counts = [kernels.count_distinguishing_labellings(
         n, elements, classes, (math.comb(k, 4),), 10**7)
         for k in range(1, 9)]
     assert kernels.labelling_ladder(n, elements, classes, sizes, 8,
                                     10**7) == [c for c, _ in counts]
-    assert kernels._count(n, elements, classes, sizes, 10**7).nodes == sum(
+    assert _rungs(n, elements, classes, sizes, 8, 10**7)[-1][1] == sum(
         nodes for _, nodes in counts)
     # N_8 = |Aut_w(G')| * Phi_8(K4,4): two distinct 4-sets of 8 colors
     assert kernels.labelling_ladder(n, elements, classes, sizes, 8,
                                     10**7)[7] == 2 * 2415
-    # the sizes are part of the key
+    # the sizes are part of the key: 8 rungs of sizes (4,), 2 of (1,)
     assert kernels.labelling_ladder(n, elements, classes, (1,), 2,
                                     10**7) == [0, 2]
-    assert kernels._count.cache_info().currsize == 2
+    assert kernels._walk.cache_info().currsize == 8 + 2
 
 
 def test_count_below_one_block_runs_no_walk(walks):
-    kernels._count.cache_clear()
+    kernels._walk.cache_clear()
     c6 = _c6_elements()
     assert kernels.count_distinguishing_partitions(6, c6, 0, 1) == [0]
     assert kernels.count_distinguishing_partitions(6, c6, -1, 1) == []
     assert kernels.count_distinguishing_partitions(0, [], 2, 1) == [0, 0, 0]
     assert walks == []
-    assert kernels._count.cache_info().currsize == 0
+    assert kernels._walk.cache_info().currsize == 0
 
 
 def test_memo_keeps_the_budget_in_its_key():
@@ -724,16 +736,15 @@ def test_memo_answers_a_fresh_list():
 
 
 def test_memo_key_reads_elements_as_a_tuple():
-    kernels._count.cache_clear()
-    kernels._exists.cache_clear()
     c6 = _c6_elements()
     assert isinstance(c6, list)
-    for search in (kernels.count_distinguishing_partitions,
-                   kernels.exists_distinguishing_partition):
+    # the count walks rungs 1..3, the existence search rung 3 alone
+    for search, rungs in ((kernels.count_distinguishing_partitions, 3),
+                          (kernels.exists_distinguishing_partition, 1)):
+        kernels._walk.cache_clear()
         assert search(6, c6, 3, 10**7) == search(6, tuple(c6), 3, 10**7)
-    for memo in (kernels._count, kernels._exists):
-        info = memo.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        info = kernels._walk.cache_info()
+        assert (info.hits, info.misses) == (rungs, rungs)
 
 
 def test_cache_clear_empties_every_memo():
@@ -743,7 +754,7 @@ def test_cache_clear_empties_every_memo():
     distinguishing_number(g, group)
     kernels.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
     verify._restriction_property(g, 0)
-    memos = (kernels._count, kernels._exists, kernels._kill_table,
+    memos = (kernels._walk, kernels._kill_table,
              kernels._probe, perms.colored_group,
              verify._distinguishing_partitions)
     assert all(memo.cache_info().currsize for memo in memos)
@@ -762,7 +773,7 @@ def test_d_ladder_builds_one_kill_table(monkeypatch):
     g = vsum(complete(3), 4)
     group = automorphism_group(g)
     assert len(group.minimal_cycles) == 16
-    kernels._exists.cache_clear()
+    kernels._walk.cache_clear()
     kernels._kill_table.cache_clear()
     # with the probes off, every rung is walked
     monkeypatch.setattr(kernels, "_probe", lambda *args: (None, 0))

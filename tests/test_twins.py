@@ -268,8 +268,14 @@ def test_probe_answers_d_with_no_scan_and_no_walk(run_cli, monkeypatch, walks,
                          ids=["d", "phi"])
 def test_twin_route_spends_the_coloring_budget(run_cli, spec, argv):
     code, out, err = run_cli("analyze", spec, *argv, "--max-colorings", "1")
-    assert (code, err) == (3, "")
     record = json.loads(out)["graphs"][0]
+    if argv and spec == "builtin:complete_bipartite:4:4":
+        # K4,4's quotient has one atom, so its polynomial spends one join,
+        # and the table reads D from it with no rung
+        assert (code, err) == (0, "")
+        assert (record["d"], record["theta"]) == (5, 8)
+        return
+    assert (code, err) == (3, "")
     assert record["skipped"] == "coloring search exceeded budget 1"
 
 
@@ -393,6 +399,6 @@ def test_corpus_search_count(connected7, searches, certificates):
     for g in connected7:
         graph_indices(g, phi_max=4, steady=True)
     assert len(searches) <= 1816
-    # the rungs past --phi-max 4 that a probe answers, each with one
-    # certified labelling
-    assert len(certificates) == 9
+    # each table reads D from its polynomial, so no rung probes, and no
+    # labelling needs a certificate
+    assert len(certificates) == 0
