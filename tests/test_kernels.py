@@ -294,8 +294,9 @@ def _labelling_reference(n, elements, k):
     return rec(0, 0, list(range(len(elements)))), nodes
 
 
-# the count from an empty walk memo, without the walk's own memo, gives the plain
-# count's A, and charges the plain labelling walk's nodes at k = 1..K, summed
+# the count from an empty walk memo, with the walk's own memo off, gives
+# the plain count's A, and charges the plain labelling walk's nodes at
+# k = 1..K, summed
 def test_count_visits_the_reference_nodes(monkeypatch, connected7):
     monkeypatch.setattr(kernels, "_MEMO_WORDS", 0)
     rungs = _exists_rungs(connected7)
