@@ -70,13 +70,15 @@ few probes answers.  The minimal-cycle scan runs only where a walk needs
 its elements: for the polynomial, read before theta so the scan records
 max_cycles, or for a rung no probe answers.  Without a table theta is
 read after D, from the scan if a walk ran it, and otherwise from the
-max_cycles stream, cheaper per element and stopped at n - 1 cycles
-(perms.AutGroup.max_cycles); so analyze without --phi-max,
-distinguishing_number and rooted_indices scan nothing on a rung a probe
-answers.  Without twins the rungs start at the largest
-transposition class: if (a b) and (b c) are automorphisms, so is (a c),
-so transpositions join the vertices into cliques, a distinguishing
-coloring is injective on each, and every rung below the largest is empty.
+chain's levels, deepest first, each skipped or cut short once a
+conjugacy bound shows it cannot raise the count
+(perms.AutGroup.max_cycles: 2,879 of Kneser(10,2)'s 3,628,800
+elements); so analyze without --phi-max, distinguishing_number and
+rooted_indices scan nothing on a rung a probe answers.  Without twins
+the rungs start at the largest transposition class: if (a b) and (b c)
+are automorphisms, so is (a c), so transpositions join the vertices
+into cliques, a distinguishing coloring is injective on each, and every
+rung below the largest is empty.
 A transposition of walked is a swap of two twins of its graph that share
 a start color, so the start is read from those twin classes, with no scan
 and no stream (_transposition_class).  With twins they start at
@@ -354,7 +356,7 @@ def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
     theta when there is none, and the polynomial's scan of the minimal
     cycles records max_cycles for theta.  Without a table D comes from the
     rungs, and theta is read after D, so a scan that a walk ran spares the
-    stream."""
+    chain's levels."""
     twins = order > walked.order
     if not k_max:
         d = _rungs(n, order, walked, classes, sizes)

@@ -24,7 +24,8 @@ the chain without an element list:
                       candidate is tested only against the kept elements
                       whose first moved vertex it moves
   max_cycles          recorded by that scan when it has run; otherwise the
-                      same stream, stopped early at n - 1 cycles
+                      chain's levels from the deepest up, each skipped or
+                      stopped early by a conjugacy bound
 
 Sorted Permutation elements, identity first, are built only where a caller
 reads elements, iterates the group or asks for nonidentity_images: the
@@ -205,13 +206,33 @@ class AutGroup:
     def max_cycles(self) -> int:
         """Largest cycle count, fixed points included, over the non-identity
         elements; 0 for the trivial group.  Read minimal_cycles first where
-        both are needed: its scan records this value, and this stream is
-        then never walked."""
-        best = 0
-        for block in self._products():
-            best = _max_cycles(self.n, block, best)
-            if best == self.n - 1:
-                break
+        both are needed: its scan records this value, and the chain is then
+        not read again.
+
+        Otherwise the chain's levels are read from the deepest up.  Level i
+        holds G_i minus G_{i+1}, the products t * s with t a non-identity
+        element of the transversal T_i and s in G_{i+1}, and the levels
+        partition the non-identity elements.  An element of G_i that fixes
+        a point of the orbit O of the level's base point is conjugate in
+        G_i to an element of G_{i+1}, with the same cycle type, so the
+        levels below already cover its count.  An element that fixes no
+        point of O has cycles of length at least 2 on O's |T_i| points, so
+        at most n - ceil(|T_i| / 2) cycles.  A level whose bound is no more
+        than the best below it is skipped, and a level stops once the best
+        reaches its bound; every bound is at most n - 1, so the levels stop
+        there too.  At worst every product is read once, as one stream of
+        the group would read it.
+        """
+        n, best = self.n, 0
+        for i in range(len(self.chain) - 1, -1, -1):
+            bound = n - (len(self.chain[i]) + 1) // 2
+            if bound <= best:
+                continue
+            level = (self.chain[i][1:],) + self.chain[i + 1:]
+            for block in _product_blocks(n, level, _STREAM_BLOCK):
+                best = _max_cycles(n, block, best)
+                if best >= bound:
+                    break
         return best
 
 

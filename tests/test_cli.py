@@ -39,20 +39,33 @@ class TestAnalyze:
         g = json.loads(out)["graphs"][0]
         assert (g["autOrder"], g["d"], g["theta"]) == expected
 
-    @pytest.mark.parametrize("argv", [
-        ("builtin:kneser:7:2",), ("builtin:petersen", "--phi-max", "3"),
+    @pytest.mark.parametrize("argv,theta", [
+        (("builtin:kneser:7:2",), 17),
+        (("builtin:petersen", "--phi-max", "3"), 8),
     ], ids=["kneser_7_2", "petersen"])
     def test_analyze_streams_the_group_once(self, run_cli, monkeypatch,
-                                            argv):
-        # theta reads the largest cycle count that the minimal-cycle scan
-        # recorded, so no second stream of the group's products runs
+                                            argv, theta):
+        # with a table theta reads the largest cycle count that the
+        # minimal-cycle scan recorded, so no second stream of the group's
+        # products runs; without one the chain's levels read a few of them
         calls = []
-        monkeypatch.setattr(perms, "_max_cycles",
-                            lambda *args: calls.append(args))
+        scan = perms._max_cycles
+
+        def spy(n, elements, best=0):
+            calls.append(len(elements))
+            return scan(n, elements, best)
+
+        monkeypatch.setattr(perms, "_max_cycles", spy)
         perms._cached_group.cache_clear()
-        code, _, err = run_cli("analyze", *argv)
+        perms.colored_group.cache_clear()
+        code, out, err = run_cli("analyze", *argv)
         assert (code, err) == (0, "")
-        assert calls == []
+        assert json.loads(out)["graphs"][0]["theta"] == theta
+        if "--phi-max" in argv:
+            assert calls == []
+        else:
+            # a stream of Kneser(7,2)'s group reads 5,040 products
+            assert 0 < sum(calls) < 100
 
     def test_g6_token_input(self, run_cli):
         code, out, _ = run_cli("analyze", "g6:Cl")

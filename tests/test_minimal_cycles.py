@@ -7,7 +7,9 @@ partition counts A_j, the same D and the same theta.
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 
@@ -17,7 +19,7 @@ from symbreak.graphs import (asymmetric6, complete, cycle, is_isomorphic,
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               phi_brute, phi_table)
 from symbreak.perms import (AutGroup, automorphism_group, cycle_decomposition,
-                            enumerate_automorphisms, identity)
+                            enumerate_automorphisms, identity, stabilizer)
 from symbreak.products import corona, lexicographic, rooted_product_smooth
 
 from conftest import SYMMETRIC_SHAPES, vsum
@@ -46,6 +48,26 @@ def _elementwise_theta(group: AutGroup) -> int:
     return 1 + max((cycle_decomposition(p).cycle_count
                     for p in group.elements if not p.is_identity()),
                    default=0)
+
+
+def _fresh(group: AutGroup) -> AutGroup:
+    """The group rebuilt from its chain, so max_cycles comes from the
+    chain's levels and not from a scan an earlier reader ran."""
+    return AutGroup(group.n, group.adj, group.order, group.chain,
+                    group.colors)
+
+
+def _with_stabilizers(group: AutGroup) -> list[AutGroup]:
+    return [group] + [stabilizer(group, v) for v in range(group.n)]
+
+
+def _top_level_max(group: AutGroup) -> bool:
+    """Does only the top level of a chain of several hold the maximum?"""
+    if len(group.chain) < 2:
+        return False
+    below = AutGroup(group.n, group.adj, group.order // len(group.chain[0]),
+                     group.chain[1:])
+    return below.max_cycles < _fresh(group).max_cycles
 
 
 def _elementwise_d(group: AutGroup) -> int:
@@ -152,9 +174,12 @@ class TestReduction:
                     assert any(_refines(q, p.image) for q in kept)
 
     def test_max_cycle_count_matches_elementwise(self, connected7):
-        for g in connected7:
-            group = automorphism_group(g)
-            assert group.max_cycles + 1 == _elementwise_theta(group)
+        groups = [h for g in connected7
+                  for h in _with_stabilizers(enumerate_automorphisms(g))]
+        for group in groups:
+            assert _fresh(group).max_cycles + 1 == _elementwise_theta(group)
+        # 69 of them: a route that skipped the top level would miss these
+        assert any(map(_top_level_max, groups))
 
     def test_scan_records_max_cycles(self, connected7):
         graphs = list(connected7) + [f() for f in SYMMETRIC_SHAPES.values()]
@@ -237,6 +262,8 @@ def test_streamed_partitions_match_the_element_scan_on_symmetric_shapes(name):
     group = enumerate_automorphisms(ORACLE_SHAPES[name]())
     assert group.minimal_cycles == _scanned_minimal_cycles(group)
     assert group.max_cycles + 1 == _elementwise_theta(group)
+    for h in _with_stabilizers(group):
+        assert _fresh(h).max_cycles + 1 == _elementwise_theta(h)
 
 
 def test_kneser_7_2_runs_few_refinement_tests(monkeypatch):
@@ -262,3 +289,65 @@ def test_kneser_7_2_runs_few_refinement_tests(monkeypatch):
     assert (kept, most) == (group.minimal_cycles, group.max_cycles)
     # a test against every kept element made about 89,000
     assert 0 < calls // 2 <= 10_000
+
+
+def _counting(monkeypatch) -> list[int]:
+    """Count the elements that perms._max_cycles takes from its input."""
+    read = [0]
+    scan = perms._max_cycles
+
+    def spy(n, elements, best=0):
+        def counted():
+            for e in elements:
+                read[0] += 1
+                yield e
+        return scan(n, counted(), best)
+
+    monkeypatch.setattr(perms, "_max_cycles", spy)
+    return read
+
+
+def test_kneser_10_2_max_cycles_reads_few_elements(monkeypatch):
+    group = enumerate_automorphisms(kneser(10, 2), math.inf)
+    assert group.order == math.factorial(10)
+    read = _counting(monkeypatch)
+    start = time.perf_counter()
+    assert group.max_cycles == 37
+    assert time.perf_counter() - start < 1
+    # the levels below the two largest transversals, 12 * 5 * 4 * 3 * 2 * 2
+    # products less the identity, of the 3,628,800 a stream reads
+    assert 0 < read[0] <= 2879
+
+
+def _klein_times_cycle(m: int) -> AutGroup:
+    """A permutation group given by its chain (adj is not read): the Klein
+    four-group regular on 0..3, whose two elements other than (0 2)(1 3)
+    also swap 4 and 5, times the rotations of the m points 6..m+5.
+
+    The top level's bound is n - 2, which only (0 2)(1 3) reaches, and the
+    level below reaches n - 6 - m // 2.  For 3m > _STREAM_BLOCK the top
+    level is read in three blocks, t * C_m for each transversal element t
+    in turn, and the first, through (0 1)(2 3)(4 5), reaches n - 3.
+    """
+    n = m + 6
+    ident = tuple(range(n))
+
+    def on_klein(*image):
+        return image + ident[6:]
+
+    top = (ident, on_klein(1, 0, 3, 2, 5, 4), on_klein(2, 3, 0, 1, 4, 5),
+           on_klein(3, 2, 1, 0, 5, 4))
+    rotations = tuple(ident[:6] + tuple(6 + (v + j) % m for v in range(m))
+                      for j in range(m))
+    return AutGroup(n, (0,) * n, 4 * m, (top, rotations))
+
+
+def test_max_cycles_stops_a_level_only_at_its_bound(monkeypatch):
+    m = 86
+    assert 3 * m > perms._STREAM_BLOCK
+    group = _klein_times_cycle(m)
+    assert _elementwise_theta(group) == m + 5
+    read = _counting(monkeypatch)
+    assert group.max_cycles == m + 4
+    # the level below, then the blocks of (0 1)(2 3)(4 5) and (0 2)(1 3)
+    assert read[0] == (m - 1) + 2 * m

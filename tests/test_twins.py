@@ -240,8 +240,9 @@ def test_analyze_scans_no_full_group(run_cli, monkeypatch):
     ids=["kneser_7_2", "kneser_9_2"])
 def test_probe_answers_d_with_no_scan_and_no_walk(run_cli, monkeypatch, walks,
                                                   spec, d, theta, seconds):
-    # a probe answers the one rung and theta comes from the max_cycles
-    # stream, so the minimal-cycle scan never runs and no walk starts
+    # a probe answers the one rung and theta comes from the chain's levels
+    # (AutGroup.max_cycles), so the minimal-cycle scan never runs and no
+    # walk starts
     scanned = []
     scan = perms._minimal_cycle_partitions
     monkeypatch.setattr(perms, "_minimal_cycle_partitions",
