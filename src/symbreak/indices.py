@@ -33,8 +33,7 @@ behind D and phi_table run against one representative of each
 K8).  The searches close a subtree once no element is live, which with the
 smaller set happens no later, so A_j is unchanged and only node counts fall.
 That set is read from the group's stabilizer chain by one stream of its
-products (the minimal-cycle scan), which also records the largest cycle
-count, so these routes build no element list.
+products (the minimal-cycle scan), so these routes build no element list.
 
 One ladder, _ladder, gives D, theta and the Phi rows from the group its
 walks read (walked), a class for each walked vertex and a size for each
@@ -42,8 +41,11 @@ class: at k colors a class of size t takes C(k, t) labels.  The per-index
 functions (distinguishing_number, phi_table, phi, least_k,
 rooted_indices), and through them verify and the formulas, pass the group
 itself with one class of size 1; graph_indices passes the twin quotient
-(below).  theta = n when the graph has twins, that is when its order
-exceeds walked's, and walked.max_cycles + 1 otherwise.  Below theta,
+(below).  theta is read first, in one statement: n when the graph has
+twins, that is when its order exceeds walked's, and otherwise
+walked.max_cycles + 1, from the chain's levels, deepest first, each
+skipped or stopped at a conjugacy bound (perms.AutGroup.max_cycles: 2,879
+of Kneser(10,2)'s 3,628,800 elements), with no scan.  Below theta,
 Phi_k = N_k / |walked|, every k from one labelling polynomial over
 walked's minimal cycles (kernels.labelling_polynomial: inclusion-exclusion
 over their cycle partitions, one node of the coloring budget per join);
@@ -67,14 +69,9 @@ and walks run, charge their budget and are memoized).  When most
 colorings distinguish, which is the usual case once every automorphism
 moves many vertices (Russell & Sundaram, EJC 5, 1998), one of the first
 few probes answers.  The minimal-cycle scan runs only where a walk needs
-its elements: for the polynomial, read before theta so the scan records
-max_cycles, or for a rung no probe answers.  Without a table theta is
-read after D, from the scan if a walk ran it, and otherwise from the
-chain's levels, deepest first, each skipped or cut short once a
-conjugacy bound shows it cannot raise the count
-(perms.AutGroup.max_cycles: 2,879 of Kneser(10,2)'s 3,628,800
-elements); so analyze without --phi-max, distinguishing_number and
-rooted_indices scan nothing on a rung a probe answers.  Without twins
+its elements: for the polynomial, or for a rung no probe answers; so
+analyze without --phi-max, distinguishing_number and rooted_indices scan
+nothing on a rung a probe answers.  Without twins
 the rungs start at the largest transposition class: if (a b) and (b c)
 are automorphisms, so is (a c), so transpositions join the vertices
 into cliques, a distinguishing coloring is injective on each, and every
@@ -351,20 +348,17 @@ def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
     order on n vertices, whose distinguishing k-colorings come from the
     labellings no element of walked fixes, vertex v taking one of
     C(k, sizes[classes[v]]) labels (see the module docstring); order
-    exceeds walked.order exactly when the graph has twins.  A table reads
-    D from its labelling polynomial, the least k < theta with N_k > 0, or
-    theta when there is none, and the polynomial's scan of the minimal
-    cycles records max_cycles for theta.  Without a table D comes from the
-    rungs, and theta is read after D, so a scan that a walk ran spares the
-    chain's levels."""
-    twins = order > walked.order
+    exceeds walked.order exactly when the graph has twins.  theta is n
+    with twins and otherwise one more than walked.max_cycles, the chain's
+    levels.  A table reads D from its labelling polynomial, the least
+    k < theta with N_k > 0, or theta when there is none; without one D
+    comes from the rungs."""
+    theta = n if order > walked.order else walked.max_cycles + 1
     if not k_max:
-        d = _rungs(n, order, walked, classes, sizes)
-        return d, n if twins else walked.max_cycles + 1, None
-    minimal = walked.minimal_cycles
-    theta = n if twins else walked.max_cycles + 1
+        return _rungs(n, order, walked, classes, sizes), theta, None
     terms = kernels.labelling_polynomial(
-        walked.n, minimal, classes, limits.coloring_cap()) if theta > 1 else ()
+        walked.n, walked.minimal_cycles, classes,
+        limits.coloring_cap()) if theta > 1 else ()
 
     def labellings(k: int) -> int:
         return kernels.labellings_at(terms, kernels._palettes(k, sizes))

@@ -23,9 +23,9 @@ the chain without an element list:
                       chain in blocks of at most _STREAM_BLOCK; each
                       candidate is tested only against the kept elements
                       whose first moved vertex it moves
-  max_cycles          recorded by that scan when it has run; otherwise the
-                      chain's levels from the deepest up, each skipped or
-                      stopped early by a conjugacy bound
+  max_cycles          theta's one route: the chain's levels from the
+                      deepest up, each skipped or stopped at a conjugacy
+                      bound
 
 Sorted Permutation elements, identity first, are built only where a caller
 reads elements, iterates the group or asks for nonidentity_images: the
@@ -195,33 +195,28 @@ class AutGroup:
         An element preserves a coloring iff its cycle partition refines the
         color partition, so these few images decide distinguishability
         exactly as the whole group does.  Empty for the trivial group.
-
-        The scan also records max_cycles, unless it is already known.
         """
-        kept, most = _minimal_cycle_partitions(self.n, self._products())
-        vars(self).setdefault("max_cycles", most)
-        return kept
+        return _minimal_cycle_partitions(self.n, self._products())
 
     @cached_property
     def max_cycles(self) -> int:
         """Largest cycle count, fixed points included, over the non-identity
-        elements; 0 for the trivial group.  Read minimal_cycles first where
-        both are needed: its scan records this value, and the chain is then
-        not read again.
+        elements; 0 for the trivial group.  Read from the chain's levels,
+        from the deepest up: level i holds G_i minus G_{i+1}, the products
+        t * s with t a non-identity element of the transversal T_i and s in
+        G_{i+1}, and the levels partition the non-identity elements.  This
+        is theta's one route; the minimal-cycle scan computes nothing for
+        it.
 
-        Otherwise the chain's levels are read from the deepest up.  Level i
-        holds G_i minus G_{i+1}, the products t * s with t a non-identity
-        element of the transversal T_i and s in G_{i+1}, and the levels
-        partition the non-identity elements.  An element of G_i that fixes
-        a point of the orbit O of the level's base point is conjugate in
-        G_i to an element of G_{i+1}, with the same cycle type, so the
-        levels below already cover its count.  An element that fixes no
-        point of O has cycles of length at least 2 on O's |T_i| points, so
-        at most n - ceil(|T_i| / 2) cycles.  A level whose bound is no more
-        than the best below it is skipped, and a level stops once the best
-        reaches its bound; every bound is at most n - 1, so the levels stop
-        there too.  At worst every product is read once, as one stream of
-        the group would read it.
+        An element of G_i that fixes a point of the orbit O of the level's
+        base point is conjugate in G_i to an element of G_{i+1}, with the
+        same cycle type, so the levels below already cover its count.  An
+        element that fixes no point of O has cycles of length at least 2
+        on O's |T_i| points, so at most n - ceil(|T_i| / 2) cycles.  A
+        level whose bound is no more than the best below it is skipped,
+        and a level stops at the first element that reaches its bound.  At
+        worst every product is read once, as one stream of the group would
+        read it.
         """
         n, best = self.n, 0
         for i in range(len(self.chain) - 1, -1, -1):
@@ -230,7 +225,7 @@ class AutGroup:
                 continue
             level = (self.chain[i][1:],) + self.chain[i + 1:]
             for block in _product_blocks(n, level, _STREAM_BLOCK):
-                best = _max_cycles(n, block, best)
+                best = _max_cycles(n, block, best, bound)
                 if best >= bound:
                     break
         return best
@@ -356,12 +351,10 @@ def _prime_cycle_labels(image, primes) -> tuple[tuple[int, ...], int] | None:
     return (tuple(labels), cycles) if length else None
 
 
-def _minimal_cycle_partitions(n: int, blocks
-                              ) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _minimal_cycle_partitions(n: int, blocks) -> tuple[tuple[int, ...], ...]:
     """Keep the cycle partitions that no other non-identity one refines,
     each represented by its lexicographically least element, from the
-    group's elements given in blocks; returns them, sorted, and the most
-    cycles any non-identity element has (0 when there is none).
+    group's elements given in blocks; returns them, sorted.
 
     Every non-identity element has a power of prime order, whose cycle
     partition refines its own, so only prime-order elements are candidates.
@@ -369,8 +362,7 @@ def _minimal_cycle_partitions(n: int, blocks
     strictly refined by one with more cycles, and refinement is transitive,
     so testing each candidate against the partitions already kept suffices.
     A kept element refines a candidate iff it maps every vertex into the
-    vertex's own candidate block.  The same power argument makes the most
-    cycles of a candidate the most of any non-identity element.
+    vertex's own candidate block.
 
     The kept elements are indexed by their first moved vertex a, with its
     image b.  A kept element can refine a candidate only if a and b share a
@@ -403,42 +395,24 @@ def _minimal_cycle_partitions(n: int, blocks
         index[moved[0]].append((image[moved[0]], itemgetter(*moved),
                                 itemgetter(*(image[v] for v in moved))))
         kept.append(image)
-    most = max((cycles for cycles, _ in candidates.values()), default=0)
-    return tuple(sorted(kept)), most
+    return tuple(sorted(kept))
 
 
-def _cycle_count(image) -> int:
-    """Number of cycles, fixed points included."""
-    seen = 0
-    cycles = 0
-    for v in range(len(image)):
-        if seen >> v & 1:
-            continue
-        cycles += 1
-        w = v
-        while not seen >> w & 1:
-            seen |= 1 << w
-            w = image[w]
-    return cycles
-
-
-def _max_cycles(n: int, elements, best: int = 0) -> int:
-    """Largest of best and the cycle counts of the non-identity elements.
+def _max_cycles(n: int, elements, best: int, stop: int) -> int:
+    """Largest of best and the cycle counts of the non-identity elements,
+    read until one reaches stop.
 
     An element with f fixed points has at most f + (n - f) // 2 cycles, so
-    the exact count is taken only where that bound beats the best so far,
-    and the scan stops at n - 1, the most any non-identity element has.
+    the exact count is taken only where that bound beats the best so far.
     """
     ident = range(n)
     for e in elements:
-        if best == n - 1:
-            break
         fixed = sum(map(eq, e, ident))
         if fixed == n or fixed + (n - fixed) // 2 <= best:
             continue
-        cycles = _cycle_count(e)
-        if cycles > best:
-            best = cycles
+        best = max(best, fixed + len(kernels._cycle_blocks(e)))
+        if best >= stop:
+            break
     return best
 
 

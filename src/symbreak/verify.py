@@ -53,7 +53,7 @@ from .graph6 import emit_graph6
 from .graphs import (Graph, RootedGraph, build_graph, complete, cycle,
                      disjoint_union, delete_vertex, path, star)
 from .indices import (distinguishing_number, distinguishing_threshold,
-                      is_steady, phi_brute, rooted_indices)
+                      is_steady, phi_brute)
 from .perms import AutGroup, automorphism_group, orbits
 
 # a ceiling on group order for the brute-force routes on products; none of

@@ -39,33 +39,30 @@ class TestAnalyze:
         g = json.loads(out)["graphs"][0]
         assert (g["autOrder"], g["d"], g["theta"]) == expected
 
-    @pytest.mark.parametrize("argv,theta", [
-        (("builtin:kneser:7:2",), 17),
-        (("builtin:petersen", "--phi-max", "3"), 8),
+    @pytest.mark.parametrize("spec,theta,passed", [
+        ("builtin:kneser:7:2", 17, 23), ("builtin:petersen", 8, 11),
     ], ids=["kneser_7_2", "petersen"])
     def test_analyze_streams_the_group_once(self, run_cli, monkeypatch,
-                                            argv, theta):
-        # with a table theta reads the largest cycle count that the
-        # minimal-cycle scan recorded, so no second stream of the group's
-        # products runs; without one the chain's levels read a few of them
+                                            spec, theta, passed):
+        # theta reads the chain's levels on both routes, whether or not a
+        # table's minimal-cycle scan streams the group, and they pass the
+        # same few products (a stream of Kneser(7,2)'s group reads 5,040)
         calls = []
         scan = perms._max_cycles
 
-        def spy(n, elements, best=0):
+        def spy(n, elements, best, stop):
             calls.append(len(elements))
-            return scan(n, elements, best)
+            return scan(n, elements, best, stop)
 
         monkeypatch.setattr(perms, "_max_cycles", spy)
-        perms._cached_group.cache_clear()
-        perms.colored_group.cache_clear()
-        code, out, err = run_cli("analyze", *argv)
-        assert (code, err) == (0, "")
-        assert json.loads(out)["graphs"][0]["theta"] == theta
-        if "--phi-max" in argv:
-            assert calls == []
-        else:
-            # a stream of Kneser(7,2)'s group reads 5,040 products
-            assert 0 < sum(calls) < 100
+        for phi_max in ((), ("--phi-max", "3")):
+            calls.clear()
+            perms._cached_group.cache_clear()
+            perms.colored_group.cache_clear()
+            code, out, err = run_cli("analyze", spec, *phi_max)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["graphs"][0]["theta"] == theta
+            assert sum(calls) == passed
 
     def test_g6_token_input(self, run_cli):
         code, out, _ = run_cli("analyze", "g6:Cl")

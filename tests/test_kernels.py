@@ -458,7 +458,8 @@ def test_pure_stream_stores_no_group():
 
 
 def test_max_cycles_stops_at_n_minus_1():
-    # 12! products would take hours; the first block holds a transposition
+    # 12! products would take hours; the deepest level's bound is n - 1,
+    # which its transposition reaches, so every level above is skipped
     adj = complete(12).adjacency()
     group = AutGroup(12, adj,
                      *kernels.search_automorphisms(12, adj, math.inf))

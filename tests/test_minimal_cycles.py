@@ -181,13 +181,15 @@ class TestReduction:
         # 69 of them: a route that skipped the top level would miss these
         assert any(map(_top_level_max, groups))
 
-    def test_scan_records_max_cycles(self, connected7):
+    def test_scan_leaves_max_cycles_to_the_levels(self, connected7):
+        # the minimal-cycle scan computes nothing else; theta reads the
+        # chain's levels whether or not the scan ran first
         graphs = list(connected7) + [f() for f in SYMMETRIC_SHAPES.values()]
         for g in graphs:
             scanned = enumerate_automorphisms(g)
             scanned.minimal_cycles
-            assert "max_cycles" in vars(scanned)
-            assert scanned.max_cycles == enumerate_automorphisms(g).max_cycles
+            assert "max_cycles" not in vars(scanned)
+            assert scanned.max_cycles + 1 == _elementwise_theta(scanned)
 
     def test_computed_once_per_group(self):
         group = automorphism_group(petersen())
@@ -284,9 +286,9 @@ def test_kneser_7_2_runs_few_refinement_tests(monkeypatch):
         return spy
 
     monkeypatch.setattr(perms, "itemgetter", counting)
-    kept, most = perms._minimal_cycle_partitions(group.n, blocks)
+    kept = perms._minimal_cycle_partitions(group.n, blocks)
     monkeypatch.undo()
-    assert (kept, most) == (group.minimal_cycles, group.max_cycles)
+    assert kept == group.minimal_cycles
     # a test against every kept element made about 89,000
     assert 0 < calls // 2 <= 10_000
 
@@ -296,12 +298,12 @@ def _counting(monkeypatch) -> list[int]:
     read = [0]
     scan = perms._max_cycles
 
-    def spy(n, elements, best=0):
+    def spy(n, elements, best, stop):
         def counted():
             for e in elements:
                 read[0] += 1
                 yield e
-        return scan(n, counted(), best)
+        return scan(n, counted(), best, stop)
 
     monkeypatch.setattr(perms, "_max_cycles", spy)
     return read
@@ -324,10 +326,12 @@ def _klein_times_cycle(m: int) -> AutGroup:
     four-group regular on 0..3, whose two elements other than (0 2)(1 3)
     also swap 4 and 5, times the rotations of the m points 6..m+5.
 
-    The top level's bound is n - 2, which only (0 2)(1 3) reaches, and the
-    level below reaches n - 6 - m // 2.  For 3m > _STREAM_BLOCK the top
-    level is read in three blocks, t * C_m for each transversal element t
-    in turn, and the first, through (0 1)(2 3)(4 5), reaches n - 3.
+    The level below reaches its bound, n - m // 2, at the rotation by
+    m // 2 (m even).  The top level's bound is n - 2, which only (0 2)(1 3)
+    reaches.  For 3m > _STREAM_BLOCK the top level is read in three
+    blocks, t * C_m for each transversal element t in turn; the first,
+    through (0 1)(2 3)(4 5), reaches n - 3, and the second starts at
+    (0 2)(1 3) itself.
     """
     n = m + 6
     ident = tuple(range(n))
@@ -349,6 +353,6 @@ def test_max_cycles_stops_a_level_only_at_its_bound(monkeypatch):
     assert _elementwise_theta(group) == m + 5
     read = _counting(monkeypatch)
     assert group.max_cycles == m + 4
-    # the level below, then the blocks of (0 1)(2 3)(4 5) and (0 2)(1 3);
-    # the level stops before the block of (0 3)(1 2)(4 5)
-    assert read[0] <= (m - 1) + 2 * m
+    # the rotations by 1..m/2, the block of (0 1)(2 3)(4 5), and the
+    # first element of the block of (0 2)(1 3), where the top level stops
+    assert read[0] == m // 2 + m + 1
