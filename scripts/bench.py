@@ -19,9 +19,8 @@ PYTHONDONTWRITEBYTECODE is set, and then every launch compiles anew.
 The output, ``BENCH_<label>.json`` in the current directory, is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.  It holds:
 
-  sides      per side: ``git rev-parse HEAD``, whether the work tree
-             had uncommitted changes to tracked files, and the backend the
-             runs reported
+  sides      per side: ``git rev-parse HEAD`` and whether the work tree
+             had uncommitted changes to tracked files
   runs       every run: workload, seed, pair, side, order in the pair,
              exit code, attempted / failed counts, the end-to-end metrics
              and wall seconds
@@ -84,7 +83,8 @@ def compile_sources(checkout: Path) -> None:
 
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """One symbench run; its last two stdout lines are detail and result."""
+    """One symbench run; its last stdout line is the result, after the
+    detail line."""
     argv = [sys.executable, "symbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     start = time.monotonic()
@@ -95,9 +95,8 @@ def run_once(checkout: Path, workload: str, seed: int,
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited "
                            f"{done.returncode} without a result:\n"
                            f"{done.stderr[-2000:]}")
-    detail = json.loads(lines[-2])["detail"]
     result = json.loads(lines[-1])
-    return {"exit": done.returncode, "backend": detail["backend"],
+    return {"exit": done.returncode,
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {name: m["value"]
                         for name, m in result["metrics"].items()},
@@ -226,22 +225,18 @@ def main(argv: list[str] | None = None) -> int:
                        "machine": platform.machine()},
               "sides": {s: describe(c) for s, c in checkouts.items()},
               "runs": [], "summary": {}}
-    backends: dict[str, set] = {s: set() for s in SIDES}
     for workload, count in plan:
         for pair in range(count):
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
                 run = run_once(checkouts[side], workload, seed, seconds)
-                backends[side].add(run.pop("backend"))
                 report["runs"].append({"workload": workload, "seed": seed,
                                        "pair": pair, "side": side,
                                        "position": position, **run})
                 print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
                       f"items_per_s {run['metrics']['items_per_s']:.1f}",
                       file=sys.stderr)
-            for side in SIDES:
-                report["sides"][side]["backend"] = sorted(backends[side])
             report["summary"] = summarize(report["runs"], metrics)
             out.write_text(json.dumps(report, indent=1) + "\n")
     for line in summary_lines(report["summary"], metrics):

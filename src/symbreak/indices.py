@@ -431,6 +431,8 @@ def graph_indices(g: Graph, phi_max: int | None = None,
     Only the quotient's chain is built: |Aut(G)| = prod t_x! * |Aut_w(G')|,
     the quotient search raises exactly when that exceeds the automorphism
     budget, and the orbits behind steady are lifted from the quotient's."""
+    if phi_max is not None and phi_max < 1:
+        raise InvalidInputError("phi_max must be at least 1")
     twins = twin_quotient(g)
     quotient = twins.group(limits.aut_cap())  # Aut_w(G')
     order = twins.swaps * quotient.order
@@ -448,6 +450,8 @@ def rooted_indices(h: RootedGraph, phi_max: int | None = None) -> IndexReport:
     """Indices of (H, v): same definitions with Aut(H) replaced by the
     stabilizer of the root, whose chain is searched with the root pinned;
     colorings still cover every vertex of H."""
+    if phi_max is not None and phi_max < 1:
+        raise InvalidInputError("phi_max must be at least 1")
     stab = stabilizer(automorphism_group(h.graph), h.root)
     d, theta, table = _ladder(stab.n, stab.order, stab, (0,) * stab.n, (1,),
                               phi_max)

@@ -12,9 +12,9 @@ Defaults can be overridden through SYMBREAK_MAX_VERTICES, SYMBREAK_MAX_AUT
 and SYMBREAK_MAX_COLORINGS, read on first use rather than at import, so a
 bad value surfaces as an InvalidInputError naming the variable (exit 2 on
 the command line) instead of breaking the import; and at runtime via
-configure() (the CLI maps --max-aut/--max-colorings onto it) or the scoped()
-context manager, which tests use to provoke budget errors cheaply.  Every
-budget must be a positive integer.
+configure() or the scoped() context manager, which the CLI wraps around
+each command to apply --max-vertices/--max-aut/--max-colorings and tests use
+to provoke budget errors cheaply.  Every budget must be a positive integer.
 """
 
 from __future__ import annotations

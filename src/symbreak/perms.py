@@ -277,14 +277,17 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
 def stabilizer(group: AutGroup, u: int) -> AutGroup:
     """Subgroup of elements fixing vertex u: the chain of the same graph
     searched again with u pinned, that is, with a coloring that gives u a
-    class of its own.  Its order is at most the group's, so the group's
+    class of its own, paired with the group's start coloring when it has
+    one.  Its order is at most the group's, so the group's
     order is its cap and the search never raises.  Cached in
     colored_group, so every question about one rooted graph reads one
     pinned chain and what that chain has computed."""
     if not 0 <= u < group.n:
         raise InvalidInputError(f"vertex {u} out of range")
-    return colored_group(group.n, group.adj, group.order,
-                         tuple(v == u for v in range(group.n)))
+    pin = tuple(v == u for v in range(group.n))
+    if group.colors is not None:
+        pin = tuple(zip(group.colors, pin))
+    return colored_group(group.n, group.adj, group.order, pin)
 
 
 @lru_cache(maxsize=4096)

@@ -22,28 +22,29 @@ rows of ``cor3.8``/``cor3.9`` put the algebraic rearrangement in
 ``predicted`` and the direct scan of the defining minimum in ``brute_force``;
 their known disagreements are findings, reported and never patched.
 
-Brute-force routes on products take automorphism groups only below a
-ceiling (min of the process budget and _MATERIALIZE_CAP elements); larger
-groups become budget notes or skips.  These routes read the group's
-stabilizer chain and never build its elements.  The group-order rules eq3
-and thm4.2 read the order of the chain that the search builds on the
-product graph itself, so they share no route with the factor formulas they
-check.  The element list is built only by the oracles that read elements
-one at a time, phi_brute and the thm3.5 restriction check, on the small
-graphs of their own grids.  The restriction check lists a graph's
-distinguishing partitions once, by testing every set partition against
-every element, and reuses the list for each vertex the rule asks about; it
-shares no code with is_steady, the minimal cycles or the kill table.
-Instances whose preconditions already failed run their informational brute
-force under a tighter scratch budget so a hopeless instance cannot stall
-the run.
+The brute-force |Aut| and D routes on products take automorphism groups
+only below a ceiling (min of the process budget and _MATERIALIZE_CAP
+elements); larger groups become budget notes or skips.  The theta routes
+(thm3.12, thm3.13, thm4.4, thm5.2, thm6.1) call distinguishing_threshold
+under the process budget alone.  These routes read the group's stabilizer
+chain and never build its elements.  The group-order rules eq3 and thm4.2
+read the order of the chain that the search builds on the product graph
+itself, so they share no route with the factor formulas they check.  The
+element list is built only by the oracles that read elements one at a time,
+phi_brute and the thm3.5 restriction check, on the small graphs of their
+own grids.  The restriction check lists a graph's distinguishing partitions
+once, by testing every set partition against every element, and reuses the
+list for each vertex the rule asks about; it shares no code with is_steady,
+the minimal cycles or the kill table.  Instances whose preconditions
+already failed run their informational brute force under a tighter scratch
+budget so a hopeless instance cannot stall the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -56,9 +57,9 @@ from .indices import (distinguishing_number, distinguishing_threshold,
                       is_steady, phi_brute)
 from .perms import AutGroup, automorphism_group, orbits
 
-# a ceiling on group order for the brute-force routes on products; none of
-# them builds an element list, but the budget notes it produces embed the
-# number, and the anchor digest covers them
+# a ceiling on group order for the brute-force |Aut| and D routes on
+# products; neither builds an element list, but the budget notes they
+# produce embed the number, and the anchor digest covers them
 _MATERIALIZE_CAP = 200_000
 _SCRATCH_CAP = 1_000_000
 
@@ -385,7 +386,7 @@ _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
 
 
 def _vsum_closed_rows(rule: str, closed_form,
-                      defaults: list[tuple[str, list[int]]],
+                      defaults: Sequence[tuple[str, Sequence[int]]],
                       grid: dict) -> list[TheoremVerdict]:
     """cor3.8 and cor3.9: closed_form(n, t), the minimum form, against
     search on each t-fold vertex-sum, then the radical rows of each family.
@@ -417,17 +418,6 @@ def _vsum_closed_rows(rule: str, closed_form,
     return out
 
 
-def _rule_cor38(grid: dict) -> list[TheoremVerdict]:
-    return _vsum_closed_rows(
-        "cor3.8", formulas.d_vsum_complete_closed,
-        [("K3", [2, 3, 4, 5]), ("K4", [2, 3, 4]), ("K5", [2])], grid)
-
-
-def _rule_cor39(grid: dict) -> list[TheoremVerdict]:
-    return _vsum_closed_rows("cor3.9", formulas.d_vsum_cycles,
-                             [("C5", [2, 3]), ("C7", [2])], grid)
-
-
 def _thm310_instances() -> list[tuple[str, list[RootedGraph]]]:
     return [
         ("K3@0+C4@0", [RootedGraph(complete(3), 0), RootedGraph(cycle(4), 0)]),
@@ -440,18 +430,6 @@ def _thm310_instances() -> list[tuple[str, list[RootedGraph]]]:
                          RootedGraph(_k4_minus_edge(), 2)]),
         ("star3@0+P3@1", [RootedGraph(star(3), 0), RootedGraph(path(3), 1)]),
     ]
-
-
-def _rule_thm310(grid: dict) -> list[TheoremVerdict]:
-    out = []
-    for name, factors in _thm310_instances():
-        product, _ = products.vertex_sum(factors)
-        out.append(_verdict(
-            "thm3.10", name,
-            lambda factors=factors: formulas.d_vsum_nonisomorphic(factors),
-            lambda p=product: _brute_d(p),
-            unmet=formulas.d_vsum_nonisomorphic_preconditions(factors)))
-    return out
 
 
 def _thm312_instances() -> list[tuple[str, list[RootedGraph]]]:
@@ -467,15 +445,20 @@ def _thm312_instances() -> list[tuple[str, list[RootedGraph]]]:
     ]
 
 
-def _rule_thm312(grid: dict) -> list[TheoremVerdict]:
+def _vsum_rooted_rows(rule: str, instances, predicted_of, brute_of,
+                      unmet_of, grid: dict) -> list[TheoremVerdict]:
+    """thm3.10 and thm3.12: predicted_of(factors) against brute_of on the
+    vertex-sum of each named list of rooted factors from instances(), with
+    unmet_of(factors) the preconditions the factors fail.  The instances
+    are fixed, so the rules read no grid key."""
     out = []
-    for name, factors in _thm312_instances():
+    for name, factors in instances():
         product, _ = products.vertex_sum(factors)
         out.append(_verdict(
-            "thm3.12", name,
-            lambda factors=factors: formulas.theta_vsum_2connected(factors),
-            lambda p=product: distinguishing_threshold(p),
-            unmet=formulas.theta_vsum_2connected_preconditions(factors)))
+            rule, name,
+            lambda factors=factors: predicted_of(factors),
+            lambda p=product: brute_of(p),
+            unmet=unmet_of(factors)))
     return out
 
 
@@ -556,49 +539,6 @@ def _product_rows(rule: str, kind: str, predicted_of, brute_of, unmet_of,
     return out
 
 
-def _rule_eq3(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("eq3", "corona", formulas.aut_order_corona,
-                         _brute_order, formulas.corona_preconditions, grid)
-
-
-def _rule_thm42(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("thm4.2", "rooted", formulas.aut_order_rooted,
-                         _brute_order, formulas.rooted_preconditions, grid)
-
-
-def _rule_thm43(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("thm4.3", "rooted", formulas.d_rooted, _brute_d,
-                         formulas.rooted_preconditions, grid)
-
-
-def _rule_thm44(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("thm4.4", "rooted", formulas.theta_rooted,
-                         distinguishing_threshold,
-                         formulas.theta_rooted_preconditions, grid)
-
-
-def _rule_thm51(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("thm5.1", "corona", formulas.d_corona, _brute_d,
-                         formulas.corona_preconditions, grid)
-
-
-def _rule_thm52(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("thm5.2", "corona", formulas.theta_corona,
-                         distinguishing_threshold,
-                         formulas.corona_preconditions, grid)
-
-
-def _rule_thm61(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("thm6.1", "lex", formulas.theta_lexicographic,
-                         distinguishing_threshold,
-                         formulas.lexicographic_preconditions, grid)
-
-
-def _rule_lexd(grid: dict) -> list[TheoremVerdict]:
-    return _product_rows("lex-d", "lex", formulas.d_lexicographic, _brute_d,
-                         formulas.lexicographic_preconditions, grid)
-
-
 @dataclass(frozen=True)
 class Rule:
     rule_id: str
@@ -607,14 +547,25 @@ class Rule:
     keys: tuple[str, ...]  # the grid keys the runner reads
 
 
+def _product_rule(rule_id: str, summary: str, kind: str, predicted_of,
+                  brute_of, unmet_of) -> Rule:
+    """A rule over the factor pairs of one product kind (see _product_rows),
+    read at the grid's max."""
+    return Rule(rule_id, summary, partial(_product_rows, rule_id, kind,
+                                          predicted_of, brute_of, unmet_of),
+                ("max",))
+
+
 _RULES: tuple[Rule, ...] = (
     Rule("eq1", "path coloring-count closed form vs partition search",
          _rule_eq1, ("n", "k")),
     Rule("eq2", "factorial/Stirling exact count above the threshold and the "
          "binomial accumulation identity vs partition search", _rule_eq2,
          ("max",)),
-    Rule("eq3", "corona group order = base order times copy order to the "
-         "base size, vs enumerated product group", _rule_eq3, ("max",)),
+    _product_rule("eq3", "corona group order = base order times copy order "
+                  "to the base size, vs enumerated product group", "corona",
+                  formulas.aut_order_corona, _brute_order,
+                  formulas.corona_preconditions),
     Rule("thm2.1", "disjoint-union threshold case analysis vs enumerated "
          "threshold", _rule_thm21, ()),
     Rule("thm3.5", "steady vertex iff every distinguishing coloring "
@@ -624,34 +575,52 @@ _RULES: tuple[Rule, ...] = (
          "bound, exact at steady roots, vs search", _rule_thm37,
          ("family", "t")),
     Rule("cor3.8", "complete-graph vertex-sum: minimum form vs search, and "
-         "radical closed form vs minimum form", _rule_cor38,
+         "radical closed form vs minimum form",
+         partial(_vsum_closed_rows, "cor3.8", formulas.d_vsum_complete_closed,
+                 (("K3", (2, 3, 4, 5)), ("K4", (2, 3, 4)), ("K5", (2,)))),
          ("family", "t")),
     Rule("cor3.9", "cycle vertex-sum: minimum form vs search, and radical "
-         "closed form vs minimum form", _rule_cor39,
+         "closed form vs minimum form",
+         partial(_vsum_closed_rows, "cor3.9", formulas.d_vsum_cycles,
+                 (("C5", (2, 3)), ("C7", (2,)))),
          ("family", "t")),
     Rule("thm3.10", "vertex-sum of distinct 2-connected steady-rooted "
          "factors: max deletion distinguishing number vs search",
-         _rule_thm310, ()),
+         partial(_vsum_rooted_rows, "thm3.10", _thm310_instances,
+                 formulas.d_vsum_nonisomorphic, _brute_d,
+                 formulas.d_vsum_nonisomorphic_preconditions), ()),
     Rule("thm3.12", "vertex-sum threshold = threshold of the union of "
-         "deletions + 1, vs enumeration", _rule_thm312, ()),
+         "deletions + 1, vs enumeration",
+         partial(_vsum_rooted_rows, "thm3.12", _thm312_instances,
+                 formulas.theta_vsum_2connected, distinguishing_threshold,
+                 formulas.theta_vsum_2connected_preconditions), ()),
     Rule("thm3.13", "t-fold cycle vertex-sum threshold closed form vs "
          "enumeration", _rule_thm313, ("n", "t")),
-    Rule("thm4.2", "rooted-product group order = base order times "
-         "root-stabilizer order to the base size, vs enumeration",
-         _rule_thm42, ("max",)),
-    Rule("thm4.3", "rooted-product distinguishing number via rooted "
-         "coloring counts, vs search", _rule_thm43, ("max",)),
-    Rule("thm4.4", "rooted-product threshold case analysis vs enumeration",
-         _rule_thm44, ("max",)),
-    Rule("thm5.1", "corona distinguishing number via k times the copy's "
-         "coloring count, vs search", _rule_thm51, ("max",)),
-    Rule("thm5.2", "corona threshold case analysis vs enumeration",
-         _rule_thm52, ("max",)),
-    Rule("thm6.1", "lexicographic threshold case analysis under "
-         "fiber-preserving groups, vs enumeration", _rule_thm61,
-         ("max",)),
-    Rule("lex-d", "lexicographic distinguishing number via the inner "
-         "factor's coloring counts, vs search", _rule_lexd, ("max",)),
+    _product_rule("thm4.2", "rooted-product group order = base order times "
+                  "root-stabilizer order to the base size, vs enumeration",
+                  "rooted", formulas.aut_order_rooted, _brute_order,
+                  formulas.rooted_preconditions),
+    _product_rule("thm4.3", "rooted-product distinguishing number via rooted "
+                  "coloring counts, vs search", "rooted", formulas.d_rooted,
+                  _brute_d, formulas.rooted_preconditions),
+    _product_rule("thm4.4", "rooted-product threshold case analysis vs "
+                  "enumeration", "rooted", formulas.theta_rooted,
+                  distinguishing_threshold,
+                  formulas.theta_rooted_preconditions),
+    _product_rule("thm5.1", "corona distinguishing number via k times the "
+                  "copy's coloring count, vs search", "corona",
+                  formulas.d_corona, _brute_d, formulas.corona_preconditions),
+    _product_rule("thm5.2", "corona threshold case analysis vs enumeration",
+                  "corona", formulas.theta_corona, distinguishing_threshold,
+                  formulas.corona_preconditions),
+    _product_rule("thm6.1", "lexicographic threshold case analysis under "
+                  "fiber-preserving groups, vs enumeration", "lex",
+                  formulas.theta_lexicographic, distinguishing_threshold,
+                  formulas.lexicographic_preconditions),
+    _product_rule("lex-d", "lexicographic distinguishing number via the "
+                  "inner factor's coloring counts, vs search", "lex",
+                  formulas.d_lexicographic, _brute_d,
+                  formulas.lexicographic_preconditions),
 )
 
 RULES: dict[str, Rule] = {r.rule_id: r for r in _RULES}

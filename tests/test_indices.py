@@ -301,6 +301,16 @@ class TestReports:
         assert r.phi.row(2).phi == 4
         assert r.phi.row(2).varphi == 2
 
+    @pytest.mark.parametrize("phi_max", [0, -1])
+    def test_graph_indices_rejects_phi_max_below_one(self, phi_max):
+        with pytest.raises(InvalidInputError):
+            graph_indices(cycle(4), phi_max=phi_max)
+
+    @pytest.mark.parametrize("phi_max", [0, -1])
+    def test_rooted_indices_rejects_phi_max_below_one(self, phi_max):
+        with pytest.raises(InvalidInputError):
+            rooted_indices(RootedGraph(path(3), 1), phi_max=phi_max)
+
 
 class TestLadder:
     """The one ladder behind D and the Phi rows, at its edges."""

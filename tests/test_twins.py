@@ -26,7 +26,7 @@ from symbreak.graphs import (build_graph, complete, complete_bipartite, cycle,
 from symbreak.indices import (distinguishing_number, distinguishing_threshold,
                               graph_indices, phi_brute, phi_table,
                               twin_quotient)
-from symbreak.perms import automorphism_group, orbits
+from symbreak.perms import automorphism_group, orbits, stabilizer
 
 from conftest import SYMMETRIC_SHAPES, vsum
 
@@ -56,6 +56,16 @@ def test_corpus_matches_the_direct_route(connected7):
         _assert_matches_direct(g)
         with_twins += twin_quotient(g).swaps > 1
     assert with_twins == 665
+
+
+def test_quotient_stabilizers_keep_the_weights(connected7):
+    # a quotient group keeps its weights, so a vertex's stabilizer in it is
+    # the elements of the quotient group that fix the vertex
+    for g in connected7:
+        q = twin_quotient(g).group(limits.aut_cap())
+        for x in range(q.n):
+            fixing = sum(e(x) == x for e in q.elements)
+            assert stabilizer(q, x).order == fixing
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
