@@ -25,6 +25,13 @@ only parses with it, so it may be called any number of times in one
 process and each call sees only its own arguments.  A process that calls
 `main` once, such as the `symbreak` script, pays the same build at import
 instead, so its latency is unchanged.
+
+Importing this module loads the package (graphs, automorphism groups,
+indices, products, formulas), graph6 and the report writer, and nothing
+that only some commands use: the verification harness (`symbreak.verify`
+and the corpus it reads) loads on the first `verify` command, `csv` on the
+first CSV report, and the report digest takes no OpenSSL (see
+`symbreak.report`).  A one-shot `analyze` thus starts without them.
 """
 
 from __future__ import annotations
@@ -32,12 +39,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from datetime import datetime, timezone
+import time
 from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__, limits, verify
+from . import __version__, limits
 from .errors import (BudgetExceededError, EdgeListError, Graph6Error,
                      InvalidInputError, PreconditionError)
 from .graph6 import (emit_edgelist, emit_graph6, parse_edgelist,
@@ -147,7 +154,7 @@ def _rooted_factor(token: str) -> RootedGraph:
 
 
 def _envelope(command: Sequence[str], graphs=(), verdicts=()) -> ReportEnvelope:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     return ReportEnvelope(__version__, "symbreak " + " ".join(command),
                           tuple(graphs), tuple(verdicts), generated=stamp)
 
@@ -204,6 +211,8 @@ def _cmd_product(args, command) -> int:
 
 
 def _cmd_verify(args, command) -> int:
+    from . import verify
+
     ids = None if args.rule == "all" else [args.rule]
     grid = verify.parse_grid(args.grid)
     verdicts = verify.run_rules(ids, grid)
@@ -318,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[budgets, fmt],
                        help="check closed-form rules against brute force")
-    p.add_argument("rule", help="a rule id or 'all'; known: "
-                               + ", ".join(verify.rule_ids()))
+    p.add_argument("rule", help="a rule id or 'all'; an unknown id lists "
+                                "the known ones")
     p.add_argument("--grid", default=None,
                    help="instance grid override, e.g. \"K3,t=2..5\" "
                         "or \"max=10\"")

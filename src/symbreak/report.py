@@ -34,21 +34,35 @@ JSON schema (stable within a major version):
 
 The digest is the SHA-256 of the canonical JSON body with ``generated`` and
 ``digest`` removed, so it identifies the computation, not the wall clock.
+The SHA-256 comes from the interpreter's built-in module (``_sha2`` on
+Python 3.12+, ``_sha256`` on 3.10 and 3.11), with ``hashlib`` only as the
+fallback: hashlib loads OpenSSL, about 3.5 MB of resident memory, for the
+one digest a command takes.  The hex digest is the same either way.  ``csv``
+is imported by the CSV writer only.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
 from .graph6 import emit_graph6
 from .graphs import Graph
-from .indices import IndexReport
-from .verify import TheoremVerdict
+
+try:  # hashlib is heavy to load: it brings in OpenSSL
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+if TYPE_CHECKING:
+    from .indices import IndexReport
+    from .verify import TheoremVerdict
 
 SOURCES = ("graph6", "edgelist", "builtin", "product")
 
@@ -114,7 +128,7 @@ class ReportEnvelope:
 def body_digest(body: dict) -> str:
     """The ``digest`` field: SHA-256 of an envelope's canonical body."""
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canon.encode()).hexdigest()
+    return "sha256:" + _sha256(canon.encode()).hexdigest()
 
 
 def _phi_payload(report: IndexReport):
@@ -165,6 +179,8 @@ def emit_report(envelope: ReportEnvelope, fmt: str = "json") -> str:
 
 
 def _emit_csv(envelope: ReportEnvelope) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     sections = 0

@@ -624,3 +624,27 @@ class TestEnvOverrides:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["graphs"][0]["autOrder"] == 120
+
+
+_HEAVY_MODULES = ("_hashlib", "hashlib", "symbreak.verify", "symbreak.corpus",
+                  "csv", "datetime")
+
+_LEAN_START = f"""
+import contextlib, io, json, sys
+import symbreak.cli as cli
+loaded = [m for m in {_HEAVY_MODULES!r} if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "thm3.13"])
+print(json.dumps({{"loaded": loaded, "code": code,
+                  "verify": "symbreak.verify" in sys.modules}}))
+"""
+
+
+class TestLeanStart:
+    def test_import_loads_no_command_only_module(self):
+        # a fresh interpreter: this process has loaded all of them already
+        proc = subprocess.run([sys.executable, "-c", _LEAN_START],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"loaded": [], "code": 0,
+                                           "verify": True}

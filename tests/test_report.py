@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import symbreak
 from symbreak.errors import InvalidInputError
-from symbreak.graphs import cycle, path
+from symbreak.graphs import cycle, path, petersen
 from symbreak.indices import graph_indices
 from symbreak.report import (GraphDocument, GraphRecord, ReportEnvelope,
                              body_digest, emit_report, graph_record,
@@ -129,3 +134,45 @@ class TestCsv:
     def test_unknown_format(self):
         with pytest.raises(InvalidInputError):
             emit_report(ReportEnvelope("0.1.0", "cmd"), "yaml")
+
+
+def _oracle_digest(body: dict) -> str:
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    return "sha256:" + hashlib.sha256(canon).hexdigest()
+
+
+def _cli_body(run_cli, *argv) -> tuple[dict, dict]:
+    """(the report as printed, its body without generated and digest)."""
+    out = json.loads(run_cli(*argv)[1])
+    body = {k: v for k, v in out.items() if k not in ("generated", "digest")}
+    return out, body
+
+
+class TestDigestOracle:
+    """body_digest takes SHA-256 without hashlib; its digests must be
+    hashlib's, byte for byte."""
+
+    @pytest.mark.parametrize("argv,count", [
+        (("analyze", str(Path(symbreak.__file__).parent / "data"
+                         / "connected_n_le6.g6")), ("graphs", 143)),
+        (("verify", "thm3.13"), ("agree", 4)),
+        (("analyze", "builtin:petersen", "--max-aut", "100"), ("skipped", 1)),
+    ], ids=["analyze-corpus-file", "verify-thm3.13", "skip-record"])
+    def test_cli_reports(self, run_cli, argv, count):
+        out, body = _cli_body(run_cli, *argv)
+        key, expected = count
+        assert out["summary"][key] == expected
+        assert body_digest(body) == _oracle_digest(body) == out["digest"]
+
+    def test_non_ascii_document_name(self):
+        doc = GraphDocument("Петерсен–grafo·ñ", petersen(), "graph6")
+        body = ReportEnvelope("0.1.0", "symbreak analyze", graphs=(
+            graph_record(doc, graph_indices(doc.graph)),)).body()
+        assert body_digest(body) == _oracle_digest(body)
+
+    def test_generated_stamp(self, run_cli):
+        out, _ = _cli_body(run_cli, "analyze", "builtin:cycle:5")
+        stamp = out["generated"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        drift = datetime.now(timezone.utc) - datetime.fromisoformat(stamp)
+        assert abs(drift) <= timedelta(seconds=5)
