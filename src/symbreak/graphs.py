@@ -37,9 +37,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1)
 
-    def neighbors_mask(self, u: int) -> int:
-        return self._adj[u]
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(_bits(self._adj[u]))
 

@@ -117,27 +117,12 @@ per-index functions, which never read the quotient, are its oracle in
 tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
-itself.  is_steady first looks for a twin witness: two vertices of G - u
-with the same open neighborhood, or the same closed one, one in N(u) and
-one outside it.  Swapping two twins is an automorphism of G - u, and this
-one moves N(u), so u is not steady.  The witness is taken only when
-(n - 1)! <= the automorphism budget, where no group on the n - 1 vertices
-of G - u exceeds the budget and the search it skips could not raise; so
-is_steady still raises exactly when |Aut(G - u)| exceeds the budget.
-Under the same guard, and without a witness, the refinement of G - u
-certifies u steady when N(u) is a union of its color cells: refined
-colors are kept by every automorphism (McKay 1981), so each cell, and
-each union of cells, is mapped onto itself.  The converse fails, so a
-neighborhood that splits a cell is left to the search, which starts
-from those colors and refines them in one round to the same cells, so
-its chain and answer are unchanged.  Only then is Aut(G - u) searched and
-only its generators tested (see its docstring); the search returns at
-once when refinement already tells every vertex apart.  graph_indices asks
-is_steady once per orbit of Aut(G), about the smallest vertex: steadiness
-is an orbit invariant, since an automorphism taking u to u' restricts to
-an isomorphism G - u -> G - u' that carries N(u) onto N(u').  So is
-|Aut(G - u)|, which keeps the budget decision the same as asking about
-every vertex.
+itself; is_steady's docstring says how it decides that, and when it
+searches Aut(G - u).  graph_indices asks is_steady once per orbit of
+Aut(G), about the smallest vertex: steadiness is an orbit invariant, since
+an automorphism taking u to u' restricts to an isomorphism
+G - u -> G - u' that carries N(u) onto N(u').  So is |Aut(G - u)|, which
+keeps the budget decision the same as asking about every vertex.
 """
 
 from __future__ import annotations
@@ -564,11 +549,12 @@ def is_steady(g: Graph, u: int) -> bool:
     and when one lies in N(u) and the other does not, it moves N(u).
     Under the same bound, a refinement of G - u in which N(u) is a union
     of color cells answers True with no search: every automorphism keeps
-    each cell.  Otherwise the stabilizer chain of Aut(G - u) is searched,
-    from those colors when they were refined, and since a group maps a set
-    onto itself iff each of its generators does, only its strong
-    generators are tested, with N(u) as a bitmask; no other element is
-    built.  The chain is built in full before any generator is tested, so
+    each cell (McKay 1981).  The converse fails, so a neighborhood that
+    splits a cell is left to the search.  Otherwise the stabilizer chain
+    of Aut(G - u) is searched, from those colors when they were refined,
+    and since a group maps a set onto itself iff each of its generators
+    does, only its strong generators are tested, with N(u) as a bitmask;
+    no other element is built.  The chain is built in full before any generator is tested, so
     the call raises BudgetExceededError exactly when |Aut(G - u)| exceeds
     the automorphism budget, whatever the answer would have been; the twin
     witness and the refinement answer only where the search could not

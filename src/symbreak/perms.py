@@ -124,13 +124,6 @@ class CycleDecomposition:
     def cycle_count(self) -> int:
         return len(self.cycles) + len(self.fixed_points)
 
-    def to_permutation(self) -> Permutation:
-        image = list(range(self.n))
-        for cyc in self.cycles:
-            for i, v in enumerate(cyc):
-                image[v] = cyc[(i + 1) % len(cyc)]
-        return Permutation(tuple(image))
-
 
 def cycle_decomposition(p: Permutation) -> CycleDecomposition:
     seen = set()

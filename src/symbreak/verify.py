@@ -15,6 +15,14 @@ machinery, and emits one verdict per instance:
                      is recorded so every requested instance appears exactly
                      once in the output
 
+A rule is one record, built by _rule, over a generator of rows: a row is
+(instance, predicted, brute[, unmet[, notes]]), the two sides as thunks
+and unmet the preconditions the instance fails, or (instance, reason) for
+a skip record.  _verdicts is the one place verdicts are built: one per
+row, in order, each row's two sides run before the next row is drawn, so
+a row's thunks may close over its generator's loop variables.  The rule id
+is written only in the record.
+
 Rule identifiers (``thm3.7``, ``eq1``, ...) are opaque catalog tokens; the
 registry's summary strings say what each rule states.  Two rules compare a
 pair of closed forms rather than a formula against a search: the radical
@@ -278,47 +286,37 @@ def _vsum_instances(grid: dict,
 # rules
 
 
-def _rule_eq1(grid: dict) -> list[TheoremVerdict]:
+def _eq1_rows(grid: dict) -> Iterator[tuple]:
     ns = _ints(grid, "n", range(2, 9))
     ks = _ints(grid, "k", range(1, 5))
-    out = []
     for n in ns:
         g = path(n)
+        # the closed form collapses to 0 on one vertex
+        unmet = () if n >= 2 else ("the closed form needs n >= 2",)
         for k in ks:
-            out.append(_verdict(
-                "eq1", f"path:{n},k={k}",
-                lambda n=n, k=k: formulas.phi_path_closed(n, k),
-                lambda g=g, k=k: phi_brute(g, k).phi))
-    return out
+            yield (f"path:{n},k={k}", partial(formulas.phi_path_closed, n, k),
+                   lambda: phi_brute(g, k).phi, unmet)
 
 
-def _rule_eq2(grid: dict) -> list[TheoremVerdict]:
-    out = []
+def _eq2_rows(grid: dict) -> Iterator[tuple]:
     for g in corpus.connected_graphs(min(_cap(grid, 6), 6)):
         group = automorphism_group(g)
         theta = distinguishing_threshold(g, group)
         name = emit_graph6(g)
         for k in range(theta, theta + 3):
-            def exact(g=g, k=k, group=group):
+            def exact():
                 num = math.factorial(k) * formulas.stirling2(g.n, k)
                 q, r = divmod(num, group.order)
                 if r:
                     raise AssertionError("count not divisible by group order")
                 return q
-            out.append(_verdict(
-                "eq2", f"{name},k={k},exact",
-                exact,
-                lambda g=g, k=k, group=group: phi_brute(g, k, group).varphi))
-
-            def cumulative(g=g, k=k, group=group):
-                return sum(formulas.binomial(k, i)
-                           * phi_brute(g, i, group).varphi
-                           for i in range(1, min(k, g.n) + 1))
-            out.append(_verdict(
-                "eq2", f"{name},k={k},cumulative",
-                cumulative,
-                lambda g=g, k=k, group=group: phi_brute(g, k, group).phi))
-    return out
+            yield (f"{name},k={k},exact", exact,
+                   lambda: phi_brute(g, k, group).varphi)
+            yield (f"{name},k={k},cumulative",
+                   lambda: sum(formulas.binomial(k, i)
+                               * phi_brute(g, i, group).varphi
+                               for i in range(1, min(k, g.n) + 1)),
+                   lambda: phi_brute(g, k, group).phi)
 
 
 def _union_instances() -> list[tuple[str, str, list[Graph]]]:
@@ -340,45 +338,32 @@ def _union_instances() -> list[tuple[str, str, list[Graph]]]:
     ]
 
 
-def _rule_thm21(grid: dict) -> list[TheoremVerdict]:
-    out = []
+def _thm21_rows(grid: dict) -> Iterator[tuple]:
     for case, name, comps in _union_instances():
         union, _ = disjoint_union(comps)
-        out.append(_verdict(
-            "thm2.1", f"union[{case}]:{name}",
-            lambda comps=comps: formulas.theta_union(comps),
-            lambda union=union: distinguishing_threshold(union)))
-    return out
+        yield (f"union[{case}]:{name}", partial(formulas.theta_union, comps),
+               partial(distinguishing_threshold, union))
 
 
-def _rule_thm35(grid: dict) -> list[TheoremVerdict]:
-    out = []
+def _thm35_rows(grid: dict) -> Iterator[tuple]:
     for g in corpus.connected_graphs(min(_cap(grid, 6), 6)):
         name = emit_graph6(g)
         for ob in orbits(automorphism_group(g)):
             u = ob[0]
-            out.append(_verdict(
-                "thm3.5", f"{name},u={u}",
-                lambda g=g, u=u: int(is_steady(g, u)),
-                lambda g=g, u=u: int(_restriction_property(g, u))))
-    return out
+            yield (f"{name},u={u}", lambda: int(is_steady(g, u)),
+                   lambda: int(_restriction_property(g, u)))
 
 
-def _rule_thm37(grid: dict) -> list[TheoremVerdict]:
+def _thm37_rows(grid: dict) -> Iterator[tuple]:
     defaults = [("K3", [2, 3, 4, 5]), ("K4", [2, 3, 4]), ("C5", [2, 3]),
                 ("K4-e", [2]), ("P4", [2])]
-    out = []
     for name, g, root, t in _vsum_instances(grid, defaults):
         bound = formulas.d_vertex_sum_power(g, root, t)
         product, _ = products.vertex_sum_power(g, root, t)
-        unmet = [] if bound.exact else [
-            "root is not steady: the minimum form is an upper bound only"]
-        out.append(_verdict(
-            "thm3.7", f"{name}@{root},t={t}",
-            lambda bound=bound: bound.value,
-            lambda p=product: _brute_d(p),
-            unmet=unmet))
-    return out
+        unmet = () if bound.exact else (
+            "root is not steady: the minimum form is an upper bound only",)
+        yield (f"{name}@{root},t={t}", lambda: bound.value,
+               partial(_brute_d, product), unmet)
 
 
 _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
@@ -387,10 +372,11 @@ _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
 
 def _vsum_closed_rows(rule: str, closed_form,
                       defaults: Sequence[tuple[str, Sequence[int]]],
-                      grid: dict) -> list[TheoremVerdict]:
+                      grid: dict) -> Iterator[tuple]:
     """cor3.8 and cor3.9: closed_form(n, t), the minimum form, against
     search on each t-fold vertex-sum, then the radical rows of each family.
-    A rule takes only the families of its defaults."""
+    A rule takes only the families of its defaults; the error for any
+    other family names the rule by its id, rule."""
     instances = _vsum_instances(grid, defaults)
     kinds = [name for name, _ in defaults]
     family = grid.get("family")
@@ -400,22 +386,15 @@ def _vsum_closed_rows(rule: str, closed_form,
                 f"rule {rule} takes family {', '.join(kinds)}, "
                 f"got {family!r}")
         kinds = [family]
-    out = []
     for name, g, root, t in instances:
         product, _ = products.vertex_sum_power(g, root, t)
-        out.append(_verdict(
-            rule, f"{name},t={t},min-form",
-            lambda n=g.n, t=t: closed_form(n, t),
-            lambda p=product: _brute_d(p)))
+        yield (f"{name},t={t},min-form", partial(closed_form, g.n, t),
+               partial(_brute_d, product))
     ts = _ints(grid, "t", range(2, 51))
     for kind in kinds:
         for row in formulas.radical_discrepancy_rows(kind, ts):
-            out.append(_verdict(
-                rule, f"{kind},t={row.t},radical",
-                lambda row=row: row.radical_form,
-                lambda row=row: row.minimum_form,
-                notes=(_RADICAL_NOTE,)))
-    return out
+            yield (f"{kind},t={row.t},radical", lambda: row.radical_form,
+                   lambda: row.minimum_form, (), (_RADICAL_NOTE,))
 
 
 def _thm310_instances() -> list[tuple[str, list[RootedGraph]]]:
@@ -445,37 +424,28 @@ def _thm312_instances() -> list[tuple[str, list[RootedGraph]]]:
     ]
 
 
-def _vsum_rooted_rows(rule: str, instances, predicted_of, brute_of,
-                      unmet_of, grid: dict) -> list[TheoremVerdict]:
+def _vsum_rooted_rows(instances, predicted_of, brute_of, unmet_of,
+                      grid: dict) -> Iterator[tuple]:
     """thm3.10 and thm3.12: predicted_of(factors) against brute_of on the
     vertex-sum of each named list of rooted factors from instances(), with
     unmet_of(factors) the preconditions the factors fail.  The instances
     are fixed, so the rules read no grid key."""
-    out = []
     for name, factors in instances():
         product, _ = products.vertex_sum(factors)
-        out.append(_verdict(
-            rule, name,
-            lambda factors=factors: predicted_of(factors),
-            lambda p=product: brute_of(p),
-            unmet=unmet_of(factors)))
-    return out
+        yield (name, partial(predicted_of, factors),
+               partial(brute_of, product), unmet_of(factors))
 
 
-def _rule_thm313(grid: dict) -> list[TheoremVerdict]:
+def _thm313_rows(grid: dict) -> Iterator[tuple]:
     pairs = [(3, 2), (3, 3), (4, 2), (5, 2)]
     if "n" in grid or "t" in grid:
         ns = _ints(grid, "n", [3])
         ts = _ints(grid, "t", [2])
         pairs = [(n, t) for n in ns for t in ts]
-    out = []
     for n, t in pairs:
         product, _ = products.vertex_sum_power(cycle(n), 0, t)
-        out.append(_verdict(
-            "thm3.13", f"C{n},t={t}",
-            lambda n=n, t=t: formulas.theta_vsum_cycles(n, t),
-            lambda p=product: distinguishing_threshold(p)))
-    return out
+        yield (f"C{n},t={t}", partial(formulas.theta_vsum_cycles, n, t),
+               partial(distinguishing_threshold, product))
 
 
 def _rooted_copies(h: Graph) -> list[RootedGraph]:
@@ -502,24 +472,23 @@ def _pairs(kind: str, grid: dict) -> list[tuple[Graph, Graph]]:
             if g.n * (h.n + extra) <= cap]
 
 
-def _product_rows(rule: str, kind: str, predicted_of, brute_of, unmet_of,
-                  grid: dict) -> list[TheoremVerdict]:
-    """One verdict per factor pair of the kind's grid, "rooted" (a copy
-    per root orbit), "corona" or "lex": predicted_of(g, h) against
-    brute_of on the product graph, with unmet_of(g, h) the preconditions
-    the pair fails (for "lex", the naturality check).  A pair whose
-    preconditions spend a budget is a skip record, and so is a pool graph
-    whose root orbits do, once per base, named without a root.  Each
-    distinct factor is named once per rule."""
+def _product_rows(kind: str, predicted_of, brute_of, unmet_of,
+                  grid: dict) -> Iterator[tuple]:
+    """One row per factor pair of the kind's grid, "rooted" (a copy per
+    root orbit), "corona" or "lex": predicted_of(g, h) against brute_of on
+    the product graph, with unmet_of(g, h) the preconditions the pair fails
+    (for "lex", the naturality check).  A pair whose preconditions spend a
+    budget is a skip record, and so is a pool graph whose root orbits do,
+    once per base, named without a root.  Each distinct factor is named
+    once per rule."""
     copies_of, build = _PRODUCTS[kind][2:]
     name = cache(emit_graph6)
-    out = []
     for g, hb in _pairs(kind, grid):
         try:
             copies = copies_of(hb)
         except BudgetExceededError as exc:
-            out.append(_skip(rule, f"{kind}({name(g)},{name(hb)})",
-                             f"root orbits hit budget: {exc}"))
+            yield (f"{kind}({name(g)},{name(hb)})",
+                   f"root orbits hit budget: {exc}")
             continue
         for h in copies:
             copy = f"{name(hb)}@{h.root}" if kind == "rooted" else name(hb)
@@ -527,16 +496,21 @@ def _product_rows(rule: str, kind: str, predicted_of, brute_of, unmet_of,
             try:
                 unmet = unmet_of(g, h)
             except BudgetExceededError as exc:
-                out.append(_skip(rule, instance,
-                                 f"preconditions hit budget: {exc}"))
+                yield instance, f"preconditions hit budget: {exc}"
                 continue
             product, _ = build(g, h)
-            out.append(_verdict(
-                rule, instance,
-                lambda g=g, h=h: predicted_of(g, h),
-                lambda p=product: brute_of(p),
-                unmet=unmet))
-    return out
+            yield (instance, partial(predicted_of, g, h),
+                   partial(brute_of, product), unmet)
+
+
+def _verdicts(rule_id: str, rows: Callable[[dict], Iterator[tuple]],
+              grid: dict) -> list[TheoremVerdict]:
+    """The one place a rule's verdicts are built: one per row of
+    rows(grid), in order.  A row is (instance, predicted, brute[, unmet[,
+    notes]]), with the two sides as thunks, or (instance, reason) for a skip
+    record; each row is evaluated before the next is drawn."""
+    return [_skip(rule_id, *row) if len(row) == 2 else _verdict(rule_id, *row)
+            for row in rows(grid)]
 
 
 @dataclass(frozen=True)
@@ -547,55 +521,58 @@ class Rule:
     keys: tuple[str, ...]  # the grid keys the runner reads
 
 
+def _rule(rule_id: str, summary: str, rows, keys: tuple[str, ...],
+          *args) -> Rule:
+    """A rule whose verdicts come from the row generator rows(*args, grid)."""
+    return Rule(rule_id, summary,
+                partial(_verdicts, rule_id, partial(rows, *args)), keys)
+
+
 def _product_rule(rule_id: str, summary: str, kind: str, predicted_of,
                   brute_of, unmet_of) -> Rule:
     """A rule over the factor pairs of one product kind (see _product_rows),
     read at the grid's max."""
-    return Rule(rule_id, summary, partial(_product_rows, rule_id, kind,
-                                          predicted_of, brute_of, unmet_of),
-                ("max",))
+    return _rule(rule_id, summary, _product_rows, ("max",), kind,
+                 predicted_of, brute_of, unmet_of)
 
 
 _RULES: tuple[Rule, ...] = (
-    Rule("eq1", "path coloring-count closed form vs partition search",
-         _rule_eq1, ("n", "k")),
-    Rule("eq2", "factorial/Stirling exact count above the threshold and the "
-         "binomial accumulation identity vs partition search", _rule_eq2,
-         ("max",)),
+    _rule("eq1", "path coloring-count closed form vs partition search",
+          _eq1_rows, ("n", "k")),
+    _rule("eq2", "factorial/Stirling exact count above the threshold and the "
+          "binomial accumulation identity vs partition search", _eq2_rows,
+          ("max",)),
     _product_rule("eq3", "corona group order = base order times copy order "
                   "to the base size, vs enumerated product group", "corona",
                   formulas.aut_order_corona, _brute_order,
                   formulas.corona_preconditions),
-    Rule("thm2.1", "disjoint-union threshold case analysis vs enumerated "
-         "threshold", _rule_thm21, ()),
-    Rule("thm3.5", "steady vertex iff every distinguishing coloring "
-         "restricts to a distinguishing coloring of the deletion",
-         _rule_thm35, ("max",)),
-    Rule("thm3.7", "t-fold vertex-sum distinguishing number: minimum-form "
-         "bound, exact at steady roots, vs search", _rule_thm37,
-         ("family", "t")),
-    Rule("cor3.8", "complete-graph vertex-sum: minimum form vs search, and "
-         "radical closed form vs minimum form",
-         partial(_vsum_closed_rows, "cor3.8", formulas.d_vsum_complete_closed,
-                 (("K3", (2, 3, 4, 5)), ("K4", (2, 3, 4)), ("K5", (2,)))),
-         ("family", "t")),
-    Rule("cor3.9", "cycle vertex-sum: minimum form vs search, and radical "
-         "closed form vs minimum form",
-         partial(_vsum_closed_rows, "cor3.9", formulas.d_vsum_cycles,
-                 (("C5", (2, 3)), ("C7", (2,)))),
-         ("family", "t")),
-    Rule("thm3.10", "vertex-sum of distinct 2-connected steady-rooted "
-         "factors: max deletion distinguishing number vs search",
-         partial(_vsum_rooted_rows, "thm3.10", _thm310_instances,
-                 formulas.d_vsum_nonisomorphic, _brute_d,
-                 formulas.d_vsum_nonisomorphic_preconditions), ()),
-    Rule("thm3.12", "vertex-sum threshold = threshold of the union of "
-         "deletions + 1, vs enumeration",
-         partial(_vsum_rooted_rows, "thm3.12", _thm312_instances,
-                 formulas.theta_vsum_2connected, distinguishing_threshold,
-                 formulas.theta_vsum_2connected_preconditions), ()),
-    Rule("thm3.13", "t-fold cycle vertex-sum threshold closed form vs "
-         "enumeration", _rule_thm313, ("n", "t")),
+    _rule("thm2.1", "disjoint-union threshold case analysis vs enumerated "
+          "threshold", _thm21_rows, ()),
+    _rule("thm3.5", "steady vertex iff every distinguishing coloring "
+          "restricts to a distinguishing coloring of the deletion",
+          _thm35_rows, ("max",)),
+    _rule("thm3.7", "t-fold vertex-sum distinguishing number: minimum-form "
+          "bound, exact at steady roots, vs search", _thm37_rows,
+          ("family", "t")),
+    _rule("cor3.8", "complete-graph vertex-sum: minimum form vs search, and "
+          "radical closed form vs minimum form", _vsum_closed_rows,
+          ("family", "t"), "cor3.8", formulas.d_vsum_complete_closed,
+          (("K3", (2, 3, 4, 5)), ("K4", (2, 3, 4)), ("K5", (2,)))),
+    _rule("cor3.9", "cycle vertex-sum: minimum form vs search, and radical "
+          "closed form vs minimum form", _vsum_closed_rows, ("family", "t"),
+          "cor3.9", formulas.d_vsum_cycles, (("C5", (2, 3)), ("C7", (2,)))),
+    _rule("thm3.10", "vertex-sum of distinct 2-connected steady-rooted "
+          "factors: max deletion distinguishing number vs search",
+          _vsum_rooted_rows, (), _thm310_instances,
+          formulas.d_vsum_nonisomorphic, _brute_d,
+          formulas.d_vsum_nonisomorphic_preconditions),
+    _rule("thm3.12", "vertex-sum threshold = threshold of the union of "
+          "deletions + 1, vs enumeration", _vsum_rooted_rows, (),
+          _thm312_instances, formulas.theta_vsum_2connected,
+          distinguishing_threshold,
+          formulas.theta_vsum_2connected_preconditions),
+    _rule("thm3.13", "t-fold cycle vertex-sum threshold closed form vs "
+          "enumeration", _thm313_rows, ("n", "t")),
     _product_rule("thm4.2", "rooted-product group order = base order times "
                   "root-stabilizer order to the base size, vs enumeration",
                   "rooted", formulas.aut_order_rooted, _brute_order,

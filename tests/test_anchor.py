@@ -5,7 +5,9 @@ Each rule runs through the CLI on a grid small enough for the whole set to
 take seconds, and its report digest and verdict count must equal the values
 frozen when the anchor was set.  The digest covers the command line and
 every verdict field, notes included, so any moved verdict, predicted value,
-brute-force value or budget note fails here.  The grids are the ones the
+brute-force value or budget note fails here.  Every verdict of a rule's
+report must also carry that rule's id and a name no other of its verdicts
+has.  The grids are the ones the
 benchmark's verify workload runs.  The analyze anchors cover every field
 of every graph's record: |Aut|, D, theta, the Phi rows up to 4 and the
 steady vertices.
@@ -57,6 +59,10 @@ def test_rule_keeps_its_anchor(run_cli, rule):
     report = json.loads(out)
     assert report["summary"]["verdicts"] == count
     assert report["digest"] == digest
+    verdicts = report["verdicts"]
+    assert {v["theoremId"] for v in verdicts} == {rule}
+    names = [v["instance"] for v in verdicts]
+    assert len(names) == len(set(names))
 
 
 # corpus file -> (digest, graphs) of analyze --phi-max 4 --steady on it

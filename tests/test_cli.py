@@ -224,6 +224,21 @@ class TestVerify:
             "notes",
         }
 
+    def test_path_closed_form_on_one_vertex_is_out_of_coverage(self,
+                                                                 run_cli):
+        # the closed form collapses to 0 at n = 1; that is no disagreement
+        code, out, err = run_cli("verify", "eq1", "--grid", "n=1..2,k=1..2")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["summary"]["disagree"] == 0
+        one = [v for v in doc["verdicts"] if v["instance"].startswith("path:1,")]
+        assert [(v["instance"], v["status"], v["predicted"], v["bruteForce"],
+                 v["notes"]) for v in one] == [
+            ("path:1,k=1", "inconclusive", 0, 1,
+             ["the closed form needs n >= 2"]),
+            ("path:1,k=2", "inconclusive", 0, 2,
+             ["the closed form needs n >= 2"])]
+
     def test_unknown_rule_exits_2(self, run_cli):
         code, _, err = run_cli("verify", "nope")
         assert code == 2

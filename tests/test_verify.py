@@ -124,12 +124,6 @@ class TestVerdictShape:
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.status = "agree"
 
-    def test_instances_unique_within_rule(self):
-        for rid in ("eq1", "thm2.1", "thm3.13", "cor3.9"):
-            vs = verify.run_rules([rid])
-            names = [v.instance for v in vs]
-            assert len(names) == len(set(names)), rid
-
     def test_agreeing_row_fields(self):
         (v,) = verify.run_rules(["thm3.13"], grid=verify.parse_grid("n=3,t=2"))
         assert v.theorem_id == "thm3.13"
