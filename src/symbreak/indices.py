@@ -554,11 +554,11 @@ def is_steady(g: Graph, u: int) -> bool:
     of Aut(G - u) is searched, from those colors when they were refined,
     and since a group maps a set onto itself iff each of its generators
     does, only its strong generators are tested, with N(u) as a bitmask;
-    no other element is built.  The chain is built in full before any generator is tested, so
-    the call raises BudgetExceededError exactly when |Aut(G - u)| exceeds
-    the automorphism budget, whatever the answer would have been; the twin
-    witness and the refinement answer only where the search could not
-    raise.
+    no other element is built.  The chain is built in full before any
+    generator is tested, so the call raises BudgetExceededError exactly
+    when |Aut(G - u)| exceeds the automorphism budget, whatever the answer
+    would have been; the twin witness and the refinement answer only where
+    the search could not raise.
     """
     if not 0 <= u < g.n:
         raise InvalidInputError(f"vertex {u} out of range")

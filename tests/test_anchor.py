@@ -7,10 +7,9 @@ frozen when the anchor was set.  The digest covers the command line and
 every verdict field, notes included, so any moved verdict, predicted value,
 brute-force value or budget note fails here.  Every verdict of a rule's
 report must also carry that rule's id and a name no other of its verdicts
-has.  The grids are the ones the
-benchmark's verify workload runs.  The analyze anchors cover every field
-of every graph's record: |Aut|, D, theta, the Phi rows up to 4 and the
-steady vertices.
+has.  The grids are the ones the benchmark's verify workload runs.  The
+analyze anchors cover every field of every graph's record: |Aut|, D,
+theta, the Phi rows up to 4 and the steady vertices.
 """
 
 from __future__ import annotations
