@@ -45,15 +45,19 @@ itself with one class of size 1; graph_indices passes the twin quotient
 twins, that is when its order exceeds walked's, and otherwise
 walked.max_cycles + 1, from the chain's levels, deepest first, each
 skipped or stopped at a conjugacy bound (perms.AutGroup.max_cycles: 2,879
-of Kneser(10,2)'s 3,628,800 elements), with no scan.  Below theta,
-Phi_k = N_k / |walked|, every k from one labelling polynomial over
+of Kneser(10,2)'s 3,628,800 elements), with no scan.  Every row of a
+table comes from N_k, the labellings at k labels that no element of
+walked keeps, evaluated once per k from one labelling polynomial over
 walked's minimal cycles (kernels.labelling_polynomial: inclusion-exclusion
 over their cycle partitions, one node of the coloring budget per join);
-with one class of size 1, N_k is the sum above.  _phi_rows builds the
-rows: below theta varphi_k = sum_i (-1)^(k-i) C(k, i) Phi_i; at and above
-it every surjective k-coloring is distinguishing and the group acts
-freely, so varphi_k = k! S(n, k) / |Aut|, which is 0 past n; and
-Phi_k = sum_i C(k, i) varphi_i.  A table reads D from the same
+with one class of size 1, N_k is the sum above.  Then
+Phi_k = (N_k - N_0) / |walked| and
+varphi_k = sum_{i=0..k} (-1)^(k-i) C(k, i) N_i / |walked|, at every k,
+theta and past n included: N_0 is 0 unless the graph has no vertices, where
+it is 1 and keeps every row 0.  At and above theta every surjective
+k-coloring is distinguishing and the group acts freely, so
+varphi_k = k! S(n, k) / |Aut|, which is 0 past n; tests/test_indices.py
+holds the rows to that identity.  A table reads D from the same
 polynomial, with no probe and no walk: the least k < theta with N_k > 0,
 or theta when there is none, so its coloring budget pays only the joins.
 Without a table D is the first rung that answers (_rungs, which
@@ -105,8 +109,8 @@ gives class x its set of t_x colors is distinguishing for Aut_w(G'), so
 class x takes one of C(k, t_x) labels (Hemminger's X-join with H = K_t or
 its complement), and _ladder walks G' with one class per weight.  With
 twins, theta = n with no scan: a transposition of two twins has n - 1
-cycles, and no non-identity permutation has more; so the polynomial
-serves only k < n.  G's own chain is never built:
+cycles, and no non-identity permutation has more.  G's own chain is never
+built:
 |Aut(G)| = P * |Aut_w(G')| with P = prod t_x!, so the quotient is searched
 with cap (budget // P), which it exceeds exactly when |Aut(G)| exceeds the
 budget (the error names the budget), and it is searched even when P alone
@@ -117,12 +121,19 @@ per-index functions, which never read the quotient, are its oracle in
 tests/test_twins.py.
 
 A vertex u is steady when every automorphism of G - u maps N(u) onto
-itself; is_steady's docstring says how it decides that, and when it
-searches Aut(G - u).  graph_indices asks is_steady once per orbit of
-Aut(G), about the smallest vertex: steadiness is an orbit invariant, since
-an automorphism taking u to u' restricts to an isomorphism
-G - u -> G - u' that carries N(u) onto N(u').  So is |Aut(G - u)|, which
-keeps the budget decision the same as asking about every vertex.
+itself.  When no group on G - u can exceed the automorphism budget,
+(n - 1)! <= budget, is_steady answers from the cheapest evidence first: a
+pair of twins of G - u on both sides of N(u), read from G's own bitmasks
+(False); N(u) a union of G - u's degree classes (True); N(u) a union of
+its refined color cells (True); and last the chain search of Aut(G - u),
+which stops at the first coset representative that moves N(u) (False).
+Past that bound the chain is built in full first, so the budget decides
+before any answer does; is_steady's docstring has the details.
+graph_indices asks is_steady once per orbit of Aut(G), about the smallest
+vertex: steadiness is an orbit invariant, since an automorphism taking u
+to u' restricts to an isomorphism G - u -> G - u' that carries N(u) onto
+N(u').  So is |Aut(G - u)|, which keeps the budget decision the same as
+asking about every vertex.
 """
 
 from __future__ import annotations
@@ -271,7 +282,8 @@ class PhiTable:
 def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
     """(Phi_k, varphi_k) by partition search alone, any k; the oracle route.
 
-    Independent of phi/phi_table above theta: no Stirling shortcut.
+    Independent of phi/phi_table: it reads neither the minimal cycles nor
+    the labelling polynomial.
     """
     if k < 1:
         raise InvalidInputError("k must be at least 1")
@@ -283,24 +295,6 @@ def phi_brute(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
     return PhiPair(_exact_div(total, group.order, "Phi"),
                    _exact_div(A[k] * math.factorial(k), group.order,
                               "varphi") if k <= g.n else 0)
-
-
-def _phi_rows(n: int, order: int, theta: int, k_max: int,
-              below) -> tuple[PhiRow, ...]:
-    """Rows k = 1..k_max from below = Phi_1, Phi_2, ... for every k < theta
-    up to k_max."""
-    varphi = [0] * (k_max + 1)
-    for k in range(1, k_max + 1):
-        if k < theta:
-            varphi[k] = sum((-1) ** (k - i) * math.comb(k, i) * below[i - 1]
-                            for i in range(1, k + 1))
-        elif k <= n:
-            varphi[k] = _exact_div(math.factorial(k) * stirling2(n, k),
-                                   order, "varphi")
-    return tuple(
-        PhiRow(k, sum(math.comb(k, i) * varphi[i]
-                      for i in range(1, min(k, n) + 1)), varphi[k])
-        for k in range(1, k_max + 1))
 
 
 def _rungs(n: int, order: int, walked: AutGroup, classes, sizes) -> int:
@@ -342,22 +336,25 @@ def _ladder(n: int, order: int, walked: AutGroup, classes, sizes,
     if not k_max:
         return _rungs(n, order, walked, classes, sizes), theta, None
     terms = kernels.labelling_polynomial(
-        walked.n, walked.minimal_cycles, classes,
-        limits.coloring_cap()) if theta > 1 else ()
+        walked.n, walked.minimal_cycles, classes, limits.coloring_cap())
 
     def labellings(k: int) -> int:
         return kernels.labellings_at(terms, kernels._palettes(k, sizes))
 
-    d = next((k for k in range(1, theta) if labellings(k)), theta)
-    below = [_exact_div(labellings(k), walked.order, "Phi")
-             for k in range(1, min(k_max, theta - 1) + 1)]
-    rows = _phi_rows(n, order, theta, k_max, below)
+    N = [labellings(k) for k in range(k_max + 1)]
+    d = next((k for k in range(1, theta)
+              if (N[k] if k <= k_max else labellings(k))), theta)
+    rows = tuple(
+        PhiRow(k, _exact_div(N[k] - N[0], walked.order, "Phi"),
+               _exact_div(sum((-1) ** (k - i) * math.comb(k, i) * N[i]
+                              for i in range(k + 1)), walked.order, "varphi"))
+        for k in range(1, k_max + 1))
     return d, theta, PhiTable(n, order, d, theta, rows)
 
 
 def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
-    """Rows k = 1..k_max of (Phi_k, varphi_k): the labelling polynomial
-    gives Phi_k below theta, and _phi_rows the rest."""
+    """Rows k = 1..k_max of (Phi_k, varphi_k), each from the labelling
+    polynomial's N_k (see the module docstring)."""
     if k_max < 1:
         raise InvalidInputError("k_max must be at least 1")
     if group is None:
@@ -537,52 +534,85 @@ def twin_quotient(g: Graph) -> TwinQuotient:
 
 # -- steadiness ------------------------------------------------------------------
 
+def _bitmask_answer(adj, u: int) -> bool | None:
+    """is_steady's first two checks, read from G's neighbor bitmasks adj
+    with no G - u built: False from a twin witness, True from the degree
+    certificate, None when neither answers."""
+    bit = 1 << u
+    opened, closed, inside = set(), set(), set()
+    for a, m in enumerate(adj):
+        if m & bit:
+            opened.add(m)
+            closed.add(m | 1 << a)
+            inside.add(m.bit_count() - 1)
+    outside = set()
+    for b, m in enumerate(adj):
+        if not m & bit and b != u:
+            # adj[a] ^ m is {u} or {u, a, b} for some a in N(u)
+            if m | bit in opened or m | 1 << b | bit in closed:
+                return False
+            outside.add(m.bit_count())
+    return True if inside.isdisjoint(outside) else None
+
+
 def is_steady(g: Graph, u: int) -> bool:
     """True iff every automorphism of G - u maps the old neighborhood of u
     onto itself (equivalently: deleting u loses no symmetry).
 
-    G - u is read from g's bitmasks, with the vertices above u shifted down
-    one.  When (n - 1)! <= the automorphism budget, no group on G - u can
-    exceed the budget, and a twin witness answers False with no search:
-    two vertices of G - u with the same open neighborhood, or the same
-    closed one, are twins, so swapping them is an automorphism of G - u,
-    and when one lies in N(u) and the other does not, it moves N(u).
-    Under the same bound, a refinement of G - u in which N(u) is a union
-    of color cells answers True with no search: every automorphism keeps
-    each cell (McKay 1981).  The converse fails, so a neighborhood that
-    splits a cell is left to the search.  Otherwise the stabilizer chain
-    of Aut(G - u) is searched, from those colors when they were refined,
-    and since a group maps a set onto itself iff each of its generators
-    does, only its strong generators are tested, with N(u) as a bitmask;
-    no other element is built.  The chain is built in full before any
-    generator is tested, so the call raises BudgetExceededError exactly
-    when |Aut(G - u)| exceeds the automorphism budget, whatever the answer
-    would have been; the twin witness and the refinement answer only where
-    the search could not raise.
+    When (n - 1)! <= the automorphism budget, no group on G - u can exceed
+    the budget, and four checks answer, in order:
+
+      1. a twin witness, read from G's bitmasks with no G - u built:
+         a in N(u) and b outside N[u] are twins in G - u when
+         adj[a] ^ adj[b] is {u} (same open neighborhood there) or
+         {u, a, b} (same closed one).  Swapping them is an automorphism of
+         G - u that moves N(u): False.
+      2. a degree certificate: in G - u a vertex of N(u) has degree
+         deg - 1 and any other deg.  When no degree occurs on both sides,
+         N(u) is a union of degree classes, which every automorphism
+         keeps: True.
+      3. a refinement certificate: refined colors of G - u in which N(u)
+         is a union of color cells, each kept by every automorphism
+         (McKay 1981): True.  The converse fails, so a neighborhood that
+         splits a cell goes on to the search.
+      4. the chain search of Aut(G - u) from those colors
+         (kernels._representatives), testing each coset representative,
+         with N(u) as a bitmask, as it is found, and answering False at the
+         first that moves N(u).  A group maps a set onto itself iff each of
+         its generators does, and the representatives generate it, so
+         True when none does.
+
+    Otherwise G - u is read from g's bitmasks, with the vertices above u
+    shifted down one, and its chain is built in full before any
+    representative is tested, so the call raises BudgetExceededError
+    exactly when |Aut(G - u)| exceeds the budget, whatever the answer would
+    have been; the first three checks and the early exit answer only where
+    no search could raise.
     """
     if not 0 <= u < g.n:
         raise InvalidInputError(f"vertex {u} out of range")
     adj = g.adjacency()
+    cap = limits.aut_cap()
+    bounded = math.factorial(g.n - 1) <= cap
+    if bounded:
+        answer = _bitmask_answer(adj, u)
+        if answer is not None:
+            return answer
     low = (1 << u) - 1
     rest = [m & low | m >> (u + 1) << u for m in adj]
     mask = rest.pop(u)
-    cap = limits.aut_cap()
-    colors = None
-    if math.factorial(len(rest)) <= cap:
-        # a twin class with members on both sides of N(u)
-        if any(0 < sum(mask >> v & 1 for v in members) < len(members)
-               for twins in _twins(rest) for members in twins.values()
-               if len(members) > 1):
-            return False
+    nbrs = [v - (v > u) for v in g.neighbors(u)]
+    if bounded:
         # refined colors are kept by every automorphism of G - u, so when
         # N(u) is a union of color cells, each maps it onto itself
         colors = kernels._refine_colors(len(rest), rest)
         cells = {c for v, c in enumerate(colors) if mask >> v & 1}
         if all(mask >> v & 1 or c not in cells for v, c in enumerate(colors)):
             return True
-    nbrs = [v - (v > u) for v in g.neighbors(u)]
-    # refined colors, when given, refine in one round to the same cells
-    _, chain = kernels.search_automorphisms(len(rest), rest, cap, colors)
+        return all(sum(1 << t[v] for v in nbrs) == mask
+                   for _, t in kernels._representatives(len(rest), rest,
+                                                        colors))
+    _, chain = kernels.search_automorphisms(len(rest), rest, cap)
     return all(sum(1 << t[v] for v in nbrs) == mask
                for reps in chain for t in reps[1:])
 

@@ -36,7 +36,12 @@ one first-leaf search per candidate image off the identity path, so |Aut|
 is known, and checked against the budget, without building any element
 beyond the transversals.  Each first-leaf search stays inside a distinct
 subtree that a DFS over every leaf enumerates in full, so the chain never
-visits more.  Group elements, as products of transversal elements, are
+visits more.  The chain search's one loop is a generator,
+_representatives, which yields each coset representative as it is found:
+search_automorphisms collects them into transversals and checks the
+budget after each, and is_steady (symbreak.indices), where no group can
+exceed the budget, stops at the first representative that moves a
+neighborhood.  Group elements, as products of transversal elements, are
 built by symbreak.perms, and only where a caller asks for them.
 Refinement starts from an optional initial coloring, the search's one
 option: a vertex stabilizer gives the pinned vertex a class of its own,
@@ -138,6 +143,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 
 from .errors import BudgetExceededError
@@ -244,6 +250,40 @@ def _class_masks(colors) -> dict[int, int]:
     return masks
 
 
+def _representatives(n: int, adj, colors):
+    """The chain search's one loop: yields (i, t) for each coset
+    representative t of G_{i+1} in G_i, level by level from i = n-1 down
+    to 0, as search_automorphisms finds them.  colors are refined colors
+    (_refine_colors), kept by every automorphism; candidates never leave
+    their color class.  Nothing is yielded when every vertex has a class of
+    its own.  A caller that stops early, on the first representative it
+    needs, builds no more of the chain."""
+    class_mask = _class_masks(colors)
+    if len(class_mask) == n:
+        return
+    cls = [class_mask[c] for c in colors]
+    order = _search_order(n, adj, colors)
+    image = list(range(n))
+    prefix = [0] * (n + 1)
+    for i, v in enumerate(order):
+        prefix[i + 1] = prefix[i] | 1 << v
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        cand = cls[v] & ~prefix[i + 1]
+        av = adj[v]
+        for u in order[:i]:
+            cand &= adj[u] if av >> u & 1 else ~adj[u]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[v] = low.bit_length() - 1
+            leaf = _extend(n, adj, adj, order, cls, image, prefix[i] | low,
+                           i + 1)
+            if leaf is not None:
+                yield i, leaf
+        image[v] = v
+
+
 def search_automorphisms(n: int, adj, order_cap: int, colors=None):
     """(|Aut|, chain) for the graph given as neighbor bitmasks, or for its
     automorphisms that preserve the vertex coloring colors (one hashable
@@ -253,12 +293,13 @@ def search_automorphisms(n: int, adj, order_cap: int, colors=None):
     chain along the search order, in level order, each a tuple of image
     tuples with the identity first.  G_i is the subgroup fixing order[:i]
     pointwise, so G_0 = Aut(G) and G_n = 1.  Levels are walked from i = n-1
-    down to 0.  At level i every candidate image w != order[i] of order[i],
-    with order[:i] fixed, gets one first-leaf search; the leaf found, if
-    any, is the representative of the coset of G_{i+1} sending order[i] to
-    w.  The transversal T_i then gives |G_i| = |T_i| * |G_{i+1}| exactly,
-    and the cap is checked after every representative: BudgetExceededError
-    is raised exactly when the order exceeds order_cap.
+    down to 0 (_representatives).  At level i every candidate image
+    w != order[i] of order[i], with order[:i] fixed, gets one first-leaf
+    search; the leaf found, if any, is the representative of the coset of
+    G_{i+1} sending order[i] to w.  The transversal T_i then gives
+    |G_i| = |T_i| * |G_{i+1}| exactly, and the cap is checked after every
+    representative: BudgetExceededError is raised exactly when the order
+    exceeds order_cap.
 
     Each (i, w) search runs inside the subtree that the plain DFS enters
     when it leaves the identity path at depth i for w, and these subtrees
@@ -276,42 +317,19 @@ def search_automorphisms(n: int, adj, order_cap: int, colors=None):
     if order_cap < 1:
         raise BudgetExceededError(
             f"automorphism search exceeded cap {order_cap}")
-    colors = _refine_colors(n, adj, colors)
-    class_mask = _class_masks(colors)
-    if len(class_mask) == n:
-        return 1, ()
-    cls = [class_mask[c] for c in colors]
-    order = _search_order(n, adj, colors)
     ident = tuple(range(n))
-    image = list(ident)
-    prefix = [0] * (n + 1)
-    for i, v in enumerate(order):
-        prefix[i + 1] = prefix[i] | 1 << v
     size = 1
     chain = []
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        cand = cls[v] & ~prefix[i + 1]
-        av = adj[v]
-        for u in order[:i]:
-            cand &= adj[u] if av >> u & 1 else ~adj[u]
+    for _, leaves in groupby(_representatives(
+            n, adj, _refine_colors(n, adj, colors)), itemgetter(0)):
         reps = [ident]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[v] = low.bit_length() - 1
-            leaf = _extend(n, adj, adj, order, cls, image, prefix[i] | low,
-                           i + 1)
-            if leaf is None:
-                continue
+        for _, leaf in leaves:
             reps.append(leaf)
             if len(reps) * size > order_cap:
                 raise BudgetExceededError(
                     f"automorphism search exceeded cap {order_cap}")
-        image[v] = v
-        if len(reps) > 1:
-            size *= len(reps)
-            chain.append(tuple(reps))
+        size *= len(reps)
+        chain.append(tuple(reps))
     return size, tuple(reversed(chain))
 
 

@@ -129,7 +129,7 @@ class ReportEnvelope:
         counts = {"agree": 0, "disagree": 0, "inconclusive": 0, "skipped": 0}
         for v in self.verdicts:
             counts[v.status] += 1
-        counts["skipped"] += sum(1 for g in self.graphs if g.skipped)
+        counts["skipped"] += sum(g.skipped is not None for g in self.graphs)
         return {"graphs": len(self.graphs),
                 "verdicts": len(self.verdicts), **counts}
 

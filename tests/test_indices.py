@@ -379,6 +379,37 @@ class TestLadder:
                                  "colors$"):
             indices._ladder(3, 2, walked, (0,) * 3, (1,), k_max)
 
+    @staticmethod
+    def _assert_stirling_rows(g) -> None:
+        """Rows k = 1..n+1 against the freeness identity: from theta on,
+        every surjective k-coloring distinguishes and the group acts
+        freely, so varphi_k * |Aut| = k! S(n, k), which is 0 past n; and
+        Phi_k = sum_i C(k, i) varphi_i at every k."""
+        report = graph_indices(g, phi_max=g.n + 1)
+        rows = report.phi.rows
+        assert [r.k for r in rows] == list(range(1, g.n + 2))
+        for r in rows:
+            if r.k >= report.theta:
+                assert r.varphi * report.aut_order == _surjections(g.n, r.k)
+            assert r.phi == sum(math.comb(r.k, i) * rows[i - 1].varphi
+                                for i in range(1, r.k + 1))
+        assert rows[-1].varphi == 0
+
+    def test_stirling_identity_on_the_corpus(self, connected7):
+        for g in connected7:
+            self._assert_stirling_rows(g)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_SHAPES))
+    def test_stirling_identity_on_symmetric_shapes(self, name):
+        self._assert_stirling_rows(SYMMETRIC_SHAPES[name]())
+
+
+def _surjections(n: int, k: int) -> int:
+    """k! S(n, k), the maps of an n-set onto a k-set, by
+    inclusion-exclusion over the values missed."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n
+               for j in range(k + 1))
+
 
 class TestTableD:
     """A table reads D from its labelling polynomial, the least k < theta

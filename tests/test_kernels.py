@@ -358,6 +358,10 @@ PIN_0 = (1, 0, 0, 0, 0, 0)  # vertex 0 in a class of its own
 KERNEL_CALLS = {
     "search": (lambda: kernels.search_automorphisms(6, K6, 10**7), False),
     "search-budget": (lambda: kernels.search_automorphisms(6, K6, 100), True),
+    # the chain search's loop, abandoned after its first representative,
+    # as is_steady's bounded search leaves it
+    "representatives-first": (lambda: next(kernels._representatives(
+        6, K6, kernels._refine_colors(6, K6))), False),
     "search-pinned": (lambda: kernels.search_automorphisms(6, K6, 10**7,
                                                            PIN_0), False),
     "search-pinned-budget": (lambda: kernels.search_automorphisms(

@@ -6,7 +6,9 @@ every digest ``hashlib.sha256`` of the compact sorted-key dump."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import re
 from datetime import datetime, timedelta, timezone
@@ -71,6 +73,20 @@ class TestEnvelope:
         assert s["agree"] == 1 and s["disagree"] == 1
         # graph skips and verdict skips pool in one counter
         assert s["skipped"] == 2
+
+    def test_empty_skip_reason_counts_as_a_skip(self):
+        # a skip record is one with a reason, even an empty one: the
+        # summary, the JSON body and the CSV rows count the same skips
+        env = ReportEnvelope("0.1.0", "cmd",
+                             graphs=(_record(), skip_record(_doc("a"), ""),
+                                     skip_record(_doc("b"), "budget")))
+        assert env.summary()["skipped"] == 2
+        doc = json.loads(emit_report(env, "json"))
+        assert [g["skipped"] for g in doc["graphs"]] == [None, "", "budget"]
+        assert doc["summary"]["skipped"] == 2
+        rows = list(csv.DictReader(io.StringIO(emit_report(env, "csv"))))
+        assert [row["n"] == "" for row in rows] == [False, True, True]
+        assert [row["skipped"] for row in rows] == ["", "", "budget"]
 
     def test_digest_excludes_timestamp(self):
         a = ReportEnvelope("0.1.0", "cmd", (_record(),),

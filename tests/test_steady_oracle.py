@@ -1,13 +1,17 @@
 """Steadiness against an independent oracle: networkx VF2.
 
-When the budget allows, is_steady answers False from a twin witness in
-G - u, and True from a refinement certificate: refined colors of G - u in
-which N(u) is a union of color cells.  Otherwise it tests only the strong
-generators of Aut(G - u) from the pure kernel's stabilizer chain, searched
-from those colors when they were refined; graph_indices asks it once per
-orbit of Aut(G).  The oracle enumerates every automorphism of G - u with
-VF2, on the original vertex labels, and checks N(u) against each: no
-refinement, no search order, no chain and no vertex renumbering in common.
+When the budget allows, is_steady answers in four steps: False from a twin
+witness read from G's bitmasks, True from N(u) being a union of G - u's
+degree classes, True from a refinement certificate (refined colors of
+G - u in which N(u) is a union of color cells), and last the chain search
+of Aut(G - u), which answers False at the first coset representative that
+moves N(u) and True when none does.  Past that budget it builds the whole
+stabilizer chain first and tests its strong generators.  graph_indices
+asks it once per orbit of Aut(G).  The oracle enumerates every
+automorphism of G - u with VF2, on the original vertex labels, and checks
+N(u) against each: no refinement, no search order, no chain and no vertex
+renumbering in common.  The two bitmask checks are also held, vertex by
+vertex, to the twin classes and degree classes of G - u built as a graph.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import pytest
 from symbreak import graph6, kernels, limits
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import build_graph, complete, cycle, is_connected, star
-from symbreak.indices import graph_indices, is_steady
+from symbreak.indices import _bitmask_answer, graph_indices, is_steady
 
 from conftest import vsum
 
@@ -58,7 +62,8 @@ SHAPES = {
 }
 
 
-def test_random_graphs_disconnected_included_match_vf2():
+def _random_graphs():
+    """200 random graphs on 1..8 vertices, disconnected ones included."""
     rng = random.Random(1709)
     graphs = []
     for _ in range(200):
@@ -67,6 +72,11 @@ def test_random_graphs_disconnected_included_match_vf2():
         graphs.append(build_graph(n, [(a, b) for a in range(n)
                                       for b in range(a + 1, n)
                                       if rng.random() < p]))
+    return graphs
+
+
+def test_random_graphs_disconnected_included_match_vf2():
+    graphs = _random_graphs()
     answers = []
     for g in graphs:
         for u in range(g.n):
@@ -74,6 +84,80 @@ def test_random_graphs_disconnected_included_match_vf2():
             assert answers[-1] == _steady_vf2(g, u), (g.edges(), u)
     assert sum(not is_connected(g) for g in graphs) >= 60
     assert 0 < sum(answers) < len(answers)
+
+
+def _deletion_answer(g, u: int) -> bool | None:
+    """What the bitmask checks must answer for u, read from G - u built as
+    a graph: False when some twin class of G - u (same open or same closed
+    neighborhood) has members both in N(u) and outside it, else True when
+    no degree of G - u occurs both in N(u) and outside it, else None."""
+    rest = [v for v in range(g.n) if v != u]
+    open_nbrs = {v: frozenset(g.neighbors(v)) - {u} for v in rest}
+    inside = set(g.neighbors(u))
+    for a in inside:
+        for b in rest:
+            if b not in inside and (
+                    open_nbrs[a] == open_nbrs[b]
+                    or open_nbrs[a] | {a} == open_nbrs[b] | {b}):
+                return False
+    degrees = {v: len(open_nbrs[v]) for v in rest}
+    if {degrees[v] for v in inside}.isdisjoint(
+            degrees[v] for v in rest if v not in inside):
+        return True
+    return None
+
+
+def test_bitmask_checks_match_the_deletion(connected7):
+    answers = {False: 0, True: 0, None: 0}
+    for g in connected7 + tuple(_random_graphs()):
+        adj = g.adjacency()
+        for u in range(g.n):
+            answer = _bitmask_answer(adj, u)
+            assert answer == _deletion_answer(g, u), (g.edges(), u)
+            answers[answer] += 1
+    # each outcome occurs, so none of the three is vacuous
+    assert min(answers.values()) > 0
+
+
+def _octahedron_and_two_parts():
+    """K_{2,2,2} on 0..5, parts {0,1} {2,3} {4,5}, with vertex 6 joined to
+    the parts {2,3} and {4,5}: G - 6 is vertex-transitive and has no twins
+    across N(6), one degree and one refined cell, so only the search
+    answers, and its chain holds nine representatives."""
+    parts = [(0, 1), (2, 3), (4, 5)]
+    edges = [(a, b) for i, p in enumerate(parts) for q in parts[i + 1:]
+             for a in p for b in q]
+    return build_graph(7, edges + [(6, v) for v in range(2, 6)])
+
+
+def test_bounded_search_stops_at_the_first_moving_representative(
+        monkeypatch):
+    g = _octahedron_and_two_parts()
+    calls, seen = [], []
+    representatives = kernels._representatives
+
+    def spy(*args):
+        calls.append(args)
+        for rep in representatives(*args):
+            seen.append(rep)
+            yield rep
+
+    monkeypatch.setattr(kernels, "_representatives", spy)
+    searches = []
+    search = kernels.search_automorphisms
+    monkeypatch.setattr(kernels, "search_automorphisms",
+                        lambda *args: searches.append(args) or search(*args))
+    assert not is_steady(g, 6)
+    assert len(calls) == 1 and searches == []
+    n, rest, colors = calls[0]
+    every = [t for _, t in representatives(n, rest, colors)]
+    mask = sum(1 << v for v in range(2, 6))
+    moves = [sum(1 << t[v] for v in range(2, 6)) != mask for _, t in seen]
+    # it read up to the first representative that moves N(6), and no more,
+    # where the chain holds more after it
+    assert moves.index(True) == len(seen) - 1
+    assert [t for _, t in seen] == every[:len(seen)]
+    assert len(seen) < len(every)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

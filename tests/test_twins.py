@@ -405,11 +405,14 @@ def test_analyze_exits_3_exactly_past_the_order(run_cli, g):
 
 
 def test_corpus_search_count(connected7, searches, certificates):
-    # 4,800 searches before the twin route stopped building G's chain and
-    # the refinement of G - u started to certify steady vertices
+    # one search per graph, its twin quotient's: steadiness at the default
+    # budget reads G's bitmasks, certifies from G - u's degrees or refined
+    # colors, or walks the chain's representatives, and never calls the
+    # search (1,816 searches when it built Aut(G - u)'s chain, 4,800
+    # before the twin route stopped building G's chain)
     for g in connected7:
         graph_indices(g, phi_max=4, steady=True)
-    assert len(searches) <= 1816
+    assert len(searches) == len(connected7) == 996
     # each table reads D from its polynomial, so no rung probes, and no
     # labelling needs a certificate
     assert len(certificates) == 0
