@@ -364,7 +364,8 @@ def phi_table(g: Graph, k_max: int, group: AutGroup | None = None) -> PhiTable:
 
 
 def phi(g: Graph, k: int, group: AutGroup | None = None) -> PhiPair:
-    """(Phi_k, varphi_k) up to automorphism, hybrid route."""
+    """(Phi_k, varphi_k) up to automorphism, read from row k of phi_table,
+    whose rows come from the one labelling polynomial."""
     if k < 1:
         raise InvalidInputError("k must be at least 1")
     row = phi_table(g, k, group).row(k)
@@ -571,11 +572,14 @@ def is_steady(g: Graph, u: int) -> bool:
          deg - 1 and any other deg.  When no degree occurs on both sides,
          N(u) is a union of degree classes, which every automorphism
          keeps: True.
-      3. a refinement certificate: refined colors of G - u in which N(u)
-         is a union of color cells, each kept by every automorphism
-         (McKay 1981): True.  The converse fails, so a neighborhood that
-         splits a cell goes on to the search.
-      4. the chain search of Aut(G - u) from those colors
+      3. a refinement certificate: colors of G - u in which N(u) is a
+         union of color cells, each kept by every automorphism (McKay
+         1981): True.  Every refinement round's colors are kept, so the
+         check follows each round (kernels._refinement_rounds) and stops
+         at the first that certifies.  The converse fails, so a
+         neighborhood that splits a cell of the stable colors goes on to
+         the search.
+      4. the chain search of Aut(G - u) from the stable colors
          (kernels._representatives), testing each coset representative,
          with N(u) as a bitmask, as it is found, and answering False at the
          first that moves N(u).  A group maps a set onto itself iff each of
@@ -603,12 +607,13 @@ def is_steady(g: Graph, u: int) -> bool:
     mask = rest.pop(u)
     nbrs = [v - (v > u) for v in g.neighbors(u)]
     if bounded:
-        # refined colors are kept by every automorphism of G - u, so when
-        # N(u) is a union of color cells, each maps it onto itself
-        colors = kernels._refine_colors(len(rest), rest)
-        cells = {c for v, c in enumerate(colors) if mask >> v & 1}
-        if all(mask >> v & 1 or c not in cells for v, c in enumerate(colors)):
-            return True
+        # each round's colors are kept by every automorphism of G - u, so
+        # when N(u) is a union of color cells, each maps it onto itself
+        for colors in kernels._refinement_rounds(len(rest), rest):
+            cells = {c for v, c in enumerate(colors) if mask >> v & 1}
+            if all(mask >> v & 1 or c not in cells
+                   for v, c in enumerate(colors)):
+                return True
         return all(sum(1 << t[v] for v in nbrs) == mask
                    for _, t in kernels._representatives(len(rest), rest,
                                                         colors))

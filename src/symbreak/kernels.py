@@ -165,9 +165,21 @@ def backend_name() -> str:
 
 def _refine_colors(n: int, adj, start=None) -> list[int]:
     """Iterated neighbor-degree refinement, from the degrees or from the
-    (color, degree) pairs of an initial coloring start; stable colors are
-    preserved by every automorphism that preserves start, so search
-    candidates never leave their color class."""
+    (color, degree) pairs of an initial coloring start, to the stable
+    colors: the last of _refinement_rounds.  Stable colors are preserved by
+    every automorphism that preserves start, so search candidates never
+    leave their color class."""
+    for colors in _refinement_rounds(n, adj, start):
+        pass
+    return colors
+
+
+def _refinement_rounds(n: int, adj, start=None):
+    """Yields the colors after each round of _refine_colors, the last the
+    first round that splits no cell.  Each round's colors are preserved by
+    every automorphism that preserves start, so a caller that only needs a
+    certificate kept by the group may stop at the first round that gives
+    it."""
     colors = [adj[v].bit_count() for v in range(n)]
     if start is not None:
         ids: dict[tuple, int] = {}
@@ -186,8 +198,9 @@ def _refine_colors(n: int, adj, start=None) -> list[int]:
             nb.sort()
             sig = (colors[v], tuple(nb))
             new.append(table.setdefault(sig, len(table)))
+        yield new
         if len(set(new)) == len(set(colors)):
-            return new
+            return
         colors = new
 
 

@@ -174,6 +174,10 @@ class AutGroup:
 
     def nonidentity_images(self) -> tuple[tuple[int, ...], ...]:
         """Image tuples of all non-identity elements (kernel input format)."""
+        return self._nonidentity_images
+
+    @cached_property
+    def _nonidentity_images(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.image for p in self.elements[1:])
 
     def __iter__(self):

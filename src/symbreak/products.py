@@ -16,6 +16,7 @@ Vertex ids are assigned contiguously:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import kernels, limits
@@ -176,8 +177,17 @@ def all_automorphisms_natural(g: Graph, h: Graph) -> bool:
     fiber onto a fiber.  Decided from the generators of the product's
     stabilizer chain: False as soon as one splits a fiber, whatever the
     group's order; otherwise True, unless |Aut| exceeds the automorphism
-    cap, which raises BudgetExceededError."""
+    cap, which raises BudgetExceededError.  Answered once per process for
+    each pair and each vertex and automorphism cap (_natural)."""
+    return _natural(g, h, limits.vertex_cap(), limits.aut_cap())
+
+
+@lru_cache(maxsize=1024)
+def _natural(g: Graph, h: Graph, max_vertices: int, max_aut: int) -> bool:
+    """all_automorphisms_natural under the vertex cap max_vertices, which
+    builds the product, and the automorphism cap max_aut; a raise stores
+    nothing."""
     product, _ = lexicographic(g, h)
     blocks = [v // h.n for v in range(product.n)]
     return kernels.all_automorphisms_preserve_blocks(
-        product.n, product.adjacency(), blocks, limits.aut_cap())
+        product.n, product.adjacency(), blocks, max_aut)

@@ -11,9 +11,10 @@ machinery, and emits one verdict per instance:
   agree / disagree   preconditions hold and the two routes match / differ
   inconclusive       a precondition fails; both values are still reported
                      when affordable, but the rule makes no claim there
-  skipped            the instance blew an enumeration budget; the reason
-                     is recorded so every requested instance appears exactly
-                     once in the output
+  skipped            the instance blew a budget: its construction (the
+                     vertex cap), its preconditions or an enumeration; the
+                     reason is recorded so every requested instance appears
+                     exactly once in the output
 
 A rule is one record, built by _rule, over a generator of rows: a row is
 (instance, predicted, brute[, unmet[, notes]]), the two sides as thunks
@@ -46,6 +47,23 @@ list for each vertex the rule asks about; it shares no code with is_steady,
 the minimal cycles or the kill table.  Instances whose preconditions
 already failed run their informational brute force under a tighter scratch
 budget so a hopeless instance cannot stall the run.
+
+Answers that several rules or rows share are computed once per process.
+Module-level lru_caches, which a caller wanting a fresh process state
+clears with the others, hold each product graph (_product, keyed on the
+kind, the two factors and the vertex cap), each pool graph's root-orbit
+copies (_rooted_copies_under, keyed on the graph and the automorphism
+cap) and the lexicographic naturality answer
+(products.all_automorphisms_natural, keyed on the factors and both caps).
+So thm4.2, thm4.3 and thm4.4 read one table of rooted products, eq3,
+thm5.1 and thm5.2 one of coronas, and thm6.1 and lex-d one of
+lexicographic products and their naturality; a rule run at a smaller max
+reads a subset.  Inside eq2, each (graph, k) pair of phi_brute is
+computed once for all of the graph's rows: every eq2 row runs under the
+process budget, and a raise stores nothing, so a row that spends the
+budget is the same skip as without the memo.  The memos share answers
+across rules, never a rule's two sides within a row, which keep their
+separate routes.
 """
 
 from __future__ import annotations
@@ -303,6 +321,9 @@ def _eq2_rows(grid: dict) -> Iterator[tuple]:
         group = automorphism_group(g)
         theta = distinguishing_threshold(g, group)
         name = emit_graph6(g)
+        # each (g, k) pair once for every row of g: all rows run under the
+        # process budget, and a raise stores nothing
+        pair = cache(partial(phi_brute, g, group=group))
         for k in range(theta, theta + 3):
             def exact():
                 num = math.factorial(k) * formulas.stirling2(g.n, k)
@@ -310,38 +331,46 @@ def _eq2_rows(grid: dict) -> Iterator[tuple]:
                 if r:
                     raise AssertionError("count not divisible by group order")
                 return q
-            yield (f"{name},k={k},exact", exact,
-                   lambda: phi_brute(g, k, group).varphi)
+            yield (f"{name},k={k},exact", exact, lambda: pair(k).varphi)
             yield (f"{name},k={k},cumulative",
-                   lambda: sum(formulas.binomial(k, i)
-                               * phi_brute(g, i, group).varphi
+                   lambda: sum(formulas.binomial(k, i) * pair(i).varphi
                                for i in range(1, min(k, g.n) + 1)),
-                   lambda: phi_brute(g, k, group).phi)
+                   lambda: pair(k).phi)
 
 
-def _union_instances() -> list[tuple[str, str, list[Graph]]]:
+def _union_instances() -> list[tuple[str, str, list[Callable[[], Graph]]]]:
+    """(case, name, component constructors): the components are built with
+    their union, so a cap they pass skips only their own row."""
     from .graphs import asymmetric6 as a6
+    k1, k2, k3 = (partial(complete, n) for n in (1, 2, 3))
+    c4, p3, p4 = partial(cycle, 4), partial(path, 3), partial(path, 4)
     return [
-        ("a", "C4+C4", [cycle(4), cycle(4)]),
-        ("a", "P3+P4", [path(3), path(4)]),
-        ("a", "K2+K2", [complete(2), complete(2)]),
-        ("a", "K3+C4", [complete(3), cycle(4)]),
-        ("b", "asym6+asym6", [a6(), a6()]),
-        ("b", "asym6+K1", [a6(), complete(1)]),
-        ("b", "K1+K1", [complete(1), complete(1)]),
-        ("c", "C4+K1", [cycle(4), complete(1)]),
-        ("c", "C10+K1", [cycle(10), complete(1)]),
-        ("c", "K2+K1+asym6", [complete(2), complete(1), a6()]),
-        ("c", "asym6+P4", [a6(), path(4)]),
-        ("c", "asym6+K1+K1", [a6(), complete(1), complete(1)]),
-        ("c", "K3+K1+K1", [complete(3), complete(1), complete(1)]),
+        ("a", "C4+C4", [c4, c4]),
+        ("a", "P3+P4", [p3, p4]),
+        ("a", "K2+K2", [k2, k2]),
+        ("a", "K3+C4", [k3, c4]),
+        ("b", "asym6+asym6", [a6, a6]),
+        ("b", "asym6+K1", [a6, k1]),
+        ("b", "K1+K1", [k1, k1]),
+        ("c", "C4+K1", [c4, k1]),
+        ("c", "C10+K1", [partial(cycle, 10), k1]),
+        ("c", "K2+K1+asym6", [k2, k1, a6]),
+        ("c", "asym6+P4", [a6, p4]),
+        ("c", "asym6+K1+K1", [a6, k1, k1]),
+        ("c", "K3+K1+K1", [k3, k1, k1]),
     ]
 
 
 def _thm21_rows(grid: dict) -> Iterator[tuple]:
-    for case, name, comps in _union_instances():
-        union, _ = disjoint_union(comps)
-        yield (f"union[{case}]:{name}", partial(formulas.theta_union, comps),
+    for case, name, parts in _union_instances():
+        instance = f"union[{case}]:{name}"
+        try:
+            comps = [part() for part in parts]
+            union, _ = disjoint_union(comps)
+        except BudgetExceededError as exc:
+            yield instance, f"construction hit budget: {exc}"
+            continue
+        yield (instance, partial(formulas.theta_union, comps),
                partial(distinguishing_threshold, union))
 
 
@@ -358,12 +387,17 @@ def _thm37_rows(grid: dict) -> Iterator[tuple]:
     defaults = [("K3", [2, 3, 4, 5]), ("K4", [2, 3, 4]), ("C5", [2, 3]),
                 ("K4-e", [2]), ("P4", [2])]
     for name, g, root, t in _vsum_instances(grid, defaults):
+        instance = f"{name}@{root},t={t}"
+        try:
+            product, _ = products.vertex_sum_power(g, root, t)
+        except BudgetExceededError as exc:
+            yield instance, f"construction hit budget: {exc}"
+            continue
         bound = formulas.d_vertex_sum_power(g, root, t)
-        product, _ = products.vertex_sum_power(g, root, t)
         unmet = () if bound.exact else (
             "root is not steady: the minimum form is an upper bound only",)
-        yield (f"{name}@{root},t={t}", lambda: bound.value,
-               partial(_brute_d, product), unmet)
+        yield (instance, lambda: bound.value, partial(_brute_d, product),
+               unmet)
 
 
 _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
@@ -387,8 +421,13 @@ def _vsum_closed_rows(rule: str, closed_form,
                 f"got {family!r}")
         kinds = [family]
     for name, g, root, t in instances:
-        product, _ = products.vertex_sum_power(g, root, t)
-        yield (f"{name},t={t},min-form", partial(closed_form, g.n, t),
+        instance = f"{name},t={t},min-form"
+        try:
+            product, _ = products.vertex_sum_power(g, root, t)
+        except BudgetExceededError as exc:
+            yield instance, f"construction hit budget: {exc}"
+            continue
+        yield (instance, partial(closed_form, g.n, t),
                partial(_brute_d, product))
     ts = _ints(grid, "t", range(2, 51))
     for kind in kinds:
@@ -431,7 +470,11 @@ def _vsum_rooted_rows(instances, predicted_of, brute_of, unmet_of,
     unmet_of(factors) the preconditions the factors fail.  The instances
     are fixed, so the rules read no grid key."""
     for name, factors in instances():
-        product, _ = products.vertex_sum(factors)
+        try:
+            product, _ = products.vertex_sum(factors)
+        except BudgetExceededError as exc:
+            yield name, f"construction hit budget: {exc}"
+            continue
         yield (name, partial(predicted_of, factors),
                partial(brute_of, product), unmet_of(factors))
 
@@ -443,21 +486,40 @@ def _thm313_rows(grid: dict) -> Iterator[tuple]:
         ts = _ints(grid, "t", [2])
         pairs = [(n, t) for n in ns for t in ts]
     for n, t in pairs:
-        product, _ = products.vertex_sum_power(cycle(n), 0, t)
+        try:
+            product, _ = products.vertex_sum_power(cycle(n), 0, t)
+        except BudgetExceededError as exc:
+            yield f"C{n},t={t}", f"construction hit budget: {exc}"
+            continue
         yield (f"C{n},t={t}", partial(formulas.theta_vsum_cycles, n, t),
                partial(distinguishing_threshold, product))
 
 
-def _rooted_copies(h: Graph) -> list[RootedGraph]:
+def _rooted_copies(h: Graph) -> tuple[RootedGraph, ...]:
     """h rooted at the least vertex of each orbit of its group."""
-    return [RootedGraph(h, ob[0]) for ob in orbits(automorphism_group(h))]
+    return _rooted_copies_under(h, limits.aut_cap())
+
+
+@lru_cache(maxsize=256)
+def _rooted_copies_under(h: Graph, max_aut: int) -> tuple[RootedGraph, ...]:
+    """_rooted_copies under the automorphism cap max_aut."""
+    return tuple(RootedGraph(h, ob[0]) for ob in orbits(automorphism_group(h)))
 
 
 # per product kind: the least base order, the vertices each base vertex
-# adds beside its copy's, the copies of one pool graph, and the product
-_PRODUCTS = {"rooted": (2, 0, _rooted_copies, products.rooted_product_smooth),
-             "corona": (2, 1, lambda h: [h], products.corona),
-             "lex": (1, 0, lambda h: [h], products.lexicographic)}
+# adds beside its copy's, the copies of one pool graph, and the name of
+# its constructor in products
+_PRODUCTS = {"rooted": (2, 0, _rooted_copies, "rooted_product_smooth"),
+             "corona": (2, 1, lambda h: (h,), "corona"),
+             "lex": (1, 0, lambda h: (h,), "lexicographic")}
+
+
+@lru_cache(maxsize=2048)
+def _product(kind: str, g: Graph, h, max_vertices: int) -> Graph:
+    """The product of the kind of g and h, built under the vertex cap
+    max_vertices.  The constructor is looked up in products at each build,
+    so a wrapper installed there sees every build."""
+    return getattr(products, _PRODUCTS[kind][3])(g, h)[0]
 
 
 def _pairs(kind: str, grid: dict) -> list[tuple[Graph, Graph]]:
@@ -477,11 +539,11 @@ def _product_rows(kind: str, predicted_of, brute_of, unmet_of,
     """One row per factor pair of the kind's grid, "rooted" (a copy per
     root orbit), "corona" or "lex": predicted_of(g, h) against brute_of on
     the product graph, with unmet_of(g, h) the preconditions the pair fails
-    (for "lex", the naturality check).  A pair whose preconditions spend a
-    budget is a skip record, and so is a pool graph whose root orbits do,
-    once per base, named without a root.  Each distinct factor is named
-    once per rule."""
-    copies_of, build = _PRODUCTS[kind][2:]
+    (for "lex", the naturality check).  A pair whose preconditions or
+    product spend a budget is a skip record, and so is a pool graph whose
+    root orbits do, once per base, named without a root.  Each distinct
+    factor is named once per rule."""
+    copies_of = _PRODUCTS[kind][2]
     name = cache(emit_graph6)
     for g, hb in _pairs(kind, grid):
         try:
@@ -498,7 +560,11 @@ def _product_rows(kind: str, predicted_of, brute_of, unmet_of,
             except BudgetExceededError as exc:
                 yield instance, f"preconditions hit budget: {exc}"
                 continue
-            product, _ = build(g, h)
+            try:
+                product = _product(kind, g, h, limits.vertex_cap())
+            except BudgetExceededError as exc:
+                yield instance, f"construction hit budget: {exc}"
+                continue
             yield (instance, partial(predicted_of, g, h),
                    partial(brute_of, product), unmet)
 

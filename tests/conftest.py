@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -25,6 +26,17 @@ def _run_cli(*argv: str) -> tuple[int, str, str]:
 @pytest.fixture
 def run_cli():
     return _run_cli
+
+
+def clear_caches() -> None:
+    """Empty every lru_cache callable in the package's module namespaces, as
+    a caller that wants a process's fresh state would find them."""
+    for name, module in list(sys.modules.items()):
+        if module is None or name.split(".")[0] != "symbreak":
+            continue
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ import pytest
 
 from symbreak import verify
 
+from conftest import clear_caches
+
 # rule -> (--grid override or None, digest, verdict count)
 ANCHOR = {
     "eq1": (None, "sha256:803b3b855de8a586646d294f0f028b9ed846092c731845c71c4ef050729b4921", 28),
@@ -62,6 +64,41 @@ def test_rule_keeps_its_anchor(run_cli, rule):
     assert {v["theoremId"] for v in verdicts} == {rule}
     names = [v["instance"] for v in verdicts]
     assert len(names) == len(set(names))
+
+
+def _argv(rule: str, *budget: str) -> tuple[str, ...]:
+    grid = ANCHOR[rule][0]
+    return ("verify", rule, *(("--grid", grid) if grid else ()), *budget)
+
+
+def test_shared_memos_leave_every_answer_alone(run_cli):
+    """Rules read products, root orbits, naturality answers and Phi pairs
+    from memos shared across one process.  Run in one process in reverse
+    catalog order, every rule keeps its anchor; after them, each command
+    under a spent budget prints what it prints from empty memos."""
+    clear_caches()
+    for rule in reversed(ANCHOR):
+        code, out, err = run_cli(*_argv(rule))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["digest"] == ANCHOR[rule][1]
+    commands = [_argv(rule, flag, value)
+                for flag, value in (("--max-aut", "1"),
+                                    ("--max-vertices", "8"),
+                                    ("--max-colorings", "50"))
+                for rule in ("thm4.2", "thm4.4", "thm6.1", "eq2")]
+    warm = [_printed(run_cli(*argv)) for argv in commands]
+    for argv, printed in zip(commands, warm):
+        clear_caches()
+        assert _printed(run_cli(*argv)) == printed, argv
+
+
+def _printed(run: tuple[int, str, str]) -> tuple:
+    """A run's exit code, report without its time stamp, and stderr."""
+    code, out, err = run
+    report = json.loads(out) if out else None
+    if report:
+        del report["generated"]
+    return code, report, err
 
 
 # corpus file -> (digest, graphs) of analyze --phi-max 4 --steady on it

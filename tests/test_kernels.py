@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from symbreak import graph6, kernels, limits, perms, verify
+from symbreak import graph6, kernels, limits, perms, products, verify
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (RootedGraph, asymmetric6, complete,
                              complete_bipartite, cycle, delete_vertex, kneser,
@@ -21,7 +21,7 @@ from symbreak.perms import (AutGroup, automorphism_group,
                             enumerate_automorphisms, orbits)
 from symbreak.products import lexicographic
 
-from conftest import vsum
+from conftest import clear_caches, vsum
 
 SAMPLE = [path(5), cycle(6), complete(5), star(4), petersen(),
           asymmetric6(), complete_bipartite(2, 3)]
@@ -760,18 +760,14 @@ def test_cache_clear_empties_every_memo():
     distinguishing_number(g, group)
     kernels.exists_distinguishing_partition(6, group.minimal_cycles, 2, 10**7)
     verify._restriction_property(g, 0)
+    assert verify.run_rules(["thm4.2"], grid={"max": 4})
     memos = (kernels._walk, kernels._kill_table,
              kernels._probe, perms.colored_group,
-             verify._distinguishing_partitions)
+             verify._distinguishing_partitions, verify._product,
+             verify._rooted_copies_under, products._natural)
+    assert products.all_automorphisms_natural(path(2), path(2)) is False
     assert all(memo.cache_info().currsize for memo in memos)
-    # every lru_cache callable in the package's module namespaces, as a
-    # caller that wants a process's fresh state would find them
-    for name, module in list(sys.modules.items()):
-        if module is None or name.split(".")[0] != "symbreak":
-            continue
-        for value in list(vars(module).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    clear_caches()
     assert not any(memo.cache_info().currsize for memo in memos)
 
 

@@ -7,9 +7,10 @@ from typing import Sequence
 
 import pytest
 
-from symbreak import corpus, graphs, kernels, limits, perms, verify
+from symbreak import corpus, graphs, kernels, limits, perms, products, verify
 from symbreak.errors import InvalidInputError
 
+from conftest import clear_caches
 from test_anchor import ANCHOR
 
 
@@ -291,3 +292,66 @@ def test_group_order_rules_build_no_elements(monkeypatch, run_cli, rule):
     report = json.loads(out)
     assert report["summary"]["verdicts"] == count
     assert report["digest"] == digest
+
+
+@pytest.mark.parametrize("rule", list(ANCHOR))
+def test_construction_over_the_vertex_cap_is_a_skip(run_cli, rule):
+    """A product, vertex-sum or union over --max-vertices is one skip
+    record naming the cap, so every rule keeps its verdict count (the
+    anchor's, whose runs skip nothing) and exits 0."""
+    grid, _, count = ANCHOR[rule]
+    code, out, err = run_cli("verify", rule,
+                             *(("--grid", grid) if grid else ()),
+                             "--max-vertices", "8")
+    assert (code, err) == (0, "")
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == count
+    for v in verdicts:
+        if v["status"] == "skipped":
+            (note,) = v["notes"]
+            assert note.startswith(("construction hit budget: ",
+                                    "preconditions hit budget: "))
+            assert note.endswith(" vertices, cap is 8")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """spy(module, name) counts the calls of module.name while the test
+    runs; every memo starts empty."""
+    clear_caches()
+    seen = Counter()
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return lambda: seen[name]
+
+    return spy
+
+
+def test_rooted_rules_build_each_product_once(run_cli, calls):
+    built = calls(products, "rooted_product_smooth")
+    for argv in (("thm4.2",), ("thm4.3", "--grid", "max=10"), ("thm4.4",)):
+        assert run_cli("verify", *argv)[0] == 0
+    # 809 distinct products; a build per rule and row made 1,868
+    assert built() == ANCHOR["thm4.2"][2] == 809
+
+
+def test_eq2_reads_each_phi_pair_once(run_cli, calls):
+    pairs = calls(verify, "phi_brute")
+    assert run_cli("verify", "eq2")[0] == 0
+    # one per (graph, k); a call per row and summand made 3,155
+    assert pairs() == 1023
+
+
+def test_lexicographic_rules_check_naturality_once_per_pair(run_cli, calls):
+    searched = calls(kernels, "all_automorphisms_preserve_blocks")
+    for rule in ("thm6.1", "lex-d"):
+        assert run_cli("verify", rule, "--grid", ANCHOR[rule][0])[0] == 0
+    # thm6.1's 302 pairs hold lex-d's; a search per rule made 592
+    assert searched() == ANCHOR["thm6.1"][2] == 302
