@@ -13,12 +13,15 @@ their first line that is not blank once its comment is stripped.
 Rooted factors for `product vsum` and `product rooted` take an @root
 suffix, e.g. builtin:cycle:4@0.
 
-Exit codes: 0 success, 2 bad input or unmet precondition, 3 enumeration
-budget exhausted.  Diagnostics go to stderr; data goes to stdout.  In
-batch commands (analyze/table with several graphs) a graph that blows
-the budget becomes a skip record in the report and the exit code is 3;
-`verify` instead folds budget hits into its verdict records and exits 0
-whenever the harness itself ran to completion.
+Exit codes: 0 success, 2 bad input or unmet precondition, 3 budget
+exhausted.  Diagnostics go to stderr; data goes to stdout.  In batch
+commands (analyze/table with several graphs) a graph that spends the
+automorphism or coloring budget becomes a skip record in the report and
+the exit code is 3; a graph over the vertex cap is refused as it is read
+or built, so the command exits 3 with no report.  `verify` folds every
+budget hit, the vertex cap's included, into its verdict records (each skip
+note names the stage that hit it) and exits 0 under any budget; the cap
+bounds the graphs its rules build, not the corpus fixtures they read.
 
 The argument parser is built once, when this module is imported; `main`
 only parses with it, so it may be called any number of times in one

@@ -11,10 +11,7 @@ machinery, and emits one verdict per instance:
   agree / disagree   preconditions hold and the two routes match / differ
   inconclusive       a precondition fails; both values are still reported
                      when affordable, but the rule makes no claim there
-  skipped            the instance blew a budget: its construction (the
-                     vertex cap), its preconditions or an enumeration; the
-                     reason is recorded so every requested instance appears
-                     exactly once in the output
+  skipped            the instance hit a budget; its one note says where
 
 A rule is one record, built by _rule, over a generator of rows: a row is
 (instance, predicted, brute[, unmet[, notes]]), the two sides as thunks
@@ -24,51 +21,61 @@ row, in order, each row's two sides run before the next row is drawn, so
 a row's thunks may close over its generator's loop variables.  The rule id
 is written only in the record.
 
+Budget hits are caught in two places, so every rule reports, and the
+command exits 0, under every budget.  A generator sets up each row (builds
+its graphs, computes its preconditions and the values that name it) only
+through _guarded, which turns a hit into that row's skip record; _verdict
+runs the two sides.  A skip note reads "<stage> hit budget: <error>", with
+the stage one of
+
+  construction   building the instance's graphs: factors, unions, products
+  preconditions  the preconditions it fails (thm3.7: the minimum-form bound)
+  root orbits    the orbit roots of rooted product copies, or thm3.5's rows
+  threshold      theta of an eq2 graph, which names the graph's rows
+  prediction     the closed form
+  brute force    the independent route
+
+A hit on the values that name rows skips them all in one record, named by
+the graph6 of the graph (kind(base,pool) for a pool graph's root orbits).
+The vertex cap bounds the graphs a rule builds; the corpus graphs that
+eq2, thm3.5 and the product grids start from are fixtures, read whatever
+the cap.
+
 Rule identifiers (``thm3.7``, ``eq1``, ...) are opaque catalog tokens; the
-registry's summary strings say what each rule states.  Two rules compare a
-pair of closed forms rather than a formula against a search: the radical
-rows of ``cor3.8``/``cor3.9`` put the algebraic rearrangement in
-``predicted`` and the direct scan of the defining minimum in ``brute_force``;
-their known disagreements are findings, reported and never patched.
+registry's summary strings say what each rule states.  The radical rows of
+``cor3.8``/``cor3.9`` compare two closed forms, the algebraic rearrangement
+as ``predicted`` and the direct scan of the defining minimum as
+``brute_force``; their known disagreements are findings, never patched.
 
-The brute-force |Aut| and D routes on products take automorphism groups
-only below a ceiling (min of the process budget and _MATERIALIZE_CAP
-elements); larger groups become budget notes or skips.  The theta routes
-(thm3.12, thm3.13, thm4.4, thm5.2, thm6.1) call distinguishing_threshold
-under the process budget alone.  These routes read the group's stabilizer
-chain and never build its elements.  The group-order rules eq3 and thm4.2
-read the order of the chain that the search builds on the product graph
-itself, so they share no route with the factor formulas they check.  The
-element list is built only by the oracles that read elements one at a time,
-phi_brute and the thm3.5 restriction check, on the small graphs of their
-own grids.  The restriction check lists a graph's distinguishing partitions
-once, by testing every set partition against every element, and reuses the
-list for each vertex the rule asks about; it shares no code with is_steady,
-the minimal cycles or the kill table.  Instances whose preconditions
-already failed run their informational brute force under a tighter scratch
-budget so a hopeless instance cannot stall the run.
+The brute-force |Aut| and D routes on products take groups only below a
+ceiling (min of the process budget and _MATERIALIZE_CAP elements); the
+theta routes (thm3.12, thm3.13, thm4.4, thm5.2, thm6.1) run
+distinguishing_threshold under the process budget alone.  These read the
+group's stabilizer chain, never its elements; eq3 and thm4.2 read the
+order of the chain the search builds on the product itself, so they share
+no route with the factor formulas they check.  Elements are listed only
+by phi_brute and thm3.5's restriction check (which shares no code with
+is_steady), on the small graphs of their own grids.  Rows whose
+preconditions already failed run their brute force under a tighter
+scratch budget, so a hopeless instance cannot stall the run.
 
-Answers that several rules or rows share are computed once per process.
-Module-level lru_caches, which a caller wanting a fresh process state
-clears with the others, hold each product graph (_product, keyed on the
-kind, the two factors and the vertex cap), each pool graph's root-orbit
-copies (_rooted_copies_under, keyed on the graph and the automorphism
-cap) and the lexicographic naturality answer
+Answers that several rules or rows share are computed once per process,
+in lru_caches that a caller wanting a fresh state clears with the others:
+product graphs (_product, keyed on the kind, the factors and the vertex
+cap), a graph's root-orbit copies (_rooted_copies_under, keyed on the
+graph and the automorphism cap) and the lexicographic naturality answer
 (products.all_automorphisms_natural, keyed on the factors and both caps).
-So thm4.2, thm4.3 and thm4.4 read one table of rooted products, eq3,
-thm5.1 and thm5.2 one of coronas, and thm6.1 and lex-d one of
-lexicographic products and their naturality; a rule run at a smaller max
-reads a subset.  Inside eq2, each (graph, k) pair of phi_brute is
-computed once for all of the graph's rows: every eq2 row runs under the
-process budget, and a raise stores nothing, so a row that spends the
-budget is the same skip as without the memo.  The memos share answers
-across rules, never a rule's two sides within a row, which keep their
-separate routes.
+So the rules of one product kind read one table, at a smaller max a
+subset.  eq2 computes each (graph, k) pair of phi_brute once for all of
+the graph's rows; a raise stores nothing, so a row that spends the budget
+is the same skip as without the memo.  The memos share answers across
+rules, never a row's two sides, which keep their separate routes.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from operator import itemgetter
@@ -77,8 +84,8 @@ from typing import Callable, Iterator, Sequence
 from . import corpus, formulas, limits, products
 from .errors import BudgetExceededError, InvalidInputError
 from .graph6 import emit_graph6
-from .graphs import (Graph, RootedGraph, build_graph, complete, cycle,
-                     disjoint_union, delete_vertex, path, star)
+from .graphs import (Graph, RootedGraph, asymmetric6, build_graph, complete,
+                     cycle, disjoint_union, delete_vertex, path, star)
 from .indices import (distinguishing_number, distinguishing_threshold,
                       is_steady, phi_brute)
 from .perms import AutGroup, automorphism_group, orbits
@@ -221,9 +228,6 @@ def _cap(grid: dict, default: int = 12) -> int:
 
 def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of range(n) as restricted-growth strings."""
-    if n == 0:
-        yield ()
-        return
     part = [0] * n
 
     def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
@@ -234,7 +238,7 @@ def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
             part[i] = b
             yield from rec(i + 1, mx + (1 if b == mx else 0))
 
-    yield from rec(1, 1) if n > 1 else iter([(0,)])
+    yield from rec(0, 0)
 
 
 @lru_cache(maxsize=1)
@@ -265,24 +269,58 @@ def _restriction_property(g: Graph, u: int) -> bool:
     return True
 
 
-def _k4_minus_edge() -> Graph:
-    return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+def _guarded(stage: str, instance: str, setup, *args):
+    """setup(*args), as the value of ``yield from``: the one place where
+    setting up a row meets a budget.  On a hit it yields the skip record
+    (instance, "<stage> hit budget: <message>") instead and returns None,
+    and the caller goes on to its next row."""
+    try:
+        return setup(*args)
+    except BudgetExceededError as exc:
+        yield instance, f"{stage} hit budget: {exc}"
 
 
-_VSUM_FAMILIES: dict[str, tuple[Callable[[], Graph], int]] = {
-    "K3": (lambda: complete(3), 0),
-    "K4": (lambda: complete(4), 0),
-    "K5": (lambda: complete(5), 0),
-    "C5": (lambda: cycle(5), 0),
-    "C7": (lambda: cycle(7), 0),
-    "K4-e": (_k4_minus_edge, 2),
-    "P4": (lambda: path(4), 0),
-}
+_CONSTRUCTORS = {"K": complete, "C": cycle, "P": path, "star": star}
 
 
-def _vsum_instances(grid: dict,
-                    defaults: list[tuple[str, list[int]]]
-                    ) -> list[tuple[str, Graph, int, int]]:
+def _graph(name: str) -> Graph:
+    """The graph a factor name spells: K4-e (K4 less the edge 2-3), asym6
+    (graphs.asymmetric6), or K, C, P or star and the constructor's
+    parameter, e.g. C10 or star3."""
+    if name == "K4-e":
+        return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    if name == "asym6":
+        return asymmetric6()
+    kind, size = re.fullmatch(r"(K|C|P|star)(-?[0-9]+)", name).groups()
+    return _CONSTRUCTORS[kind](int(size))
+
+
+def _rooted(name: str) -> RootedGraph:
+    """The rooted factor a name spells, e.g. K4-e@2."""
+    graph, _, root = name.rpartition("@")
+    return RootedGraph(_graph(graph), int(root))
+
+
+def _joined(name: str, part, join) -> tuple[list, Graph]:
+    """The parts of a "+"-joined name, each built by part, and the graph
+    join builds from them."""
+    parts = [part(token) for token in name.split("+")]
+    return parts, join(parts)[0]
+
+
+def _vsum_power(name: str, root: int, t: int) -> tuple[Graph, Graph]:
+    """The named graph and the vertex-sum of t copies of it at root."""
+    g = _graph(name)
+    return g, products.vertex_sum_power(g, root, t)[0]
+
+
+# vertex-sum family -> the root its copies are glued at
+_VSUM_FAMILIES = {"K3": 0, "K4": 0, "K5": 0, "C5": 0, "C7": 0, "K4-e": 2,
+                  "P4": 0}
+
+
+def _vsum_instances(grid: dict, defaults: list[tuple[str, list[int]]]
+                    ) -> list[tuple[str, int, int]]:
     family = grid.get("family")
     if family is not None:
         if not isinstance(family, str) or family not in _VSUM_FAMILIES:
@@ -292,12 +330,8 @@ def _vsum_instances(grid: dict,
         chosen = [(family, _ints(grid, "t", [2, 3]))]
     else:
         chosen = [(name, _ints(grid, "t", ts)) for name, ts in defaults]
-    out = []
-    for name, ts in chosen:
-        ctor, root = _VSUM_FAMILIES[name]
-        g = ctor()
-        out.extend((name, g, root, t) for t in ts)
-    return out
+    return [(name, _VSUM_FAMILIES[name], t) for name, ts in chosen
+            for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +342,25 @@ def _eq1_rows(grid: dict) -> Iterator[tuple]:
     ns = _ints(grid, "n", range(2, 9))
     ks = _ints(grid, "k", range(1, 5))
     for n in ns:
-        g = path(n)
         # the closed form collapses to 0 on one vertex
         unmet = () if n >= 2 else ("the closed form needs n >= 2",)
         for k in ks:
-            yield (f"path:{n},k={k}", partial(formulas.phi_path_closed, n, k),
-                   lambda: phi_brute(g, k).phi, unmet)
+            instance = f"path:{n},k={k}"
+            g = yield from _guarded("construction", instance, path, n)
+            if g is not None:
+                yield (instance, partial(formulas.phi_path_closed, n, k),
+                       lambda: phi_brute(g, k).phi, unmet)
 
 
 def _eq2_rows(grid: dict) -> Iterator[tuple]:
     for g in corpus.connected_graphs(min(_cap(grid, 6), 6)):
-        group = automorphism_group(g)
-        theta = distinguishing_threshold(g, group)
         name = emit_graph6(g)
+        # theta names the graph's rows, so a budget hit skips the graph
+        theta = yield from _guarded("threshold", name,
+                                    distinguishing_threshold, g)
+        if theta is None:
+            continue
+        group = automorphism_group(g)  # theta's group, so it cannot raise
         # each (g, k) pair once for every row of g: all rows run under the
         # process budget, and a raise stores nothing
         pair = cache(partial(phi_brute, g, group=group))
@@ -338,66 +378,51 @@ def _eq2_rows(grid: dict) -> Iterator[tuple]:
                    lambda: pair(k).phi)
 
 
-def _union_instances() -> list[tuple[str, str, list[Callable[[], Graph]]]]:
-    """(case, name, component constructors): the components are built with
-    their union, so a cap they pass skips only their own row."""
-    from .graphs import asymmetric6 as a6
-    k1, k2, k3 = (partial(complete, n) for n in (1, 2, 3))
-    c4, p3, p4 = partial(cycle, 4), partial(path, 3), partial(path, 4)
-    return [
-        ("a", "C4+C4", [c4, c4]),
-        ("a", "P3+P4", [p3, p4]),
-        ("a", "K2+K2", [k2, k2]),
-        ("a", "K3+C4", [k3, c4]),
-        ("b", "asym6+asym6", [a6, a6]),
-        ("b", "asym6+K1", [a6, k1]),
-        ("b", "K1+K1", [k1, k1]),
-        ("c", "C4+K1", [c4, k1]),
-        ("c", "C10+K1", [partial(cycle, 10), k1]),
-        ("c", "K2+K1+asym6", [k2, k1, a6]),
-        ("c", "asym6+P4", [a6, p4]),
-        ("c", "asym6+K1+K1", [a6, k1, k1]),
-        ("c", "K3+K1+K1", [k3, k1, k1]),
-    ]
+# thm2.1's three cases, each union named by its components
+_UNIONS = (("a", "C4+C4"), ("a", "P3+P4"), ("a", "K2+K2"), ("a", "K3+C4"),
+           ("b", "asym6+asym6"), ("b", "asym6+K1"), ("b", "K1+K1"),
+           ("c", "C4+K1"), ("c", "C10+K1"), ("c", "K2+K1+asym6"),
+           ("c", "asym6+P4"), ("c", "asym6+K1+K1"), ("c", "K3+K1+K1"))
 
 
 def _thm21_rows(grid: dict) -> Iterator[tuple]:
-    for case, name, parts in _union_instances():
+    for case, name in _UNIONS:
         instance = f"union[{case}]:{name}"
-        try:
-            comps = [part() for part in parts]
-            union, _ = disjoint_union(comps)
-        except BudgetExceededError as exc:
-            yield instance, f"construction hit budget: {exc}"
-            continue
-        yield (instance, partial(formulas.theta_union, comps),
-               partial(distinguishing_threshold, union))
+        built = yield from _guarded("construction", instance, _joined, name,
+                                    _graph, disjoint_union)
+        if built is not None:
+            comps, union = built
+            yield (instance, partial(formulas.theta_union, comps),
+                   partial(distinguishing_threshold, union))
 
 
 def _thm35_rows(grid: dict) -> Iterator[tuple]:
     for g in corpus.connected_graphs(min(_cap(grid, 6), 6)):
         name = emit_graph6(g)
-        for ob in orbits(automorphism_group(g)):
-            u = ob[0]
-            yield (f"{name},u={u}", lambda: int(is_steady(g, u)),
-                   lambda: int(_restriction_property(g, u)))
+        # a vertex per orbit names the graph's rows
+        copies = yield from _guarded("root orbits", name, _rooted_copies, g)
+        for h in copies or ():
+            yield (f"{name},u={h.root}", lambda: int(is_steady(g, h.root)),
+                   lambda: int(_restriction_property(g, h.root)))
 
 
 def _thm37_rows(grid: dict) -> Iterator[tuple]:
     defaults = [("K3", [2, 3, 4, 5]), ("K4", [2, 3, 4]), ("C5", [2, 3]),
                 ("K4-e", [2]), ("P4", [2])]
-    for name, g, root, t in _vsum_instances(grid, defaults):
+    for name, root, t in _vsum_instances(grid, defaults):
         instance = f"{name}@{root},t={t}"
-        try:
-            product, _ = products.vertex_sum_power(g, root, t)
-        except BudgetExceededError as exc:
-            yield instance, f"construction hit budget: {exc}"
+        built = yield from _guarded("construction", instance, _vsum_power,
+                                    name, root, t)
+        if built is None:
             continue
-        bound = formulas.d_vertex_sum_power(g, root, t)
-        unmet = () if bound.exact else (
-            "root is not steady: the minimum form is an upper bound only",)
-        yield (instance, lambda: bound.value, partial(_brute_d, product),
-               unmet)
+        g, product = built
+        bound = yield from _guarded("preconditions", instance,
+                                    formulas.d_vertex_sum_power, g, root, t)
+        if bound is not None:
+            unmet = () if bound.exact else (
+                "root is not steady: the minimum form is an upper bound only",)
+            yield (instance, lambda: bound.value, partial(_brute_d, product),
+                   unmet)
 
 
 _RADICAL_NOTE = ("radical rearrangement under test; the direct scan of the "
@@ -420,15 +445,14 @@ def _vsum_closed_rows(rule: str, closed_form,
                 f"rule {rule} takes family {', '.join(kinds)}, "
                 f"got {family!r}")
         kinds = [family]
-    for name, g, root, t in instances:
+    for name, root, t in instances:
         instance = f"{name},t={t},min-form"
-        try:
-            product, _ = products.vertex_sum_power(g, root, t)
-        except BudgetExceededError as exc:
-            yield instance, f"construction hit budget: {exc}"
-            continue
-        yield (instance, partial(closed_form, g.n, t),
-               partial(_brute_d, product))
+        built = yield from _guarded("construction", instance, _vsum_power,
+                                    name, root, t)
+        if built is not None:
+            g, product = built
+            yield (instance, partial(closed_form, g.n, t),
+                   partial(_brute_d, product))
     ts = _ints(grid, "t", range(2, 51))
     for kind in kinds:
         for row in formulas.radical_discrepancy_rows(kind, ts):
@@ -436,47 +460,29 @@ def _vsum_closed_rows(rule: str, closed_form,
                    lambda: row.minimum_form, (), (_RADICAL_NOTE,))
 
 
-def _thm310_instances() -> list[tuple[str, list[RootedGraph]]]:
-    return [
-        ("K3@0+C4@0", [RootedGraph(complete(3), 0), RootedGraph(cycle(4), 0)]),
-        ("K3@0+K4@0", [RootedGraph(complete(3), 0), RootedGraph(complete(4), 0)]),
-        ("C4@0+C5@0", [RootedGraph(cycle(4), 0), RootedGraph(cycle(5), 0)]),
-        ("K3@0+C4@0+C5@0", [RootedGraph(complete(3), 0),
-                            RootedGraph(cycle(4), 0),
-                            RootedGraph(cycle(5), 0)]),
-        ("K3@0+K4-e@2", [RootedGraph(complete(3), 0),
-                         RootedGraph(_k4_minus_edge(), 2)]),
-        ("star3@0+P3@1", [RootedGraph(star(3), 0), RootedGraph(path(3), 1)]),
-    ]
+# the vertex-sums of thm3.10 and thm3.12, each named by its rooted factors
+_THM310 = ("K3@0+C4@0", "K3@0+K4@0", "C4@0+C5@0", "K3@0+C4@0+C5@0",
+           "K3@0+K4-e@2", "star3@0+P3@1")
+_THM312 = ("K3@0+K3@0", "K3@0+C4@0", "C4@0+C4@0", "K3@0+K4@0", "C5@0+C5@0",
+           "C4@0+K4-e@0", "P4@0+P4@0")
 
 
-def _thm312_instances() -> list[tuple[str, list[RootedGraph]]]:
-    return [
-        ("K3@0+K3@0", [RootedGraph(complete(3), 0), RootedGraph(complete(3), 0)]),
-        ("K3@0+C4@0", [RootedGraph(complete(3), 0), RootedGraph(cycle(4), 0)]),
-        ("C4@0+C4@0", [RootedGraph(cycle(4), 0), RootedGraph(cycle(4), 0)]),
-        ("K3@0+K4@0", [RootedGraph(complete(3), 0), RootedGraph(complete(4), 0)]),
-        ("C5@0+C5@0", [RootedGraph(cycle(5), 0), RootedGraph(cycle(5), 0)]),
-        ("C4@0+K4-e@0", [RootedGraph(cycle(4), 0),
-                         RootedGraph(_k4_minus_edge(), 0)]),
-        ("P4@0+P4@0", [RootedGraph(path(4), 0), RootedGraph(path(4), 0)]),
-    ]
-
-
-def _vsum_rooted_rows(instances, predicted_of, brute_of, unmet_of,
+def _vsum_rooted_rows(names: Sequence[str], predicted_of, brute_of, unmet_of,
                       grid: dict) -> Iterator[tuple]:
     """thm3.10 and thm3.12: predicted_of(factors) against brute_of on the
-    vertex-sum of each named list of rooted factors from instances(), with
+    vertex-sum of the rooted factors each of names spells, with
     unmet_of(factors) the preconditions the factors fail.  The instances
     are fixed, so the rules read no grid key."""
-    for name, factors in instances():
-        try:
-            product, _ = products.vertex_sum(factors)
-        except BudgetExceededError as exc:
-            yield name, f"construction hit budget: {exc}"
+    for name in names:
+        built = yield from _guarded("construction", name, _joined, name,
+                                    _rooted, products.vertex_sum)
+        if built is None:
             continue
-        yield (name, partial(predicted_of, factors),
-               partial(brute_of, product), unmet_of(factors))
+        factors, product = built
+        unmet = yield from _guarded("preconditions", name, unmet_of, factors)
+        if unmet is not None:
+            yield (name, partial(predicted_of, factors),
+                   partial(brute_of, product), unmet)
 
 
 def _thm313_rows(grid: dict) -> Iterator[tuple]:
@@ -486,13 +492,12 @@ def _thm313_rows(grid: dict) -> Iterator[tuple]:
         ts = _ints(grid, "t", [2])
         pairs = [(n, t) for n in ns for t in ts]
     for n, t in pairs:
-        try:
-            product, _ = products.vertex_sum_power(cycle(n), 0, t)
-        except BudgetExceededError as exc:
-            yield f"C{n},t={t}", f"construction hit budget: {exc}"
-            continue
-        yield (f"C{n},t={t}", partial(formulas.theta_vsum_cycles, n, t),
-               partial(distinguishing_threshold, product))
+        instance = f"C{n},t={t}"
+        built = yield from _guarded("construction", instance, _vsum_power,
+                                    f"C{n}", 0, t)
+        if built is not None:
+            yield (instance, partial(formulas.theta_vsum_cycles, n, t),
+                   partial(distinguishing_threshold, built[1]))
 
 
 def _rooted_copies(h: Graph) -> tuple[RootedGraph, ...]:
@@ -539,34 +544,27 @@ def _product_rows(kind: str, predicted_of, brute_of, unmet_of,
     """One row per factor pair of the kind's grid, "rooted" (a copy per
     root orbit), "corona" or "lex": predicted_of(g, h) against brute_of on
     the product graph, with unmet_of(g, h) the preconditions the pair fails
-    (for "lex", the naturality check).  A pair whose preconditions or
-    product spend a budget is a skip record, and so is a pool graph whose
-    root orbits do, once per base, named without a root.  Each distinct
+    (for "lex", the naturality check).  A pool graph whose root orbits hit
+    a budget is one skip per base, named without a root.  Each distinct
     factor is named once per rule."""
     copies_of = _PRODUCTS[kind][2]
     name = cache(emit_graph6)
     for g, hb in _pairs(kind, grid):
-        try:
-            copies = copies_of(hb)
-        except BudgetExceededError as exc:
-            yield (f"{kind}({name(g)},{name(hb)})",
-                   f"root orbits hit budget: {exc}")
-            continue
-        for h in copies:
+        copies = yield from _guarded("root orbits",
+                                     f"{kind}({name(g)},{name(hb)})",
+                                     copies_of, hb)
+        for h in copies or ():
             copy = f"{name(hb)}@{h.root}" if kind == "rooted" else name(hb)
             instance = f"{kind}({name(g)},{copy})"
-            try:
-                unmet = unmet_of(g, h)
-            except BudgetExceededError as exc:
-                yield instance, f"preconditions hit budget: {exc}"
+            unmet = yield from _guarded("preconditions", instance, unmet_of,
+                                        g, h)
+            if unmet is None:
                 continue
-            try:
-                product = _product(kind, g, h, limits.vertex_cap())
-            except BudgetExceededError as exc:
-                yield instance, f"construction hit budget: {exc}"
-                continue
-            yield (instance, partial(predicted_of, g, h),
-                   partial(brute_of, product), unmet)
+            product = yield from _guarded("construction", instance, _product,
+                                          kind, g, h, limits.vertex_cap())
+            if product is not None:
+                yield (instance, partial(predicted_of, g, h),
+                       partial(brute_of, product), unmet)
 
 
 def _verdicts(rule_id: str, rows: Callable[[dict], Iterator[tuple]],
@@ -629,12 +627,12 @@ _RULES: tuple[Rule, ...] = (
           "cor3.9", formulas.d_vsum_cycles, (("C5", (2, 3)), ("C7", (2,)))),
     _rule("thm3.10", "vertex-sum of distinct 2-connected steady-rooted "
           "factors: max deletion distinguishing number vs search",
-          _vsum_rooted_rows, (), _thm310_instances,
+          _vsum_rooted_rows, (), _THM310,
           formulas.d_vsum_nonisomorphic, _brute_d,
           formulas.d_vsum_nonisomorphic_preconditions),
     _rule("thm3.12", "vertex-sum threshold = threshold of the union of "
           "deletions + 1, vs enumeration", _vsum_rooted_rows, (),
-          _thm312_instances, formulas.theta_vsum_2connected,
+          _THM312, formulas.theta_vsum_2connected,
           distinguishing_threshold,
           formulas.theta_vsum_2connected_preconditions),
     _rule("thm3.13", "t-fold cycle vertex-sum threshold closed form vs "

@@ -72,10 +72,10 @@ def _argv(rule: str, *budget: str) -> tuple[str, ...]:
 
 
 def test_shared_memos_leave_every_answer_alone(run_cli):
-    """Rules read products, root orbits, naturality answers and Phi pairs
-    from memos shared across one process.  Run in one process in reverse
-    catalog order, every rule keeps its anchor; after them, each command
-    under a spent budget prints what it prints from empty memos."""
+    """Rules read products, root orbits, naturality answers, Phi pairs and
+    the corpus from memos shared across one process.  Run in one process
+    in reverse catalog order, every rule keeps its anchor; after them, each
+    command under a spent budget prints what it prints from empty memos."""
     clear_caches()
     for rule in reversed(ANCHOR):
         code, out, err = run_cli(*_argv(rule))
@@ -86,6 +86,10 @@ def test_shared_memos_leave_every_answer_alone(run_cli):
                                     ("--max-vertices", "8"),
                                     ("--max-colorings", "50"))
                 for rule in ("thm4.2", "thm4.4", "thm6.1", "eq2")]
+    # the corpus those two read is a fixture, whatever the vertex cap
+    commands += [_argv("thm3.5", "--max-aut", "1"),
+                 _argv("thm3.5", "--max-vertices", "5"),
+                 _argv("eq2", "--max-vertices", "5")]
     warm = [_printed(run_cli(*argv)) for argv in commands]
     for argv, printed in zip(commands, warm):
         clear_caches()

@@ -345,8 +345,8 @@ class TestLeastKOracle:
     least k with Phi_k(G) >= 1."""
 
     def test_vertex_sum_power(self):
-        for ctor, root in verify._VSUM_FAMILIES.values():
-            g = ctor()
+        for name, root in verify._VSUM_FAMILIES.items():
+            g = verify._graph(name)
             for t in range(2, 6):
                 assert d_vertex_sum_power(g, root, t).value == \
                     _plain_least_k(delete_vertex(g, root), t)

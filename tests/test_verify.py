@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -193,6 +194,45 @@ class TestBudgetSkips:
         assert vs and all(v.status == "skipped" for v in vs)
         assert all(v.predicted is None and v.brute_force is None for v in vs)
         assert all(any("budget" in note for note in v.notes) for v in vs)
+
+    # a budget flag's value and the text its budget error ends in
+    TINY = [("--max-aut", "1", "exceeded cap 1"),
+            ("--max-colorings", "1", "exceeded budget 1")] + [
+        ("--max-vertices", str(k), f"cap is {k}") for k in range(1, 9)]
+
+    @pytest.mark.parametrize("flag,value,ending", TINY,
+                             ids=[f"{f[2:]}-{v}" for f, v, _ in TINY])
+    @pytest.mark.parametrize("rule", verify.rule_ids())
+    def test_every_rule_reports_under_every_tiny_budget(self, run_cli, rule,
+                                                        flag, value, ending):
+        """From the memos of a fresh process, every rule exits 0 and each
+        of its skip notes names a documented stage and its budget's cap."""
+        clear_caches()
+        code, out, err = run_cli("verify", rule, flag, value)
+        assert (code, err) == (0, "")
+        verdicts = json.loads(out)["verdicts"]
+        names = [v["instance"] for v in verdicts]
+        assert names and len(names) == len(set(names))
+        for v in verdicts:
+            if v["status"] == "skipped":
+                (note,) = v["notes"]
+                stage, sep, _ = note.partition(" hit budget: ")
+                assert sep and stage in STAGES, note
+                assert note.endswith(ending), note
+
+    def test_stages_are_documented(self):
+        for stage in STAGES:
+            assert re.search(rf"^  {stage}  ", verify.__doc__, re.M), stage
+
+    def test_corpus_reads_whatever_the_vertex_cap(self):
+        clear_caches()
+        with limits.scoped(max_vertices=1):
+            assert len(corpus.connected_graphs(7)) == 996
+
+
+# the stages a skip note may name, as the verify docstring lists them
+STAGES = ("construction", "preconditions", "root orbits", "threshold",
+          "prediction", "brute force")
 
 
 class TestOracleHelpers:
