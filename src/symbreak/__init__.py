@@ -14,8 +14,8 @@ from .graphs import (Graph, RootedGraph, asymmetric6, build_graph, complete,
                      delete_vertex, disjoint_union, empty_graph, family,
                      induced_subgraph, is_2connected, is_connected,
                      is_isomorphic, kneser, path, petersen, star)
-from .perms import (AutGroup, CycleDecomposition, Permutation,
-                    enumerate_automorphisms, is_automorphism, stabilizer)
+from .perms import (AutGroup, enumerate_automorphisms, is_automorphism,
+                    stabilizer)
 from .indices import (Coloring, IndexReport, PhiPair, PhiTable,
                       are_equivalent, distinguishing_number,
                       distinguishing_threshold, graph_indices,

@@ -1,9 +1,9 @@
 """Finite simple graphs on vertex set {0, ..., n-1}.
 
 Graphs are immutable and hashable; adjacency is stored as one bitmask per
-vertex, which keeps the search kernels word-parallel for every size the
-vertex cap admits.  Construction goes through build_graph() or the named
-family constructors; both enforce the cap from symbreak.limits.
+vertex, a Python int of any width, which the search kernels read as is.
+Construction goes through build_graph() or the named family constructors;
+both enforce the cap from symbreak.limits.
 """
 
 from __future__ import annotations
@@ -110,10 +110,11 @@ class RootedGraph:
         return self.graph.n
 
 
-def _check_vertex_cap(n: int) -> None:
+def _check_vertex_cap(n: int, what: str = "graph") -> None:
+    """Raise when a what of n vertices would exceed the vertex cap."""
     cap = limits.vertex_cap()
     if n > cap:
-        raise BudgetExceededError(f"graph has {n} vertices, cap is {cap}")
+        raise BudgetExceededError(f"{what} has {n} vertices, cap is {cap}")
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -259,9 +260,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, tuple[int, ...]]:
     for g in graphs:
         offsets.append(total)
         total += g.n
-    cap = limits.vertex_cap()
-    if total > cap:
-        raise BudgetExceededError(f"union has {total} vertices, cap is {cap}")
+    _check_vertex_cap(total, "union")
     adj: list[int] = []
     for g, off in zip(graphs, offsets):
         adj.extend(mask << off for mask in g._adj)

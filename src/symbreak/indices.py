@@ -94,10 +94,11 @@ every non-identity element to the partition count, which walks them
 (kernels.count_distinguishing_partitions), on purpose: it shares neither
 the minimal cycles nor the polynomial and serves as the oracle for both
 in the verification harness.  It is, with is_distinguishing and
-are_equivalent, one of the readers that have the group build its element
-list.  The count itself is checked against a plain enumeration of set
-partitions in tests/test_partition_oracle.py, and the polynomial against
-the walk in tests/test_labelling_polynomial.py.
+are_equivalent, one of the readers of the group's element list, its
+sorted image tuples (AutGroup.elements).  The count itself is checked
+against a plain enumeration of set partitions in
+tests/test_partition_oracle.py, and the polynomial against the walk in
+tests/test_labelling_polynomial.py.
 
 graph_indices, behind analyze, table and product, reads the twin quotient
 (twin_quotient); a graph without twins is its own, with one class of
@@ -175,10 +176,7 @@ def is_distinguishing(g: Graph, group: AutGroup, coloring: Coloring) -> bool:
     if coloring.n != g.n or group.n != g.n:
         raise InvalidInputError("coloring/group size mismatch")
     cols = coloring.colors
-    for p in group.elements:
-        if p.is_identity():
-            continue
-        img = p.image
+    for img in group.nonidentity_images():
         if all(cols[img[v]] == cols[v] for v in range(g.n)):
             return False
     return True
@@ -189,8 +187,7 @@ def are_equivalent(g: Graph, group: AutGroup, c1: Coloring, c2: Coloring) -> boo
     if c1.n != g.n or c2.n != g.n or group.n != g.n:
         raise InvalidInputError("coloring/group size mismatch")
     a, b = c1.colors, c2.colors
-    for p in group.elements:
-        img = p.image
+    for img in group.elements:
         if all(a[v] == b[img[v]] for v in range(g.n)):
             return True
     return False

@@ -2,8 +2,9 @@
 
 Three knobs, all process-wide:
 
-  max_vertices   hard cap on graph size accepted by constructors (default 64,
-                 which also matches the one-word bitset layout of the kernels)
+  max_vertices   hard cap on graph size accepted by constructors (default
+                 64); the kernels' bitmasks are ints of any width, so the
+                 cap bounds the input a run accepts, not what they can hold
   max_aut        automorphism-search budget: abort once the group is known
                  to have more than this many elements
   max_colorings  node budget for the distinguishing-coloring search

@@ -1,7 +1,7 @@
-"""Permutations of {0..n-1}, cycle decompositions, automorphism groups.
+"""Automorphism groups of graphs, read from their stabilizer chains.
 
-Composition convention: compose(p, q) applies q first, so
-compose(p, q)(v) = p(q(v)).
+A group element is its image tuple: entry v is the image of v.  A product
+t * e, e applied first, is itemgetter(*e)(t).
 
 An automorphism group is its stabilizer chain: the order and the
 nontrivial transversals that kernels.search_automorphisms returns.  The
@@ -27,14 +27,14 @@ the chain without an element list:
                       deepest up, each skipped or stopped at a conjugacy
                       bound
 
-Sorted Permutation elements, identity first, are built only where a caller
-reads elements, iterates the group or asks for nonidentity_images: the
-brute-force oracles that test elements one at a time and must not share the
-chain's shortcuts, namely indices.phi_brute, indices.is_distinguishing,
-indices.are_equivalent and the thm3.5 restriction check in verify.  A caller
-that only needs the number of elements reads order: the products that
-_product_blocks yields, one per choice of one element from each
-transversal, are distinct, so there are exactly order of them.
+The sorted element list, identity first, is built only where a caller reads
+elements or asks for nonidentity_images: the brute-force oracles that test
+elements one at a time and must not share the chain's shortcuts, namely
+indices.phi_brute, indices.is_distinguishing, indices.are_equivalent and
+the thm3.5 restriction check in verify.  A caller that only needs the
+number of elements reads order: the products that _product_blocks yields,
+one per choice of one element from each transversal, are distinct, so
+there are exactly order of them.
 """
 
 from __future__ import annotations
@@ -50,100 +50,6 @@ from .graphs import Graph
 
 # most products a group's streamed scans multiply out at once
 _STREAM_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class Permutation:
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
-            raise InvalidInputError("image is not a permutation of 0..n-1")
-
-    @classmethod
-    def _unchecked(cls, image: tuple[int, ...]) -> "Permutation":
-        """A Permutation of an image known to be a permutation, such as a
-        kernel's automorphism, without the check that sorts it."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "image", image)
-        return p
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-    def is_identity(self) -> bool:
-        return all(self.image[i] == i for i in range(len(self.image)))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(v) = self(other(v))."""
-        if other.n != self.n:
-            raise InvalidInputError("cannot compose permutations of different degree")
-        return Permutation(tuple(self.image[other.image[v]]
-                                 for v in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
-
-    def cycle_decomposition(self) -> "CycleDecomposition":
-        return cycle_decomposition(self)
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p.compose(q)
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycles of length >= 2 plus fixed points.
-
-    Each cycle is rotated to start at its smallest member; cycles are sorted
-    by first member.  cycle_count counts fixed points as 1-cycles, matching
-    the quantity the distinguishing threshold is built from.
-    """
-
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
-    fixed_points: tuple[int, ...]
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles) + len(self.fixed_points)
-
-
-def cycle_decomposition(p: Permutation) -> CycleDecomposition:
-    seen = set()
-    cycles = []
-    fixed = []
-    for v in range(p.n):
-        if v in seen:
-            continue
-        cyc = [v]
-        seen.add(v)
-        w = p.image[v]
-        while w != v:
-            cyc.append(w)
-            seen.add(w)
-            w = p.image[w]
-        if len(cyc) == 1:
-            fixed.append(v)
-        else:
-            cycles.append(tuple(cyc))
-    return CycleDecomposition(p.n, tuple(cycles), tuple(fixed))
 
 
 @dataclass(frozen=True)
@@ -167,21 +73,13 @@ class AutGroup:
         return _product_blocks(self.n, self.chain, _STREAM_BLOCK)
 
     @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted by image tuple, so the identity is first."""
-        images = sorted(e for block in self._products() for e in block)
-        return tuple(map(Permutation._unchecked, images))
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Every element's image tuple, sorted, so the identity is first."""
+        return tuple(sorted(e for block in self._products() for e in block))
 
     def nonidentity_images(self) -> tuple[tuple[int, ...], ...]:
-        """Image tuples of all non-identity elements (kernel input format)."""
-        return self._nonidentity_images
-
-    @cached_property
-    def _nonidentity_images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.image for p in self.elements[1:])
-
-    def __iter__(self):
-        return iter(self.elements)
+        """All non-identity elements (kernel input format)."""
+        return self.elements[1:]
 
     @cached_property
     def minimal_cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -257,16 +155,17 @@ def automorphism_group(g: Graph) -> AutGroup:
     return group
 
 
-def is_automorphism(g: Graph, p: Permutation) -> bool:
-    """Does p preserve adjacency and non-adjacency of g?"""
-    if p.n != g.n:
+def is_automorphism(g: Graph, image: tuple[int, ...]) -> bool:
+    """Is image a permutation of g's vertices that preserves adjacency and
+    non-adjacency?"""
+    if sorted(image) != list(range(g.n)):
         return False
     adj = g.adjacency()
     for u in range(g.n):
         mapped = 0
         for v in g.neighbors(u):
-            mapped |= 1 << p.image[v]
-        if mapped != adj[p.image[u]]:
+            mapped |= 1 << image[v]
+        if mapped != adj[image[u]]:
             return False
     return True
 

@@ -20,8 +20,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import kernels, limits
-from .errors import BudgetExceededError, InvalidInputError, PreconditionError
-from .graphs import Graph, RootedGraph, build_graph, is_connected
+from .errors import InvalidInputError, PreconditionError
+from .graphs import (Graph, RootedGraph, _check_vertex_cap, build_graph,
+                     is_connected)
 
 
 @dataclass
@@ -54,9 +55,7 @@ def vertex_sum(factors: Sequence[RootedGraph]) -> tuple[Graph, ProductLayout]:
         if not is_connected(f.graph):
             raise PreconditionError("vertex-sum factors must be connected")
     n = 1 + sum(f.graph.n - 1 for f in factors)
-    cap = limits.vertex_cap()
-    if n > cap:
-        raise BudgetExceededError(f"vertex-sum has {n} vertices, cap is {cap}")
+    _check_vertex_cap(n, "vertex-sum")
 
     to_product: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = []
@@ -96,9 +95,7 @@ def rooted_product_smooth(g: Graph,
     if not is_connected(g) or not is_connected(hg):
         raise PreconditionError("rooted product factors must be connected")
     n = g.n * hg.n
-    cap = limits.vertex_cap()
-    if n > cap:
-        raise BudgetExceededError(f"rooted product has {n} vertices, cap is {cap}")
+    _check_vertex_cap(n, "rooted product")
 
     pos = [0] * hg.n
     nxt = 1
@@ -127,9 +124,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, ProductLayout]:
     if g.n < 1 or h.n < 1:
         raise InvalidInputError("corona factors need at least one vertex")
     n = g.n * (1 + h.n)
-    cap = limits.vertex_cap()
-    if n > cap:
-        raise BudgetExceededError(f"corona has {n} vertices, cap is {cap}")
+    _check_vertex_cap(n, "corona")
 
     to_product: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = list(g.edges())
@@ -150,10 +145,7 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductLayout]:
     if g.n < 1 or h.n < 1:
         raise InvalidInputError("lexicographic factors need at least one vertex")
     n = g.n * h.n
-    cap = limits.vertex_cap()
-    if n > cap:
-        raise BudgetExceededError(f"lexicographic product has {n} vertices, "
-                                  f"cap is {cap}")
+    _check_vertex_cap(n, "lexicographic product")
     edges: list[tuple[int, int]] = []
     for x, xp in g.edges():
         for y in range(h.n):

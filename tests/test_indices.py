@@ -116,9 +116,8 @@ def test_probe_witnesses_distinguish(monkeypatch, connected7):
                 continue
             assert k == d and len(labels) == g.n
             assert all(0 <= c < k for c in labels)
-            for p in group.elements[1:]:
-                assert any(labels[w] != labels[v]
-                           for v, w in enumerate(p.image))
+            for e in group.nonidentity_images():
+                assert any(labels[w] != labels[v] for v, w in enumerate(e))
             witnesses += 1
     # the probes answer 5,202 of the 5,398 nontrivial inputs; the other
     # 196 are answered by a walk

@@ -75,7 +75,7 @@ def _closure(n, generators):
 def test_generators_give_the_search_order(g):
     order, chain = kernels.search_automorphisms(g.n, _adj(g), 10**7)
     generators = [t for reps in chain for t in reps[1:]]
-    elements = [p.image for p in enumerate_automorphisms(g)]
+    elements = enumerate_automorphisms(g).elements
     assert order == len(elements)
     assert _closure(g.n, generators) == set(elements)
     with pytest.raises(BudgetExceededError,
@@ -315,8 +315,7 @@ def test_budget_raises():
     g = complete(6)
     with pytest.raises(BudgetExceededError):
         kernels.search_automorphisms(g.n, _adj(g), 100)
-    elems = [p.image for p in automorphism_group(cycle(6)).elements
-             if not p.is_identity()]
+    elems = automorphism_group(cycle(6)).nonidentity_images()
     with pytest.raises(BudgetExceededError):
         kernels.count_distinguishing_partitions(6, elems, 6, 10)
 
@@ -339,8 +338,7 @@ def test_pure_backend_full_pipeline():
 
 
 def _c6_elements():
-    return [p.image for p in automorphism_group(cycle(6)).elements
-            if not p.is_identity()]
+    return list(automorphism_group(cycle(6)).nonidentity_images())
 
 
 K6 = complete(6).adjacency()

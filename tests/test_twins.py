@@ -64,7 +64,7 @@ def test_quotient_stabilizers_keep_the_weights(connected7):
     for g in connected7:
         q = twin_quotient(g).group(limits.aut_cap())
         for x in range(q.n):
-            fixing = sum(e(x) == x for e in q.elements)
+            fixing = sum(e[x] == x for e in q.elements)
             assert stabilizer(q, x).order == fixing
 
 
