@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -38,20 +39,6 @@ def _labels(image) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _cycle_lengths(image) -> list[int]:
-    """Length of every cycle of image, fixed points included."""
-    seen, lengths = set(), []
-    for v in range(len(image)):
-        size = 0
-        while v not in seen:
-            seen.add(v)
-            v = image[v]
-            size += 1
-        if size:
-            lengths.append(size)
-    return lengths
-
-
 def _refines(fine, coarse) -> bool:
     """Does the cycle partition of image `fine` refine that of `coarse`?"""
     labels = _labels(coarse)
@@ -59,8 +46,8 @@ def _refines(fine, coarse) -> bool:
 
 
 def _elementwise_theta(group: AutGroup) -> int:
-    return 1 + max((len(_cycle_lengths(e))
-                    for e in group.nonidentity_images()), default=0)
+    return 1 + max((len(set(_labels(e))) for e in group.nonidentity_images()),
+                   default=0)
 
 
 def _fresh(group: AutGroup) -> AutGroup:
@@ -214,10 +201,11 @@ def _scanned_minimal_cycles(group: AutGroup) -> tuple[tuple[int, ...], ...]:
     length, less those that another such partition strictly refines."""
     first: dict[tuple[int, ...], tuple[int, ...]] = {}
     for e in group.nonidentity_images():
-        lengths = set(_cycle_lengths(e)) - {1}
+        labels = _labels(e)
+        lengths = set(Counter(labels).values()) - {1}
         if len(lengths) == 1 and all(min(lengths) % d
                                      for d in range(2, min(lengths))):
-            first.setdefault(_labels(e), e)
+            first.setdefault(labels, e)
     return tuple(sorted(
         r for r in first.values()
         if not any(q != r and _refines(q, r) for q in first.values())))
