@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbreak import kernels, perms
 from symbreak.errors import BudgetExceededError
 from symbreak.graphs import (asymmetric6, build_graph, complete,
                              complete_bipartite, cycle, empty_graph, path,
@@ -16,6 +17,84 @@ from symbreak.perms import (automorphism_group, enumerate_automorphisms,
                             is_automorphism, orbits, stabilizer)
 
 from conftest import SYMMETRIC_SHAPES, random_graph
+
+
+def _compose(p, q):
+    """p after q, written out here rather than taken from the chain."""
+    return tuple(p[q[v]] for v in range(len(q)))
+
+
+def _inverse(p):
+    inverse = [0] * len(p)
+    for v, w in enumerate(p):
+        inverse[w] = v
+    return tuple(inverse)
+
+
+class TestPermutation:
+    def test_validation(self):
+        # neither tuple is a permutation of range(2), so no 2-vertex graph
+        # has it as an automorphism, with or without its edge
+        for g in (empty_graph(2), complete(2)):
+            assert not is_automorphism(g, (0, 0))
+            assert not is_automorphism(g, (1, 2))
+
+    def test_identity_compose_inverse(self):
+        group = automorphism_group(cycle(3))
+        e = group.elements[0]
+        assert e == (0, 1, 2)
+        for p in group.elements:
+            assert _compose(p, e) == p and _compose(e, p) == p
+            assert _compose(p, _inverse(p)) == e
+        assert all(p != e for p in group.nonidentity_images())
+
+    def test_compose_order(self):
+        # a chain's product t_0 * t_1 applies t_1 first: with p on the top
+        # level and q below, the group holds p after q, (1, 2, 0), and not
+        # q after p, (2, 0, 1)
+        ident = (0, 1, 2)
+        p, q = (1, 0, 2), (0, 2, 1)
+        products = {e for block in perms._product_blocks(
+            3, ((ident, p), (ident, q)), perms._STREAM_BLOCK) for e in block}
+        assert products == {ident, p, q, (1, 2, 0)}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
+    def test_group_axioms(self, a, b):
+        # every permutation of K6's vertices is one of its 720 elements
+        g = complete(6)
+        elems = set(automorphism_group(g).elements)
+        p, q = tuple(a), tuple(b)
+        assert p in elems and q in elems
+        assert _inverse(_inverse(p)) == p
+        assert _compose(_inverse(p), p) == tuple(range(6))
+        pq = _compose(p, q)
+        assert pq in elems and is_automorphism(g, pq)
+        assert _inverse(pq) == _compose(_inverse(q), _inverse(p))
+
+
+class TestCycleDecomposition:
+    # an element's cycle count, fixed points included, is its fixed points
+    # plus its nontrivial cycles, the blocks kernels._cycle_blocks returns;
+    # perms._max_cycles takes the largest over non-identity elements
+
+    def test_fixed_points_count_as_cycles(self):
+        # (0 2)(3 4) fixing 1: two 2-cycles plus one fixed point
+        p = (2, 1, 0, 4, 3)
+        assert kernels._cycle_blocks(p) == (0b00101, 0b11000)
+        assert perms._max_cycles(5, [p], 0, 5) == 3
+
+    def test_identity_all_fixed(self):
+        assert kernels._cycle_blocks((0, 1, 2, 3)) == ()
+        # the identity is no candidate, so it leaves the count at 0, as
+        # the trivial group's max_cycles reads
+        assert perms._max_cycles(4, [(0, 1, 2, 3)], 0, 4) == 0
+        assert automorphism_group(asymmetric6()).max_cycles == 0
+
+    def test_single_long_cycle(self):
+        p = (1, 2, 3, 0)
+        assert kernels._cycle_blocks(p) == (0b1111,)
+        assert perms._max_cycles(4, [p], 0, 4) == 1
 
 
 KNOWN_ORDERS = [
@@ -46,13 +125,9 @@ class TestAutomorphismGroups:
         group = automorphism_group(cycle(5))
         elems = set(group.elements)
         for p in group.elements:
-            inverse = [0] * len(p)
-            for v, w in enumerate(p):
-                inverse[w] = v
-            assert tuple(inverse) in elems
+            assert _inverse(p) in elems
             for q in group.elements:
-                # p after q
-                assert tuple(p[q[v]] for v in range(len(q))) in elems
+                assert _compose(p, q) in elems
 
     @pytest.mark.parametrize("g,order", KNOWN_ORDERS,
                              ids=lambda x: str(x) if isinstance(x, int) else None)
